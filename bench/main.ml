@@ -440,10 +440,10 @@ let run_layout ~quick () =
 (* ---- fleet aggregation ---- *)
 
 (* Fleet profile merging (lib/fleet): simulate the 8-host fleet, then
-   (a) merge throughput at -j1/2/4 over a replicated shard set — output
-   asserted byte-identical at every level — and (b) the end-to-end payoff:
-   dyno-stats taken branches on the fleet-wide traffic for BOLT fed the
-   merged profile vs BOLT fed the best single host shard. *)
+   (a) merge throughput over a replicated shard set and (b) the
+   end-to-end payoff: dyno-stats taken branches on the fleet-wide
+   traffic for BOLT fed the merged profile vs BOLT fed the best single
+   host shard. *)
 let run_fleet ~quick () =
   section "Fleet: shard merge throughput and merged-vs-single-shard dyno-stats";
   let module FS = Bolt_fleet.Fleet_sim in
@@ -486,30 +486,19 @@ let run_fleet ~quick () =
   let total_lines =
     List.fold_left (fun a (s : M.loaded) -> a + record_lines s.M.sh_prof) 0 big
   in
-  let time_at jobs =
+  let time_merge () =
     let t0 = Unix.gettimeofday () in
-    let merged = M.merge ~opts:{ M.default_options with M.jobs } big in
-    (Unix.gettimeofday () -. t0, merged)
+    ignore (M.merge big);
+    Unix.gettimeofday () -. t0
   in
-  ignore (time_at 1) (* warm-up *);
-  let runs = List.map (fun j -> (j, time_at j)) [ 1; 2; 4 ] in
-  let _, (_, base_merged) = List.hd runs in
-  let base_bytes = Bolt_profile.Fdata.to_string base_merged in
-  Printf.printf "  merging %d shards (%d record lines):\n" (List.length big)
-    total_lines;
-  Printf.printf "  %-6s %10s %12s %14s  %s\n" "jobs" "wall(s)" "shards/s"
-    "lines/s" "output";
-  let throughput =
-    List.map
-      (fun (j, (t, merged)) ->
-        let sps = if t > 0.0 then float_of_int (List.length big) /. t else 0.0 in
-        let lps = if t > 0.0 then float_of_int total_lines /. t else 0.0 in
-        let identical = Bolt_profile.Fdata.to_string merged = base_bytes in
-        Printf.printf "  %-6d %10.3f %12.0f %14.0f  %s\n" j t sps lps
-          (if identical then "identical" else "DIFFERS!");
-        (j, t, sps, lps, identical))
-      runs
-  in
+  ignore (time_merge ()) (* warm-up *);
+  let t_merge = time_merge () in
+  let per_s n = if t_merge > 0.0 then float_of_int n /. t_merge else 0.0 in
+  Printf.printf
+    "  merging %d shards (%d record lines): %.3f s, %.0f shards/s, %.0f lines/s\n"
+    (List.length big) total_lines t_merge
+    (per_s (List.length big))
+    (per_s total_lines);
   (* merged profile vs each single host shard, on fleet-wide traffic *)
   let build = r.FS.fr_build in
   let input = r.FS.fr_fleet_input in
@@ -589,19 +578,9 @@ let run_fleet ~quick () =
          ("stale_hosts", Json.Int cfg.FS.fc_stale);
          ("merge_shards", Json.Int (List.length big));
          ("merge_lines", Json.Int total_lines);
-         ( "merge_runs",
-           Json.List
-             (List.map
-                (fun (j, t, sps, lps, identical) ->
-                  Json.Obj
-                    [
-                      ("jobs", Json.Int j);
-                      ("wall_s", Json.Float t);
-                      ("shards_per_s", Json.Float sps);
-                      ("lines_per_s", Json.Float lps);
-                      ("output_identical", Json.Bool identical);
-                    ])
-                throughput) );
+         ("merge_wall_s", Json.Float t_merge);
+         ("merge_shards_per_s", Json.Float (per_s (List.length big)));
+         ("merge_lines_per_s", Json.Float (per_s total_lines));
          ("merged_taken_branches", Json.Int merged_taken);
          ("best_single_taken_branches", Json.Int best_taken);
          ("best_single_host", Json.String best_name);
@@ -610,10 +589,10 @@ let run_fleet ~quick () =
          ("recovery", Json.Obj [ ("rate", tick0_recovery) ]);
        ])
 
-(* ---- iocore: the zero-copy data plane, legacy vs new, side by side ---- *)
+(* ---- iocore: the zero-copy data plane ---- *)
 
 let run_iocore ~quick () =
-  section "iocore: zero-copy data plane (slice/cursor core vs legacy byte paths)";
+  section "iocore: zero-copy data plane (slice/cursor core)";
   let funcs = if quick then 10_000 else 100_000 in
   let fdata_lines = if quick then 200_000 else 2_000_000 in
   let m =
@@ -638,40 +617,21 @@ let run_iocore ~quick () =
     done;
     !b
   in
-  (* BELF load: both decoders, equality is a hard requirement *)
-  let belf_identical =
-    Bolt_obj.Objfile.of_string belf = Bolt_obj.Objfile.of_string_legacy belf
-  in
   let t_new = best (fun () -> Bolt_obj.Objfile.of_string belf) in
-  let t_leg = best (fun () -> Bolt_obj.Objfile.of_string_legacy belf) in
-  Printf.printf "BELF load     %6.1f MB: new %6.1f MB/s  legacy %6.1f MB/s  %4.2fx  %s\n%!"
-    mb (mb /. t_new) (mb /. t_leg) (t_leg /. t_new)
-    (if belf_identical then "identical" else "MISMATCH!");
-  (* fdata: the materializing parse and the streaming lexer vs the
-     split_on_char parser.  [scan] is what the fleet merger consumes. *)
-  let fdata_parity =
-    Bolt_profile.Fdata.parse fdata = Bolt_profile.Fdata.parse_legacy fdata
-  in
+  Printf.printf "BELF load     %6.1f MB: %6.1f MB/s\n%!" mb (mb /. t_new);
+  (* fdata: the materializing parse and the streaming lexer.  [scan] is
+     what the fleet merger's streaming feeder consumes. *)
   let t_scan = best (fun () -> Bolt_profile.Fdata.scan fdata) in
   let t_parse = best (fun () -> Bolt_profile.Fdata.parse fdata) in
-  let t_pleg = best (fun () -> Bolt_profile.Fdata.parse_legacy fdata) in
-  Printf.printf
-    "fdata parse   %6.0fk lines: legacy %5.2f Ml/s  parse %5.2f Ml/s (%4.2fx)  stream %5.2f Ml/s (%4.2fx)  %s\n%!"
-    (lines /. 1000.0) (lines /. t_pleg /. 1e6) (lines /. t_parse /. 1e6)
-    (t_pleg /. t_parse) (lines /. t_scan /. 1e6) (t_pleg /. t_scan)
-    (if fdata_parity then "identical" else "MISMATCH!");
-  (* fdata emit: arena writer with hand-rolled decimal/hex vs Printf *)
+  Printf.printf "fdata parse   %6.0fk lines: parse %5.2f Ml/s  stream %5.2f Ml/s\n%!"
+    (lines /. 1000.0) (lines /. t_parse /. 1e6) (lines /. t_scan /. 1e6);
+  (* fdata emit: arena writer with hand-rolled decimal/hex *)
   let prof = fst (Bolt_profile.Fdata.parse fdata) in
-  let emit_identical =
-    Bolt_profile.Fdata.to_string prof = Bolt_profile.Fdata.to_string_legacy prof
-  in
   let t_emit = best (fun () -> Bolt_profile.Fdata.to_string prof) in
-  let t_emit_leg = best (fun () -> Bolt_profile.Fdata.to_string_legacy prof) in
-  Printf.printf "fdata emit:   new %5.2fs  legacy %5.2fs  %4.2fx  %s\n%!" t_emit
-    t_emit_leg (t_emit_leg /. t_emit)
-    (if emit_identical then "identical" else "MISMATCH!");
-  (* fleet merge: record-list fold vs streaming scan, over distinct-seed
-     shards; outputs must normalize to the same bytes *)
+  Printf.printf "fdata emit:   %5.2fs\n%!" t_emit;
+  (* fleet merge: the two feeders of the one accumulator — parsed
+     record lists vs the streaming scan — over distinct-seed shards;
+     outputs must be the same bytes *)
   let shard_lines = if quick then 50_000 else 200_000 in
   let shards =
     List.init 4 (fun i ->
@@ -731,31 +691,15 @@ let run_iocore ~quick () =
          ("fdata_lines", Json.Int m.Bolt_workloads.Gen.mg_fdata_lines);
          ( "belf",
            Json.Obj
-             [
-               ("mb", Json.Float mb);
-               ("new_mb_per_s", Json.Float (mb /. t_new));
-               ("legacy_mb_per_s", Json.Float (mb /. t_leg));
-               ("load_speedup", Json.Float (t_leg /. t_new));
-               ("identical", Json.Bool belf_identical);
-             ] );
+             [ ("mb", Json.Float mb); ("new_mb_per_s", Json.Float (mb /. t_new)) ]
+         );
          ( "fdata",
            Json.Obj
              [
-               ("legacy_lines_per_s", Json.Float (lines /. t_pleg));
                ("parse_lines_per_s", Json.Float (lines /. t_parse));
                ("stream_lines_per_s", Json.Float (lines /. t_scan));
-               ("parse_speedup", Json.Float (t_pleg /. t_parse));
-               ("stream_speedup", Json.Float (t_pleg /. t_scan));
-               ("parity", Json.Bool fdata_parity);
              ] );
-         ( "emit",
-           Json.Obj
-             [
-               ("new_s", Json.Float t_emit);
-               ("legacy_s", Json.Float t_emit_leg);
-               ("emit_speedup", Json.Float (t_emit_leg /. t_emit));
-               ("identical", Json.Bool emit_identical);
-             ] );
+         ("emit", Json.Obj [ ("new_s", Json.Float t_emit) ]);
          ( "merge",
            Json.Obj
              [
@@ -780,10 +724,10 @@ let run_iocore ~quick () =
      (within_budget must hold), plus the eviction count and the
      merged-quality degradation the bound cost vs an unbounded merge;
    - trigger latency in ticks;
-   - the sharded-by-function-key merge vs the single-accumulator
-     streaming merge, bytes asserted identical. *)
+   - the unbounded streaming merge of the whole tape, the reference
+     the sketch's retention is judged against. *)
 let run_service ~quick () =
-  section "Service: daemon ingest at fleet scale (sketch bound, triggers, sharded merge)";
+  section "Service: daemon ingest at fleet scale (sketch bound, triggers)";
   let module FS = Bolt_fleet.Fleet_sim in
   let module M = Bolt_fleet.Merge in
   let module S = Bolt_service.Service in
@@ -808,24 +752,12 @@ let run_service ~quick () =
   let texts = List.map (fun (_, h, x) -> (h, x)) tape_raw in
   Printf.printf "  tape: %d hosts, %d lines (%d-function universe)\n%!"
     sc.FS.sc_hosts total_lines sc.FS.sc_funcs;
-  (* sharded-by-function-key merge vs the single-accumulator stream *)
+  (* the unbounded merge of the whole tape *)
   let t0 = Unix.gettimeofday () in
   let stream_merged = M.merge_stream texts in
   let t_stream = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let sharded_merged =
-    M.merge_stream_sharded ~opts:{ M.default_options with M.jobs = 4 } texts
-  in
-  let t_sharded = Unix.gettimeofday () -. t0 in
-  let sharded_identical =
-    Bolt_profile.Fdata.to_string sharded_merged
-    = Bolt_profile.Fdata.to_string stream_merged
-  in
   let lps t = if t > 0.0 then float_of_int total_lines /. t else 0.0 in
-  Printf.printf
-    "  merge:   stream %8.0f lines/s   sharded(j4) %8.0f lines/s (%.2fx)  %s\n%!"
-    (lps t_stream) (lps t_sharded) (t_stream /. t_sharded)
-    (if sharded_identical then "identical" else "MISMATCH!");
+  Printf.printf "  merge:   stream %8.0f lines/s\n%!" (lps t_stream);
   (* the service loop itself, under a deliberately tight sketch budget
      so the memory bound and its quality cost are exercised *)
   let budget = (if quick then 1 else 4) * 1024 * 1024 in
@@ -906,9 +838,6 @@ let run_service ~quick () =
          ("steps", Json.Int (List.length reports));
          ("ingest_lines_per_s", Json.Float (lps t_ingest));
          ("stream_lines_per_s", Json.Float (lps t_stream));
-         ("sharded_lines_per_s", Json.Float (lps t_sharded));
-         ("sharded_speedup", Json.Float (t_stream /. t_sharded));
-         ("sharded_identical", Json.Bool sharded_identical);
          ("sketch_budget_bytes", Json.Int budget);
          ("sketch_peak_bytes", Json.Int (Sk.peak sk));
          ("sketch_within_budget", Json.Bool within_budget);

@@ -6,7 +6,10 @@
      bmerge host*.fdata -o fleet.fdata --expect-build-id prog.x --report
 
    The merge is commutative and associative with saturating 64-bit
-   counts: output bytes are identical for any shard ordering and any -j.
+   counts: output bytes are identical for any shard ordering.  Without
+   --report, --health, --expect-build-id, --trace-out or --history
+   nothing reads per-shard records, so each shard streams straight into
+   the accumulator; the bytes are the same either way.
    --expect-build-id takes either a hex id or a BELF file to read one
    from; shards profiled against any other revision count as stale in
    the quality report.  When it names a BELF file with a fingerprint
@@ -48,64 +51,63 @@ let resolve_build_id = function
         (Some exe.Bolt_obj.Objfile.build_id, exe.Bolt_obj.Objfile.fingerprints))
       else (Some spec, [])
 
+let print_merged out n (merged : Bolt_profile.Fdata.t) =
+  Fmt.pr "wrote %s: %d shards -> %d branch records, %d ranges, %d ip samples@."
+    out n
+    (List.length merged.Bolt_profile.Fdata.branches)
+    (List.length merged.Bolt_profile.Fdata.ranges)
+    (List.length merged.Bolt_profile.Fdata.samples)
+
+(* Load [paths] through [load], report the skipped shards, and hand the
+   kept ones to [k]; a clean merge exits 6 when any shard was skipped. *)
+let with_shards load paths k =
+  match load paths with
+  | exception Sys_error e ->
+      Fmt.epr "bmerge: %s@." e;
+      4
+  | exception Bolt_profile.Fdata.Bad_format e ->
+      Fmt.epr "bmerge: %s@." e;
+      4
+  | kept, skipped ->
+      List.iter (fun s -> Fmt.epr "bmerge: %a@." Merge.pp_skip s) skipped;
+      if kept = [] then begin
+        Fmt.epr "bmerge: all %d shard(s) skipped, nothing to merge@."
+          (List.length skipped);
+        3
+      end
+      else
+        let code = k kept skipped in
+        if code = 0 && skipped <> [] then 6 else code
+
 let run shards out weights decay expect strict_shards report health trace_out
-    history jobs stream =
+    history =
   if shards = [] then begin
     Fmt.epr "bmerge: no input shards@.";
     3
   end
-  else if stream then
-    (* Streaming fast path: each shard is lexed straight into the global
-       accumulator (Merge.merge_stream over the iocore lexer) and record
-       lists never materialize.  The diagnostics that need per-shard
-       record sets — quality report, health view, stale recovery — are
-       incompatible by construction. *)
-    if report || health || expect <> None then begin
-      Fmt.epr
-        "bmerge: --stream merges without materializing per-shard records; \
-         it cannot be combined with --report, --health or \
-         --expect-build-id@.";
-      3
-    end
-    else begin
-      match
-        Merge.merge_paths
-          ~opts:{ Merge.weights; decay; expect_build_id = None; jobs = max 1 jobs }
-          shards
-      with
-      | exception Sys_error e ->
-          Fmt.epr "bmerge: %s@." e;
-          4
-      | exception Bolt_profile.Fdata.Bad_format e ->
-          Fmt.epr "bmerge: %s@." e;
-          4
-      | merged ->
-          Bolt_profile.Fdata.save out merged;
-          Fmt.pr
-            "wrote %s: %d shards -> %d branch records, %d ranges, %d ip \
-             samples (streaming)@."
-            out (List.length shards)
-            (List.length merged.Bolt_profile.Fdata.branches)
-            (List.length merged.Bolt_profile.Fdata.ranges)
-            (List.length merged.Bolt_profile.Fdata.samples);
-          0
-    end
+  else if
+    (* the quality report, the health view, stale recovery against a
+       target and the manifest/history records that carry them all read
+       each shard's record lists; with none of them requested, shards
+       stream straight into the accumulator *)
+    not
+      (report || health || expect <> None || trace_out <> None
+     || history <> None)
+  then
+    with_shards (Merge.load_texts ~strict:strict_shards) shards
+      (fun texts _ ->
+        let merged =
+          Merge.merge_stream
+            ~opts:{ Merge.weights; decay; expect_build_id = None }
+            texts
+        in
+        Bolt_profile.Fdata.save out merged;
+        print_merged out (List.length texts) merged;
+        0)
   else
-    match Merge.load_shards ~strict:strict_shards shards with
-    | exception Sys_error e ->
-        Fmt.epr "bmerge: %s@." e;
-        4
-    | exception Bolt_profile.Fdata.Bad_format e ->
-        Fmt.epr "bmerge: %s@." e;
-        4
-    | loaded, skipped -> (
-        List.iter (fun s -> Fmt.epr "bmerge: %a@." Merge.pp_skip s) skipped;
-        if loaded = [] then begin
-          Fmt.epr "bmerge: all %d shard(s) skipped, nothing to merge@."
-            (List.length skipped);
-          3
-        end
-        else if
+    with_shards (Merge.load_shards ~strict:strict_shards) shards
+      (fun loaded skipped ->
+        if
           (* --health/--report over zero records would feed Quality/Monitor
              an all-empty fleet and report 0% everything as if it were
              measured; refuse with a structured diag instead *)
@@ -135,9 +137,7 @@ let run shards out weights decay expect strict_shards report health trace_out
                 ~enabled:(trace_out <> None || history <> None)
                 ~name:"bmerge" ()
             in
-            let opts =
-              { Merge.weights; decay; expect_build_id; jobs = max 1 jobs }
-            in
+            let opts = { Merge.weights; decay; expect_build_id } in
             (* staleness is assessed over the shards as collected; the
                merge then consumes their recovered form *)
             let q_shards = loaded in
@@ -165,11 +165,7 @@ let run shards out weights decay expect strict_shards report health trace_out
                  ~expected_build_id:(Option.value ~default:"" expect_build_id)
                  ~recovery:per_host_recovery q_shards ~merged);
             Obs.span obs "save" (fun () -> Bolt_profile.Fdata.save out merged);
-            Fmt.pr "wrote %s: %d shards -> %d branch records, %d ranges, %d ip samples@."
-              out (List.length loaded)
-              (List.length merged.Bolt_profile.Fdata.branches)
-              (List.length merged.Bolt_profile.Fdata.ranges)
-              (List.length merged.Bolt_profile.Fdata.samples);
+            print_merged out (List.length loaded) merged;
             if report then Fmt.pr "%a" Quality.pp q;
             if health then Fmt.pr "%a" Monitor.pp monitor;
             (match (trace_out, history) with
@@ -193,7 +189,6 @@ let run shards out weights decay expect strict_shards report health trace_out
                                        ("reason", Json.String s.Merge.sk_reason);
                                      ])
                                  skipped) );
-                          ("jobs", Json.Int (max 1 jobs));
                         ] );
                     Quality.manifest_section q;
                     Monitor.manifest_section monitor;
@@ -221,7 +216,7 @@ let run shards out weights decay expect strict_shards report health trace_out
                          ~build_id:merged_build manifest);
                     Fmt.pr "appended run history %s@." path
                 | None -> ());
-            if skipped <> [] then 6 else 0)
+            0)
 
 let shards = Arg.(value & pos_all file [] & info [] ~docv:"SHARD")
 
@@ -294,29 +289,11 @@ let history =
            merged build-id) to the JSONL run-history store at $(docv); \
            inspect the trajectory with bstat.")
 
-let jobs =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains for the parallel fold; output is byte-identical \
-              for any value.")
-
-let stream =
-  Arg.(
-    value & flag
-    & info [ "stream" ]
-        ~doc:
-          "Stream each shard straight into the accumulator without \
-           materializing its record lists (lowest memory, fastest for \
-           million-line shards). Output is byte-identical to the default \
-           path. Incompatible with --report, --health and \
-           --expect-build-id, which need per-shard records.")
-
 let cmd =
   Cmd.v
     (Cmd.info "bmerge" ~doc:"merge per-host fdata shards into a fleet profile")
     Term.(
       const run $ shards $ out $ weights $ decay $ expect $ strict_shards
-      $ report $ health $ trace_out $ history $ jobs $ stream)
+      $ report $ health $ trace_out $ history)
 
 let () = exit (Cmd.eval' cmd)

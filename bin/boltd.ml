@@ -285,8 +285,8 @@ let jobs =
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the sharded merge and the rewrite; results \
-           are byte-identical for any value.")
+          "Worker domains for the rewrite; results are byte-identical for \
+           any value.")
 
 let topk =
   Arg.(

@@ -9,14 +9,16 @@
    with decay = exp(-lambda * age), age measured back from the newest
    shard timestamp; then all scaled records are summed with saturating
    64-bit addition and the result is emitted in canonical order
-   ([Fdata.normalize]).
+   ([Fdata.accumulate], the same fold [Fdata.normalize] runs).
 
    Determinism: scaling is per-shard (no cross-shard state beyond the
    newest timestamp, itself a max — order-independent), saturating add of
    non-negative counts is commutative and associative, and the output is
-   sorted — so the merged bytes are identical for any shard ordering and
-   any [jobs].  The parallel fold below partitions shards over a domain
-   pool purely for throughput. *)
+   sorted — so the merged bytes are identical for any shard ordering.
+
+   Two feeders share that one fold: [merge] replays shards already
+   parsed into record lists, [merge_stream] lexes shard text straight
+   into the accumulator without materializing per-shard lists. *)
 
 module Fdata = Bolt_profile.Fdata
 module Obs = Bolt_obs.Obs
@@ -27,11 +29,9 @@ type options = {
   weights : (string * float) list; (* host -> weight override (multiplies) *)
   decay : float option; (* lambda, per timestamp unit *)
   expect_build_id : string option; (* target revision for staleness checks *)
-  jobs : int; (* worker domains for the parallel fold *)
 }
 
-let default_options =
-  { weights = []; decay = None; expect_build_id = None; jobs = 1 }
+let default_options = { weights = []; decay = None; expect_build_id = None }
 
 let shard_of_profile ~name prof = { sh_name = name; sh_prof = prof }
 
@@ -43,25 +43,30 @@ type skip = { sk_path : string; sk_reason : string }
 
 let pp_skip ppf s = Fmt.pf ppf "skipped shard %s: %s" s.sk_path s.sk_reason
 
-(* Load a shard set, skipping the unusable ones instead of aborting the
-   whole merge (a fleet aggregation must survive one torn file).  A shard
-   is skipped when the file is unreadable, or when parsing salvaged
-   nothing at all — warnings with zero surviving records means the file
-   is not an fdata profile, not a profile with a few bad lines.
+(* The one shard loader both feeders go through, skipping the unusable
+   shards instead of aborting the whole merge (a fleet aggregation must
+   survive one torn file).  A shard is skipped when the file is
+   unreadable, or when lexing salvaged nothing at all — warnings with zero
+   surviving records means the file is not an fdata profile, not a
+   profile with a few bad lines.  [read] lexes one shard's text into what
+   its feeder consumes, plus the record count and warnings the rule
+   reads.
 
    [~strict:true] restores fail-fast: the first unreadable file raises
    [Sys_error], the first malformed record raises [Fdata.Bad_format]. *)
-let load_shards ?(strict = false) paths : loaded list * skip list =
+let load ~strict ~read paths =
   let skips = ref [] in
-  let loaded =
+  let kept =
     List.filter_map
       (fun path ->
-        match Fdata.load_with_warnings ~strict path with
-        | prof, warnings ->
-            let records =
-              List.length prof.Fdata.branches
-              + List.length prof.Fdata.ranges
-              + List.length prof.Fdata.samples
+        match In_channel.with_open_text path In_channel.input_all with
+        | exception Sys_error msg ->
+            if strict then raise (Sys_error msg);
+            skips := { sk_path = path; sk_reason = msg } :: !skips;
+            None
+        | text ->
+            let shard, records, warnings =
+              read ~name:(Filename.basename path) text
             in
             if warnings <> [] && records = 0 then begin
               skips :=
@@ -76,14 +81,32 @@ let load_shards ?(strict = false) paths : loaded list * skip list =
                 :: !skips;
               None
             end
-            else Some { sh_name = Filename.basename path; sh_prof = prof }
-        | exception Sys_error msg ->
-            if strict then raise (Sys_error msg);
-            skips := { sk_path = path; sk_reason = msg } :: !skips;
-            None)
+            else Some shard)
       paths
   in
-  (loaded, List.rev !skips)
+  (kept, List.rev !skips)
+
+(* Shards parsed into record lists, for [merge] and the per-shard
+   consumers (quality report, health monitor, stale recovery). *)
+let load_shards ?(strict = false) paths : loaded list * skip list =
+  load ~strict paths ~read:(fun ~name text ->
+      let prof, warnings = Fdata.parse ~strict text in
+      ( { sh_name = name; sh_prof = prof },
+        List.length prof.Fdata.branches
+        + List.length prof.Fdata.ranges
+        + List.length prof.Fdata.samples,
+        warnings ))
+
+(* Shards as (name, text), for [merge_stream]: vetted by one counting
+   scan, never parsed into record lists. *)
+let load_texts ?(strict = false) paths : (string * string) list * skip list =
+  load ~strict paths ~read:(fun ~name text ->
+      let records = ref 0 in
+      let count _ = incr records in
+      let _, warnings =
+        Fdata.scan ~strict ~branch:count ~range:count ~sample:count text
+      in
+      ((name, text), !records, warnings))
 
 let header sh = Option.value ~default:Fdata.no_header sh.sh_prof.Fdata.header
 
@@ -130,31 +153,24 @@ let scale_of opts ~newest sh =
   in
   h.Fdata.hd_weight *. override *. decay
 
-let scale_profile (p : Fdata.t) (f : float) : Fdata.t =
-  if f = 1.0 then p
+(* One shard's record feed, every count scaled by [f] on its way into
+   the accumulator.  Scaling is per record, before the sum:
+   [sat_scale (a + b) f] is not [sat_add (sat_scale a f) (sat_scale b f)]. *)
+let scaled f feed ~branch ~range ~sample =
+  if f = 1.0 then feed ~branch ~range ~sample
   else
-    {
-      p with
-      Fdata.branches =
-        List.map
-          (fun (b : Fdata.branch) ->
-            {
-              b with
-              Fdata.br_count = Fdata.sat_scale b.br_count f;
-              br_mispreds = Fdata.sat_scale b.br_mispreds f;
-            })
-          p.Fdata.branches;
-      ranges =
-        List.map
-          (fun (r : Fdata.range) ->
-            { r with Fdata.rg_count = Fdata.sat_scale r.rg_count f })
-          p.Fdata.ranges;
-      samples =
-        List.map
-          (fun (s : Fdata.sample) ->
-            { s with Fdata.sm_count = Fdata.sat_scale s.sm_count f })
-          p.Fdata.samples;
-    }
+    feed
+      ~branch:(fun (b : Fdata.branch) ->
+        branch
+          {
+            b with
+            Fdata.br_count = Fdata.sat_scale b.br_count f;
+            br_mispreds = Fdata.sat_scale b.br_mispreds f;
+          })
+      ~range:(fun (r : Fdata.range) ->
+        range { r with Fdata.rg_count = Fdata.sat_scale r.rg_count f })
+      ~sample:(fun (s : Fdata.sample) ->
+        sample { s with Fdata.sm_count = Fdata.sat_scale s.sm_count f })
 
 (* Provenance of the merged profile: a synthetic "fleet" host stamped
    with the target (or modal) build-id, the newest shard timestamp and
@@ -222,23 +238,14 @@ let recover_stale ~fingerprints ~build_id (shards : loaded list) :
     | st :: rest -> Some (List.fold_left Bolt_profile.Stale_match.add_stats st rest)
   )
 
-let merge ?obs ?(opts = default_options) (shards : loaded list) : Fdata.t =
+(* The tail both feeders share.  [envelope] gives each source's small
+   parts (name, header, fingerprints, lbr) and [feed] replays its records;
+   every record is scaled once and summed by [Fdata.accumulate]. *)
+let fold ?obs ~opts ~envelope ~feed srcs : Fdata.t =
   let obs = match obs with Some o -> o | None -> Obs.null () in
   Obs.span obs "fleet.merge" (fun () ->
+      let shards = List.map envelope srcs in
       let newest = newest_timestamp shards in
-      let jobs = max 1 opts.jobs in
-      (* per-domain accumulators; the scaled shard lists are folded
-         domain-locally, concatenated in fixed domain order, and
-         canonicalized — grouping cannot change a saturating sum of
-         non-negatives, so -j only affects wall time *)
-      let acc = Array.make jobs ([] : Fdata.t list) in
-      let pool = Bolt_core.Pool.create ~jobs () in
-      let worker dom sh =
-        let scaled = scale_profile sh.sh_prof (scale_of opts ~newest sh) in
-        acc.(dom) <- scaled :: acc.(dom)
-      in
-      ignore (Bolt_core.Pool.run pool ~worker (Array.of_list shards));
-      let parts = Array.to_list acc |> List.concat in
       let mheader = merged_header opts shards in
       (* the merged profile describes the target (or modal) revision:
          carry that revision's fingerprints forward, from the
@@ -256,14 +263,17 @@ let merge ?obs ?(opts = default_options) (shards : loaded list) : Fdata.t =
         | sh :: _ -> sh.sh_prof.Fdata.fingerprints
       in
       let merged =
-        Fdata.normalize
+        Fdata.accumulate
+          (fun ~branch ~range ~sample ->
+            List.iter2
+              (fun sh src ->
+                scaled (scale_of opts ~newest sh) (feed src) ~branch ~range
+                  ~sample)
+              shards srcs)
           {
-            Fdata.lbr = List.for_all (fun p -> p.Fdata.lbr) parts;
+            Fdata.empty with
+            Fdata.lbr = List.for_all (fun sh -> sh.sh_prof.Fdata.lbr) shards;
             header = Some mheader;
-            branches = List.concat_map (fun p -> p.Fdata.branches) parts;
-            ranges = List.concat_map (fun p -> p.Fdata.ranges) parts;
-            samples = List.concat_map (fun p -> p.Fdata.samples) parts;
-            total_samples = 0L (* recomputed by normalize *);
             fingerprints;
           }
       in
@@ -273,314 +283,21 @@ let merge ?obs ?(opts = default_options) (shards : loaded list) : Fdata.t =
         "fleet.merged_branch_records";
       merged)
 
-(* ---- streaming ingest ----
+let merge ?obs ?(opts = default_options) (shards : loaded list) : Fdata.t =
+  fold ?obs ~opts ~envelope:Fun.id
+    ~feed:(fun sh -> Fdata.iter_records sh.sh_prof)
+    shards
 
-   [merge] above materializes every shard's record lists before folding
-   them; ingesting million-line fleet shards that way spends most of its
-   time consing and collecting records that exist only to be summed.
-   [merge_stream] folds each record straight into one global accumulator
-   as the iocore lexer produces it, via [Fdata.scan]:
-
-   - pass 1 lexes every shard with no-op record callbacks, which is how
-     the headers, fingerprints and event totals are discovered — scales
-     depend on the newest timestamp {e across} shards, so no record can
-     be scaled until every header has been seen;
-   - pass 2 lexes again, scaling each record at stream time and bumping
-     it into the accumulator table.
-
-   Scaling stays per-record-then-add, exactly like the batch path —
-   [sat_scale (a + b) f] is not [sat_add (sat_scale a f) (sat_scale b f)]
-   — and the accumulator mirrors [Fdata.normalize]'s aggregation, so the
-   output is byte-identical to [merge] over the same shards (the iocore
-   parity suite holds this). *)
-
+(* Streaming ingest: each shard's text is lexed twice and never parsed
+   into record lists.  The first [Fdata.scan] reads only the envelope —
+   scales depend on the newest timestamp {e across} shards, so no record
+   can be scaled until every header has been seen; the second streams
+   the records into the accumulator.  Output is byte-identical to
+   [merge] over the same shards parsed. *)
 let merge_stream ?obs ?(opts = default_options)
     (shards : (string * string) list) : Fdata.t =
-  let obs = match obs with Some o -> o | None -> Obs.null () in
-  Obs.span obs "fleet.merge" (fun () ->
-      (* pass 1: headers, fingerprints, totals — no record lists *)
-      let metas =
-        List.map
-          (fun (name, text) ->
-            let prof, _ = Fdata.scan text in
-            { sh_name = name; sh_prof = prof })
-          shards
-      in
-      let newest = newest_timestamp metas in
-      let tbl = Hashtbl.create 4096 in
-      let bump k c m =
-        match Hashtbl.find_opt tbl k with
-        | Some (c0, m0) ->
-            Hashtbl.replace tbl k (Fdata.sat_add c0 c, Fdata.sat_add m0 m)
-        | None -> Hashtbl.add tbl k (c, m)
-      in
-      let lbr = ref true in
-      (* pass 2: scale at stream time, accumulate *)
-      List.iter2
-        (fun (_, text) meta ->
-          if not meta.sh_prof.Fdata.lbr then lbr := false;
-          let f = scale_of opts ~newest meta in
-          let sc c = if f = 1.0 then c else Fdata.sat_scale c f in
-          ignore
-            (Fdata.scan
-               ~branch:(fun (b : Fdata.branch) ->
-                 bump
-                   (`B
-                     ( b.Fdata.br_from_func,
-                       b.Fdata.br_from_off,
-                       b.Fdata.br_to_func,
-                       b.Fdata.br_to_off ))
-                   (sc b.Fdata.br_count) (sc b.Fdata.br_mispreds))
-               ~range:(fun (r : Fdata.range) ->
-                 bump
-                   (`F (r.Fdata.rg_func, r.Fdata.rg_start, r.Fdata.rg_end))
-                   (sc r.Fdata.rg_count) 0L)
-               ~sample:(fun (s : Fdata.sample) ->
-                 bump
-                   (`S (s.Fdata.sm_func, s.Fdata.sm_off))
-                   (sc s.Fdata.sm_count) 0L)
-               text))
-        shards metas;
-      (* materialize once, in canonical ([Fdata.normalize]) form *)
-      let branches = ref [] and ranges = ref [] and samples = ref [] in
-      Hashtbl.iter
-        (fun k (c, m) ->
-          match k with
-          | `B (ff, fo, tf, to_) ->
-              branches :=
-                {
-                  Fdata.br_from_func = ff;
-                  br_from_off = fo;
-                  br_to_func = tf;
-                  br_to_off = to_;
-                  br_count = c;
-                  br_mispreds = m;
-                }
-                :: !branches
-          | `F (f, s, e) ->
-              ranges :=
-                { Fdata.rg_func = f; rg_start = s; rg_end = e; rg_count = c }
-                :: !ranges
-          | `S (f, o) ->
-              samples :=
-                { Fdata.sm_func = f; sm_off = o; sm_count = c } :: !samples)
-        tbl;
-      let total =
-        List.fold_left
-          (fun a (b : Fdata.branch) -> Fdata.sat_add a b.Fdata.br_count)
-          0L !branches
-        |> fun acc ->
-        List.fold_left
-          (fun a (s : Fdata.sample) -> Fdata.sat_add a s.Fdata.sm_count)
-          acc !samples
-      in
-      let mheader = merged_header opts metas in
-      let fingerprints =
-        List.filter
-          (fun sh ->
-            (header sh).Fdata.hd_build_id = mheader.Fdata.hd_build_id
-            && sh.sh_prof.Fdata.fingerprints <> [])
-          metas
-        |> List.sort (fun a b -> compare a.sh_name b.sh_name)
-        |> function
-        | [] -> []
-        | sh :: _ -> sh.sh_prof.Fdata.fingerprints
-      in
-      let merged =
-        {
-          Fdata.lbr = !lbr;
-          header = Some mheader;
-          branches = List.sort compare !branches;
-          ranges = List.sort compare !ranges;
-          samples = List.sort compare !samples;
-          total_samples = total;
-          fingerprints = List.sort_uniq compare fingerprints;
-        }
-      in
-      Obs.incr obs ~by:(List.length metas) "fleet.shards";
-      Obs.incr obs
-        ~by:(List.length merged.Fdata.branches)
-        "fleet.merged_branch_records";
-      merged)
-
-(* ---- sharded-by-function-key parallel streaming merge ----
-
-   [merge_stream] folds every record into ONE accumulator table, so one
-   domain owns the whole reduction no matter how many shards arrive.
-   [merge_stream_sharded] partitions the key space by function-name hash
-   across the pool's domains instead:
-
-   - stage A lexes shards in parallel; each worker buckets its scaled
-     records into per-(worker, partition) tables, where a record's
-     partition is [Hashtbl.hash] of its owning function name mod jobs
-     ([Hashtbl.hash] on strings is seed-free and deterministic, so the
-     partition of a key never varies across runs or domains);
-   - stage B folds each partition across all workers' tables — the key
-     sets are disjoint by construction, so the folds share nothing and
-     need no locks — and materializes its records.
-
-   Saturating addition of non-negative counts is commutative and
-   associative and the output is globally sorted, so the bytes are
-   identical to [merge_stream] for any shard order and any [jobs] (the
-   service suite holds this by property). *)
-
-let merge_stream_sharded ?obs ?(opts = default_options)
-    (shards : (string * string) list) : Fdata.t =
-  let jobs = max 1 opts.jobs in
-  if jobs = 1 || List.length shards <= 1 then merge_stream ?obs ~opts shards
-  else begin
-    let obs = match obs with Some o -> o | None -> Obs.null () in
-    Obs.span obs "fleet.merge" (fun () ->
-        (* pass 1: headers, fingerprints, totals — no record lists *)
-        let metas =
-          List.map
-            (fun (name, text) ->
-              let prof, _ = Fdata.scan text in
-              { sh_name = name; sh_prof = prof })
-            shards
-        in
-        let newest = newest_timestamp metas in
-        let nparts = jobs in
-        let part_of fn = Hashtbl.hash fn mod nparts in
-        let tables =
-          Array.init jobs (fun _ ->
-              Array.init nparts (fun _ -> Hashtbl.create 1024))
-        in
-        let bump tbl k c m =
-          match Hashtbl.find_opt tbl k with
-          | Some (c0, m0) ->
-              Hashtbl.replace tbl k (Fdata.sat_add c0 c, Fdata.sat_add m0 m)
-          | None -> Hashtbl.add tbl k (c, m)
-        in
-        (* stage A: parallel lex, bucketing scaled records by partition *)
-        let items =
-          Array.of_list
-            (List.map2 (fun (_, text) meta -> (text, meta)) shards metas)
-        in
-        let pool = Bolt_core.Pool.create ~jobs () in
-        let worker dom (text, meta) =
-          let row = tables.(dom) in
-          let f = scale_of opts ~newest meta in
-          let sc c = if f = 1.0 then c else Fdata.sat_scale c f in
-          ignore
-            (Fdata.scan
-               ~branch:(fun (b : Fdata.branch) ->
-                 bump
-                   row.(part_of b.Fdata.br_from_func)
-                   (`B
-                     ( b.Fdata.br_from_func,
-                       b.Fdata.br_from_off,
-                       b.Fdata.br_to_func,
-                       b.Fdata.br_to_off ))
-                   (sc b.Fdata.br_count) (sc b.Fdata.br_mispreds))
-               ~range:(fun (r : Fdata.range) ->
-                 bump
-                   row.(part_of r.Fdata.rg_func)
-                   (`F (r.Fdata.rg_func, r.Fdata.rg_start, r.Fdata.rg_end))
-                   (sc r.Fdata.rg_count) 0L)
-               ~sample:(fun (s : Fdata.sample) ->
-                 bump
-                   row.(part_of s.Fdata.sm_func)
-                   (`S (s.Fdata.sm_func, s.Fdata.sm_off))
-                   (sc s.Fdata.sm_count) 0L)
-               text)
-        in
-        ignore (Bolt_core.Pool.run pool ~worker items);
-        (* stage B: fold each partition across workers — disjoint keys,
-           so the per-partition accumulators never race *)
-        let parts =
-          Array.make nparts
-            (([] : Fdata.branch list), ([] : Fdata.range list),
-             ([] : Fdata.sample list))
-        in
-        let fold_worker _dom p =
-          let acc = Hashtbl.create 4096 in
-          for dom = 0 to jobs - 1 do
-            Hashtbl.iter (fun k (c, m) -> bump acc k c m) tables.(dom).(p)
-          done;
-          let branches = ref [] and ranges = ref [] and samples = ref [] in
-          Hashtbl.iter
-            (fun k (c, m) ->
-              match k with
-              | `B (ff, fo, tf, to_) ->
-                  branches :=
-                    {
-                      Fdata.br_from_func = ff;
-                      br_from_off = fo;
-                      br_to_func = tf;
-                      br_to_off = to_;
-                      br_count = c;
-                      br_mispreds = m;
-                    }
-                    :: !branches
-              | `F (f, s, e) ->
-                  ranges :=
-                    { Fdata.rg_func = f; rg_start = s; rg_end = e; rg_count = c }
-                    :: !ranges
-              | `S (f, o) ->
-                  samples :=
-                    { Fdata.sm_func = f; sm_off = o; sm_count = c } :: !samples)
-            acc;
-          parts.(p) <- (!branches, !ranges, !samples)
-        in
-        ignore
-          (Bolt_core.Pool.run pool ~worker:fold_worker
-             (Array.init nparts Fun.id));
-        let all = Array.to_list parts in
-        let branches = List.concat_map (fun (b, _, _) -> b) all in
-        let ranges = List.concat_map (fun (_, r, _) -> r) all in
-        let samples = List.concat_map (fun (_, _, s) -> s) all in
-        let total =
-          List.fold_left
-            (fun a (b : Fdata.branch) -> Fdata.sat_add a b.Fdata.br_count)
-            0L branches
-          |> fun acc ->
-          List.fold_left
-            (fun a (s : Fdata.sample) -> Fdata.sat_add a s.Fdata.sm_count)
-            acc samples
-        in
-        let mheader = merged_header opts metas in
-        let fingerprints =
-          List.filter
-            (fun sh ->
-              (header sh).Fdata.hd_build_id = mheader.Fdata.hd_build_id
-              && sh.sh_prof.Fdata.fingerprints <> [])
-            metas
-          |> List.sort (fun a b -> compare a.sh_name b.sh_name)
-          |> function
-          | [] -> []
-          | sh :: _ -> sh.sh_prof.Fdata.fingerprints
-        in
-        let merged =
-          {
-            Fdata.lbr = List.for_all (fun m -> m.sh_prof.Fdata.lbr) metas;
-            header = Some mheader;
-            branches = List.sort compare branches;
-            ranges = List.sort compare ranges;
-            samples = List.sort compare samples;
-            total_samples = total;
-            fingerprints = List.sort_uniq compare fingerprints;
-          }
-        in
-        Obs.incr obs ~by:(List.length metas) "fleet.shards";
-        Obs.incr obs
-          ~by:(List.length merged.Fdata.branches)
-          "fleet.merged_branch_records";
-        merged)
-  end
-
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  text
-
-(* File-path convenience entry, on the streaming path: each shard's text
-   is read once and lexed twice, never parsed into record lists.  With
-   [jobs > 1] the accumulator itself is sharded by function key. *)
-let merge_paths ?obs ?opts paths : Fdata.t =
-  let shards = List.map (fun p -> (Filename.basename p, read_file p)) paths in
-  match opts with
-  | Some o when o.jobs > 1 -> merge_stream_sharded ?obs ~opts:o shards
-  | _ -> merge_stream ?obs ?opts shards
+  fold ?obs ~opts shards
+    ~envelope:(fun (name, text) ->
+      { sh_name = name; sh_prof = fst (Fdata.scan text) })
+    ~feed:(fun (_, text) ~branch ~range ~sample ->
+      ignore (Fdata.scan ~branch ~range ~sample text))

@@ -11,10 +11,7 @@
      byte at a time.  Reading past the window raises [Corrupt].
    - [writer]: an arena-style buffer over [Bytes] with amortized-doubling
      growth, [reserve]/[patch] for back-patched headers, and [append] so
-     independently-filled arenas join by one block copy.
-
-   [Legacy] keeps the original per-byte implementations; the iocore bench
-   and the parity tests run both paths side by side. *)
+     independently-filled arenas join by one block copy. *)
 
 exception Corrupt of string
 
@@ -91,8 +88,8 @@ let r_u32 r =
   r.pos <- r.pos + 4;
   v
 
-(* 64-bit field truncated to the host int, exactly like the legacy
-   byte-loop ([Int64.to_int] drops the top bit). *)
+(* 64-bit field truncated to the host int ([Int64.to_int] drops the top
+   bit). *)
 let r_i64 r =
   need r 8;
   let v = Int64.to_int (String.get_int64_le r.data r.pos) in
@@ -300,84 +297,3 @@ let to_bytes w = Bytes.sub w.buf 0 w.len
 (* Write [contents w] into [dst] at [off] without the intermediate
    string. *)
 let blit w dst off = Bytes.blit w.buf 0 dst off w.len
-
-(* ---- the original per-byte implementations ---- *)
-
-(* Kept verbatim (modulo the reader's [limit] field replacing
-   [String.length]) as the baseline the iocore bench measures against and
-   the oracle the parity tests compare with. *)
-module Legacy = struct
-  type lwriter = Buffer.t
-
-  let writer () = Buffer.create 4096
-
-  let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-
-  let u32 b v =
-    u8 b v;
-    u8 b (v lsr 8);
-    u8 b (v lsr 16);
-    u8 b (v lsr 24)
-
-  let i64 b v =
-    let v64 = Int64.of_int v in
-    for i = 0 to 7 do
-      u8 b (Int64.to_int (Int64.shift_right_logical v64 (8 * i)) land 0xff)
-    done
-
-  let str b s =
-    u32 b (String.length s);
-    Buffer.add_string b s
-
-  let bytes b by =
-    u32 b (Bytes.length by);
-    Buffer.add_bytes b by
-
-  let list b f xs =
-    u32 b (List.length xs);
-    List.iter (f b) xs
-
-  let contents = Buffer.contents
-
-  let r_u8 r =
-    need r 1;
-    let v = Char.code r.data.[r.pos] in
-    r.pos <- r.pos + 1;
-    v
-
-  let r_u32 r =
-    let a = r_u8 r in
-    let b = r_u8 r in
-    let c = r_u8 r in
-    let d = r_u8 r in
-    a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
-
-  let r_i64 r =
-    let v = ref 0L in
-    need r 8;
-    for i = 7 downto 0 do
-      v :=
-        Int64.logor (Int64.shift_left !v 8)
-          (Int64.of_int (Char.code r.data.[r.pos + i]))
-    done;
-    r.pos <- r.pos + 8;
-    Int64.to_int !v
-
-  let r_str r =
-    let n = r_u32 r in
-    need r n;
-    let s = String.sub r.data r.pos n in
-    r.pos <- r.pos + n;
-    s
-
-  let r_bytes r =
-    let n = r_u32 r in
-    need r n;
-    let b = Bytes.of_string (String.sub r.data r.pos n) in
-    r.pos <- r.pos + n;
-    b
-
-  let r_list r f =
-    let n = r_u32 r in
-    List.init n (fun _ -> f r)
-end

@@ -289,25 +289,6 @@ let read r : func =
   in
   { fp_func; fp_size; fp_opcode_hash; fp_cfg_hash; fp_calls; fp_blocks }
 
-(* Same decode on the pre-iocore per-byte primitives, for the legacy
-   BELF load path measured by the iocore bench. *)
-let read_legacy r : func =
-  let module L = Buf.Legacy in
-  let fp_func = L.r_str r in
-  let fp_size = L.r_i64 r in
-  let fp_opcode_hash = L.r_i64 r in
-  let fp_cfg_hash = L.r_i64 r in
-  let fp_calls = L.r_list r L.r_str in
-  let fp_blocks =
-    L.r_list r (fun r ->
-        let bk_off = L.r_i64 r in
-        let bk_size = L.r_i64 r in
-        let bk_opcode_hash = L.r_i64 r in
-        let bk_shape_hash = L.r_i64 r in
-        { bk_off; bk_size; bk_opcode_hash; bk_shape_hash })
-  in
-  { fp_func; fp_size; fp_opcode_hash; fp_cfg_hash; fp_calls; fp_blocks }
-
 let pp ppf (f : func) =
   Fmt.pf ppf "%-28s %6d bytes  op %-15s cfg %-15s %d block%s@." f.fp_func
     f.fp_size (to_hex f.fp_opcode_hash) (to_hex f.fp_cfg_hash)

@@ -211,159 +211,118 @@ let to_string t =
   Buf.list b Fingerprint.write t.fingerprints;
   Buf.contents b
 
-(* ---- decoding, generic over the read primitives ----
+(* ---- decoding ---- *)
 
-   The container grammar is written once; instantiating it over the
-   batched cursor gives the production decoder, instantiating it over
-   [Buf.Legacy] gives the pre-iocore per-byte decoder the parity tests
-   and the iocore bench compare against. *)
+let r_section r =
+  let sec_name = Buf.r_str r in
+  let sec_kind = section_kind_of_code (Buf.r_u8 r) in
+  let sec_addr = Buf.r_i64 r in
+  let sec_size = Buf.r_i64 r in
+  let sec_data = Buf.r_bytes r in
+  { sec_name; sec_kind; sec_addr; sec_size; sec_data }
 
-module type Read_prim = sig
-  val r_u8 : Buf.reader -> int
-  val r_i64 : Buf.reader -> int
-  val r_str : Buf.reader -> string
-  val r_bytes : Buf.reader -> bytes
-  val r_list : Buf.reader -> (Buf.reader -> 'a) -> 'a list
-  val read_fingerprint : Buf.reader -> Fingerprint.func
-end
+let r_symbol r =
+  let sym_name = Buf.r_str r in
+  let sym_kind = sym_kind_of_code (Buf.r_u8 r) in
+  let sym_bind = if Buf.r_u8 r = 0 then Local else Global in
+  let sym_section = Buf.r_str r in
+  let sym_value = Buf.r_i64 r in
+  let sym_size = Buf.r_i64 r in
+  { sym_name; sym_kind; sym_bind; sym_section; sym_value; sym_size }
 
-module Decode (P : Read_prim) = struct
-  open P
+let r_reloc r =
+  let rel_section = Buf.r_str r in
+  let rel_offset = Buf.r_i64 r in
+  let rel_kind = reloc_kind_of_code (Buf.r_u8 r) in
+  let rel_sym = Buf.r_str r in
+  let rel_addend = Buf.r_i64 r in
+  let rel_end = Buf.r_u8 r in
+  let rel_pic_base = Buf.r_str r in
+  { rel_section; rel_offset; rel_kind; rel_sym; rel_addend; rel_end; rel_pic_base }
 
-  let r_section r =
-    let sec_name = r_str r in
-    let sec_kind = section_kind_of_code (r_u8 r) in
-    let sec_addr = r_i64 r in
-    let sec_size = r_i64 r in
-    let sec_data = r_bytes r in
-    { sec_name; sec_kind; sec_addr; sec_size; sec_data }
-
-  let r_symbol r =
-    let sym_name = r_str r in
-    let sym_kind = sym_kind_of_code (r_u8 r) in
-    let sym_bind = if r_u8 r = 0 then Local else Global in
-    let sym_section = r_str r in
-    let sym_value = r_i64 r in
-    let sym_size = r_i64 r in
-    { sym_name; sym_kind; sym_bind; sym_section; sym_value; sym_size }
-
-  let r_reloc r =
-    let rel_section = r_str r in
-    let rel_offset = r_i64 r in
-    let rel_kind = reloc_kind_of_code (r_u8 r) in
-    let rel_sym = r_str r in
-    let rel_addend = r_i64 r in
-    let rel_end = r_u8 r in
-    let rel_pic_base = r_str r in
-    { rel_section; rel_offset; rel_kind; rel_sym; rel_addend; rel_end; rel_pic_base }
-
-  let r_cfi_op r =
-    match r_u8 r with
-    | 0 -> Cfi_establish
-    | 1 -> Cfi_def_locals (r_i64 r)
-    | 2 ->
-        let reg = Bolt_isa.Reg.of_int (r_u8 r) in
-        Cfi_save (reg, r_i64 r)
-    | 3 -> Cfi_restore (Bolt_isa.Reg.of_int (r_u8 r))
-    | 4 -> Cfi_teardown
-    | 5 ->
-        let cfa_established = r_u8 r = 1 in
-        let cfa_locals = r_i64 r in
-        let cfa_saved =
-          r_list r (fun r ->
-              let reg = Bolt_isa.Reg.of_int (r_u8 r) in
-              (reg, r_i64 r))
-        in
-        Cfi_set_state { cfa_established; cfa_locals; cfa_saved }
-    | n -> raise (Buf.Corrupt (Printf.sprintf "cfi op %d" n))
-
-  let r_fde r =
-    let fde_func = r_str r in
-    let fde_addr = r_i64 r in
-    let fde_size = r_i64 r in
-    let fde_cfi =
-      r_list r (fun r ->
-          let off = r_i64 r in
-          (off, r_cfi_op r))
-    in
-    { fde_func; fde_addr; fde_size; fde_cfi }
-
-  let r_dbg r =
-    let dbg_func = r_str r in
-    let dbg_addr = r_i64 r in
-    let dbg_entries =
-      r_list r (fun r ->
-          let off = r_i64 r in
-          let file = r_str r in
-          let line = r_i64 r in
-          (off, file, line))
-    in
-    { dbg_func; dbg_addr; dbg_entries }
-
-  let r_lsda r =
-    let lsda_func = r_str r in
-    let lsda_fn_addr = r_i64 r in
-    let lsda_entries =
-      r_list r (fun r ->
-          let lsda_start = r_i64 r in
-          let lsda_len = r_i64 r in
-          let lsda_pad = r_i64 r in
-          let lsda_action = r_i64 r in
-          { lsda_start; lsda_len; lsda_pad; lsda_action })
-    in
-    { lsda_func; lsda_fn_addr; lsda_entries }
-
-  let of_string data =
-    try
-      let r = Buf.reader data in
-      Buf.need r 4;
-      if String.sub data 0 4 <> magic then raise (Buf.Corrupt "bad magic");
-      r.pos <- 4;
-      let v = r_u8 r in
-      if v < min_version || v > version then
-        raise (Buf.Corrupt (Printf.sprintf "bad version %d" v));
-      let kind = if r_u8 r = 0 then Object else Executable in
-      let entry = r_i64 r in
-      let build_id = if v >= 4 then r_str r else "" in
-      let sections = r_list r r_section in
-      let symbols = r_list r r_symbol in
-      let relocs = r_list r r_reloc in
-      let fdes = r_list r r_fde in
-      let lsdas = r_list r r_lsda in
-      let dbgs = r_list r r_dbg in
-      let fingerprints =
-        if v >= 5 then r_list r read_fingerprint else []
+let r_cfi_op r =
+  match Buf.r_u8 r with
+  | 0 -> Cfi_establish
+  | 1 -> Cfi_def_locals (Buf.r_i64 r)
+  | 2 ->
+      let reg = Bolt_isa.Reg.of_int (Buf.r_u8 r) in
+      Cfi_save (reg, Buf.r_i64 r)
+  | 3 -> Cfi_restore (Bolt_isa.Reg.of_int (Buf.r_u8 r))
+  | 4 -> Cfi_teardown
+  | 5 ->
+      let cfa_established = Buf.r_u8 r = 1 in
+      let cfa_locals = Buf.r_i64 r in
+      let cfa_saved =
+        Buf.r_list r (fun r ->
+            let reg = Bolt_isa.Reg.of_int (Buf.r_u8 r) in
+            (reg, Buf.r_i64 r))
       in
-      { kind; entry; build_id; sections; symbols; relocs; fdes; lsdas; dbgs;
-        fingerprints }
-    with
-    | Buf.Corrupt _ as e -> raise e
-    | exn ->
-        (* corrupt input must always surface as [Corrupt], never as a stray
-           [Invalid_argument]/[Out_of_memory] from the decoding internals *)
-        raise (Buf.Corrupt (Printexc.to_string exn))
-end
+      Cfi_set_state { cfa_established; cfa_locals; cfa_saved }
+  | n -> raise (Buf.Corrupt (Printf.sprintf "cfi op %d" n))
 
-module Decode_new = Decode (struct
-  let r_u8 = Buf.r_u8
-  let r_i64 = Buf.r_i64
-  let r_str = Buf.r_str
-  let r_bytes = Buf.r_bytes
-  let r_list = Buf.r_list
-  let read_fingerprint = Fingerprint.read
-end)
+let r_fde r =
+  let fde_func = Buf.r_str r in
+  let fde_addr = Buf.r_i64 r in
+  let fde_size = Buf.r_i64 r in
+  let fde_cfi =
+    Buf.r_list r (fun r ->
+        let off = Buf.r_i64 r in
+        (off, r_cfi_op r))
+  in
+  { fde_func; fde_addr; fde_size; fde_cfi }
 
-module Decode_legacy = Decode (struct
-  let r_u8 = Buf.Legacy.r_u8
-  let r_i64 = Buf.Legacy.r_i64
-  let r_str = Buf.Legacy.r_str
-  let r_bytes = Buf.Legacy.r_bytes
-  let r_list = Buf.Legacy.r_list
-  let read_fingerprint = Fingerprint.read_legacy
-end)
+let r_dbg r =
+  let dbg_func = Buf.r_str r in
+  let dbg_addr = Buf.r_i64 r in
+  let dbg_entries =
+    Buf.r_list r (fun r ->
+        let off = Buf.r_i64 r in
+        let file = Buf.r_str r in
+        let line = Buf.r_i64 r in
+        (off, file, line))
+  in
+  { dbg_func; dbg_addr; dbg_entries }
 
-let of_string = Decode_new.of_string
-let of_string_legacy = Decode_legacy.of_string
+let r_lsda r =
+  let lsda_func = Buf.r_str r in
+  let lsda_fn_addr = Buf.r_i64 r in
+  let lsda_entries =
+    Buf.r_list r (fun r ->
+        let lsda_start = Buf.r_i64 r in
+        let lsda_len = Buf.r_i64 r in
+        let lsda_pad = Buf.r_i64 r in
+        let lsda_action = Buf.r_i64 r in
+        { lsda_start; lsda_len; lsda_pad; lsda_action })
+  in
+  { lsda_func; lsda_fn_addr; lsda_entries }
+
+let of_string data =
+  try
+    let r = Buf.reader data in
+    Buf.need r 4;
+    if String.sub data 0 4 <> magic then raise (Buf.Corrupt "bad magic");
+    r.pos <- 4;
+    let v = Buf.r_u8 r in
+    if v < min_version || v > version then
+      raise (Buf.Corrupt (Printf.sprintf "bad version %d" v));
+    let kind = if Buf.r_u8 r = 0 then Object else Executable in
+    let entry = Buf.r_i64 r in
+    let build_id = if v >= 4 then Buf.r_str r else "" in
+    let sections = Buf.r_list r r_section in
+    let symbols = Buf.r_list r r_symbol in
+    let relocs = Buf.r_list r r_reloc in
+    let fdes = Buf.r_list r r_fde in
+    let lsdas = Buf.r_list r r_lsda in
+    let dbgs = Buf.r_list r r_dbg in
+    let fingerprints = if v >= 5 then Buf.r_list r Fingerprint.read else [] in
+    { kind; entry; build_id; sections; symbols; relocs; fdes; lsdas; dbgs;
+      fingerprints }
+  with
+  | Buf.Corrupt _ as e -> raise e
+  | exn ->
+      (* corrupt input must always surface as [Corrupt], never as a stray
+         [Invalid_argument]/[Out_of_memory] from the decoding internals *)
+      raise (Buf.Corrupt (Printexc.to_string exn))
 
 let save path t =
   let oc = open_out_bin path in

@@ -121,24 +121,31 @@ let func_events t =
 
 (* ---- canonical form ---- *)
 
-(* Sort records and aggregate duplicates (same endpoints -> counts
-   saturating-added).  Two profiles holding the same multiset of events
-   normalize to the same value — and therefore the same bytes — which is
-   what makes merged output independent of shard order and -j. *)
-let normalize t =
+(* Every record of [t], in list order, to the matching callback. *)
+let iter_records t ~branch ~range ~sample =
+  List.iter branch t.branches;
+  List.iter range t.ranges;
+  List.iter sample t.samples
+
+(* The one record accumulator.  Every record [feed] passes to its
+   callbacks is summed into a table keyed by its endpoints (counts
+   saturating-added), and the table is materialized once, sorted, as
+   [t]'s record lists.  Two feeds holding the same multiset of events
+   produce the same value — and therefore the same bytes — which is what
+   makes merged output independent of shard order. *)
+let accumulate feed t =
   let tbl = Hashtbl.create 256 in
   let bump k c m =
     match Hashtbl.find_opt tbl k with
     | Some (c0, m0) -> Hashtbl.replace tbl k (sat_add c0 c, sat_add m0 m)
     | None -> Hashtbl.add tbl k (c, m)
   in
-  List.iter
-    (fun b ->
+  feed
+    ~branch:(fun b ->
       bump (`B (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off)) b.br_count
         b.br_mispreds)
-    t.branches;
-  List.iter (fun r -> bump (`F (r.rg_func, r.rg_start, r.rg_end)) r.rg_count 0L) t.ranges;
-  List.iter (fun s -> bump (`S (s.sm_func, s.sm_off)) s.sm_count 0L) t.samples;
+    ~range:(fun r -> bump (`F (r.rg_func, r.rg_start, r.rg_end)) r.rg_count 0L)
+    ~sample:(fun s -> bump (`S (s.sm_func, s.sm_off)) s.sm_count 0L);
   let branches = ref [] and ranges = ref [] and samples = ref [] in
   Hashtbl.iter
     (fun k (c, m) ->
@@ -170,15 +177,17 @@ let normalize t =
     fingerprints = List.sort_uniq compare t.fingerprints;
   }
 
+(* Sort records and aggregate duplicates (same endpoints -> counts
+   saturating-added). *)
+let normalize t = accumulate (iter_records t) t
+
 (* ---- text format ---- *)
 
 module Buf = Bolt_obj.Buf
 
 (* Emission goes through the iocore arena writer with hand-rolled
    decimal/hex emitters; a fleet-sized dump is dominated by B/F/S lines
-   and must not pay Printf per record.  [to_string_legacy] below keeps
-   the original Printf implementation; the parity suite checks the two
-   produce identical bytes. *)
+   and must not pay Printf per record. *)
 let to_string t =
   let b = Buf.writer () in
   Buf.add_string b (if t.lbr then "mode lbr\n" else "mode sample\n");
@@ -263,59 +272,6 @@ let to_string t =
     t.samples;
   Buf.contents b
 
-(* The pre-iocore emitter, verbatim: the oracle [to_string] is checked
-   against and the baseline the iocore bench measures. *)
-let to_string_legacy t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (Printf.sprintf "mode %s\n" (if t.lbr then "lbr" else "sample"));
-  (match t.header with
-  | Some h ->
-      if h.hd_host <> "" then Buffer.add_string b (Printf.sprintf "H host %s\n" h.hd_host);
-      if h.hd_build_id <> "" then
-        Buffer.add_string b (Printf.sprintf "H build-id %s\n" h.hd_build_id);
-      if h.hd_timestamp <> 0 then
-        Buffer.add_string b (Printf.sprintf "H timestamp %d\n" h.hd_timestamp);
-      if h.hd_events <> 0L then
-        Buffer.add_string b (Printf.sprintf "H events %Ld\n" h.hd_events);
-      if h.hd_weight <> 1.0 then
-        Buffer.add_string b (Printf.sprintf "H weight %h\n" h.hd_weight)
-  | None -> ());
-  (* G/GB: fingerprints of the profiled binary, for stale matching.  Old
-     readers skip them as unknown tags; profiles without them just have
-     no G lines. *)
-  List.iter
-    (fun (f : Bolt_obj.Fingerprint.func) ->
-      Buffer.add_string b
-        (Printf.sprintf "G %s %d %s %s %s\n" f.fp_func f.fp_size
-           (Bolt_obj.Fingerprint.to_hex f.fp_opcode_hash)
-           (Bolt_obj.Fingerprint.to_hex f.fp_cfg_hash)
-           (if f.fp_calls = [] then "-" else String.concat "," f.fp_calls));
-      List.iter
-        (fun (blk : Bolt_obj.Fingerprint.block) ->
-          Buffer.add_string b
-            (Printf.sprintf "GB %s %d %d %s %s\n" f.fp_func blk.bk_off
-               blk.bk_size
-               (Bolt_obj.Fingerprint.to_hex blk.bk_opcode_hash)
-               (Bolt_obj.Fingerprint.to_hex blk.bk_shape_hash)))
-        f.fp_blocks)
-    t.fingerprints;
-  List.iter
-    (fun x ->
-      Buffer.add_string b
-        (Printf.sprintf "B %s %d %s %d %Ld %Ld\n" x.br_from_func x.br_from_off
-           x.br_to_func x.br_to_off x.br_count x.br_mispreds))
-    t.branches;
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "F %s %d %d %Ld\n" r.rg_func r.rg_start r.rg_end r.rg_count))
-    t.ranges;
-  List.iter
-    (fun s ->
-      Buffer.add_string b (Printf.sprintf "S %s %d %Ld\n" s.sm_func s.sm_off s.sm_count))
-    t.samples;
-  Buffer.contents b
-
 let save path t =
   let oc = open_out path in
   output_string oc (to_string t);
@@ -334,159 +290,9 @@ let pp_warning ppf w =
    warning (lenient) or [Bad_format] (strict). *)
 exception Reject of string
 
-let int_field what s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> raise (Reject (Printf.sprintf "%s is not an integer: %s" what s))
-
-let count_field what s =
-  match Int64.of_string_opt s with
-  | Some v when v >= 0L -> v
-  | Some v -> raise (Reject (Printf.sprintf "%s is negative: %Ld" what v))
-  | None -> raise (Reject (Printf.sprintf "%s is not an integer: %s" what s))
-
 let non_negative what v =
   if v < 0 then raise (Reject (Printf.sprintf "%s is negative: %d" what v));
   v
-
-let hash_field what s =
-  match Bolt_obj.Fingerprint.of_hex s with
-  | Some v -> v
-  | None -> raise (Reject (Printf.sprintf "%s is not a hex hash: %s" what s))
-
-(* The pre-iocore parser, verbatim: [String.split_on_char] per line and
-   per field.  Kept as the parity oracle and the bench baseline. *)
-let parse_legacy ?(strict = false) text : t * warning list =
-  let branches = ref [] in
-  let ranges = ref [] in
-  let samples = ref [] in
-  let lbr = ref true in
-  let header = ref None in
-  (* G lines open a fingerprint (in file order); GB lines append blocks
-     to the most recently seen G of the same function *)
-  let fp_order : string list ref = ref [] in
-  let fp_tbl :
-      (string, Bolt_obj.Fingerprint.func * Bolt_obj.Fingerprint.block list ref)
-      Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let warnings = ref [] in
-  let reject lineno line reason =
-    if strict then raise (Bad_format (Printf.sprintf "line %d: %s: %s" lineno reason line));
-    warnings := { w_line = lineno; w_text = line; w_reason = reason } :: !warnings
-  in
-  let set_header f = header := Some (f (Option.value ~default:no_header !header)) in
-  let lines = String.split_on_char '\n' text in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line =
-        (* tolerate CRLF profiles copied across systems *)
-        if String.length line > 0 && line.[String.length line - 1] = '\r' then
-          String.sub line 0 (String.length line - 1)
-        else line
-      in
-      try
-        match String.split_on_char ' ' line with
-        | [ "mode"; "lbr" ] -> lbr := true
-        | [ "mode"; "sample" ] -> lbr := false
-        | [ "mode"; m ] -> raise (Reject (Printf.sprintf "unknown mode %s" m))
-        | [ "H"; "host"; v ] -> set_header (fun h -> { h with hd_host = v })
-        | [ "H"; "build-id"; v ] -> set_header (fun h -> { h with hd_build_id = v })
-        | [ "H"; "timestamp"; v ] ->
-            let ts = non_negative "timestamp" (int_field "timestamp" v) in
-            set_header (fun h -> { h with hd_timestamp = ts })
-        | [ "H"; "events"; v ] ->
-            let ev = count_field "events" v in
-            set_header (fun h -> { h with hd_events = ev })
-        | [ "H"; "weight"; v ] -> (
-            match float_of_string_opt v with
-            | Some w when w >= 0.0 -> set_header (fun h -> { h with hd_weight = w })
-            | _ -> raise (Reject (Printf.sprintf "weight is not a number: %s" v)))
-        | [ "H"; k; _ ] -> raise (Reject (Printf.sprintf "unknown header key %s" k))
-        | [ "B"; ff; fo; tf; to_; c; m ] ->
-            branches :=
-              {
-                br_from_func = ff;
-                br_from_off = non_negative "from offset" (int_field "from offset" fo);
-                br_to_func = tf;
-                br_to_off = non_negative "to offset" (int_field "to offset" to_);
-                br_count = count_field "count" c;
-                br_mispreds = count_field "mispredicts" m;
-              }
-              :: !branches
-        | [ "F"; f; s; e; c ] ->
-            let rg_start = non_negative "range start" (int_field "range start" s) in
-            let rg_end = non_negative "range end" (int_field "range end" e) in
-            if rg_end < rg_start then
-              raise (Reject (Printf.sprintf "range end %d before start %d" rg_end rg_start));
-            ranges :=
-              { rg_func = f; rg_start; rg_end; rg_count = count_field "count" c }
-              :: !ranges
-        | [ "S"; f; o; c ] ->
-            samples :=
-              {
-                sm_func = f;
-                sm_off = non_negative "offset" (int_field "offset" o);
-                sm_count = count_field "count" c;
-              }
-              :: !samples
-        | [ "G"; f; sz; oh; ch; calls ] ->
-            let fp =
-              {
-                Bolt_obj.Fingerprint.fp_func = f;
-                fp_size = non_negative "size" (int_field "size" sz);
-                fp_opcode_hash = hash_field "opcode hash" oh;
-                fp_cfg_hash = hash_field "cfg hash" ch;
-                fp_calls =
-                  (if calls = "-" then []
-                   else String.split_on_char ',' calls);
-                fp_blocks = [];
-              }
-            in
-            if not (Hashtbl.mem fp_tbl f) then fp_order := f :: !fp_order;
-            Hashtbl.replace fp_tbl f (fp, ref [])
-        | [ "GB"; f; off; sz; oh; sh ] -> (
-            match Hashtbl.find_opt fp_tbl f with
-            | None -> raise (Reject "GB record before its G record")
-            | Some (_, blocks) ->
-                blocks :=
-                  {
-                    Bolt_obj.Fingerprint.bk_off =
-                      non_negative "block offset" (int_field "block offset" off);
-                    bk_size = non_negative "block size" (int_field "block size" sz);
-                    bk_opcode_hash = hash_field "block opcode hash" oh;
-                    bk_shape_hash = hash_field "block shape hash" sh;
-                  }
-                  :: !blocks)
-        | [] | [ "" ] -> ()
-        | ("B" | "F" | "S" | "G" | "GB" | "mode" | "H") :: _ ->
-            raise (Reject "wrong field count")
-        | _ -> raise (Reject "unknown record tag")
-      with Reject reason -> reject lineno line reason)
-    lines;
-  let total =
-    List.fold_left (fun a (b : branch) -> sat_add a b.br_count) 0L !branches
-    |> fun acc ->
-    List.fold_left (fun a (s : sample) -> sat_add a s.sm_count) acc !samples
-  in
-  let fingerprints =
-    List.rev_map
-      (fun f ->
-        let fp, blocks = Hashtbl.find fp_tbl f in
-        { fp with Bolt_obj.Fingerprint.fp_blocks = List.rev !blocks })
-      !fp_order
-  in
-  ( {
-      lbr = !lbr;
-      header = !header;
-      branches = List.rev !branches;
-      ranges = List.rev !ranges;
-      samples = List.rev !samples;
-      total_samples = total;
-      fingerprints;
-    },
-    List.rev !warnings )
 
 (* ---- the allocation-free lexer ----
 
@@ -497,7 +303,8 @@ let parse_legacy ?(strict = false) text : t * warning list =
    parsers take a fast path over plain ASCII decimal/hex and fall back to
    the stdlib parsers on a substring for anything unusual (signs other
    than a leading '-', 0x/0o prefixes, '_' separators, overflow), so
-   accept/reject behaviour matches the legacy field parsers exactly. *)
+   every field accepts and rejects exactly what [int_of_string_opt],
+   [Int64.of_string_opt] and [Fingerprint.of_hex] do. *)
 
 let int_at text s e =
   let len = e - s in

@@ -85,20 +85,36 @@ val empty : t
     reorder-functions pass sorts by. *)
 val func_events : t -> (string, int64) Hashtbl.t
 
-(** Canonical form: duplicate records (same endpoints) aggregated with
-    {!sat_add}, then sorted.  Profiles holding the same multiset of events
-    normalize to identical values — and identical bytes — which is what
-    makes merged output independent of shard order and [-j]. *)
+(** [iter_records t ~branch ~range ~sample] passes each of [t]'s records,
+    in list order, to the callback for its kind. *)
+val iter_records :
+  t ->
+  branch:(branch -> unit) ->
+  range:(range -> unit) ->
+  sample:(sample -> unit) ->
+  unit
+
+(** The one record accumulator.  [accumulate feed t] runs [feed] once
+    with a callback per record kind, sums the records it receives by
+    endpoints with {!sat_add}, and returns [t] with those sums as its
+    sorted record lists, [total_samples] recomputed and [fingerprints]
+    sorted and deduplicated.  Feeds holding the same multiset of events
+    give identical values — and identical bytes — which is what makes
+    merged output independent of shard order.  {!normalize} feeds it a
+    profile's own records; the fleet merger feeds it scaled records from
+    many shards. *)
+val accumulate :
+  (branch:(branch -> unit) -> range:(range -> unit) -> sample:(sample -> unit) -> unit) ->
+  t ->
+  t
+
+(** Canonical form: [accumulate (iter_records t) t] — duplicate records
+    (same endpoints) aggregated with {!sat_add}, then sorted. *)
 val normalize : t -> t
 
 val to_string : t -> string
 (** Canonical text dump, via the iocore arena writer (hand-rolled
     decimal/hex emission — no Printf per record). *)
-
-val to_string_legacy : t -> string
-(** The pre-iocore Printf emitter, kept as the parity oracle and the
-    baseline the iocore bench measures.  Byte-identical to
-    {!to_string}. *)
 
 val save : string -> t -> unit
 
@@ -125,14 +141,9 @@ val default_max_warnings : int
     Implemented on the iocore allocation-free lexer: index-based field
     scanning, integers parsed in place, strings materialized only for
     fields a surviving record keeps.  Accept/reject behaviour and
-    warning texts match the legacy split-based parser exactly
-    ({!parse_legacy}, the property the iocore parity suite checks). *)
+    warning texts match the split-based parser the iocore parity suite
+    keeps as its oracle. *)
 val parse : ?strict:bool -> ?max_warnings:int -> string -> t * warning list
-
-(** The pre-iocore parser ([String.split_on_char] per line and field),
-    kept verbatim: the parity oracle and the bench baseline.  Warnings
-    are uncapped. *)
-val parse_legacy : ?strict:bool -> string -> t * warning list
 
 (** Streaming form of {!parse} for consumers that must not materialize
     record lists (the fleet merger ingesting million-line shards):

@@ -73,7 +73,7 @@ type config = {
   c_topk : int; (* sketch: max function entries per host *)
   c_budget : int; (* sketch: global byte budget *)
   c_trigger : trigger;
-  c_jobs : int; (* worker domains for merge + rewrite *)
+  c_jobs : int; (* worker domains for the rewrite *)
   c_decay : float option; (* age decay for the merge *)
   c_thresholds : Monitor.thresholds;
 }
@@ -204,7 +204,6 @@ let assess t : Quality.report option =
         decay = t.cfg.c_decay;
         expect_build_id =
           (if t.expected_build_id = "" then None else Some t.expected_build_id);
-        jobs = t.cfg.c_jobs;
       }
     in
     let merged = Merge.merge ~obs:t.obs ~opts recovered in

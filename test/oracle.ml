@@ -1,0 +1,297 @@
+(* Reference implementations for the iocore parity suite: the original
+   per-byte Buf primitives, and the split-based fdata parser and Printf
+   emitter, kept verbatim.  The production data plane is checked against
+   these independent implementations rather than against itself. *)
+
+(* The original per-byte reader/writer primitives (modulo the reader's
+   [limit] field replacing [String.length]). *)
+module Buf = struct
+  open Bolt_obj.Buf
+
+  type lwriter = Buffer.t
+
+  let writer () = Buffer.create 4096
+
+  let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+
+  let u32 b v =
+    u8 b v;
+    u8 b (v lsr 8);
+    u8 b (v lsr 16);
+    u8 b (v lsr 24)
+
+  let i64 b v =
+    let v64 = Int64.of_int v in
+    for i = 0 to 7 do
+      u8 b (Int64.to_int (Int64.shift_right_logical v64 (8 * i)) land 0xff)
+    done
+
+  let str b s =
+    u32 b (String.length s);
+    Buffer.add_string b s
+
+  let bytes b by =
+    u32 b (Bytes.length by);
+    Buffer.add_bytes b by
+
+  let list b f xs =
+    u32 b (List.length xs);
+    List.iter (f b) xs
+
+  let contents = Buffer.contents
+
+  let r_u8 r =
+    need r 1;
+    let v = Char.code r.data.[r.pos] in
+    r.pos <- r.pos + 1;
+    v
+
+  let r_u32 r =
+    let a = r_u8 r in
+    let b = r_u8 r in
+    let c = r_u8 r in
+    let d = r_u8 r in
+    a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24)
+
+  let r_i64 r =
+    let v = ref 0L in
+    need r 8;
+    for i = 7 downto 0 do
+      v :=
+        Int64.logor (Int64.shift_left !v 8)
+          (Int64.of_int (Char.code r.data.[r.pos + i]))
+    done;
+    r.pos <- r.pos + 8;
+    Int64.to_int !v
+
+  let r_str r =
+    let n = r_u32 r in
+    need r n;
+    let s = String.sub r.data r.pos n in
+    r.pos <- r.pos + n;
+    s
+
+  let r_bytes r =
+    let n = r_u32 r in
+    need r n;
+    let b = Bytes.of_string (String.sub r.data r.pos n) in
+    r.pos <- r.pos + n;
+    b
+
+  let r_list r f =
+    let n = r_u32 r in
+    List.init n (fun _ -> f r)
+end
+
+open Bolt_profile.Fdata
+
+(* Malformed lines raise [Reject]; [parse_legacy] turns that into a
+   warning (lenient) or [Bad_format] (strict). *)
+exception Reject of string
+
+let int_field what s =
+  match int_of_string_opt s with
+  | Some v -> v
+  | None -> raise (Reject (Printf.sprintf "%s is not an integer: %s" what s))
+
+let count_field what s =
+  match Int64.of_string_opt s with
+  | Some v when v >= 0L -> v
+  | Some v -> raise (Reject (Printf.sprintf "%s is negative: %Ld" what v))
+  | None -> raise (Reject (Printf.sprintf "%s is not an integer: %s" what s))
+
+let non_negative what v =
+  if v < 0 then raise (Reject (Printf.sprintf "%s is negative: %d" what v));
+  v
+
+let hash_field what s =
+  match Bolt_obj.Fingerprint.of_hex s with
+  | Some v -> v
+  | None -> raise (Reject (Printf.sprintf "%s is not a hex hash: %s" what s))
+
+(* The original Printf emitter; [Fdata.to_string] must write the same
+   bytes. *)
+let to_string_legacy t =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Printf.sprintf "mode %s\n" (if t.lbr then "lbr" else "sample"));
+  (match t.header with
+  | Some h ->
+      if h.hd_host <> "" then Buffer.add_string b (Printf.sprintf "H host %s\n" h.hd_host);
+      if h.hd_build_id <> "" then
+        Buffer.add_string b (Printf.sprintf "H build-id %s\n" h.hd_build_id);
+      if h.hd_timestamp <> 0 then
+        Buffer.add_string b (Printf.sprintf "H timestamp %d\n" h.hd_timestamp);
+      if h.hd_events <> 0L then
+        Buffer.add_string b (Printf.sprintf "H events %Ld\n" h.hd_events);
+      if h.hd_weight <> 1.0 then
+        Buffer.add_string b (Printf.sprintf "H weight %h\n" h.hd_weight)
+  | None -> ());
+  (* G/GB: fingerprints of the profiled binary, for stale matching.  Old
+     readers skip them as unknown tags; profiles without them just have
+     no G lines. *)
+  List.iter
+    (fun (f : Bolt_obj.Fingerprint.func) ->
+      Buffer.add_string b
+        (Printf.sprintf "G %s %d %s %s %s\n" f.fp_func f.fp_size
+           (Bolt_obj.Fingerprint.to_hex f.fp_opcode_hash)
+           (Bolt_obj.Fingerprint.to_hex f.fp_cfg_hash)
+           (if f.fp_calls = [] then "-" else String.concat "," f.fp_calls));
+      List.iter
+        (fun (blk : Bolt_obj.Fingerprint.block) ->
+          Buffer.add_string b
+            (Printf.sprintf "GB %s %d %d %s %s\n" f.fp_func blk.bk_off
+               blk.bk_size
+               (Bolt_obj.Fingerprint.to_hex blk.bk_opcode_hash)
+               (Bolt_obj.Fingerprint.to_hex blk.bk_shape_hash)))
+        f.fp_blocks)
+    t.fingerprints;
+  List.iter
+    (fun x ->
+      Buffer.add_string b
+        (Printf.sprintf "B %s %d %s %d %Ld %Ld\n" x.br_from_func x.br_from_off
+           x.br_to_func x.br_to_off x.br_count x.br_mispreds))
+    t.branches;
+  List.iter
+    (fun r ->
+      Buffer.add_string b
+        (Printf.sprintf "F %s %d %d %Ld\n" r.rg_func r.rg_start r.rg_end r.rg_count))
+    t.ranges;
+  List.iter
+    (fun s ->
+      Buffer.add_string b (Printf.sprintf "S %s %d %Ld\n" s.sm_func s.sm_off s.sm_count))
+    t.samples;
+  Buffer.contents b
+
+(* The original parser: [String.split_on_char] per line and per field.
+   Warnings are uncapped. *)
+let parse_legacy ?(strict = false) text : t * warning list =
+  let branches = ref [] in
+  let ranges = ref [] in
+  let samples = ref [] in
+  let lbr = ref true in
+  let header = ref None in
+  (* G lines open a fingerprint (in file order); GB lines append blocks
+     to the most recently seen G of the same function *)
+  let fp_order : string list ref = ref [] in
+  let fp_tbl :
+      (string, Bolt_obj.Fingerprint.func * Bolt_obj.Fingerprint.block list ref)
+      Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let warnings = ref [] in
+  let reject lineno line reason =
+    if strict then raise (Bad_format (Printf.sprintf "line %d: %s: %s" lineno reason line));
+    warnings := { w_line = lineno; w_text = line; w_reason = reason } :: !warnings
+  in
+  let set_header f = header := Some (f (Option.value ~default:no_header !header)) in
+  let lines = String.split_on_char '\n' text in
+  List.iteri
+    (fun i line ->
+      let lineno = i + 1 in
+      let line =
+        (* tolerate CRLF profiles copied across systems *)
+        if String.length line > 0 && line.[String.length line - 1] = '\r' then
+          String.sub line 0 (String.length line - 1)
+        else line
+      in
+      try
+        match String.split_on_char ' ' line with
+        | [ "mode"; "lbr" ] -> lbr := true
+        | [ "mode"; "sample" ] -> lbr := false
+        | [ "mode"; m ] -> raise (Reject (Printf.sprintf "unknown mode %s" m))
+        | [ "H"; "host"; v ] -> set_header (fun h -> { h with hd_host = v })
+        | [ "H"; "build-id"; v ] -> set_header (fun h -> { h with hd_build_id = v })
+        | [ "H"; "timestamp"; v ] ->
+            let ts = non_negative "timestamp" (int_field "timestamp" v) in
+            set_header (fun h -> { h with hd_timestamp = ts })
+        | [ "H"; "events"; v ] ->
+            let ev = count_field "events" v in
+            set_header (fun h -> { h with hd_events = ev })
+        | [ "H"; "weight"; v ] -> (
+            match float_of_string_opt v with
+            | Some w when w >= 0.0 -> set_header (fun h -> { h with hd_weight = w })
+            | _ -> raise (Reject (Printf.sprintf "weight is not a number: %s" v)))
+        | [ "H"; k; _ ] -> raise (Reject (Printf.sprintf "unknown header key %s" k))
+        | [ "B"; ff; fo; tf; to_; c; m ] ->
+            branches :=
+              {
+                br_from_func = ff;
+                br_from_off = non_negative "from offset" (int_field "from offset" fo);
+                br_to_func = tf;
+                br_to_off = non_negative "to offset" (int_field "to offset" to_);
+                br_count = count_field "count" c;
+                br_mispreds = count_field "mispredicts" m;
+              }
+              :: !branches
+        | [ "F"; f; s; e; c ] ->
+            let rg_start = non_negative "range start" (int_field "range start" s) in
+            let rg_end = non_negative "range end" (int_field "range end" e) in
+            if rg_end < rg_start then
+              raise (Reject (Printf.sprintf "range end %d before start %d" rg_end rg_start));
+            ranges :=
+              { rg_func = f; rg_start; rg_end; rg_count = count_field "count" c }
+              :: !ranges
+        | [ "S"; f; o; c ] ->
+            samples :=
+              {
+                sm_func = f;
+                sm_off = non_negative "offset" (int_field "offset" o);
+                sm_count = count_field "count" c;
+              }
+              :: !samples
+        | [ "G"; f; sz; oh; ch; calls ] ->
+            let fp =
+              {
+                Bolt_obj.Fingerprint.fp_func = f;
+                fp_size = non_negative "size" (int_field "size" sz);
+                fp_opcode_hash = hash_field "opcode hash" oh;
+                fp_cfg_hash = hash_field "cfg hash" ch;
+                fp_calls =
+                  (if calls = "-" then []
+                   else String.split_on_char ',' calls);
+                fp_blocks = [];
+              }
+            in
+            if not (Hashtbl.mem fp_tbl f) then fp_order := f :: !fp_order;
+            Hashtbl.replace fp_tbl f (fp, ref [])
+        | [ "GB"; f; off; sz; oh; sh ] -> (
+            match Hashtbl.find_opt fp_tbl f with
+            | None -> raise (Reject "GB record before its G record")
+            | Some (_, blocks) ->
+                blocks :=
+                  {
+                    Bolt_obj.Fingerprint.bk_off =
+                      non_negative "block offset" (int_field "block offset" off);
+                    bk_size = non_negative "block size" (int_field "block size" sz);
+                    bk_opcode_hash = hash_field "block opcode hash" oh;
+                    bk_shape_hash = hash_field "block shape hash" sh;
+                  }
+                  :: !blocks)
+        | [] | [ "" ] -> ()
+        | ("B" | "F" | "S" | "G" | "GB" | "mode" | "H") :: _ ->
+            raise (Reject "wrong field count")
+        | _ -> raise (Reject "unknown record tag")
+      with Reject reason -> reject lineno line reason)
+    lines;
+  let total =
+    List.fold_left (fun a (b : branch) -> sat_add a b.br_count) 0L !branches
+    |> fun acc ->
+    List.fold_left (fun a (s : sample) -> sat_add a s.sm_count) acc !samples
+  in
+  let fingerprints =
+    List.rev_map
+      (fun f ->
+        let fp, blocks = Hashtbl.find fp_tbl f in
+        { fp with Bolt_obj.Fingerprint.fp_blocks = List.rev !blocks })
+      !fp_order
+  in
+  ( {
+      lbr = !lbr;
+      header = !header;
+      branches = List.rev !branches;
+      ranges = List.rev !ranges;
+      samples = List.rev !samples;
+      total_samples = total;
+      fingerprints;
+    },
+    List.rev !warnings )

@@ -1,6 +1,6 @@
 (* Fleet aggregation tests: the merge algebra (QCheck properties over
-   random shards), a golden 3-host merge, order/-j byte determinism, the
-   quality report, stale-shard tolerance through the optimizer, and the
+   random shards), a golden 3-host merge, order byte determinism, the
+   shard loader's skip rule for both merge feeders, the quality report, stale-shard tolerance through the optimizer, and the
    end-to-end acceptance check — a profile merged across a simulated
    fleet must serve fleet traffic at least as well as any single host's
    shard. *)
@@ -273,35 +273,41 @@ let test_expect_build_id () =
     (Option.get merged.Fdata.header).Fdata.hd_build_id
 
 (* ------------------------------------------------------------------ *)
-(* Parallel determinism                                               *)
+(* Shard loading                                                      *)
 
-let many_shards () =
-  List.init 12 (fun i ->
-      mk_prof
-        ~host:(Printf.sprintf "h%02d" i)
-        ~build:(if i mod 3 = 0 then "revY" else "revX")
-        ~ts:(10 * i)
-        ~events:(Int64.of_int (100 + i))
-        ~branches:
-          [
-            mk_branch "main" 4 "main" 20 (Int64.of_int (i + 1)) 0L;
-            mk_branch "work" (4 * i) "work" 0 (Int64.of_int (2 * i)) 1L;
-          ]
-        ~samples:[ { Fdata.sm_func = "aux"; sm_off = i; sm_count = 3L } ]
-        ())
-  |> shards_of_profiles
-
-let test_jobs_identical () =
-  let s = many_shards () in
-  let at jobs order =
-    Fdata.to_string
-      (Merge.merge ~opts:{ Merge.default_options with Merge.jobs } order)
+(* A torn shard (its only record truncated mid-line) salvages nothing,
+   so the loader skips it for both feeders: neither its header's
+   timestamp (which would decay the good shard) nor its event total may
+   reach the merge, and the streamed and materialized merges agree. *)
+let test_torn_shard_skipped () =
+  let write name text =
+    let path = Filename.concat (Filename.get_temp_dir_name ()) name in
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
+    path
   in
-  let baseline = at 1 s in
-  Alcotest.(check string) "j=4 == j=1" baseline (at 4 s);
-  Alcotest.(check string) "j=4 reversed == j=1" baseline (at 4 (List.rev s));
-  Alcotest.(check string) "j=3 rotated == j=1" baseline
-    (at 3 (match s with x :: tl -> tl @ [ x ] | [] -> []))
+  let good =
+    write "fleet-good.fdata"
+      "H timestamp 1000\nB main 4 main 20 700 0\nS aux 1 300\n"
+  in
+  let torn =
+    write "fleet-torn.fdata" "H timestamp 5000\nH events 999999\nB main 4 ma"
+  in
+  let opts = { Merge.default_options with Merge.decay = Some 1e-3 } in
+  let shards, skipped = Merge.load_shards [ good; torn ] in
+  let texts, skipped' = Merge.load_texts [ good; torn ] in
+  Alcotest.(check (list string))
+    "torn shard skipped" [ torn ]
+    (List.map (fun (s : Merge.skip) -> s.Merge.sk_path) skipped);
+  Alcotest.(check bool) "same skip list" true (skipped = skipped');
+  let merged = Merge.merge ~opts shards in
+  Alcotest.(check string) "streamed == materialized"
+    (Fdata.to_string merged)
+    (Fdata.to_string (Merge.merge_stream ~opts texts));
+  Alcotest.(check (list int64)) "good shard's counts, undecayed" [ 700L; 300L ]
+    (List.map (fun (b : Fdata.branch) -> b.Fdata.br_count) merged.Fdata.branches
+    @ List.map (fun (s : Fdata.sample) -> s.Fdata.sm_count) merged.Fdata.samples);
+  Alcotest.(check int64) "good shard's events only" 1000L
+    (Option.get merged.Fdata.header).Fdata.hd_events
 
 (* ------------------------------------------------------------------ *)
 (* Quality report                                                     *)
@@ -438,7 +444,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_decay_monotone;
     Alcotest.test_case "golden-3-host-merge" `Quick test_golden_merge;
     Alcotest.test_case "expect-build-id" `Quick test_expect_build_id;
-    Alcotest.test_case "jobs-byte-identical" `Quick test_jobs_identical;
+    Alcotest.test_case "torn shard skipped by both feeders" `Quick
+      test_torn_shard_skipped;
     Alcotest.test_case "quality-report" `Quick test_quality_report;
     Alcotest.test_case "unstamped-not-stale" `Quick test_unstamped_not_stale;
     Alcotest.test_case "stale-shard-tolerated" `Slow test_stale_shard_tolerated;

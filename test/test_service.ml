@@ -1,7 +1,7 @@
 (* Continuous-optimization service tests: the bounded-memory sketch
    (top-K eviction, newest-shard-wins, the global byte budget), the
-   sharded-by-function-key parallel merge's byte parity with the
-   streaming merge, the trigger policy on scripted tapes, tape/spool
+   batch merge's byte parity with the streaming merge on a fleet tape,
+   the trigger policy on scripted tapes, tape/spool
    parsing, injected-clock manifest reproducibility, and the e2e
    acceptance check — a 1000-host tape with drifting revisions must
    fire a re-optimization whose binary beats the pre-trigger build,
@@ -96,7 +96,7 @@ let test_sketch_budget () =
   Alcotest.(check int) "host states survive eviction" 10 (Sk.hosts sk)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded-by-function-key merge == streaming merge, byte for byte    *)
+(* Batch merge over parsed shards == streaming merge over their text  *)
 
 let small_scale =
   {
@@ -107,35 +107,30 @@ let small_scale =
     sc_wave = 4;
   }
 
-let test_sharded_merge_parity () =
+let test_merge_feeders_agree () =
   let texts =
     List.map (fun (_, h, x) -> (h, x)) (FS.scale_tape small_scale)
   in
-  let baseline = Fdata.to_string (Merge.merge_stream texts) in
-  List.iter
-    (fun jobs ->
-      let opts = { Merge.default_options with Merge.jobs } in
-      Alcotest.(check string)
-        (Printf.sprintf "sharded j=%d == stream" jobs)
-        baseline
-        (Fdata.to_string (Merge.merge_stream_sharded ~opts texts)))
-    [ 2; 3; 4 ];
+  let parsed texts =
+    List.map
+      (fun (name, text) -> Merge.shard_of_profile ~name (fst (Fdata.parse text)))
+      texts
+  in
   (* arrival order of the shard list must not matter either *)
-  let opts = { Merge.default_options with Merge.jobs = 4 } in
-  Alcotest.(check string) "sharded over reversed input == stream" baseline
-    (Fdata.to_string (Merge.merge_stream_sharded ~opts (List.rev texts)));
+  Alcotest.(check string) "merge over reversed input == stream"
+    (Fdata.to_string (Merge.merge_stream texts))
+    (Fdata.to_string (Merge.merge (parsed (List.rev texts))));
   (* parity holds under the full option set: weights, decay, pinned id *)
   let opts =
     {
       Merge.weights = [ ("mh00003.dc1", 3.0) ];
       decay = Some 1e-6;
       expect_build_id = Some FS.scale_build_id;
-      jobs = 3;
     }
   in
-  Alcotest.(check string) "sharded == stream under weights+decay+id"
-    (Fdata.to_string (Merge.merge_stream ~opts:{ opts with Merge.jobs = 1 } texts))
-    (Fdata.to_string (Merge.merge_stream_sharded ~opts texts))
+  Alcotest.(check string) "merge == stream under weights+decay+id"
+    (Fdata.to_string (Merge.merge_stream ~opts texts))
+    (Fdata.to_string (Merge.merge ~opts (parsed texts)))
 
 (* ------------------------------------------------------------------ *)
 (* Trigger policy on a scripted tape                                  *)
@@ -390,8 +385,8 @@ let suite =
       test_sketch_latest_wins;
     Alcotest.test_case "sketch: global byte budget holds under pressure" `Quick
       test_sketch_budget;
-    Alcotest.test_case "sharded merge == streaming merge (bytes)" `Quick
-      test_sharded_merge_parity;
+    Alcotest.test_case "batch merge == streaming merge (bytes)" `Quick
+      test_merge_feeders_agree;
     Alcotest.test_case "trigger: quality gate after min-hosts" `Quick
       test_trigger_quality;
     Alcotest.test_case "trigger: min-hosts gate blocks" `Quick
