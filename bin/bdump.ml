@@ -9,7 +9,7 @@
 open Cmdliner
 open Bolt_obj
 
-let dump_function exe (s : Types.symbol) =
+let dump_function exe meta (s : Types.symbol) =
   let sec =
     List.find
       (fun (sec : Types.section) ->
@@ -18,7 +18,7 @@ let dump_function exe (s : Types.symbol) =
   in
   Printf.printf "\n%08x <%s>:  (%d bytes, %s)\n" s.sym_value s.sym_name s.sym_size
     sec.sec_name;
-  let dbg = Objfile.dbg_for exe s.sym_name in
+  let dbg = Objfile.Index.dbg meta s.sym_name in
   let line_at off =
     match dbg with
     | None -> None
@@ -218,7 +218,7 @@ let run path fdata disas func relocs fdes lsdas fingerprints manifest layout_sco
       | Some name -> List.filter (fun (s : Types.symbol) -> s.sym_name = name) funcs
       | None -> funcs
     in
-    List.iter (dump_function exe) selected
+    List.iter (dump_function exe (Objfile.Index.create exe)) selected
   end;
   0
   end

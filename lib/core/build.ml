@@ -133,7 +133,7 @@ let build_function ctx (fb : Bfunc.t) =
       let n = Array.length raws in
       (* source locations *)
       let dbg =
-        match Objfile.dbg_for ctx.Context.exe fb.fb_name with
+        match Objfile.Index.dbg ctx.Context.meta fb.fb_name with
         | Some d -> d.dbg_entries
         | None -> []
       in
@@ -147,7 +147,7 @@ let build_function ctx (fb : Bfunc.t) =
           go None sorted
       in
       (* CFI ops keyed by the offset at which they take effect *)
-      let fde = Objfile.fde_for ctx.Context.exe fb.fb_name in
+      let fde = Objfile.Index.fde ctx.Context.meta fb.fb_name in
       let cfi_at = Hashtbl.create 16 in
       (match fde with
       | Some f ->
@@ -157,7 +157,7 @@ let build_function ctx (fb : Bfunc.t) =
                 ((try Hashtbl.find cfi_at o with Not_found -> []) @ [ op ]))
             f.fde_cfi
       | None -> ());
-      let lsda = Objfile.lsda_for ctx.Context.exe fb.fb_name in
+      let lsda = Objfile.Index.lsda ctx.Context.meta fb.fb_name in
       (* symbolize a call target; raises Exit when impossible *)
       let call_target addr =
         match Context.resolve_code ctx addr with

@@ -5,6 +5,7 @@ open Bolt_obj
 
 type t = {
   exe : Objfile.t;
+  meta : Objfile.Index.t; (* [exe]'s FDEs, line tables and LSDAs by name *)
   opts : Opts.t;
   funcs : (string, Bfunc.t) Hashtbl.t;
   mutable order : string list; (* functions by original address *)
@@ -44,9 +45,10 @@ let err fmt = Fmt.kstr (fun s -> raise (Bolt_error s)) fmt
 let section_value _ctx (sec : Types.section option) addr =
   match sec with
   | Some s when addr >= s.sec_addr && addr + 8 <= s.sec_addr + s.sec_size ->
-      let r = Buf.reader (Bytes.to_string s.sec_data) in
-      r.Buf.pos <- addr - s.sec_addr;
-      Some (Buf.r_i64 r)
+      (* read in place; a Bss section has no bytes behind its size *)
+      let off = addr - s.sec_addr in
+      if off + 8 > Bytes.length s.sec_data then raise (Buf.Corrupt "truncated input");
+      Some (Int64.to_int (Bytes.get_int64_le s.sec_data off))
   | _ -> None
 
 let in_section (sec : Types.section option) addr =
@@ -104,6 +106,7 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
   let ctx =
     {
       exe;
+      meta = Objfile.Index.create exe;
       opts;
       funcs = Hashtbl.create 256;
       order = [];

@@ -53,71 +53,75 @@ let collect ctx : t =
       let pos = Hashtbl.create 32 in
       List.iteri (fun i l -> Hashtbl.replace pos l i) fb.layout;
       let index l = try Hashtbl.find pos l with Not_found -> max_int in
-      List.iteri
-        (fun i l ->
-          let b = block fb l in
-          let n = b.ecount in
-          st.executed_instructions <-
-            st.executed_instructions + (n * List.length b.insns);
-          List.iter
-            (fun (ins : minsn) ->
-              if Bolt_isa.Insn.is_call ins.op then
-                st.executed_calls <- st.executed_calls + n)
-            b.insns;
-          let next =
-            if i + 1 < List.length fb.layout then List.nth fb.layout (i + 1) else ""
-          in
-          match b.term with
-          | T_cond (_, taken, fall) when taken <> fall ->
-              let tk = edge_count fb l taken in
-              let fl = edge_count fb l fall in
-              let executed = max n (tk + fl) in
-              (* emission picks the branch polarity from the layout: the
-                 emitted Jcc is TAKEN with the weight of whichever edge is
-                 NOT the layout successor *)
-              let jcc_target, jcc_taken, jcc_not_taken, extra_jmp =
-                if next = fall then (taken, tk, fl, 0)
-                else if next = taken then (fall, fl, tk, 0)
-                else (taken, tk, fl, fl) (* Jcc taken + trailing jmp fall *)
-              in
-              let forward = index jcc_target > i in
-              st.total_branches <- st.total_branches + executed;
-              st.taken_branches <- st.taken_branches + jcc_taken;
-              st.taken_conditional <- st.taken_conditional + jcc_taken;
-              st.non_taken_conditional <- st.non_taken_conditional + jcc_not_taken;
-              if forward then begin
-                st.executed_forward_branches <- st.executed_forward_branches + executed;
-                st.taken_forward_branches <- st.taken_forward_branches + jcc_taken
-              end
-              else begin
-                st.executed_backward_branches <- st.executed_backward_branches + executed;
-                st.taken_backward_branches <- st.taken_backward_branches + jcc_taken
-              end;
-              if extra_jmp > 0 then begin
-                st.executed_unconditional <- st.executed_unconditional + extra_jmp;
-                st.taken_branches <- st.taken_branches + extra_jmp;
-                st.total_branches <- st.total_branches + extra_jmp;
-                st.executed_instructions <- st.executed_instructions + extra_jmp
-              end
-          | T_jump t ->
-              if next <> t then begin
-                (* a real jmp instruction will be emitted *)
-                st.executed_unconditional <- st.executed_unconditional + n;
-                st.total_branches <- st.total_branches + n;
-                st.taken_branches <- st.taken_branches + n;
-                st.executed_instructions <- st.executed_instructions + n
-              end
-          | T_condtail (_, _, fall) ->
-              let tk = max 0 (n - edge_count fb l fall) in
+      (* block [l] at layout position [i], followed by [next] ("" at the end) *)
+      let visit i l next =
+        let b = block fb l in
+        let n = b.ecount in
+        st.executed_instructions <-
+          st.executed_instructions + (n * List.length b.insns);
+        List.iter
+          (fun (ins : minsn) ->
+            if Bolt_isa.Insn.is_call ins.op then
+              st.executed_calls <- st.executed_calls + n)
+          b.insns;
+        match b.term with
+        | T_cond (_, taken, fall) when taken <> fall ->
+            let tk = edge_count fb l taken in
+            let fl = edge_count fb l fall in
+            let executed = max n (tk + fl) in
+            (* emission picks the branch polarity from the layout: the
+               emitted Jcc is TAKEN with the weight of whichever edge is
+               NOT the layout successor *)
+            let jcc_target, jcc_taken, jcc_not_taken, extra_jmp =
+              if next = fall then (taken, tk, fl, 0)
+              else if next = taken then (fall, fl, tk, 0)
+              else (taken, tk, fl, fl) (* Jcc taken + trailing jmp fall *)
+            in
+            let forward = index jcc_target > i in
+            st.total_branches <- st.total_branches + executed;
+            st.taken_branches <- st.taken_branches + jcc_taken;
+            st.taken_conditional <- st.taken_conditional + jcc_taken;
+            st.non_taken_conditional <- st.non_taken_conditional + jcc_not_taken;
+            if forward then begin
+              st.executed_forward_branches <- st.executed_forward_branches + executed;
+              st.taken_forward_branches <- st.taken_forward_branches + jcc_taken
+            end
+            else begin
+              st.executed_backward_branches <- st.executed_backward_branches + executed;
+              st.taken_backward_branches <- st.taken_backward_branches + jcc_taken
+            end;
+            if extra_jmp > 0 then begin
+              st.executed_unconditional <- st.executed_unconditional + extra_jmp;
+              st.taken_branches <- st.taken_branches + extra_jmp;
+              st.total_branches <- st.total_branches + extra_jmp;
+              st.executed_instructions <- st.executed_instructions + extra_jmp
+            end
+        | T_jump t ->
+            if next <> t then begin
+              (* a real jmp instruction will be emitted *)
+              st.executed_unconditional <- st.executed_unconditional + n;
               st.total_branches <- st.total_branches + n;
-              st.taken_branches <- st.taken_branches + tk;
-              st.taken_conditional <- st.taken_conditional + tk;
-              st.non_taken_conditional <- st.non_taken_conditional + (n - tk)
-          | T_indirect _ ->
-              st.total_branches <- st.total_branches + n;
-              st.taken_branches <- st.taken_branches + n
-          | T_cond _ | T_stop -> ())
-        fb.layout;
+              st.taken_branches <- st.taken_branches + n;
+              st.executed_instructions <- st.executed_instructions + n
+            end
+        | T_condtail (_, _, fall) ->
+            let tk = max 0 (n - edge_count fb l fall) in
+            st.total_branches <- st.total_branches + n;
+            st.taken_branches <- st.taken_branches + tk;
+            st.taken_conditional <- st.taken_conditional + tk;
+            st.non_taken_conditional <- st.non_taken_conditional + (n - tk)
+        | T_indirect _ ->
+            st.total_branches <- st.total_branches + n;
+            st.taken_branches <- st.taken_branches + n
+        | T_cond _ | T_stop -> ()
+      in
+      let rec walk i = function
+        | [] -> ()
+        | l :: rest ->
+            visit i l (match rest with next :: _ -> next | [] -> "");
+            walk (i + 1) rest
+      in
+      walk 0 fb.layout;
       if has_profile fb && Hashtbl.length fb.blocks > 0 then begin
         let r = Layout_bbs.eval_fn fb in
         st.layout_score_x1000 <-

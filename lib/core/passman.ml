@@ -227,12 +227,15 @@ let match_profile =
 let pre_passes = [ build_cfg; match_profile ]
 
 let icf_body env m =
-  let folded, bytes =
-    Quarantine.pass env.ctx ~stage:"icf" ~default:(0, 0) (fun () ->
-        Icf.run env.ctx)
+  let r =
+    Quarantine.pass env.ctx ~stage:"icf"
+      ~default:{ Icf.folded = 0; bytes_saved = 0; candidates = 0; rounds = 0 }
+      (fun () -> Icf.run env.ctx)
   in
-  Metrics.incr m ~by:folded "pass.icf.folded";
-  Metrics.incr m ~by:bytes "pass.icf.bytes_saved"
+  Metrics.incr m ~by:r.Icf.folded "pass.icf.folded";
+  Metrics.incr m ~by:r.Icf.bytes_saved "pass.icf.bytes_saved";
+  Metrics.incr m ~by:r.Icf.candidates "pass.icf.candidates";
+  Metrics.incr m ~by:r.Icf.rounds "pass.icf.rounds"
 
 let log_count env p fmt key = Context.logf env.ctx fmt (Metrics.counter p key)
 

@@ -75,9 +75,7 @@ let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
           Bolt_hfsort.Callgraph.of_samples_and_calls ~funcs
             ~direct_calls:(direct_calls ctx) prof
       in
-      (* ICF may have folded some call targets: fold their samples in *)
       let order = Bolt_hfsort.Order.order algo g ~original:live in
-      let order = List.filter (fun n -> List.mem n live) order in
       let events = Bolt_profile.Fdata.func_events prof in
       let is_sampled n =
         match Hashtbl.find_opt events n with Some c -> c > 0L | None -> false

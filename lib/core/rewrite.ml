@@ -172,12 +172,18 @@ let run ctx : result =
       place frag !cursor;
       cursor := !cursor + frag.fr_out.Bolt_asm.Asm.fo_size
     in
-    let by_name = Hashtbl.create 256 in
-    List.iter (fun fb -> Hashtbl.replace by_name fb.fb_name fb) live;
-    let ordered = hot_names @ List.filter (fun n -> not (List.mem n hot_names)) cold_names in
+    let member names =
+      let set = Hashtbl.create 256 in
+      List.iter (fun n -> Hashtbl.replace set n ()) names;
+      Hashtbl.mem set
+    in
+    let is_hot = member hot_names in
+    let ordered = hot_names @ List.filter (fun n -> not (is_hot n)) cold_names in
+    let is_ordered = member ordered in
     let rest =
-      List.filter (fun fb -> not (List.mem fb.fb_name ordered)) live
-      |> List.map (fun fb -> fb.fb_name)
+      List.filter_map
+        (fun fb -> if is_ordered fb.fb_name then None else Some fb.fb_name)
+        live
     in
     (* hot fragments first, in order *)
     List.iter
@@ -491,6 +497,7 @@ let run ctx : result =
   in
 
   (* ---- frame info, exception tables, line tables ---- *)
+  let meta = ctx.Context.meta in
   let fdes = ref [] and lsdas = ref [] and dbgs = ref [] in
   List.iter
     (fun p ->
@@ -535,13 +542,13 @@ let run ctx : result =
       | Some fb ->
           (* non-simple or reverted: original metadata rebased *)
           if frag.Emit.fr_name = fb.fb_name then begin
-            (match Objfile.fde_for exe fb.fb_name with
+            (match Objfile.Index.fde meta fb.fb_name with
             | Some f -> fdes := { f with fde_addr = p.p_addr } :: !fdes
             | None -> ());
-            (match Objfile.lsda_for exe fb.fb_name with
+            (match Objfile.Index.lsda meta fb.fb_name with
             | Some l -> lsdas := { l with lsda_fn_addr = p.p_addr } :: !lsdas
             | None -> ());
-            match Objfile.dbg_for exe fb.fb_name with
+            match Objfile.Index.dbg meta fb.fb_name with
             | Some d -> dbgs := { d with dbg_addr = p.p_addr } :: !dbgs
             | None -> ()
           end
@@ -550,9 +557,9 @@ let run ctx : result =
   (* reverted functions keep their original records *)
   Hashtbl.iter
     (fun n () ->
-      (match Objfile.fde_for exe n with Some f -> fdes := f :: !fdes | None -> ());
-      (match Objfile.lsda_for exe n with Some l -> lsdas := l :: !lsdas | None -> ());
-      match Objfile.dbg_for exe n with Some d -> dbgs := d :: !dbgs | None -> ())
+      (match Objfile.Index.fde meta n with Some f -> fdes := f :: !fdes | None -> ());
+      (match Objfile.Index.lsda meta n with Some l -> lsdas := l :: !lsdas | None -> ());
+      match Objfile.Index.dbg meta n with Some d -> dbgs := d :: !dbgs | None -> ())
     reverted;
 
   let other_sections =

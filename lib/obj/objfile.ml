@@ -96,9 +96,35 @@ let section_at t addr =
     (fun s -> addr >= s.sec_addr && addr < s.sec_addr + s.sec_size)
     t.sections
 
-let fde_for t name = List.find_opt (fun f -> f.fde_func = name) t.fdes
-let dbg_for t name = List.find_opt (fun d -> d.dbg_func = name) t.dbgs
-let lsda_for t name = List.find_opt (fun l -> l.lsda_func = name) t.lsdas
+(* Per-name lookup of a binary's metadata records: frame descriptors, line
+   tables and exception tables.  Build it once per binary, so per-function
+   lookups stay O(1).  When two records share a name the first one in list
+   order wins, as a [List.find_opt] would. *)
+module Index = struct
+  type t = {
+    fde_of : (string, fde) Hashtbl.t;
+    dbg_of : (string, dbg) Hashtbl.t;
+    lsda_of : (string, lsda) Hashtbl.t;
+  }
+
+  let table name_of records =
+    let tbl = Hashtbl.create (List.length records) in
+    List.iter
+      (fun r -> if not (Hashtbl.mem tbl (name_of r)) then Hashtbl.add tbl (name_of r) r)
+      records;
+    tbl
+
+  let create o =
+    {
+      fde_of = table (fun f -> f.fde_func) o.fdes;
+      dbg_of = table (fun d -> d.dbg_func) o.dbgs;
+      lsda_of = table (fun l -> l.lsda_func) o.lsdas;
+    }
+
+  let fde ix name = Hashtbl.find_opt ix.fde_of name
+  let dbg ix name = Hashtbl.find_opt ix.dbg_of name
+  let lsda ix name = Hashtbl.find_opt ix.lsda_of name
+end
 
 let text_size t =
   List.fold_left

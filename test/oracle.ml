@@ -1,7 +1,8 @@
-(* Reference implementations for the iocore parity suite: the original
-   per-byte Buf primitives, and the split-based fdata parser and Printf
-   emitter, kept verbatim.  The production data plane is checked against
-   these independent implementations rather than against itself. *)
+(* Reference implementations, kept verbatim: for the iocore parity suite,
+   the original per-byte Buf primitives and the split-based fdata parser
+   and Printf emitter; for the ICF suite, the all-functions folding loop.
+   Production code is checked against these independent implementations
+   rather than against itself. *)
 
 (* The original per-byte reader/writer primitives (modulo the reader's
    [limit] field replacing [String.length]). *)
@@ -295,3 +296,72 @@ let parse_legacy ?(strict = false) text : t * warning list =
       fingerprints;
     },
     List.rev !warnings )
+
+(* The ICF loop [Bolt_core.Icf.run] ran before shape buckets, kept
+   verbatim: every round computes the [normalize] key of every simple,
+   unfolded function.  Returns (functions folded, bytes saved). *)
+let icf ctx =
+  let open Bolt_core in
+  let open Bfunc in
+  let normalize = Icf.normalize in
+  let folded_total = ref 0 in
+  let bytes_saved = ref 0 in
+  let canon_map : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let rec canon s =
+    match Hashtbl.find_opt canon_map s with Some s' -> canon s' | None -> s
+  in
+  let pass () =
+    let seen = Hashtbl.create 256 in
+    let folded_now = ref 0 in
+    List.iter
+      (fun fb ->
+        if fb.Bfunc.folded_into = None && fb.simple then begin
+          let key = normalize canon fb in
+          match Hashtbl.find_opt seen key with
+          | Some survivor when survivor <> fb.fb_name ->
+              fb.folded_into <- Some survivor;
+              Hashtbl.replace canon_map fb.fb_name survivor;
+              (match Context.func ctx survivor with
+              | Some sf -> sf.exec_count <- sf.exec_count + fb.exec_count
+              | None -> ());
+              incr folded_now;
+              bytes_saved := !bytes_saved + fb.fb_size;
+              Context.touch ctx fb.fb_name;
+              Context.touch ctx survivor
+          | Some _ -> ()
+          | None -> Hashtbl.add seen key fb.fb_name
+        end)
+      (List.filter_map (fun n -> Context.func ctx n) ctx.Context.order);
+    !folded_now
+  in
+  let rounds = ref 0 in
+  let continue_ = ref true in
+  while !continue_ && !rounds < 5 do
+    incr rounds;
+    let f = pass () in
+    folded_total := !folded_total + f;
+    continue_ := f > 0
+  done;
+  (* retarget all call/tail-call references to survivors *)
+  Context.iter_funcs ctx (fun fb ->
+      let fix (i : minsn) =
+        match i.op with
+        | Bolt_isa.Insn.Call (Bolt_isa.Insn.Sym (s, a)) when canon s <> s ->
+            i.op <- Bolt_isa.Insn.Call (Bolt_isa.Insn.Sym (canon s, a))
+        | Bolt_isa.Insn.Jmp (Bolt_isa.Insn.Sym (s, a), w) when canon s <> s ->
+            i.op <- Bolt_isa.Insn.Jmp (Bolt_isa.Insn.Sym (canon s, a), w)
+        | Bolt_isa.Insn.Lea (r, Bolt_isa.Insn.Sym (s, a)) when canon s <> s ->
+            i.op <- Bolt_isa.Insn.Lea (r, Bolt_isa.Insn.Sym (canon s, a))
+        | _ -> ()
+      in
+      Hashtbl.iter (fun _ b -> List.iter fix b.insns) fb.blocks;
+      List.iter fix fb.raw_insns;
+      Hashtbl.iter
+        (fun l b ->
+          match b.term with
+          | T_condtail (c, fn, fall) when canon fn <> fn ->
+              (block fb l).term <- T_condtail (c, canon fn, fall)
+          | _ -> ())
+        fb.blocks);
+  Context.logf ctx "icf: %d functions folded, %d bytes saved" !folded_total !bytes_saved;
+  (!folded_total, !bytes_saved)

@@ -233,14 +233,15 @@ let test_lsda_and_dbg_roundtrip () =
       ]
   in
   let obj = assemble { empty_unit with u_funcs = [ f; mk_func "main" [ A_insn Insn.Ret ] ] } in
-  let l = Option.get (Objfile.lsda_for obj "f") in
+  let meta = Objfile.Index.create obj in
+  let l = Option.get (Objfile.Index.lsda meta "f") in
   (match l.lsda_entries with
   | [ e ] ->
       Alcotest.(check int) "range start" 0 e.lsda_start;
       Alcotest.(check int) "range len" 5 e.lsda_len;
       Alcotest.(check int) "pad offset" 6 e.lsda_pad
   | _ -> Alcotest.fail "one lsda entry expected");
-  let d = Option.get (Objfile.dbg_for obj "f") in
+  let d = Option.get (Objfile.Index.dbg meta "f") in
   Alcotest.(check int) "two line entries" 2 (List.length d.dbg_entries)
 
 let suite =

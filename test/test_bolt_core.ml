@@ -156,14 +156,59 @@ let test_icf_folds_twins () =
   in
   let exe = compile ~options [ ("m", src) ] in
   let ctx = build_ctx exe in
-  let folded, _bytes = Bolt_core.Icf.run ctx in
-  Alcotest.(check int) "one pair folded" 1 folded;
+  let r = Bolt_core.Icf.run ctx in
+  Alcotest.(check int) "one pair folded" 1 r.Bolt_core.Icf.folded;
   (* behaviour preserved through the full pipeline *)
   let prof = profile_of exe ~input:[||] in
   let exe', _ = Bolt_core.Bolt.optimize exe prof in
   let a = Machine.run exe ~input:[||] in
   let b = Machine.run exe' ~input:[||] in
   Alcotest.(check (list int)) "same output" a.Machine.output b.Machine.output
+
+(* hot @ cold must be exactly the functions ICF left live, each once,
+   whether never-sampled functions go to the cold area or not. *)
+let test_reorder_functions_permutation () =
+  let src =
+    {| fn twin1(x) { return x * 7 + 3; }
+       fn twin2(x) { return x * 7 + 3; }
+       fn cold(x) { return x * 5 - 1; }
+       fn hot(x) { if (x % 3 == 0) { return x + 2; } return x * 2; }
+       fn main() {
+         var i = 0;
+         var s = 0;
+         while (i < 3000) { s = s + twin1(i) + twin2(i) + hot(i); i = i + 1; }
+         if (s < 0) { s = cold(s); }
+         out s;
+         return 0;
+       } |}
+  in
+  let options =
+    {
+      Driver.default_options with
+      inline_decisions = { Inline.default_decisions with small_threshold = 0; hint_threshold = 0 };
+    }
+  in
+  let exe = compile ~options [ ("m", src) ] in
+  let prof = profile_of exe ~input:[||] in
+  List.iter
+    (fun split_all_cold ->
+      let opts = { Bolt_core.Opts.default with split_all_cold } in
+      let ctx = Bolt_core.Context.create ~opts exe in
+      Bolt_core.Passman.run (Bolt_core.Passman.make_env ctx prof) Bolt_core.Passman.pre_passes;
+      let r = Bolt_core.Icf.run ctx in
+      Alcotest.(check int) "twins folded" 1 r.Bolt_core.Icf.folded;
+      let live =
+        List.filter
+          (fun n ->
+            (Option.get (Bolt_core.Context.func ctx n)).Bolt_core.Bfunc.folded_into = None)
+          ctx.Bolt_core.Context.order
+      in
+      let hot, cold = Bolt_core.Reorder_funcs.run ctx prof in
+      Alcotest.(check (list string)) "permutation of live" (List.sort compare live)
+        (List.sort compare (hot @ cold));
+      Alcotest.(check bool) "cold area iff split-all-cold" split_all_cold
+        (List.mem "cold" cold))
+    [ true; false ]
 
 let test_simplify_ro_loads () =
   let src =
@@ -322,6 +367,8 @@ let suite =
     Alcotest.test_case "profile-matching" `Quick test_profile_matching;
     Alcotest.test_case "strip-rep-ret" `Quick test_strip_rep_ret;
     Alcotest.test_case "icf" `Quick test_icf_folds_twins;
+    Alcotest.test_case "reorder-functions-permutation" `Quick
+      test_reorder_functions_permutation;
     Alcotest.test_case "simplify-ro-loads" `Quick test_simplify_ro_loads;
     Alcotest.test_case "plt-pass" `Quick test_plt_pass_removes_indirection;
     Alcotest.test_case "icp" `Quick test_icp_promotes;

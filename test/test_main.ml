@@ -10,6 +10,7 @@ let () =
       ("minic-e2e", Test_minic.suite);
       ("obs", Test_obs.suite);
       ("bolt-core", Test_bolt_core.suite);
+      ("icf", Test_icf.suite);
       ("dataflow-emit", Test_dataflow_emit.suite);
       ("cli-tools", Test_cli_tools.suite);
       ("pipeline", Test_pipeline.suite);

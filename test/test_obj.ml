@@ -138,6 +138,35 @@ let test_lookups () =
     | None -> false);
   Alcotest.(check int) "text_size" 3 (Objfile.text_size exe)
 
+(* Two records per name: the index must return the first, as a scan of
+   the record list would. *)
+let test_metadata_index () =
+  let fde addr = { fde_func = "f"; fde_addr = addr; fde_size = 3; fde_cfi = [] } in
+  let dbg addr = { dbg_func = "f"; dbg_addr = addr; dbg_entries = [] } in
+  let lsda addr = { lsda_func = "f"; lsda_fn_addr = addr; lsda_entries = [] } in
+  let exe =
+    {
+      (Objfile.empty Objfile.Executable) with
+      fdes = [ fde 1; { (fde 5) with fde_func = "g" }; fde 2 ];
+      dbgs = [ dbg 1; dbg 2 ];
+      lsdas = [ lsda 1; lsda 2 ];
+    }
+  in
+  let ix = Objfile.Index.create exe in
+  let addr f = Option.map f in
+  Alcotest.(check (option int)) "first fde" (Some 1)
+    (addr (fun f -> f.fde_addr) (Objfile.Index.fde ix "f"));
+  Alcotest.(check (option int)) "other fde" (Some 5)
+    (addr (fun f -> f.fde_addr) (Objfile.Index.fde ix "g"));
+  Alcotest.(check (option int)) "first dbg" (Some 1)
+    (addr (fun d -> d.dbg_addr) (Objfile.Index.dbg ix "f"));
+  Alcotest.(check (option int)) "first lsda" (Some 1)
+    (addr (fun l -> l.lsda_fn_addr) (Objfile.Index.lsda ix "f"));
+  Alcotest.(check bool) "missing names" true
+    (Objfile.Index.fde ix "h" = None
+    && Objfile.Index.dbg ix "g" = None
+    && Objfile.Index.lsda ix "g" = None)
+
 let test_cfi_state_replay () =
   let ops =
     [
@@ -254,6 +283,7 @@ let suite =
     Alcotest.test_case "bad-magic" `Quick test_bad_magic;
     Alcotest.test_case "truncated" `Quick test_truncated;
     Alcotest.test_case "lookups" `Quick test_lookups;
+    Alcotest.test_case "metadata-index" `Quick test_metadata_index;
     Alcotest.test_case "cfi-state-replay" `Quick test_cfi_state_replay;
     Alcotest.test_case "cfi-state-equal" `Quick test_cfi_state_equal;
     Alcotest.test_case "build-id" `Quick test_build_id;
