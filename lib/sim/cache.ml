@@ -2,10 +2,11 @@
 
    Only hit/miss behaviour is modelled — the timing cost of a miss is
    charged by the machine's cycle model.  The same structure serves as a
-   TLB by using page-sized "lines". *)
+   TLB by using page-sized "lines".  The set count must be a power of
+   two, so a line's set is a mask, not a division. *)
 
 type t = {
-  sets : int;
+  set_mask : int; (* sets - 1 *)
   assoc : int;
   line_bits : int;
   tags : int array; (* sets * assoc, -1 = invalid *)
@@ -21,8 +22,10 @@ let create ~size ~line ~assoc =
     lb line 0
   in
   let sets = max 1 (size / (line * assoc)) in
+  if sets land (sets - 1) <> 0 then
+    invalid_arg (Printf.sprintf "Cache.create: %d sets is not a power of two" sets);
   {
-    sets;
+    set_mask = sets - 1;
     assoc;
     line_bits;
     tags = Array.make (sets * assoc) (-1);
@@ -32,37 +35,32 @@ let create ~size ~line ~assoc =
     misses = 0;
   }
 
-(* Returns true on hit.  A miss installs the line. *)
+(* Returns true on hit.  A miss installs the line in the set's least
+   recently used way (the lowest-numbered one on a tie). *)
 let access c addr =
   c.accesses <- c.accesses + 1;
-  c.tick <- c.tick + 1;
+  let tick = c.tick + 1 in
+  c.tick <- tick;
   let line = addr lsr c.line_bits in
-  let set = line mod c.sets in
-  let base = set * c.assoc in
-  let rec find i =
-    if i >= c.assoc then -1
-    else if c.tags.(base + i) = line then i
-    else find (i + 1)
-  in
-  let hit = find 0 in
-  if hit >= 0 then begin
-    c.stamps.(base + hit) <- c.tick;
+  let base = (line land c.set_mask) * c.assoc in
+  let stop = base + c.assoc in
+  let tags = c.tags in
+  let i = ref base in
+  while !i < stop && Array.unsafe_get tags !i <> line do
+    incr i
+  done;
+  if !i < stop then begin
+    Array.unsafe_set c.stamps !i tick;
     true
   end
   else begin
     c.misses <- c.misses + 1;
-    (* evict LRU way *)
-    let victim = ref 0 in
-    for i = 1 to c.assoc - 1 do
-      if c.stamps.(base + i) < c.stamps.(base + !victim) then victim := i
+    let stamps = c.stamps in
+    let victim = ref base in
+    for j = base + 1 to stop - 1 do
+      if Array.unsafe_get stamps j < Array.unsafe_get stamps !victim then victim := j
     done;
-    c.tags.(base + !victim) <- line;
-    c.stamps.(base + !victim) <- c.tick;
+    Array.unsafe_set tags !victim line;
+    Array.unsafe_set stamps !victim tick;
     false
   end
-
-let reset c =
-  Array.fill c.tags 0 (Array.length c.tags) (-1);
-  c.accesses <- 0;
-  c.misses <- 0;
-  c.tick <- 0

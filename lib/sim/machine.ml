@@ -141,40 +141,90 @@ type outcome = {
 
 (* ---- executable image ---- *)
 
-type seg = { seg_base : int; seg_limit : int; insns : Insn.t array; isizes : int array }
+(* A text segment.  [sizes] holds, per byte offset, the encoded size of
+   the instruction starting there, or 0 where none starts (inside an
+   instruction, or an undecodable padding byte).  It is computed eagerly
+   at load, so the decoder validates every start before the program
+   runs.  The instructions themselves are decoded again lazily, the
+   first time their start executes, and kept in [memo]: one chunk of
+   [chunk_size] slots per stretch of text that executes, allocated on
+   first use. *)
+type seg = {
+  seg_base : int;
+  seg_limit : int;
+  data : Bytes.t;
+  sizes : Bytes.t;
+  memo : Insn.t array array;
+}
 
 type fninfo = {
   fi_addr : int;
   fi_size : int;
-  fi_name : string;
   fi_fde : Types.fde option;
   fi_lsda : Types.lsda option;
 }
 
 type image = {
-  segs : seg list;
+  segs : seg array; (* in section order *)
   funcs : fninfo array; (* sorted by address *)
   entry : int;
   mem : Memory.t;
 }
 
+let chunk_bits = 12
+let chunk_size = 1 lsl chunk_bits
+
+(* Marks a memo slot whose instruction has not executed yet; the
+   decoder never produces a zero-byte nop. *)
+let undecoded = Insn.Nop 0
+
 let predecode (sec : Types.section) =
   let n = sec.sec_size in
-  let insns = Array.make n Insn.Halt in
-  let isizes = Array.make n 0 in
+  let sizes = Bytes.make n '\x00' in
   let pos = ref 0 in
   while !pos < n do
     match Codec.decode sec.sec_data !pos with
-    | i, sz ->
-        insns.(!pos) <- i;
-        isizes.(!pos) <- sz;
+    | _, sz ->
+        Bytes.set sizes !pos (Char.chr sz);
         pos := !pos + sz
     | exception Codec.Decode_error _ ->
         (* tolerate padding bytes that are not valid instructions *)
-        isizes.(!pos) <- 0;
         incr pos
   done;
-  { seg_base = sec.sec_addr; seg_limit = sec.sec_addr + n; insns; isizes }
+  {
+    seg_base = sec.sec_addr;
+    seg_limit = sec.sec_addr + n;
+    data = sec.sec_data;
+    sizes;
+    memo = Array.make ((n + chunk_size - 1) lsr chunk_bits) [||];
+  }
+
+let rec seg_at segs pc i =
+  if i >= Array.length segs then
+    raise (Sim_error (Printf.sprintf "jump outside text: %#x" pc))
+  else
+    let s = Array.unsafe_get segs i in
+    if pc >= s.seg_base && pc < s.seg_limit then s else seg_at segs pc (i + 1)
+
+let decode_into s chunk off =
+  let i, _ = Codec.decode s.data off in
+  chunk.(off land (chunk_size - 1)) <- i;
+  i
+
+(* The instruction starting at [off], which [sizes] says is a start. *)
+let insn_at s off =
+  let k = off lsr chunk_bits in
+  let chunk =
+    let c = Array.unsafe_get s.memo k in
+    if Array.length c > 0 then c
+    else begin
+      let c = Array.make chunk_size undecoded in
+      s.memo.(k) <- c;
+      c
+    end
+  in
+  let i = Array.unsafe_get chunk (off land (chunk_size - 1)) in
+  if i != undecoded then i else decode_into s chunk off
 
 let load (exe : Objfile.t) : image =
   if exe.kind <> Objfile.Executable then raise (Sim_error "not an executable");
@@ -197,14 +247,13 @@ let load (exe : Objfile.t) : image =
            {
              fi_addr = s.sym_value;
              fi_size = s.sym_size;
-             fi_name = s.sym_name;
              fi_fde = Hashtbl.find_opt fdes s.sym_name;
              fi_lsda = Hashtbl.find_opt lsdas s.sym_name;
            })
     |> Array.of_list
   in
   Array.sort (fun a b -> compare a.fi_addr b.fi_addr) funcs;
-  { segs = List.rev !segs; funcs; entry = exe.entry; mem }
+  { segs = Array.of_list (List.rev !segs); funcs; entry = exe.entry; mem }
 
 let function_at (img : image) addr =
   let lo = ref 0 and hi = ref (Array.length img.funcs - 1) in
@@ -346,22 +395,6 @@ let run ?(config = default_config) ?(sampling : sample_cfg option)
     end
   in
 
-  let decode_at addr =
-    let rec find = function
-      | [] -> raise (Sim_error (Printf.sprintf "jump outside text: %#x" addr))
-      | (s : seg) :: rest ->
-          if addr >= s.seg_base && addr < s.seg_limit then begin
-            let off = addr - s.seg_base in
-            let sz = s.isizes.(off) in
-            if sz = 0 then
-              raise (Sim_error (Printf.sprintf "misaligned execution at %#x" addr));
-            (s.insns.(off), sz)
-          end
-          else find rest
-    in
-    find img.segs
-  in
-
   (* taken control transfer bookkeeping *)
   let taken_to ~from ~target ~mispred =
     c.taken_branches <- c.taken_branches + 1;
@@ -380,10 +413,9 @@ let run ?(config = default_config) ?(sampling : sample_cfg option)
   in
   let rec unwind at_ip =
     match function_at img at_ip with
-    | None -> (if Sys.getenv_opt "BOLT_UNWIND_DEBUG" <> None then Printf.eprintf "unwind: no func at %#x\n%!" at_ip); None
+    | None -> None
     | Some fi -> (
         let off = at_ip - fi.fi_addr in
-        (if Sys.getenv_opt "BOLT_UNWIND_DEBUG" <> None then Printf.eprintf "unwind: %s off=%d sp=%#x fp=%#x\n%!" fi.fi_name off regs.(15) regs.(14));
         let pad =
           match fi.fi_lsda with
           | None -> None
@@ -488,7 +520,11 @@ let run ?(config = default_config) ?(sampling : sample_cfg option)
     if c.instructions > fuel then raise (Sim_error "out of fuel");
     let pc = !ip in
     fetch pc;
-    let insn, sz = decode_at pc in
+    let s = seg_at img.segs pc 0 in
+    let off = pc - s.seg_base in
+    let sz = Char.code (Bytes.unsafe_get s.sizes off) in
+    if sz = 0 then raise (Sim_error (Printf.sprintf "misaligned execution at %#x" pc));
+    let insn = insn_at s off in
     let next = pc + sz in
     c.instructions <- c.instructions + 1;
     c.qcycles <- c.qcycles + config.q_base;

@@ -1,8 +1,9 @@
 (* Reference implementations, kept verbatim: for the iocore parity suite,
    the original per-byte Buf primitives and the split-based fdata parser
-   and Printf emitter; for the ICF suite, the all-functions folding loop.
-   Production code is checked against these independent implementations
-   rather than against itself. *)
+   and Printf emitter; for the ICF suite, the all-functions folding loop;
+   for the sim suite, the division-indexed LRU cache.  Production code is
+   checked against these independent implementations rather than against
+   itself. *)
 
 (* The original per-byte reader/writer primitives (modulo the reader's
    [limit] field replacing [String.length]). *)
@@ -365,3 +366,58 @@ let icf ctx =
         fb.blocks);
   Context.logf ctx "icf: %d functions folded, %d bytes saved" !folded_total !bytes_saved;
   (!folded_total, !bytes_saved)
+
+(* The set-associative LRU cache [Bolt_sim.Cache] was before mask
+   indexing, kept verbatim but for the access and miss counters: the set
+   is [line mod sets] and the way search is a closure.  Returns true on
+   hit; a miss installs the line. *)
+module Cache = struct
+  type t = {
+    sets : int;
+    assoc : int;
+    line_bits : int;
+    tags : int array;
+    stamps : int array;
+    mutable tick : int;
+  }
+
+  let create ~size ~line ~assoc =
+    let line_bits =
+      let rec lb n acc = if n <= 1 then acc else lb (n / 2) (acc + 1) in
+      lb line 0
+    in
+    let sets = max 1 (size / (line * assoc)) in
+    {
+      sets;
+      assoc;
+      line_bits;
+      tags = Array.make (sets * assoc) (-1);
+      stamps = Array.make (sets * assoc) 0;
+      tick = 0;
+    }
+
+  let access c addr =
+    c.tick <- c.tick + 1;
+    let line = addr lsr c.line_bits in
+    let set = line mod c.sets in
+    let base = set * c.assoc in
+    let rec find i =
+      if i >= c.assoc then -1
+      else if c.tags.(base + i) = line then i
+      else find (i + 1)
+    in
+    let hit = find 0 in
+    if hit >= 0 then begin
+      c.stamps.(base + hit) <- c.tick;
+      true
+    end
+    else begin
+      let victim = ref 0 in
+      for i = 1 to c.assoc - 1 do
+        if c.stamps.(base + i) < c.stamps.(base + !victim) then victim := i
+      done;
+      c.tags.(base + !victim) <- line;
+      c.stamps.(base + !victim) <- c.tick;
+      false
+    end
+end

@@ -1,7 +1,10 @@
 (* Simulator unit tests: memory, caches, branch prediction, timing
-   counters, LBR sampling, unwinding. *)
+   counters, LBR sampling, unwinding, load-time and fetch errors, and the
+   golden digests that pin every observable of a run. *)
 
 open Bolt_sim
+module Insn = Bolt_isa.Insn
+module Layout = Bolt_obj.Layout
 
 let test_memory_aligned () =
   let m = Memory.create () in
@@ -27,6 +30,94 @@ let memory_prop =
       Memory.write64 m addr v;
       Memory.read64 m addr = v)
 
+let test_load_bytes_pages () =
+  (* an unaligned start, three page boundaries, a ragged end *)
+  let n = (3 * Memory.page_size) + 17 in
+  let b = Bytes.init n (fun i -> Char.chr (((i * 131) + 7) land 0xff)) in
+  let addr = (5 * Memory.page_size) - 5 in
+  let blit = Memory.create () and bytewise = Memory.create () in
+  Memory.load_bytes blit addr b;
+  Bytes.iteri (fun i c -> Memory.write8 bytewise (addr + i) (Char.code c)) b;
+  for a = addr - 16 to addr + n + 16 do
+    if Memory.read8 blit a <> Memory.read8 bytewise a then
+      Alcotest.failf "byte %#x differs" a
+  done;
+  Alcotest.(check int) "word across a page boundary"
+    (Memory.read64 bytewise (addr + 2))
+    (Memory.read64 blit (addr + 2))
+
+(* Pages that share one slot of the direct-mapped page memo, starting
+   at the data segment: alternating between them evicts on every access. *)
+let colliding_pages =
+  let first = Layout.data_base / Memory.page_size in
+  let slot = Memory.slot_of_key first in
+  let rec collect page acc = function
+    | 0 -> List.rev acc
+    | k ->
+        if Memory.slot_of_key page = slot then
+          collect (page + 1) (page :: acc) (k - 1)
+        else collect (page + 1) acc k
+  in
+  collect first [] 4
+
+type mem_op = W64 of int * int | R64 of int | W8 of int * int | R8 of int
+
+let show_mem_op = function
+  | W64 (a, v) -> Printf.sprintf "W64 %#x %d" a v
+  | R64 a -> Printf.sprintf "R64 %#x" a
+  | W8 (a, v) -> Printf.sprintf "W8 %#x %d" a v
+  | R8 a -> Printf.sprintf "R8 %#x" a
+
+let gen_mem_ops =
+  let open QCheck.Gen in
+  let addr =
+    map2
+      (fun page off -> (page * Memory.page_size) + off)
+      (oneofl colliding_pages)
+      (oneof [ map (fun w -> w * 8) (int_range 0 511); int_range 0 (Memory.page_size - 1) ])
+  in
+  list_size (int_range 1 200)
+    (frequency
+       [
+         (3, map2 (fun a v -> W64 (a, v)) addr int);
+         (3, map (fun a -> R64 a) addr);
+         (1, map2 (fun a v -> W8 (a, v)) addr (int_range 0 255));
+         (1, map (fun a -> R8 a) addr);
+       ])
+
+(* Interleaved 8- and 64-bit writes and reads, aligned, unaligned and
+   page-crossing, over pages that collide in the memo, against a
+   byte-map model. *)
+let memo_collision_prop =
+  QCheck.Test.make ~name:"memory round-trips over colliding memo pages" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+       gen_mem_ops)
+    (fun ops ->
+      let m = Memory.create () in
+      let model = Hashtbl.create 64 in
+      let byte a = Option.value ~default:0 (Hashtbl.find_opt model a) in
+      List.for_all
+        (function
+          | W64 (a, v) ->
+              Memory.write64 m a v;
+              for i = 0 to 7 do
+                Hashtbl.replace model (a + i) ((v asr (8 * i)) land 0xff)
+              done;
+              true
+          | W8 (a, v) ->
+              Memory.write8 m a v;
+              Hashtbl.replace model a v;
+              true
+          | R8 a -> Memory.read8 m a = byte a
+          | R64 a ->
+              let v = ref 0L in
+              for i = 7 downto 0 do
+                v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte (a + i)))
+              done;
+              Memory.read64 m a = Int64.to_int !v)
+        ops)
+
 let test_cache_basic () =
   let c = Cache.create ~size:1024 ~line:64 ~assoc:2 in
   Alcotest.(check bool) "cold miss" false (Cache.access c 0);
@@ -45,6 +136,43 @@ let test_cache_lru () =
   ignore (Cache.access c (2 * set_stride));
   Alcotest.(check bool) "0 survives" true (Cache.access c 0);
   Alcotest.(check bool) "stride evicted" false (Cache.access c set_stride)
+
+let test_cache_power_of_two () =
+  Alcotest.check_raises "3 sets"
+    (Invalid_argument "Cache.create: 3 sets is not a power of two")
+    (fun () -> ignore (Cache.create ~size:(3 * 64 * 2) ~line:64 ~assoc:2));
+  (* one set, any number of ways: the evaluator's distinct-line counter *)
+  let c = Cache.create ~size:(64 * 5) ~line:64 ~assoc:5 in
+  for l = 0 to 4 do
+    ignore (Cache.access c (l * 64))
+  done;
+  for l = 0 to 4 do
+    Alcotest.(check bool) "fully associative: all five resident" true
+      (Cache.access c (l * 64))
+  done
+
+(* Mask-indexed sets and the loop search choose exactly the hits, misses
+   and victims of the division-indexed original, over power-of-two set
+   counts, line sizes from 1 byte to a page, and 1 to 8 ways. *)
+let cache_oracle_prop =
+  let open QCheck.Gen in
+  let geometry =
+    map3
+      (fun sets_log line_log assoc -> (sets_log, line_log, assoc))
+      (int_range 0 6) (int_range 0 12) (int_range 1 8)
+  in
+  let gen =
+    pair geometry
+      (list_size (int_range 1 400) (oneof [ int_range 0 65_535; int_bound max_int ]))
+  in
+  QCheck.Test.make ~name:"cache == division-indexed oracle" ~count:300 (QCheck.make gen)
+    (fun ((sets_log, line_log, assoc), addrs) ->
+      let line = 1 lsl line_log in
+      let size = (1 lsl sets_log) * line * assoc in
+      let c = Cache.create ~size ~line ~assoc in
+      let o = Oracle.Cache.create ~size ~line ~assoc in
+      List.for_all (fun a -> Cache.access c a = Oracle.Cache.access o a) addrs
+      && c.Cache.accesses = List.length addrs)
 
 let test_bpred_direction () =
   let p = Bpred.create () in
@@ -170,13 +298,170 @@ let test_samples_file_roundtrip () =
   Alcotest.(check int) "traces" (Hashtbl.length p.Machine.rp_traces)
     (Hashtbl.length p'.Machine.rp_traces)
 
+(* ---- load-time and fetch errors ---- *)
+
+(* A bare executable: one text section per (address, code) pair,
+   entered at the first one.  No symbols, so no frames to unwind. *)
+let raw_exe texts =
+  {
+    (Bolt_obj.Objfile.empty Bolt_obj.Objfile.Executable) with
+    entry = fst (List.hd texts);
+    sections =
+      List.map
+        (fun (addr, code) ->
+          {
+            Bolt_obj.Types.sec_name = Printf.sprintf ".text.%x" addr;
+            sec_kind = Bolt_obj.Types.Text;
+            sec_addr = addr;
+            sec_data = Bytes.of_string code;
+            sec_size = String.length code;
+          })
+        texts;
+  }
+
+let enc insns =
+  String.concat "" (List.map (fun i -> Bytes.to_string (Bolt_isa.Codec.encode i)) insns)
+
+let run_raw code = Machine.run (raw_exe [ (Layout.text_base, code) ]) ~input:[||]
+
+let test_misaligned_execution () =
+  (* a 10-byte movabs, then a jump back into its second byte *)
+  let code =
+    enc
+      [ Insn.Mov_ri (Bolt_isa.Reg.r0, Insn.Imm 7, Insn.I64); Insn.Jmp (Insn.Imm (-11), Insn.W8) ]
+  in
+  Alcotest.check_raises "mid-instruction target"
+    (Machine.Sim_error "misaligned execution at 0x400001")
+    (fun () -> ignore (run_raw code))
+
+let test_jump_outside_text () =
+  let code = enc [ Insn.Jmp (Insn.Imm 0x1000, Insn.W32) ] in
+  Alcotest.check_raises "past the end of .text"
+    (Machine.Sim_error "jump outside text: 0x401005")
+    (fun () -> ignore (run_raw code))
+
+let test_padding_tolerated () =
+  (* jump over an undecodable byte; the load must accept it as padding *)
+  let body = enc [ Insn.Mov_ri (Bolt_isa.Reg.r0, Insn.Imm 42, Insn.I32); Insn.Halt ] in
+  let o = run_raw (enc [ Insn.Jmp (Insn.Imm 1, Insn.W8) ] ^ "\xff" ^ body ^ "\xff") in
+  Alcotest.(check int) "runs past the padding" 42 o.Machine.exit_code;
+  Alcotest.(check int) "three instructions" 3 o.Machine.counters.Machine.instructions;
+  (* executing the padding byte itself is a misaligned fetch *)
+  Alcotest.check_raises "into the padding"
+    (Machine.Sim_error "misaligned execution at 0x400002")
+    (fun () -> ignore (run_raw (enc [ Insn.Jmp (Insn.Imm 0, Insn.W8) ] ^ "\xff" ^ body)))
+
+let test_two_text_sections () =
+  (* call into a second text section and return; then jump into the
+     gap between the two *)
+  let far = Layout.bolt_text_base - (Layout.text_base + 5) in
+  let callee = enc [ Insn.Mov_ri (Bolt_isa.Reg.r0, Insn.Imm 5, Insn.I32); Insn.Ret ] in
+  let o =
+    Machine.run ~input:[||]
+      (raw_exe
+         [
+           (Layout.text_base, enc [ Insn.Call (Insn.Imm far); Insn.Halt ]);
+           (Layout.bolt_text_base, callee);
+         ])
+  in
+  Alcotest.(check int) "callee's result" 5 o.Machine.exit_code;
+  Alcotest.(check int) "four instructions" 4 o.Machine.counters.Machine.instructions;
+  Alcotest.check_raises "between the sections"
+    (Machine.Sim_error "jump outside text: 0x410005")
+    (fun () ->
+      ignore
+        (Machine.run ~input:[||]
+           (raw_exe
+              [
+                (Layout.text_base, enc [ Insn.Jmp (Insn.Imm 0x10000, Insn.W32) ]);
+                (Layout.bolt_text_base, callee);
+              ])))
+
+(* ---- golden digests: the simulator's observable behaviour, pinned ---- *)
+
+module P = Bolt_pipeline.Pipeline
+
+(* Everything a run reports, in a canonical order: all 17 counters, the
+   exit code, the output tape, the uncaught flag, the raw profile
+   (sample count and the sorted branch, trace and IP tables) and the
+   sorted heat map. *)
+let outcome_digest (o : Machine.outcome) =
+  let b = Buffer.create 4096 in
+  let c = o.Machine.counters in
+  List.iter (Printf.bprintf b "%d\n")
+    [
+      c.Machine.instructions; c.qcycles; c.branches; c.cond_branches;
+      c.cond_taken; c.taken_branches; c.calls; c.branch_misses;
+      c.l1i_accesses; c.l1i_misses; c.l1d_accesses; c.l1d_misses;
+      c.l2_misses; c.llc_misses; c.itlb_misses; c.dtlb_misses; c.throws;
+    ];
+  Printf.bprintf b "exit %d uncaught %b\nout" o.Machine.exit_code
+    o.Machine.uncaught_exception;
+  List.iter (Printf.bprintf b " %d") o.Machine.output;
+  let sorted tbl f = List.sort compare (Hashtbl.fold (fun k v acc -> f k v :: acc) tbl []) in
+  (match o.Machine.profile with
+  | None -> Buffer.add_string b "\nno profile"
+  | Some p ->
+      Printf.bprintf b "\nlbr %b samples %d" p.Machine.rp_lbr p.Machine.rp_samples;
+      List.iter
+        (fun (f, t, n, m) -> Printf.bprintf b "\nB %d %d %d %d" f t n m)
+        (sorted p.Machine.rp_branches (fun (f, t) (n, m) -> (f, t, !n, !m)));
+      List.iter
+        (fun (f, t, n) -> Printf.bprintf b "\nT %d %d %d" f t n)
+        (sorted p.Machine.rp_traces (fun (f, t) n -> (f, t, !n)));
+      List.iter
+        (fun (ip, n) -> Printf.bprintf b "\nI %d %d" ip n)
+        (sorted p.Machine.rp_ips (fun ip n -> (ip, !n))));
+  (match o.Machine.heat with
+  | None -> Buffer.add_string b "\nno heat"
+  | Some h ->
+      List.iter
+        (fun (l, n) -> Printf.bprintf b "\nH %d %d" l n)
+        (sorted h (fun l n -> (l, n))));
+  Test_iocore.md5 (Buffer.contents b)
+
+(* The iocore fixture program (throw/catch unwinding, a switch jump
+   table, globals) and its BOLTed output, run in every simulator mode:
+   plain; LBR sampling on cycles (the pipeline default); non-LBR
+   sampling on taken branches with skid; a heat-map run sampling LBR
+   stacks on instructions with skid; and the BOLTed binary, its blocks
+   and functions laid out anew, with heat map and LBR sampling.  The
+   digests in test/fixtures/digests.txt were produced by the simulator
+   before its hot path was made allocation-free; any change to a
+   counter, the output, the raw profile or the heat map shows here. *)
+let golden_sim_digests () =
+  let build = P.compile [ ("m", Test_iocore.fixture_source) ] in
+  let exe = build.P.exe in
+  let input = Array.init 16 (fun i -> (i * 7) + 3) in
+  let check key o =
+    Alcotest.(check string) key (Test_iocore.digest_of key) (outcome_digest o)
+  in
+  let sampling event period lbr precise = { Machine.event; period; lbr; precise } in
+  check "sim_plain" (Machine.run exe ~input);
+  check "sim_lbr" (Machine.run ~sampling:P.default_sampling exe ~input);
+  check "sim_skid"
+    (Machine.run ~sampling:(sampling Machine.Ev_taken_branches 97 false false) exe ~input);
+  check "sim_heat"
+    (Machine.run ~heatmap:true
+       ~sampling:(sampling Machine.Ev_instructions 1009 true false)
+       exe ~input);
+  let prof, _ = P.profile build ~input in
+  let bolted, _ = P.bolt ~jobs:1 build prof in
+  check "sim_bolted"
+    (Machine.run ~heatmap:true ~sampling:P.default_sampling bolted.P.exe ~input)
+
 let suite =
   [
+    Alcotest.test_case "golden digests" `Quick golden_sim_digests;
     Alcotest.test_case "memory-aligned" `Quick test_memory_aligned;
     Alcotest.test_case "memory-cross-page" `Quick test_memory_unaligned_cross_page;
     QCheck_alcotest.to_alcotest memory_prop;
+    Alcotest.test_case "memory-load-bytes-pages" `Quick test_load_bytes_pages;
+    QCheck_alcotest.to_alcotest memo_collision_prop;
     Alcotest.test_case "cache-basic" `Quick test_cache_basic;
     Alcotest.test_case "cache-lru" `Quick test_cache_lru;
+    Alcotest.test_case "cache-power-of-two" `Quick test_cache_power_of_two;
+    QCheck_alcotest.to_alcotest cache_oracle_prop;
     Alcotest.test_case "bpred-direction" `Quick test_bpred_direction;
     Alcotest.test_case "bpred-ras" `Quick test_bpred_ras;
     Alcotest.test_case "btb-indirect" `Quick test_btb_indirect;
@@ -187,4 +472,8 @@ let suite =
     Alcotest.test_case "fuel" `Quick test_fuel_exhaustion;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "samples-roundtrip" `Quick test_samples_file_roundtrip;
+    Alcotest.test_case "misaligned-execution" `Quick test_misaligned_execution;
+    Alcotest.test_case "jump-outside-text" `Quick test_jump_outside_text;
+    Alcotest.test_case "padding-tolerated" `Quick test_padding_tolerated;
+    Alcotest.test_case "two-text-sections" `Quick test_two_text_sections;
   ]
