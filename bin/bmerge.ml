@@ -147,11 +147,7 @@ let run shards out weights decay expect strict_shards report health trace_out
                 loaded
             in
             let recovery =
-              match List.map snd per_host_recovery with
-              | [] -> None
-              | st :: rest ->
-                  Some
-                    (List.fold_left Bolt_profile.Stale_match.add_stats st rest)
+              Bolt_profile.Stale_match.sum_stats (List.map snd per_host_recovery)
             in
             let merged = Merge.merge ~obs ~opts loaded in
             let q = Quality.assess ?expect_build_id ?recovery q_shards ~merged in
@@ -168,54 +164,36 @@ let run shards out weights decay expect strict_shards report health trace_out
             print_merged out (List.length loaded) merged;
             if report then Fmt.pr "%a" Quality.pp q;
             if health then Fmt.pr "%a" Monitor.pp monitor;
-            (match (trace_out, history) with
-            | None, None -> ()
-            | _ ->
-                let sections =
-                  [
-                    ( "run",
-                      Json.Obj
-                        [
-                          ("out", Json.String out);
-                          ( "shards",
-                            Json.List (List.map (fun s -> Json.String s) shards) );
-                          ( "skipped_shards",
-                            Json.List
-                              (List.map
-                                 (fun (s : Merge.skip) ->
-                                   Json.Obj
-                                     [
-                                       ("path", Json.String s.Merge.sk_path);
-                                       ("reason", Json.String s.Merge.sk_reason);
-                                     ])
-                                 skipped) );
-                        ] );
-                    Quality.manifest_section q;
-                    Monitor.manifest_section monitor;
-                  ]
-                in
-                let manifest =
-                  Bolt_obs.Manifest.make ~tool:"bmerge"
-                    ~argv:(Array.to_list Sys.argv) ~sections obs
-                in
-                (match trace_out with
-                | Some path ->
-                    Bolt_obs.Manifest.save path manifest;
-                    Fmt.pr "wrote manifest %s@." path
-                | None -> ());
-                match history with
-                | Some path ->
-                    let merged_build =
-                      match merged.Bolt_profile.Fdata.header with
-                      | Some h -> h.Bolt_profile.Fdata.hd_build_id
-                      | None -> ""
-                    in
-                    Bolt_obs.History.append path
-                      (Bolt_obs.History.of_manifest ~workload:"fleet-merge"
-                         ~git_rev:(Bolt_obs.History.detect_git_rev ())
-                         ~build_id:merged_build manifest);
-                    Fmt.pr "appended run history %s@." path
-                | None -> ());
+            Bolt_obs.History.save_run ~tool:"bmerge"
+              ~argv:(Array.to_list Sys.argv)
+              ~sections:
+                [
+                  ( "run",
+                    Json.Obj
+                      [
+                        ("out", Json.String out);
+                        ( "shards",
+                          Json.List (List.map (fun s -> Json.String s) shards) );
+                        ( "skipped_shards",
+                          Json.List
+                            (List.map
+                               (fun (s : Merge.skip) ->
+                                 Json.Obj
+                                   [
+                                     ("path", Json.String s.Merge.sk_path);
+                                     ("reason", Json.String s.Merge.sk_reason);
+                                   ])
+                               skipped) );
+                      ] );
+                  Quality.manifest_section q;
+                  Monitor.manifest_section monitor;
+                ]
+              ~workload:"fleet-merge"
+              ~build_id:
+                (match merged.Bolt_profile.Fdata.header with
+                | Some h -> h.Bolt_profile.Fdata.hd_build_id
+                | None -> "")
+              ?trace_out ?history obs;
             0)
 
 let shards = Arg.(value & pos_all file [] & info [] ~docv:"SHARD")

@@ -88,29 +88,14 @@ let finish svc ~out ~out_exe ~trace_out ~history ~argv obs =
   | Some path, None ->
       Fmt.epr "boltd: warning: no target binary to write to %s@." path
   | None, _ -> ());
-  match (trace_out, history) with
-  | None, None -> ()
-  | _ ->
-      let sections =
-        [
-          Service.manifest_section svc;
-          Bolt_fleet.Monitor.manifest_section (Service.monitor svc);
-        ]
-      in
-      let manifest = Bolt_obs.Manifest.make ~tool:"boltd" ~argv ~sections obs in
-      (match trace_out with
-      | Some path ->
-          Bolt_obs.Manifest.save path manifest;
-          Fmt.pr "wrote manifest %s@." path
-      | None -> ());
-      (match history with
-      | Some path ->
-          Bolt_obs.History.append path
-            (Bolt_obs.History.of_manifest ~workload:"service"
-               ~git_rev:(Bolt_obs.History.detect_git_rev ())
-               ~build_id:(Service.expected_build_id svc) manifest);
-          Fmt.pr "appended run history %s@." path
-      | None -> ())
+  Bolt_obs.History.save_run ~tool:"boltd" ~argv
+    ~sections:
+      [
+        Service.manifest_section svc;
+        Bolt_fleet.Monitor.manifest_section (Service.monitor svc);
+      ]
+    ~workload:"service" ~build_id:(Service.expected_build_id svc) ?trace_out
+    ?history obs
 
 let run_status path =
   match Bolt_obs.Manifest.load path with

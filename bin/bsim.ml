@@ -109,51 +109,33 @@ let run exe_path record event period lbr precise counters_flag heat_csv input_st
           | None -> Fmt.epr "no symbol %s@." sym)
       | _ -> Fmt.epr "bad --dump-counters spec@.")
   | None -> ());
-  (match (trace_out, history) with
-  | None, None -> ()
-  | _ ->
-      let sections =
-        [
-          ( "run",
-            Json.Obj
-              [
-                ("exe", Json.String exe_path);
-                ("exit_code", Json.Int o.Machine.exit_code);
-                ("uncaught_exception", Json.Bool o.Machine.uncaught_exception);
-                ("sampling", Json.Bool (sampling <> None));
-                ("event", Json.String event);
-                ("period", Json.Int period);
-                ("lbr", Json.Bool lbr);
-              ] );
-        ]
-        @
-        match (o.Machine.heat, Bolt_obj.Objfile.find_section exe ".text") with
-        | Some heat, Some text ->
-            let hm =
-              Bolt_core.Heatmap.build ~base:text.Bolt_obj.Types.sec_addr
-                ~span:text.Bolt_obj.Types.sec_size heat
-            in
-            [ ("heatmap", Bolt_core.Heatmap.summary_json hm) ]
-        | _ -> []
-      in
-      let manifest =
-        Bolt_obs.Manifest.make ~tool:"bsim" ~argv:(Array.to_list Sys.argv)
-          ~sections obs
-      in
-      (match trace_out with
-      | Some path ->
-          Bolt_obs.Manifest.save path manifest;
-          Fmt.epr "wrote manifest %s@." path
-      | None -> ());
-      match history with
-      | Some path ->
-          Bolt_obs.History.append path
-            (Bolt_obs.History.of_manifest
-               ~workload:(Filename.basename exe_path)
-               ~git_rev:(Bolt_obs.History.detect_git_rev ())
-               ~build_id:exe.Bolt_obj.Objfile.build_id manifest);
-          Fmt.epr "appended run history %s@." path
-      | None -> ());
+  Bolt_obs.History.save_run ~ppf:Fmt.stderr ~tool:"bsim"
+    ~argv:(Array.to_list Sys.argv)
+    ~sections:
+      ([
+         ( "run",
+           Json.Obj
+             [
+               ("exe", Json.String exe_path);
+               ("exit_code", Json.Int o.Machine.exit_code);
+               ("uncaught_exception", Json.Bool o.Machine.uncaught_exception);
+               ("sampling", Json.Bool (sampling <> None));
+               ("event", Json.String event);
+               ("period", Json.Int period);
+               ("lbr", Json.Bool lbr);
+             ] );
+       ]
+      @
+      match (o.Machine.heat, Bolt_obj.Objfile.find_section exe ".text") with
+      | Some heat, Some text ->
+          let hm =
+            Bolt_core.Heatmap.build ~base:text.Bolt_obj.Types.sec_addr
+              ~span:text.Bolt_obj.Types.sec_size heat
+          in
+          [ ("heatmap", Bolt_core.Heatmap.summary_json hm) ]
+      | _ -> [])
+    ~workload:(Filename.basename exe_path)
+    ~build_id:exe.Bolt_obj.Objfile.build_id ?trace_out ?history obs;
   if counters_flag then begin
     let c = o.Machine.counters in
     Fmt.epr "instructions      %d@." c.Machine.instructions;

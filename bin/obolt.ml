@@ -86,29 +86,10 @@ let run exe_path fdata out reorder_blocks reorder_functions split_functions
   Fmt.pr "wrote %s@." out;
   Obs.finish obs;
   if time_opts then Fmt.pr "%a" Bolt_obs.Trace.pp_table obs.Obs.trace;
-  let manifest =
-    if trace_out <> None || history <> None then
-      Some
-        (Bolt_obs.Manifest.make ~tool:"obolt"
-           ~argv:(Array.to_list Sys.argv)
-           ~sections:(Bolt_core.Bolt.manifest_sections report)
-           obs)
-    else None
-  in
-  (match (trace_out, manifest) with
-  | Some path, Some m ->
-      Bolt_obs.Manifest.save path m;
-      Fmt.pr "wrote manifest %s@." path
-  | _ -> ());
-  (match (history, manifest) with
-  | Some path, Some m ->
-      Bolt_obs.History.append path
-        (Bolt_obs.History.of_manifest
-           ~workload:(Filename.basename exe_path)
-           ~git_rev:(Bolt_obs.History.detect_git_rev ())
-           ~build_id:exe'.Bolt_obj.Objfile.build_id m);
-      Fmt.pr "appended run history %s@." path
-  | _ -> ());
+  Bolt_obs.History.save_run ~tool:"obolt" ~argv:(Array.to_list Sys.argv)
+    ~sections:(Bolt_core.Bolt.manifest_sections report)
+    ~workload:(Filename.basename exe_path)
+    ~build_id:exe'.Bolt_obj.Objfile.build_id ?trace_out ?history obs;
   if dyno_stats then Fmt.pr "%a@." Bolt_core.Bolt.pp_report report;
   if report_bad_layout then begin
     Fmt.pr "bad-layout findings (original layout):@.";

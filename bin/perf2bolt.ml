@@ -76,39 +76,20 @@ let run exe_path samples_path out host timestamp merge_into trace_out history =
     (List.length fdata.Bolt_profile.Fdata.branches)
     (List.length fdata.Bolt_profile.Fdata.ranges)
     (List.length fdata.Bolt_profile.Fdata.samples);
-  (match (trace_out, history) with
-  | None, None -> ()
-  | _ ->
-      let sections =
-        [
-          ( "run",
-            Json.Obj
-              [
-                ("exe", Json.String exe_path);
-                ("samples", Json.String samples_path);
-                ("out", Json.String out);
-                ("lbr", Json.Bool raw.Bolt_sim.Machine.rp_lbr);
-              ] );
-        ]
-      in
-      let manifest =
-        Bolt_obs.Manifest.make ~tool:"perf2bolt" ~argv:(Array.to_list Sys.argv)
-          ~sections obs
-      in
-      (match trace_out with
-      | Some path ->
-          Bolt_obs.Manifest.save path manifest;
-          Fmt.pr "wrote manifest %s@." path
-      | None -> ());
-      match history with
-      | Some path ->
-          Bolt_obs.History.append path
-            (Bolt_obs.History.of_manifest
-               ~workload:(Filename.basename exe_path)
-               ~git_rev:(Bolt_obs.History.detect_git_rev ())
-               ~build_id:exe.Bolt_obj.Objfile.build_id manifest);
-          Fmt.pr "appended run history %s@." path
-      | None -> ());
+  Bolt_obs.History.save_run ~tool:"perf2bolt" ~argv:(Array.to_list Sys.argv)
+    ~sections:
+      [
+        ( "run",
+          Json.Obj
+            [
+              ("exe", Json.String exe_path);
+              ("samples", Json.String samples_path);
+              ("out", Json.String out);
+              ("lbr", Json.Bool raw.Bolt_sim.Machine.rp_lbr);
+            ] );
+      ]
+    ~workload:(Filename.basename exe_path)
+    ~build_id:exe.Bolt_obj.Objfile.build_id ?trace_out ?history obs;
   0
 
 let exe_path = Arg.(required & pos 0 (some file) None & info [] ~docv:"EXE")

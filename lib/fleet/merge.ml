@@ -43,13 +43,17 @@ type skip = { sk_path : string; sk_reason : string }
 
 let pp_skip ppf s = Fmt.pf ppf "skipped shard %s: %s" s.sk_path s.sk_reason
 
+(* The skip rule for a lexed shard: lexing salvaged nothing at all.
+   Warnings with zero surviving records means the text is not an fdata
+   profile, not a profile with a few bad lines.  The service sketch
+   applies the same rule before a shard supersedes a host's state. *)
+let torn ~records ~warnings = warnings <> [] && records = 0
+
 (* The one shard loader both feeders go through, skipping the unusable
    shards instead of aborting the whole merge (a fleet aggregation must
    survive one torn file).  A shard is skipped when the file is
-   unreadable, or when lexing salvaged nothing at all — warnings with zero
-   surviving records means the file is not an fdata profile, not a
-   profile with a few bad lines.  [read] lexes one shard's text into what
-   its feeder consumes, plus the record count and warnings the rule
+   unreadable, or when it is [torn].  [read] lexes one shard's text into
+   what its feeder consumes, plus the record count and warnings the rule
    reads.
 
    [~strict:true] restores fail-fast: the first unreadable file raises
@@ -68,7 +72,7 @@ let load ~strict ~read paths =
             let shard, records, warnings =
               read ~name:(Filename.basename path) text
             in
-            if warnings <> [] && records = 0 then begin
+            if torn ~records ~warnings then begin
               skips :=
                 {
                   sk_path = path;
@@ -226,17 +230,6 @@ let recover_stale_each ~(fingerprints : Bolt_obj.Fingerprint.t)
     in
     (shards', List.rev !per_shard)
   end
-
-(* The aggregate view of [recover_stale_each]: one summed breakdown,
-   [None] when nothing needed recovering. *)
-let recover_stale ~fingerprints ~build_id (shards : loaded list) :
-    loaded list * Bolt_profile.Stale_match.stats option =
-  let shards', per_shard = recover_stale_each ~fingerprints ~build_id shards in
-  ( shards',
-    match List.map snd per_shard with
-    | [] -> None
-    | st :: rest -> Some (List.fold_left Bolt_profile.Stale_match.add_stats st rest)
-  )
 
 (* The tail both feeders share.  [envelope] gives each source's small
    parts (name, header, fingerprints, lbr) and [feed] replays its records;

@@ -100,11 +100,7 @@ let observe ?obs t ~(expected_build_id : string)
   let obs = match obs with Some o -> o | None -> Obs.null () in
   let index = List.length t.ticks in
   let newest = Merge.newest_timestamp shards in
-  let agg_recovery =
-    match List.map snd recovery with
-    | [] -> None
-    | st :: rest -> Some (List.fold_left Stale_match.add_stats st rest)
-  in
+  let agg_recovery = Stale_match.sum_stats (List.map snd recovery) in
   let quality =
     Quality.assess ~expect_build_id:expected_build_id ?recovery:agg_recovery
       shards ~merged

@@ -1,49 +1,22 @@
-(* The shared zero-copy I/O core used by the BELF serializer, the profile
-   file formats and the re-encode path.
+(* The shared I/O core used by the BELF serializer and the profile file
+   formats.
 
-   Integers are little-endian; strings are length-prefixed.  Three layers:
+   Integers are little-endian; strings are length-prefixed.  Two layers:
 
-   - [slice]: an immutable window into a backing string.  Sub-slicing is
-     bounds-checked and never copies; bytes are materialized only when a
-     consumer asks for them ([slice_to_string] / [slice_to_bytes]).
-   - [reader]: a bounds-checked cursor over a slice.  Multi-byte fields
+   - [reader]: a bounds-checked cursor over a string.  Multi-byte fields
      are read batched ([String.get_int64_le] / [get_int32_le]), not one
-     byte at a time.  Reading past the window raises [Corrupt].
+     byte at a time.  Reading past the end raises [Corrupt].
    - [writer]: an arena-style buffer over [Bytes] with amortized-doubling
-     growth, [reserve]/[patch] for back-patched headers, and [append] so
-     independently-filled arenas join by one block copy. *)
+     growth. *)
 
 exception Corrupt of string
 
-(* ---- slices ---- *)
-
-type slice = { sl_base : string; sl_off : int; sl_len : int }
-
-let slice_of_string s = { sl_base = s; sl_off = 0; sl_len = String.length s }
-
-let slice_len sl = sl.sl_len
-
-let sub_slice sl pos len =
-  if pos < 0 || len < 0 || pos + len > sl.sl_len then
-    raise (Corrupt "slice out of bounds");
-  { sl_base = sl.sl_base; sl_off = sl.sl_off + pos; sl_len = len }
-
-let slice_get sl i =
-  if i < 0 || i >= sl.sl_len then raise (Corrupt "slice index out of bounds");
-  String.unsafe_get sl.sl_base (sl.sl_off + i)
-
-let slice_to_string sl = String.sub sl.sl_base sl.sl_off sl.sl_len
-
-let slice_to_bytes sl =
-  let b = Bytes.create sl.sl_len in
-  Bytes.blit_string sl.sl_base sl.sl_off b 0 sl.sl_len;
-  b
-
-(* ---- reader: a cursor over a slice ---- *)
+(* ---- reader: a cursor over a string ---- *)
 
 type reader = {
   data : string;
-  limit : int;
+  limit : int; (* [String.length data], kept: computing it reads the
+                  string's last word on every bounds check *)
   mutable pos : int;
   (* two-slot memo of recently materialized strings: containers repeat
      short strings heavily (every symbol names its section, every
@@ -58,22 +31,7 @@ type reader = {
 let reader data =
   { data; limit = String.length data; pos = 0; memo0 = ""; memo1 = "" }
 
-let reader_of_slice sl =
-  {
-    data = sl.sl_base;
-    limit = sl.sl_off + sl.sl_len;
-    pos = sl.sl_off;
-    memo0 = "";
-    memo1 = "";
-  }
-
 let need r n = if r.pos + n > r.limit then raise (Corrupt "truncated input")
-
-let r_rem r = r.limit - r.pos
-
-let r_skip r n =
-  need r n;
-  r.pos <- r.pos + n
 
 let r_u8 r =
   need r 1;
@@ -95,14 +53,6 @@ let r_i64 r =
   let v = Int64.to_int (String.get_int64_le r.data r.pos) in
   r.pos <- r.pos + 8;
   v
-
-(* Length-prefixed payload as a slice: no copy, just a window. *)
-let r_slice r =
-  let n = r_u32 r in
-  need r n;
-  let sl = { sl_base = r.data; sl_off = r.pos; sl_len = n } in
-  r.pos <- r.pos + n;
-  sl
 
 (* Strings materialize here — the symbol-table boundary.  A memo hit
    returns the already-materialized copy, so a container with a million
@@ -151,13 +101,11 @@ let r_list r f =
   let n = r_u32 r in
   List.init n (fun _ -> f r)
 
-(* ---- writer: an arena with reserve/patch ---- *)
+(* ---- writer: a growable arena ---- *)
 
 type writer = { mutable buf : Bytes.t; mutable len : int }
 
 let writer ?(capacity = 4096) () = { buf = Bytes.create (max 16 capacity); len = 0 }
-
-let length w = w.len
 
 let ensure w n =
   let need_cap = w.len + n in
@@ -197,38 +145,20 @@ let add_string w s =
   Bytes.blit_string s 0 w.buf w.len n;
   w.len <- w.len + n
 
-let add_subbytes w b off n =
-  ensure w n;
-  Bytes.blit b off w.buf w.len n;
-  w.len <- w.len + n
-
 let str w s =
   u32 w (String.length s);
   add_string w s
 
 let bytes w by =
-  u32 w (Bytes.length by);
-  add_subbytes w by 0 (Bytes.length by)
+  let n = Bytes.length by in
+  u32 w n;
+  ensure w n;
+  Bytes.blit by 0 w.buf w.len n;
+  w.len <- w.len + n
 
 let list w f xs =
   u32 w (List.length xs);
   List.iter (f w) xs
-
-(* Reserve [n] zeroed bytes and return their offset for a later patch —
-   the length-prefix idiom without a second serialization pass. *)
-let reserve w n =
-  ensure w n;
-  let off = w.len in
-  Bytes.fill w.buf off n '\x00';
-  w.len <- w.len + n;
-  off
-
-let patch_u8 w off v = Bytes.set w.buf off (Char.chr (v land 0xff))
-let patch_u32 w off v = Bytes.set_int32_le w.buf off (Int32.of_int v)
-let patch_i64 w off v = Bytes.set_int64_le w.buf off (Int64.of_int v)
-
-(* Join another arena's contents with one block copy. *)
-let append w src = add_subbytes w src.buf 0 src.len
 
 (* Text emitters for the line-oriented formats (fdata): hand-rolled
    decimal/hex so a million-record dump does not go through Printf. *)
@@ -291,9 +221,3 @@ let hex w v =
   end
 
 let contents w = Bytes.sub_string w.buf 0 w.len
-
-let to_bytes w = Bytes.sub w.buf 0 w.len
-
-(* Write [contents w] into [dst] at [off] without the intermediate
-   string. *)
-let blit w dst off = Bytes.blit w.buf 0 dst off w.len

@@ -223,18 +223,10 @@ let default_rules : rule list =
     { ru_path = "*recovery.rate"; ru_dir = Down_is_bad; ru_pct = 10.0 };
     { ru_path = "fleet.coverage_pct"; ru_dir = Down_is_bad; ru_pct = 20.0 };
     { ru_path = "*behaviour_ok"; ru_dir = Down_is_bad; ru_pct = 1.0 };
-    (* iocore data-plane budgets: throughput of the slice/cursor paths
-       may drift with machine noise but not collapse, and an identity
-       flag dropping from 1 to 0 always fires. *)
-    { ru_path = "iocore.belf.new_mb_per_s"; ru_dir = Down_is_bad; ru_pct = 40.0 };
-    { ru_path = "iocore.fdata.stream_lines_per_s"; ru_dir = Down_is_bad; ru_pct = 40.0 };
-    { ru_path = "iocore.*identical"; ru_dir = Down_is_bad; ru_pct = 1.0 };
-    (* continuous-optimization service budgets: ingest throughput may
-       not collapse, the sketch may not start thrashing (evictions are
-       deterministic for a fixed tape/config, so a jump is a real
-       retention regression), and the memory-bound flag dropping from 1
-       to 0 always fires. *)
-    { ru_path = "service.ingest_lines_per_s"; ru_dir = Down_is_bad; ru_pct = 40.0 };
+    (* continuous-optimization service budgets (boltd manifests): the
+       sketch may not start thrashing (evictions are deterministic for a
+       fixed tape/config, so a jump is a real retention regression), and
+       the memory-bound flag dropping from 1 to 0 always fires. *)
     { ru_path = "service.sketch_evictions"; ru_dir = Up_is_bad; ru_pct = 50.0 };
     { ru_path = "service.*within_budget"; ru_dir = Down_is_bad; ru_pct = 1.0 };
   ]

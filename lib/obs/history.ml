@@ -170,3 +170,27 @@ let build_id_of r = str "build_id" r
 
 let wall_of r =
   Option.value ~default:0.0 (Json.get_float (Json.member "wall_s" r))
+
+(* ---- the tools' telemetry tail ---- *)
+
+(* What every tool does last: build the run manifest, save it to
+   [trace_out], append its record (stamped with [workload], [build_id]
+   and the detected git revision) to [history], and report each file
+   written on [ppf].  Nothing is built when neither file is asked for. *)
+let save_run ?(ppf = Fmt.stdout) ~tool ~argv ~sections ~workload ?build_id
+    ?trace_out ?history (obs : Obs.t) =
+  if trace_out <> None || history <> None then begin
+    let manifest = Manifest.make ~tool ~argv ~sections obs in
+    Option.iter
+      (fun path ->
+        Manifest.save path manifest;
+        Fmt.pf ppf "wrote manifest %s@." path)
+      trace_out;
+    Option.iter
+      (fun path ->
+        append path
+          (of_manifest ~workload ~git_rev:(detect_git_rev ()) ?build_id
+             manifest);
+        Fmt.pf ppf "appended run history %s@." path)
+      history
+  end

@@ -56,18 +56,24 @@ let empty_stats =
     st_records_kept = 0;
   }
 
-(* Componentwise sum, for aggregating per-shard recoveries into one
-   fleet-level breakdown. *)
-let add_stats a b =
-  {
-    st_funcs = a.st_funcs + b.st_funcs;
-    st_exact = a.st_exact + b.st_exact;
-    st_fuzzy = a.st_fuzzy + b.st_fuzzy;
-    st_inferred = a.st_inferred + b.st_inferred;
-    st_dropped = a.st_dropped + b.st_dropped;
-    st_records_in = a.st_records_in + b.st_records_in;
-    st_records_kept = a.st_records_kept + b.st_records_kept;
-  }
+(* Componentwise sum of per-shard recoveries: one fleet-level
+   breakdown, [None] when no shard needed recovering. *)
+let sum_stats = function
+  | [] -> None
+  | st :: rest ->
+      Some
+        (List.fold_left
+           (fun a b ->
+             {
+               st_funcs = a.st_funcs + b.st_funcs;
+               st_exact = a.st_exact + b.st_exact;
+               st_fuzzy = a.st_fuzzy + b.st_fuzzy;
+               st_inferred = a.st_inferred + b.st_inferred;
+               st_dropped = a.st_dropped + b.st_dropped;
+               st_records_in = a.st_records_in + b.st_records_in;
+               st_records_kept = a.st_records_kept + b.st_records_kept;
+             })
+           st rest)
 
 (* Share of profiled functions whose data survived in some form. *)
 let recovery_rate st =

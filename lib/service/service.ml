@@ -165,11 +165,13 @@ let count_lines text =
   String.iter (fun c -> if c = '\n' then incr n) text;
   !n
 
+(* A torn shard is counted as an arrival but not as a fresh host
+   report: it changed nothing the trigger cooldown waits for. *)
 let ingest t (ev : event) =
   let ig = Sketch.ingest t.sketch ~host:ev.ev_host ev.ev_text in
   t.events_seen <- t.events_seen + 1;
   t.lines_in <- t.lines_in + count_lines ev.ev_text;
-  t.fresh_hosts <- t.fresh_hosts + 1;
+  if not ig.Sketch.ig_skipped then t.fresh_hosts <- t.fresh_hosts + 1;
   if ev.ev_time > t.now then t.now <- ev.ev_time;
   Obs.incr t.obs "service.shards";
   Obs.incr t.obs ~by:ig.Sketch.ig_records "service.records";

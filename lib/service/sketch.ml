@@ -7,7 +7,8 @@
    timestamp, event total) plus at most [topk] function entries — the
    functions with the largest event mass — and the whole sketch lives
    under a hard byte budget estimated by a fixed per-record cost model
-   (the steady-state RSS proxy that `bench service` reports).
+   (the steady-state RSS proxy that perfbench's fleet-ingest workload
+   reports as service.sketch_peak_bytes).
 
    Eviction is *saturating*: evicted entries are gone, but their event
    mass is accumulated (64-bit saturating add) in [evicted_events] and
@@ -41,7 +42,7 @@ type host_state = {
   mutable hs_header : Fdata.header;
   mutable hs_lbr : bool;
   mutable hs_fingerprints : Bolt_obj.Fingerprint.t;
-  hs_entries : (string, entry) Hashtbl.t;
+  mutable hs_entries : (string, entry) Hashtbl.t;
   mutable hs_bytes : int; (* sum of entry costs + host base cost *)
 }
 
@@ -152,51 +153,32 @@ let enforce_budget t =
 type ingested = {
   ig_records : int;
   ig_warnings : int;
+  ig_skipped : bool; (* [Merge.torn]: the host's state is unchanged *)
 }
 
 (* Fold one arriving shard into the sketch.  The newest shard wins per
    host: a host's previous entries are dropped (not counted as
-   evictions — supersession is the protocol, not memory pressure). *)
+   evictions — supersession is the protocol, not memory pressure).  The
+   shard is lexed into fresh entries that replace the host's only when
+   it passes [Merge.load]'s skip rule, so a torn shard leaves the host's
+   entries, header and occupancy as they were; its malformed lines are
+   still counted. *)
 let ingest t ~host (text : string) : ingested =
-  let hs =
-    match Hashtbl.find_opt t.hosts host with
-    | Some hs ->
-        (* superseded: reset entries, keep identity *)
-        t.occupancy <- t.occupancy - hs.hs_bytes;
-        Hashtbl.reset hs.hs_entries;
-        hs.hs_bytes <- host_base + String.length host;
-        t.occupancy <- t.occupancy + hs.hs_bytes;
-        hs
-    | None ->
-        let hs =
-          {
-            hs_host = host;
-            hs_header = { Fdata.no_header with Fdata.hd_host = host };
-            hs_lbr = true;
-            hs_fingerprints = [];
-            hs_entries = Hashtbl.create 64;
-            hs_bytes = host_base + String.length host;
-          }
-        in
-        Hashtbl.add t.hosts host hs;
-        t.occupancy <- t.occupancy + hs.hs_bytes;
-        hs
-  in
+  let entries = Hashtbl.create 64 in
+  let bytes = ref (host_base + String.length host) in
   let records = ref 0 in
   let entry func =
-    match Hashtbl.find_opt hs.hs_entries func with
+    match Hashtbl.find_opt entries func with
     | Some e -> e
     | None ->
         let e = entry_of func in
-        Hashtbl.add hs.hs_entries func e;
-        hs.hs_bytes <- hs.hs_bytes + e.e_bytes;
-        t.occupancy <- t.occupancy + e.e_bytes;
+        Hashtbl.add entries func e;
+        bytes := !bytes + e.e_bytes;
         e
   in
   let grow e by =
     e.e_bytes <- e.e_bytes + by;
-    hs.hs_bytes <- hs.hs_bytes + by;
-    t.occupancy <- t.occupancy + by
+    bytes := !bytes + by
   in
   let prof, warnings =
     Fdata.scan
@@ -236,21 +218,51 @@ let ingest t ~host (text : string) : ingested =
             grow e sample_cost)
       text
   in
-  (* provenance from the scan's header view; keep the host's name as the
-     service knows it, not the shard's claim *)
-  let hd = Option.value ~default:Fdata.no_header prof.Fdata.header in
-  hs.hs_header <- { hd with Fdata.hd_host = host };
-  hs.hs_lbr <- prof.Fdata.lbr;
-  if prof.Fdata.fingerprints <> [] then
-    hs.hs_fingerprints <- prof.Fdata.fingerprints;
-  enforce_topk t hs;
-  enforce_budget t;
-  t.peak <- max t.peak t.occupancy;
+  let skipped = Bolt_fleet.Merge.torn ~records:!records ~warnings in
+  if not skipped then begin
+    let hs =
+      match Hashtbl.find_opt t.hosts host with
+      | Some hs ->
+          (* superseded: replace entries, keep identity *)
+          t.occupancy <- t.occupancy - hs.hs_bytes;
+          hs
+      | None ->
+          let hs =
+            {
+              hs_host = host;
+              hs_header = Fdata.no_header;
+              hs_lbr = true;
+              hs_fingerprints = [];
+              hs_entries = entries;
+              hs_bytes = 0;
+            }
+          in
+          Hashtbl.add t.hosts host hs;
+          hs
+    in
+    hs.hs_entries <- entries;
+    hs.hs_bytes <- !bytes;
+    t.occupancy <- t.occupancy + !bytes;
+    (* provenance from the scan's header view; keep the host's name as
+       the service knows it, not the shard's claim *)
+    let hd = Option.value ~default:Fdata.no_header prof.Fdata.header in
+    hs.hs_header <- { hd with Fdata.hd_host = host };
+    hs.hs_lbr <- prof.Fdata.lbr;
+    if prof.Fdata.fingerprints <> [] then
+      hs.hs_fingerprints <- prof.Fdata.fingerprints;
+    enforce_topk t hs;
+    enforce_budget t;
+    t.peak <- max t.peak t.occupancy
+  end;
   t.shards_in <- t.shards_in + 1;
   t.records_in <- t.records_in + !records;
   t.malformed <- t.malformed + List.length warnings;
   Obs.set t.obs "service.sketch_occupancy_bytes" (float_of_int t.occupancy);
-  { ig_records = !records; ig_warnings = List.length warnings }
+  {
+    ig_records = !records;
+    ig_warnings = List.length warnings;
+    ig_skipped = skipped;
+  }
 
 (* ---- reading the sketch back out ---- *)
 

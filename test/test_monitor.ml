@@ -257,6 +257,41 @@ let test_history_roundtrip () =
         (History.wall_of r))
     records
 
+(* The tools' telemetry tail: the manifest it saves loads back equal to
+   the run's, the history gains exactly one record stamped with the given
+   workload and build-id, and each file written is reported. *)
+let test_save_run () =
+  let manifest_path = fresh_temp "t_save_run.json" in
+  let history_path = fresh_temp "t_save_run.jsonl" in
+  let clock, advance = fake_clock () in
+  let obs = Obs.create ~clock ~name:"obolt" () in
+  Obs.span obs "bolt" (fun () -> advance 0.5);
+  let argv = [ "obolt"; "prog.x" ] in
+  let sections = [ ("recovery", Json.Obj [ ("rate", Json.Float 0.9) ]) ] in
+  let out = Buffer.create 64 in
+  let ppf = Format.formatter_of_buffer out in
+  History.save_run ~ppf ~tool:"obolt" ~argv ~sections ~workload:"prog.x"
+    ~build_id:"bid-7" ~trace_out:manifest_path ~history:history_path obs;
+  let saved = Manifest.load manifest_path in
+  let records, warnings = History.load history_path in
+  Sys.remove manifest_path;
+  Sys.remove history_path;
+  Alcotest.(check string) "saved manifest loads back equal"
+    (Json.to_string (Manifest.make ~tool:"obolt" ~argv ~sections obs))
+    (Json.to_string saved);
+  Alcotest.(check int) "no warnings" 0 (List.length warnings);
+  (match records with
+  | [ r ] ->
+      Alcotest.(check string) "workload stamp" "prog.x" (History.workload_of r);
+      Alcotest.(check string) "build stamp" "bid-7" (History.build_id_of r);
+      Alcotest.(check (float 1e-9)) "wall from the manifest" 0.5
+        (History.wall_of r)
+  | l -> Alcotest.failf "expected 1 record, got %d" (List.length l));
+  Alcotest.(check string) "each write reported"
+    (Printf.sprintf "wrote manifest %s\nappended run history %s\n"
+       manifest_path history_path)
+    (Buffer.contents out)
+
 let test_history_truncated_line () =
   let path = fresh_temp "t_history_torn.jsonl" in
   History.append path (record ());
@@ -544,6 +579,8 @@ let suite =
     Alcotest.test_case "history: append/load round-trip" `Quick test_history_roundtrip;
     Alcotest.test_case "history: torn final line skipped with warning" `Quick
       test_history_truncated_line;
+    Alcotest.test_case "history: save_run writes manifest and one record" `Quick
+      test_save_run;
     Alcotest.test_case "history: blank lines ignored" `Quick test_history_blank_lines;
     Alcotest.test_case "history: missing file loads empty" `Quick
       test_history_missing_file;

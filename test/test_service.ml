@@ -200,6 +200,53 @@ let test_trigger_max_interval () =
   | r :: _ -> Alcotest.(check string) "reason" "max_interval" r.S.ro_reason
   | [] -> Alcotest.fail "max-interval timer never fired"
 
+(* A torn shard (its only record cut mid-line) salvages nothing, so
+   [Merge.load] would skip it; the sketch applies the same rule instead
+   of letting it supersede, and wipe, the host's last good shard. *)
+let torn_shard = "mode lbr\nH host web01\nH build-id rev9\nH timestamp 5000\nB f00 0 f0"
+
+let test_sketch_torn_shard () =
+  let sk = Sk.create ~topk:64 ~budget:(1 lsl 20) () in
+  ignore (Sk.ingest sk ~host:"web01" (ramp_shard ~build:"rev1" ~ts:100 2));
+  let state () =
+    String.concat ""
+      (List.map
+         (fun (sh : Merge.loaded) -> Fdata.to_string sh.Merge.sh_prof)
+         (Sk.to_shards sk))
+  in
+  let before = state () and occupancy = Sk.occupancy sk in
+  let ig = Sk.ingest sk ~host:"web01" torn_shard in
+  Alcotest.(check bool) "torn shard skipped" true ig.Sk.ig_skipped;
+  Alcotest.(check int) "its malformed line counted" 1 (Sk.malformed sk);
+  Alcotest.(check int) "host keeps its functions" 2 (Sk.funcs sk);
+  Alcotest.(check int) "occupancy unchanged" occupancy (Sk.occupancy sk);
+  Alcotest.(check string) "entries and header unchanged" before (state ());
+  ignore (Sk.ingest sk ~host:"web02" torn_shard);
+  Alcotest.(check int) "a torn first shard adds no host" 1 (Sk.hosts sk);
+  (* nor is it a fresh host report: the max-interval timer, which fires
+     on any fresh report once the interval has passed, stays quiet *)
+  let svc =
+    S.create
+      ~config:
+        (svc_config
+           {
+             S.default_trigger with
+             S.tr_min_hosts = 1;
+             tr_min_coverage_pct = 1_000.0;
+             tr_max_interval = 100;
+           })
+      ~start_time:0 ()
+  in
+  let arrive time text =
+    S.step svc [ { S.ev_time = time; ev_host = "web01"; ev_text = text } ]
+  in
+  let first = arrive 1_000 (ramp_shard ~build:"rev1" ~ts:100 2) in
+  Alcotest.(check (option string)) "good shard: timer fires"
+    (Some "max_interval") first.S.sr_trigger;
+  let second = arrive 2_000 torn_shard in
+  Alcotest.(check (option string)) "torn shard: no trigger" None
+    second.S.sr_trigger
+
 (* ------------------------------------------------------------------ *)
 (* Tape and spool parsing                                             *)
 
@@ -385,6 +432,8 @@ let suite =
       test_sketch_latest_wins;
     Alcotest.test_case "sketch: global byte budget holds under pressure" `Quick
       test_sketch_budget;
+    Alcotest.test_case "sketch: torn shard leaves the host unchanged" `Quick
+      test_sketch_torn_shard;
     Alcotest.test_case "batch merge == streaming merge (bytes)" `Quick
       test_merge_feeders_agree;
     Alcotest.test_case "trigger: quality gate after min-hosts" `Quick

@@ -415,10 +415,11 @@ let test_fleet_recovery () =
   let r = FS.run cfg in
   let target = r.FS.fr_build.P.exe in
   let shards = FS.loaded_shards r in
-  let shards', recovery =
-    Merge.recover_stale ~fingerprints:target.Objfile.fingerprints
+  let shards', per_shard =
+    Merge.recover_stale_each ~fingerprints:target.Objfile.fingerprints
       ~build_id:target.Objfile.build_id shards
   in
+  let recovery = SM.sum_stats (List.map snd per_shard) in
   (match recovery with
   | None -> Alcotest.fail "expected stale shards to be recovered"
   | Some st ->
