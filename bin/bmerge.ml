@@ -12,7 +12,9 @@
    the accumulator; the bytes are the same either way.
    --expect-build-id takes either a hex id or a BELF file to read one
    from; shards profiled against any other revision count as stale in
-   the quality report.  When it names a BELF file with a fingerprint
+   the quality report and the health view.  Without it the modal shard
+   revision is the one both judge against, and the one stamped on the
+   merged profile.  When it names a BELF file with a fingerprint
    table, stale shards that carry their own fingerprints are recovered
    (renamed/remapped) against that revision before merging.
 
@@ -131,35 +133,22 @@ let run shards out weights decay expect strict_shards report health trace_out
         | exception _ ->
             Fmt.epr "bmerge: cannot read build-id from %s@." (Option.get expect);
             3
-        | expect_build_id, target_fps ->
+        | expect_build_id, fingerprints ->
             let obs =
               Obs.create
                 ~enabled:(trace_out <> None || history <> None)
                 ~name:"bmerge" ()
             in
-            let opts = { Merge.weights; decay; expect_build_id } in
-            (* staleness is assessed over the shards as collected; the
-               merge then consumes their recovered form *)
-            let q_shards = loaded in
-            let loaded, per_host_recovery =
-              Merge.recover_stale_each ~fingerprints:target_fps
-                ~build_id:(Option.value ~default:"" expect_build_id)
-                loaded
-            in
-            let recovery =
-              Bolt_profile.Stale_match.sum_stats (List.map snd per_host_recovery)
-            in
-            let merged = Merge.merge ~obs ~opts loaded in
-            let q = Quality.assess ?expect_build_id ?recovery q_shards ~merged in
-            Quality.to_obs obs q;
-            (* one-tick health view: per-host coverage/staleness/recovery
-               against the target revision (longitudinal when driven by
-               the fleet simulator's rollout, a snapshot here) *)
+            (* the fleet round: stale recovery against the target, the
+               merge, the quality report and a one-tick health view *)
             let monitor = Monitor.create () in
-            ignore
-              (Monitor.observe ~obs monitor
-                 ~expected_build_id:(Option.value ~default:"" expect_build_id)
-                 ~recovery:per_host_recovery q_shards ~merged);
+            let merged, tick =
+              Monitor.observe ~obs monitor
+                ~opts:{ Merge.weights; decay; expect_build_id }
+                ~fingerprints loaded
+            in
+            let q = tick.Monitor.tk_quality in
+            Quality.to_obs obs q;
             Obs.span obs "save" (fun () -> Bolt_profile.Fdata.save out merged);
             print_merged out (List.length loaded) merged;
             if report then Fmt.pr "%a" Quality.pp q;
@@ -188,11 +177,7 @@ let run shards out weights decay expect strict_shards report health trace_out
                   Quality.manifest_section q;
                   Monitor.manifest_section monitor;
                 ]
-              ~workload:"fleet-merge"
-              ~build_id:
-                (match merged.Bolt_profile.Fdata.header with
-                | Some h -> h.Bolt_profile.Fdata.hd_build_id
-                | None -> "")
+              ~workload:"fleet-merge" ~build_id:tick.Monitor.tk_expected_build_id
               ?trace_out ?history obs;
             0)
 
@@ -228,7 +213,8 @@ let expect =
         ~doc:
           "Target binary revision: a hex build-id, or a BELF file to read \
            one from. Shards from other revisions count as stale in the \
-           quality report.")
+           quality report and the health view. Default: the most common \
+           shard build-id.")
 
 let strict_shards =
   Arg.(
@@ -247,7 +233,7 @@ let health =
     & info [ "health" ]
         ~doc:
           "Print the fleet health view: per-host coverage, shard age, \
-           rollout state (build-id vs --expect-build-id) and threshold \
+           rollout state (build-id vs the merged profile's) and threshold \
            alerts.")
 
 let trace_out =

@@ -52,7 +52,6 @@ let config ~topk ~budget ~jobs ~decay ~min_hosts ~min_coverage ~max_staleness
       };
     c_jobs = max 1 jobs;
     c_decay = decay;
-    c_thresholds = Bolt_fleet.Monitor.default_thresholds;
   }
 
 let pp_step ppf (r : Service.step_report) =

@@ -98,7 +98,7 @@ let run exe_path fdata out reorder_blocks reorder_functions split_functions
   List.iter
     (fun name ->
       let ctx = Bolt_core.Context.create ~opts exe in
-      Bolt_core.Build.run ctx;
+      Bolt_core.Passman.(run (make_env ctx prof) [ find "build-cfg" ]);
       match Bolt_core.Context.func ctx name with
       | Some fb -> Fmt.pr "%a@." Bolt_core.Bfunc.pp fb
       | None -> Fmt.epr "no function %s@." name)

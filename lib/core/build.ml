@@ -456,7 +456,7 @@ let discover ctx =
   ctx.Context.order <-
     List.sort compare !order |> List.map snd
 
-(* Visitor form for the pass manager: build one function's CFG, parking
+(* The build-cfg pass's visitor: build one function's CFG, parking
    any failure diagnostic on the worker's shard.  CFG construction must
    never take the run down: on an escaping exception the function keeps
    its input bytes. *)
@@ -470,11 +470,3 @@ let build_fn ctx sh (fb : Bfunc.t) =
     Hashtbl.reset fb.blocks;
     fb.layout <- [];
     redecode ctx fb
-
-let run ctx =
-  discover ctx;
-  let sh = Context.new_shard () in
-  Context.iter_funcs ctx (build_fn ctx sh);
-  Context.apply_shard_diags ctx [ sh ];
-  let simple = List.length (Context.simple_funcs ctx) in
-  Context.logf ctx "build: %d functions, %d simple" (List.length ctx.Context.order) simple

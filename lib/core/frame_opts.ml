@@ -88,7 +88,7 @@ let remove_save (fb : Bfunc.t) (r : Reg.t) (plan : plan) =
         })
     fb.blocks
 
-(* Visitor form for the pass manager. *)
+(* The frame-opts pass's visitor: drop each dead callee-saved save. *)
 let frame_opts_fn _ctx sh (fb : Bfunc.t) =
   match prologue_plan fb with
   | None -> ()
@@ -101,12 +101,6 @@ let frame_opts_fn _ctx sh (fb : Bfunc.t) =
             Context.sh_touch sh fb
           end)
         plan.saves
-
-let frame_opts ctx =
-  let s = Quarantine.run_fns ctx ~stage:"frame-opts" (frame_opts_fn ctx) in
-  let removed = Bolt_obs.Metrics.counter s "pass.frame-opts.saves_removed" in
-  Context.logf ctx "frame-opts: %d dead register saves removed" removed;
-  removed
 
 (* ---- shrink wrapping ---- *)
 
@@ -179,9 +173,3 @@ let shrink_wrapping_fn _ctx sh (fb : Bfunc.t) =
                   end)
               | _ -> ())
           plan.saves
-
-let shrink_wrapping ctx =
-  let s = Quarantine.run_fns ctx ~stage:"shrink-wrapping" (shrink_wrapping_fn ctx) in
-  let moved = Bolt_obs.Metrics.counter s "pass.shrink-wrapping.moved" in
-  Context.logf ctx "shrink-wrapping: %d saves moved to cold blocks" moved;
-  moved

@@ -38,9 +38,11 @@ let build_site_profile ctx (prof : Bolt_profile.Fdata.t) : site_profile =
     prof.branches;
   h
 
+(* Promote when the top target takes at least this percentage of the calls. *)
+let threshold_pct = 66
+
 let run ctx (sites : site_profile) =
   let promoted = ref 0 in
-  let threshold = ctx.Context.opts.Opts.icp_threshold_pct in
   Quarantine.iter_simple ctx ~stage:"icp"
     (fun fb ->
       (* collect candidate (block, insn) sites first: we mutate the CFG *)
@@ -71,7 +73,7 @@ let run ctx (sites : site_profile) =
                       (match best with
                       | Some (t, c)
                         when total > 0
-                             && c * 100 >= threshold * total
+                             && c * 100 >= threshold_pct * total
                              && Context.func ctx t <> None ->
                           candidates := (l, i.m_off, t, c, total) :: !candidates
                       | _ -> ())

@@ -44,13 +44,15 @@ let eligible_body (fb : Bfunc.t) ~size_limit =
         | _ -> None)
     | _ -> None
 
+(* Largest body, in bytes, worth inlining. *)
+let size_limit = 32
+
 let run ctx =
   let inlined = ref 0 in
-  let limit = ctx.Context.opts.Opts.inline_size_limit in
   let bodies = Hashtbl.create 32 in
   Context.iter_funcs ctx (fun fb ->
       if fb.folded_into = None then
-        match eligible_body fb ~size_limit:limit with
+        match eligible_body fb ~size_limit with
         | Some body -> Hashtbl.replace bodies fb.fb_name body
         | None -> ());
   (* The compiler already inlined the intra-module candidates; what is

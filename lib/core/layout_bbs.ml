@@ -77,7 +77,7 @@ let engine_algo = function
   | Opts.Rb_cache_plus -> Engine.Cache_plus
   | Opts.Rb_none | Opts.Rb_ext_tsp -> Engine.Ext_tsp
 
-(* Visitor form for the pass manager: reorder one function's layout.
+(* The reorder-bbs pass's visitor: reorder one function's layout.
    No-op under Rb_none (the registry also disables the pass then). *)
 let reorder_fn ctx sh (fb : Bfunc.t) =
   let algo = ctx.Context.opts.Opts.reorder_blocks in
@@ -92,12 +92,6 @@ let reorder_fn ctx sh (fb : Bfunc.t) =
     Context.sh_incr sh "pass.reorder-bbs.reordered";
     Context.sh_touch sh fb
   end
-
-let reorder ctx =
-  let s = Quarantine.run_fns ctx ~stage:"reorder-bbs" (reorder_fn ctx) in
-  Context.logf ctx "reorder-bbs(%s): %d functions reordered"
-    (algo_name ctx.Context.opts.Opts.reorder_blocks)
-    (Bolt_obs.Metrics.counter s "pass.reorder-bbs.reordered")
 
 (* ---- offline evaluation ---- *)
 
@@ -153,8 +147,3 @@ let split_fn ctx sh (fb : Bfunc.t) =
            of the layout for deterministic output *)
         fb.layout <- hot_layout fb @ cold_layout fb
       end
-
-let split ctx =
-  let s = Quarantine.run_fns ctx ~stage:"split-functions" (split_fn ctx) in
-  Context.logf ctx "split-functions: %d blocks moved to cold fragments"
-    (Bolt_obs.Metrics.counter s "pass.split-functions.blocks_split")

@@ -18,9 +18,7 @@ type t = {
   split_eh : bool; (* move landing pads to the cold fragment *)
   icf : bool;
   icp : bool; (* indirect call promotion *)
-  icp_threshold_pct : int; (* promote when the top target takes >= this % *)
   inline_small : bool;
-  inline_size_limit : int; (* bytes *)
   simplify_ro_loads : bool;
   plt : bool;
   peepholes : bool;
@@ -30,7 +28,6 @@ type t = {
   frame_opts : bool;
   shrink_wrapping : bool;
   uce : bool;
-  fixup_branches : bool;
   trust_fallthrough : bool;
       (* §5.2: attribute surplus flow to the fall-through path and trust
          the compiler's original layout under uncertainty *)
@@ -38,10 +35,7 @@ type t = {
       (* recover a profile whose build-id doesn't match the input binary
          via fingerprint matching (Stale_match) instead of letting its
          records decay record-by-record *)
-  align_functions : int;
   use_relocations : bool option; (* None = auto: use them when present *)
-  update_debug_sections : bool;
-  verbose : bool;
   strict : bool;
       (* fail hard (Diag.Strict_error) instead of degrading: any verifier
          issue, profile-parse warning or function quarantine aborts *)
@@ -62,9 +56,7 @@ let default =
     split_eh = true;
     icf = true;
     icp = true;
-    icp_threshold_pct = 66;
     inline_small = true;
-    inline_size_limit = 32;
     simplify_ro_loads = true;
     plt = true;
     peepholes = true;
@@ -74,13 +66,9 @@ let default =
     frame_opts = true;
     shrink_wrapping = true;
     uce = true;
-    fixup_branches = true;
     trust_fallthrough = true;
     stale_match = true;
-    align_functions = 16;
     use_relocations = None;
-    update_debug_sections = true;
-    verbose = false;
     strict = false;
     max_quarantine = None;
     jobs = 1;

@@ -2,14 +2,13 @@
    unreachable-code elimination, simplification of conditional tail calls,
    read-only load simplification and PLT de-indirection.
 
-   Each pass comes in two forms.  The [*_fn] visitor
-   ([Context.t -> Context.shard -> Bfunc.t -> unit]) transforms one
-   function and records counts/touches on the worker's shard — this is
-   what the pass manager fans out over domains, and the contract is that
-   a visitor mutates nothing but its own [Bfunc.t] and shard (shared
-   context state is read-only).  The classic [Context.t -> unit] entry
-   point remains as a sequential wrapper over the same visitor, for
-   direct callers and tests. *)
+   Each pass is a [*_fn] visitor
+   ([Context.t -> Context.shard -> Bfunc.t -> unit]) that transforms one
+   function and records counts/touches on the worker's shard.  Its
+   [Passman] descriptor is the only way to run it: the pass manager fans
+   the visitor out over domains and logs the counts.  The contract is
+   that a visitor mutates nothing but its own [Bfunc.t] and shard
+   (shared context state is read-only). *)
 
 open Bolt_isa
 open Bfunc
@@ -27,11 +26,6 @@ let strip_rep_ret_fn _ctx sh (fb : Bfunc.t) =
           end)
         b.insns)
     fb.blocks
-
-let strip_rep_ret ctx =
-  let s = Quarantine.run_fns ctx ~stage:"strip-rep-ret" (strip_rep_ret_fn ctx) in
-  Context.logf ctx "strip-rep-ret: %d returns stripped"
-    (Bolt_obs.Metrics.counter s "pass.strip-rep-ret.stripped")
 
 (* Passes 4/10: peephole simplifications. *)
 let peepholes_fn _ctx sh (fb : Bfunc.t) =
@@ -61,12 +55,6 @@ let peepholes_fn _ctx sh (fb : Bfunc.t) =
       b.insns <- keep)
     fb.blocks
 
-let peepholes ctx =
-  let s = Quarantine.run_fns ctx ~stage:"peepholes" (peepholes_fn ctx) in
-  Context.logf ctx "peepholes: %d removed, %d shortened"
-    (Bolt_obs.Metrics.counter s "pass.peepholes.removed")
-    (Bolt_obs.Metrics.counter s "pass.peepholes.shortened")
-
 (* Pass 11: eliminate unreachable basic blocks. *)
 let uce_fn _ctx sh (fb : Bfunc.t) =
   let reach = Hashtbl.create 32 in
@@ -88,11 +76,6 @@ let uce_fn _ctx sh (fb : Bfunc.t) =
       Context.sh_touch sh fb)
     !dead;
   fb.layout <- List.filter (Hashtbl.mem reach) fb.layout
-
-let uce ctx =
-  let s = Quarantine.run_fns ctx ~stage:"uce" (uce_fn ctx) in
-  Context.logf ctx "uce: %d unreachable blocks removed"
-    (Bolt_obs.Metrics.counter s "pass.uce.blocks_removed")
 
 (* Pass 14: simplify conditional tail calls — a conditional branch to a
    block that only forwards (an empty block jumping elsewhere, or a lone
@@ -136,11 +119,6 @@ let sctc_fn _ctx sh (fb : Bfunc.t) =
       | _ -> ())
     fb.blocks
 
-let sctc ctx =
-  let s = Quarantine.run_fns ctx ~stage:"sctc" (sctc_fn ctx) in
-  Context.logf ctx "sctc: %d branches simplified"
-    (Bolt_obs.Metrics.counter s "pass.sctc.simplified")
-
 (* Pass 6: loads from statically-known read-only cells become immediate
    moves, unless the new encoding would be larger (the paper's policy).
    The jump-table cell index is the pass's sequential prelude: built once
@@ -181,14 +159,6 @@ let simplify_ro_loads_fn ctx =
           b.insns)
       fb.blocks
 
-let simplify_ro_loads ctx =
-  let s =
-    Quarantine.run_fns ctx ~stage:"simplify-ro-loads" (simplify_ro_loads_fn ctx)
-  in
-  Context.logf ctx "simplify-ro-loads: %d converted, %d aborted (size)"
-    (Bolt_obs.Metrics.counter s "pass.simplify-ro-loads.converted")
-    (Bolt_obs.Metrics.counter s "pass.simplify-ro-loads.aborted")
-
 (* Pass 8: remove PLT indirection from calls whose stub target is known. *)
 let plt_fn ctx sh (fb : Bfunc.t) =
   Hashtbl.iter
@@ -206,8 +176,3 @@ let plt_fn ctx sh (fb : Bfunc.t) =
           | _ -> ())
         b.insns)
     fb.blocks
-
-let plt ctx =
-  let s = Quarantine.run_fns ctx ~stage:"plt" (plt_fn ctx) in
-  Context.logf ctx "plt: %d calls de-indirected"
-    (Bolt_obs.Metrics.counter s "pass.plt.deindirected")

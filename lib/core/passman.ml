@@ -334,3 +334,5 @@ let table1 =
         log_count env p "shrink-wrapping: %d saves moved to cold blocks"
           "pass.shrink-wrapping.moved");
   ]
+
+let find name = List.find (fun p -> p.p_name = name) (pre_passes @ table1)

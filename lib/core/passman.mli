@@ -59,3 +59,7 @@ val pre_passes : pass list
 
 (* Table 1, in the paper's order. *)
 val table1 : pass list
+
+(* The registered pass named [name], from [pre_passes] or [table1]: how
+   tests and `obolt --print-cfg` run a single pass.  Raises [Not_found]. *)
+val find : string -> pass

@@ -10,7 +10,12 @@
 
    Strictness is the inverse switch: with [Opts.strict] any demotion is a
    hard [Diag.Strict_error]; with [Opts.max_quarantine] a badly corrupted
-   input that demotes too many functions is rejected wholesale. *)
+   input that demotes too many functions is rejected wholesale.
+
+   This module holds the barriers only.  [Passman]'s executor runs
+   every per-function pass through [protect_sharded] and
+   [fold_shards]; whole-program passes use [pass], or [iter_simple] when
+   they walk the functions themselves. *)
 
 (* Exceptions that must never be swallowed by a barrier: deliberate
    aborts, resource exhaustion, and user interrupts. *)
@@ -97,21 +102,6 @@ let fold_shards ctx ~stage (shards : Context.shard list) =
   |> List.sort (fun ((a : Bfunc.t), _) ((b : Bfunc.t), _) ->
          compare (rank a.Bfunc.fb_name) (rank b.Bfunc.fb_name))
   |> List.iter (fun (fb, msg) -> record ctx ~stage fb msg)
-
-(* Sequential driver for the visitor form of a per-function pass: the
-   compatibility entry points (Passes_simple.strip_rep_ret & co.) run
-   their visitor over one shard and fold it immediately.  Returns the
-   shard registry so the caller can log counts from it. *)
-let run_fns ctx ~stage ?(funcs = fun c -> Context.simple_funcs c)
-    (visit : Context.shard -> Bfunc.t -> unit) : Bolt_obs.Metrics.t =
-  let sh = Context.new_shard () in
-  List.iter (fun fb -> protect_sharded ctx sh ~stage fb (visit sh)) (funcs ctx);
-  fold_shards ctx ~stage [ sh ];
-  Hashtbl.iter
-    (fun k () -> Hashtbl.replace ctx.Context.touched k ())
-    sh.Context.sh_touched;
-  Bolt_obs.Metrics.merge ~into:ctx.Context.stats sh.Context.sh_stats;
-  sh.Context.sh_stats
 
 (* Pass-level barrier for whole-program passes (ICF, function reordering)
    whose failure cannot be pinned on one function: skip the pass, keep

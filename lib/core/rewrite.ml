@@ -35,6 +35,9 @@ type result = {
 
 let align a off = if a <= 1 then off else (off + a - 1) / a * a
 
+(* Alignment of each hot function's start in the rewritten text. *)
+let align_functions = 16
+
 (* A fragment could not be finalized: (function, message).  The driver
    quarantines the function and re-runs the rewrite. *)
 exception Frag_error of string * string
@@ -189,7 +192,7 @@ let run ctx : result =
     List.iter
       (fun n ->
         match Hashtbl.find_opt frags_of n with
-        | Some (hot :: _) -> place_hot hot opts.Opts.align_functions
+        | Some (hot :: _) -> place_hot hot align_functions
         | _ -> ())
       (ordered @ rest);
     (* then PLT stubs *)
@@ -535,7 +538,7 @@ let run ctx : result =
                lsdas :=
                  { lsda_func = frag.Emit.fr_name; lsda_fn_addr = p.p_addr; lsda_entries = entries }
                  :: !lsdas);
-          if opts.Opts.update_debug_sections && out.Bolt_asm.Asm.fo_dbg <> [] then
+          if out.Bolt_asm.Asm.fo_dbg <> [] then
             dbgs :=
               { dbg_func = frag.Emit.fr_name; dbg_addr = p.p_addr; dbg_entries = out.Bolt_asm.Asm.fo_dbg }
               :: !dbgs

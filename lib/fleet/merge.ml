@@ -90,8 +90,8 @@ let load ~strict ~read paths =
   in
   (kept, List.rev !skips)
 
-(* Shards parsed into record lists, for [merge] and the per-shard
-   consumers (quality report, health monitor, stale recovery). *)
+(* Shards parsed into record lists, for the fleet round
+   ([Monitor.observe]: stale recovery, [merge], quality and health). *)
 let load_shards ?(strict = false) paths : loaded list * skip list =
   load ~strict paths ~read:(fun ~name text ->
       let prof, warnings = Fdata.parse ~strict text in
@@ -176,29 +176,30 @@ let scaled f feed ~branch ~range ~sample =
       ~sample:(fun (s : Fdata.sample) ->
         sample { s with Fdata.sm_count = Fdata.sat_scale s.sm_count f })
 
+(* The revision a merge describes, and the one staleness is judged
+   against: the target when one is given, else the modal shard build-id. *)
+let target_build_id opts shards =
+  match opts.expect_build_id with
+  | Some id -> id
+  | None -> modal_build_id shards
+
+(* Events one shard stands for: its stamped header count, else the
+   samples its records carry. *)
+let shard_events sh =
+  let h = header sh in
+  if h.Fdata.hd_events > 0L then h.Fdata.hd_events
+  else sh.sh_prof.Fdata.total_samples
+
 (* Provenance of the merged profile: a synthetic "fleet" host stamped
-   with the target (or modal) build-id, the newest shard timestamp and
-   the saturating event total. *)
+   with [target_build_id], the newest shard timestamp and the saturating
+   event total. *)
 let merged_header opts shards =
-  let events =
-    List.fold_left
-      (fun a sh ->
-        let h = header sh in
-        let ev =
-          if h.Fdata.hd_events > 0L then h.Fdata.hd_events
-          else sh.sh_prof.Fdata.total_samples
-        in
-        Fdata.sat_add a ev)
-      0L shards
-  in
   {
     Fdata.hd_host = "fleet";
-    hd_build_id =
-      (match opts.expect_build_id with
-      | Some id -> id
-      | None -> modal_build_id shards);
+    hd_build_id = target_build_id opts shards;
     hd_timestamp = newest_timestamp shards;
-    hd_events = events;
+    hd_events =
+      List.fold_left (fun a sh -> Fdata.sat_add a (shard_events sh)) 0L shards;
     hd_weight = 1.0;
   }
 
@@ -207,8 +208,8 @@ let merged_header opts shards =
    its own fingerprints is re-keyed through [Stale_match], so its events
    survive the merge instead of polluting it with dead names/offsets.
    Returns the (possibly rewritten) shards plus, per recovered shard,
-   the host label and its recovery breakdown — the per-host series the
-   fleet health monitor folds over ticks. *)
+   the host label and its recovery breakdown.  [Monitor.observe], the
+   fleet round, is the caller. *)
 let recover_stale_each ~(fingerprints : Bolt_obj.Fingerprint.t)
     ~(build_id : string) (shards : loaded list) :
     loaded list * (string * Bolt_profile.Stale_match.stats) list =

@@ -1,35 +1,25 @@
-(* Fleet health monitor: the longitudinal view of profile quality.
+(* Fleet health monitor: the fleet round and its longitudinal view.
 
-   Where [Quality.assess] scores one merge, the monitor folds shard
-   provenance plus quality output across successive aggregation rounds
-   ("ticks" — fleet_sim rollout steps, or daemon ingest cycles) into
-   per-host time series: coverage of the merged function set, shard
-   staleness/age, stale-recovery rate, and rollout state (which build-id
-   each host runs).  Threshold violations become structured [Obs]
-   events (`fleet.monitor.*`), every tick's summary is retained, and
-   the whole state renders as an ASCII health table plus a
-   `fleet_health` manifest section — the substrate a daemon-mode
-   continuous-optimization service will alert from. *)
+   [observe] is the one fleet round that bmerge, the boltd service and
+   the tests run: recover stale shards against the round's
+   revision, merge their recovered form, score the collected shards
+   ([Quality.assess]) and fold that same per-shard pass into a health
+   tick — per-host coverage, shard age, stale-recovery rate and rollout
+   state (which build-id each host runs).  Threshold violations become
+   structured [Obs] events (`fleet.monitor.*`), every tick's summary is
+   retained, and the whole state renders as an ASCII health table plus a
+   `fleet_health` manifest section. *)
 
 module Fdata = Bolt_profile.Fdata
 module Json = Bolt_obs.Json
 module Obs = Bolt_obs.Obs
 module Stale_match = Bolt_profile.Stale_match
 
-type thresholds = {
-  th_min_coverage_pct : float; (* per-host coverage of merged functions *)
-  th_min_recovery_rate : float; (* per-host, when stale recovery ran *)
-  th_max_age : int; (* seconds a shard may lag the newest shard *)
-  th_max_stale_pct : float; (* fleet-level share of stale events *)
-}
-
-let default_thresholds =
-  {
-    th_min_coverage_pct = 25.0;
-    th_min_recovery_rate = 0.5;
-    th_max_age = 2 * 86_400;
-    th_max_stale_pct = 50.0;
-  }
+(* Alert thresholds. *)
+let min_coverage_pct = 25.0 (* per-host coverage of merged functions *)
+let min_recovery_rate = 0.5 (* per-host, when stale recovery ran *)
+let max_age = 2 * 86_400 (* seconds a shard may lag the newest shard *)
+let max_stale_pct = 50.0 (* fleet-level share of stale events *)
 
 type host_state = {
   hs_host : string;
@@ -57,54 +47,39 @@ type tick = {
   tk_alerts : alert list;
 }
 
-type t = {
-  thresholds : thresholds;
-  mutable ticks : tick list; (* newest first *)
-}
+(* Every tick, newest first.  Merged profiles are never kept: a daemon
+   holds its monitor for its whole life. *)
+type t = { mutable ticks : tick list }
 
-let create ?(thresholds = default_thresholds) () = { thresholds; ticks = [] }
+let create () = { ticks = [] }
 let ticks t = List.rev t.ticks
 let alerts t = List.concat_map (fun tk -> tk.tk_alerts) (ticks t)
 let stale_hosts (tk : tick) =
   List.filter_map (fun h -> if h.hs_stale then Some h.hs_host else None) tk.tk_hosts
 
-(* Per-host coverage of the merged profile's function set — the same
-   notion [Quality.assess] averages, kept per host here.  The merged
-   function table is computed once per tick and shared across hosts: at
-   daemon scale (thousands of hosts) rebuilding it per host dominates
-   the whole observation. *)
-let coverage_of ~merged_funcs (sh : Merge.loaded) =
-  let nfuncs = Hashtbl.length merged_funcs in
-  if nfuncs = 0 then 0.0
-  else begin
-    let seen = Fdata.func_events sh.Merge.sh_prof in
-    let hit =
-      Hashtbl.fold
-        (fun f _ acc -> if Hashtbl.mem merged_funcs f then acc + 1 else acc)
-        seen 0
-    in
-    100.0 *. float_of_int hit /. float_of_int nfuncs
-  end
-
-let host_coverage ~(merged : Fdata.t) (sh : Merge.loaded) =
-  coverage_of ~merged_funcs:(Fdata.func_events merged) sh
-
-(* Fold one aggregation round into the monitor.  [shards] are the
-   shards as collected (pre-recovery, so provenance is the hosts'
-   truth), [merged] the round's merged profile, [recovery] the per-host
-   breakdown from [Merge.recover_stale_each].  Emits `fleet.monitor.*`
-   events and counters through [obs] and returns the recorded tick. *)
-let observe ?obs t ~(expected_build_id : string)
-    ?(recovery : (string * Stale_match.stats) list = [])
-    (shards : Merge.loaded list) ~(merged : Fdata.t) : tick =
+(* One fleet round over [shards] as collected (pre-recovery, so
+   provenance is the hosts' truth).  The round's revision is
+   [Merge.target_build_id]: the one stamped on the merged profile, which
+   quality and health both judge staleness against.  Shards stale
+   against it are recovered through the target's [fingerprints] before
+   the merge.  Emits `fleet.monitor.*` events and counters through [obs]
+   and returns the merged profile with the recorded tick. *)
+let observe ?obs t ~(opts : Merge.options)
+    ~(fingerprints : Bolt_obj.Fingerprint.t) (shards : Merge.loaded list) :
+    Fdata.t * tick =
   let obs = match obs with Some o -> o | None -> Obs.null () in
-  let index = List.length t.ticks in
-  let newest = Merge.newest_timestamp shards in
-  let agg_recovery = Stale_match.sum_stats (List.map snd recovery) in
-  let quality =
-    Quality.assess ~expect_build_id:expected_build_id ?recovery:agg_recovery
+  let expected = Merge.target_build_id opts shards in
+  let recovered, recovery =
+    Merge.recover_stale_each ~fingerprints ~build_id:expected shards
+  in
+  let merged = Merge.merge ~obs ~opts recovered in
+  let quality, scores =
+    Quality.assess ~expected_build_id:expected
+      ?recovery:(Stale_match.sum_stats (List.map snd recovery))
       shards ~merged
   in
+  let index = List.length t.ticks in
+  let newest = Merge.newest_timestamp shards in
   let alerts = ref [] in
   let alert ~host kind detail =
     alerts := { al_tick = index; al_host = host; al_kind = kind; al_detail = detail } :: !alerts;
@@ -114,65 +89,55 @@ let observe ?obs t ~(expected_build_id : string)
         ([ ("tick", Json.Int index); ("detail", Json.String detail) ]
         @ if host = "" then [] else [ ("host", Json.String host) ])
   in
-  let th = t.thresholds in
-  let merged_funcs = Fdata.func_events merged in
   let hosts =
-    List.map
-      (fun sh ->
+    List.map2
+      (fun sh (sc : Quality.shard_score) ->
         let header = Merge.header sh in
         let host = Merge.host_of sh in
         let build = header.Fdata.hd_build_id in
-        let stale =
-          expected_build_id <> "" && build <> "" && build <> expected_build_id
-        in
         let age =
           if header.Fdata.hd_timestamp = 0 then 0
           else newest - header.Fdata.hd_timestamp
         in
-        let coverage = coverage_of ~merged_funcs sh in
+        let coverage = sc.Quality.ss_coverage_pct in
         let rate =
-          match List.assoc_opt host recovery with
-          | Some st -> Some (Stale_match.recovery_rate st)
-          | None -> None
+          Option.map Stale_match.recovery_rate (List.assoc_opt host recovery)
         in
         let n_alerts = ref 0 in
         let host_alert kind detail = incr n_alerts; alert ~host kind detail in
-        if stale then
+        if sc.Quality.ss_stale then
           host_alert "stale_build"
-            (Printf.sprintf "running build %s, expected %s" build
-               expected_build_id);
-        if coverage < th.th_min_coverage_pct then
+            (Printf.sprintf "running build %s, expected %s" build expected);
+        if coverage < min_coverage_pct then
           host_alert "low_coverage"
             (Printf.sprintf "%.1f%% of merged functions (threshold %.1f%%)"
-               coverage th.th_min_coverage_pct);
+               coverage min_coverage_pct);
         (match rate with
-        | Some r when r < th.th_min_recovery_rate ->
+        | Some r when r < min_recovery_rate ->
             host_alert "low_recovery"
               (Printf.sprintf "stale-profile recovery rate %.2f (threshold %.2f)"
-                 r th.th_min_recovery_rate)
+                 r min_recovery_rate)
         | _ -> ());
-        if age > th.th_max_age then
+        if age > max_age then
           host_alert "old_shard"
             (Printf.sprintf "shard is %ds behind the newest (threshold %ds)" age
-               th.th_max_age);
+               max_age);
         {
           hs_host = host;
           hs_build_id = build;
-          hs_stale = stale;
+          hs_stale = sc.Quality.ss_stale;
           hs_age = age;
           hs_coverage_pct = coverage;
           hs_recovery_rate = rate;
-          hs_events =
-            (if header.Fdata.hd_events > 0L then header.Fdata.hd_events
-             else sh.Merge.sh_prof.Fdata.total_samples);
+          hs_events = sc.Quality.ss_events;
           hs_alerts = !n_alerts;
         })
-      shards
+      shards scores
   in
-  if quality.Quality.q_staleness_pct > th.th_max_stale_pct then
+  if quality.Quality.q_staleness_pct > max_stale_pct then
     alert ~host:"" "fleet_stale"
       (Printf.sprintf "%.1f%% of events from stale shards (threshold %.1f%%)"
-         quality.Quality.q_staleness_pct th.th_max_stale_pct);
+         quality.Quality.q_staleness_pct max_stale_pct);
   (* drift detection: recovery rate falling tick-over-tick is the signal
      the stale-matching paper says operators watch *)
   (match (t.ticks, quality.Quality.q_recovery) with
@@ -187,21 +152,18 @@ let observe ?obs t ~(expected_build_id : string)
       | None -> ())
   | _ -> ());
   Obs.incr obs "fleet.monitor.ticks";
-  Obs.incr obs ~by:(List.length (List.filter (fun h -> h.hs_stale) hosts))
-    "fleet.monitor.stale_hosts";
-  Obs.set obs "fleet.monitor.coverage_pct" quality.Quality.q_coverage_pct;
-  Obs.set obs "fleet.monitor.staleness_pct" quality.Quality.q_staleness_pct;
+  Obs.incr obs ~by:quality.Quality.q_stale_shards "fleet.monitor.stale_hosts";
   let tk =
     {
       tk_index = index;
-      tk_expected_build_id = expected_build_id;
+      tk_expected_build_id = expected;
       tk_hosts = hosts;
       tk_quality = quality;
       tk_alerts = List.rev !alerts;
     }
   in
   t.ticks <- tk :: t.ticks;
-  tk
+  (merged, tk)
 
 (* ---- rendering ---- *)
 

@@ -36,54 +36,62 @@ type report = {
 
 let pct num den = if den <= 0 then 0.0 else 100.0 *. float_of_int num /. float_of_int den
 
-let shard_events (sh : Merge.loaded) =
-  let h = Merge.header sh in
-  if h.Fdata.hd_events > 0L then h.Fdata.hd_events
-  else sh.sh_prof.Fdata.total_samples
+(* One shard's score, from the same pass that builds the report; the
+   health monitor builds its host rows from these. *)
+type shard_score = {
+  ss_coverage_pct : float; (* share of the merged function set it saw *)
+  ss_events : int64; (* [Merge.shard_events] *)
+  ss_stale : bool; (* stamped with a revision other than the expected one *)
+}
 
-let assess ?expect_build_id ?recovery (shards : Merge.loaded list)
-    ~(merged : Fdata.t) : report =
-  let expected =
-    match expect_build_id with
-    | Some id -> id
-    | None -> Merge.modal_build_id shards
-  in
+(* Score [shards] (as collected, before stale recovery) against the
+   [merged] profile and the [expected_build_id] revision ("" = none
+   known: nothing is stale).  Returns the report and, in shard order,
+   each shard's score. *)
+let assess ~expected_build_id ?recovery (shards : Merge.loaded list)
+    ~(merged : Fdata.t) : report * shard_score list =
   let merged_funcs = Fdata.func_events merged in
   let nfuncs = Hashtbl.length merged_funcs in
-  (* coverage: per-shard fraction of the merged function set it touched *)
-  let coverage_pct =
-    match shards with
-    | [] -> 0.0
-    | _ when nfuncs = 0 -> 0.0
-    | _ ->
-        let per_shard =
-          List.map
-            (fun sh ->
-              let seen = Fdata.func_events sh.Merge.sh_prof in
-              let hit =
-                Hashtbl.fold
-                  (fun f _ acc -> if Hashtbl.mem merged_funcs f then acc + 1 else acc)
-                  seen 0
-              in
-              pct hit nfuncs)
-            shards
-        in
-        List.fold_left ( +. ) 0.0 per_shard /. float_of_int (List.length per_shard)
-  in
-  (* agreement: how many shards observed each merged branch key *)
   let observers = Hashtbl.create 1024 in
-  List.iter
-    (fun sh ->
-      let mine = Hashtbl.create 256 in
-      List.iter
-        (fun (b : Fdata.branch) ->
-          Hashtbl.replace mine (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off) ())
-        sh.Merge.sh_prof.Fdata.branches;
-      Hashtbl.iter
-        (fun k () ->
-          Hashtbl.replace observers k (1 + try Hashtbl.find observers k with Not_found -> 0))
-        mine)
-    shards;
+  let build_tally = Hashtbl.create 8 in
+  let bump tbl k =
+    Hashtbl.replace tbl k (1 + try Hashtbl.find tbl k with Not_found -> 0)
+  in
+  let scores =
+    List.map
+      (fun sh ->
+        let prof = sh.Merge.sh_prof in
+        (* coverage: the fraction of the merged function set it touched *)
+        let hit =
+          Hashtbl.fold
+            (fun f _ acc -> if Hashtbl.mem merged_funcs f then acc + 1 else acc)
+            (Fdata.func_events prof) 0
+        in
+        (* agreement: count each distinct branch key once per shard *)
+        let mine = Hashtbl.create 256 in
+        List.iter
+          (fun (b : Fdata.branch) ->
+            Hashtbl.replace mine
+              (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off) ())
+          prof.Fdata.branches;
+        Hashtbl.iter (fun k () -> bump observers k) mine;
+        (* staleness: the shard's revision against the expected one *)
+        let id = (Merge.header sh).Fdata.hd_build_id in
+        bump build_tally (if id = "" then "<unstamped>" else id);
+        {
+          ss_coverage_pct = pct hit nfuncs;
+          ss_events = Merge.shard_events sh;
+          ss_stale = expected_build_id <> "" && id <> "" && id <> expected_build_id;
+        })
+      shards
+  in
+  let coverage_pct =
+    match scores with
+    | [] -> 0.0
+    | _ ->
+        List.fold_left (fun a s -> a +. s.ss_coverage_pct) 0.0 scores
+        /. float_of_int (List.length scores)
+  in
   let keys = List.length merged.Fdata.branches in
   let shared =
     List.fold_left
@@ -95,47 +103,36 @@ let assess ?expect_build_id ?recovery (shards : Merge.loaded list)
       0 merged.Fdata.branches
   in
   let agreement_pct = pct shared keys in
-  (* staleness: shards (and their events) on the wrong revision *)
-  let build_tally = Hashtbl.create 8 in
-  let stale_shards = ref 0 in
-  let unstamped = ref 0 in
-  let total_events = ref 0L in
-  let stale_events = ref 0L in
-  List.iter
-    (fun sh ->
-      let id = (Merge.header sh).Fdata.hd_build_id in
-      let label = if id = "" then "<unstamped>" else id in
-      Hashtbl.replace build_tally label
-        (1 + try Hashtbl.find build_tally label with Not_found -> 0);
-      if id = "" then incr unstamped;
-      let ev = shard_events sh in
-      total_events := Fdata.sat_add !total_events ev;
-      if expected <> "" && id <> "" && id <> expected then begin
-        incr stale_shards;
-        stale_events := Fdata.sat_add !stale_events ev
-      end)
-    shards;
-  let staleness_pct =
-    if !total_events = 0L then 0.0
-    else 100.0 *. Int64.to_float !stale_events /. Int64.to_float !total_events
+  let sum_events keep =
+    List.fold_left
+      (fun a s -> if keep s then Fdata.sat_add a s.ss_events else a)
+      0L scores
   in
-  {
-    q_shards = List.length shards;
-    q_hosts = List.map Merge.host_of shards |> List.sort_uniq compare;
-    q_events = !total_events;
-    q_functions = nfuncs;
-    q_coverage_pct = coverage_pct;
-    q_agreement_pct = agreement_pct;
-    q_divergence_pct = (if keys = 0 then 0.0 else 100.0 -. agreement_pct);
-    q_expected_build_id = expected;
-    q_build_ids =
-      Hashtbl.fold (fun id n acc -> (id, n) :: acc) build_tally []
-      |> List.sort compare;
-    q_stale_shards = !stale_shards;
-    q_unstamped_shards = !unstamped;
-    q_staleness_pct = staleness_pct;
-    q_recovery = recovery;
-  }
+  let total_events = sum_events (fun _ -> true) in
+  let stale_events = sum_events (fun s -> s.ss_stale) in
+  let staleness_pct =
+    if total_events = 0L then 0.0
+    else 100.0 *. Int64.to_float stale_events /. Int64.to_float total_events
+  in
+  ( {
+      q_shards = List.length shards;
+      q_hosts = List.map Merge.host_of shards |> List.sort_uniq compare;
+      q_events = total_events;
+      q_functions = nfuncs;
+      q_coverage_pct = coverage_pct;
+      q_agreement_pct = agreement_pct;
+      q_divergence_pct = (if keys = 0 then 0.0 else 100.0 -. agreement_pct);
+      q_expected_build_id = expected_build_id;
+      q_build_ids =
+        Hashtbl.fold (fun id n acc -> (id, n) :: acc) build_tally []
+        |> List.sort compare;
+      q_stale_shards = List.length (List.filter (fun s -> s.ss_stale) scores);
+      q_unstamped_shards =
+        (try Hashtbl.find build_tally "<unstamped>" with Not_found -> 0);
+      q_staleness_pct = staleness_pct;
+      q_recovery = recovery;
+    },
+    scores )
 
 (* Publish the report through the metrics registry, so it lands in the
    run manifest's "metrics" object alongside everything else. *)

@@ -25,8 +25,8 @@ type build = {
 
 (* The revision identity a deployment pipeline keys on: the binary's
    build-id stamp plus its CFG fingerprint table.  This is what the fleet
-   merger's staleness checks ([Merge.recover_stale_each]) and the health
-   monitor's rollout view expect for the target build. *)
+   round ([Monitor.observe]: stale recovery, quality and the rollout
+   view) expects for the target build. *)
 let build_id (b : build) : string = b.exe.Bolt_obj.Objfile.build_id
 let fingerprints (b : build) : Bolt_obj.Fingerprint.t =
   b.exe.Bolt_obj.Objfile.fingerprints

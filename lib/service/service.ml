@@ -20,12 +20,11 @@
      under a global byte budget, evictions counted and their event
      mass tracked.
 
-   Assessment reuses the fleet layer unchanged: [Merge.recover_stale_each]
-   re-keys stale shards against the current target (stale recovery is
-   always armed when the target carries fingerprints), [Merge.merge]
-   folds the retained per-host profiles, [Monitor.observe] turns the
-   round into a health tick, and a trigger decision is taken on the
-   tick's [Quality.assess] output. *)
+   Assessment is the fleet round, [Monitor.observe], over the retained
+   per-host profiles: stale shards are re-keyed against the current
+   target (recovery is always armed when the target carries
+   fingerprints), merged, scored and recorded as a health tick, and a
+   trigger decision is taken on the tick's quality report. *)
 
 module Fdata = Bolt_profile.Fdata
 module Json = Bolt_obs.Json
@@ -75,7 +74,6 @@ type config = {
   c_trigger : trigger;
   c_jobs : int; (* worker domains for the rewrite *)
   c_decay : float option; (* age decay for the merge *)
-  c_thresholds : Monitor.thresholds;
 }
 
 let default_config =
@@ -85,7 +83,6 @@ let default_config =
     c_trigger = default_trigger;
     c_jobs = 1;
     c_decay = None;
-    c_thresholds = Monitor.default_thresholds;
   }
 
 (* ---- state ---- *)
@@ -133,7 +130,7 @@ let create ?obs ?(config = default_config) ?target ?expect_build_id
     cfg = config;
     obs;
     sketch = Sketch.create ~obs ~topk:config.c_topk ~budget:config.c_budget ();
-    monitor = Monitor.create ~thresholds:config.c_thresholds ();
+    monitor = Monitor.create ();
     start_time;
     target;
     expected_build_id = expected;
@@ -153,10 +150,8 @@ let create ?obs ?(config = default_config) ?target ?expect_build_id
 let target t = t.target
 let expected_build_id t = t.expected_build_id
 let reopts t = List.rev t.reopts
-let steps t = t.steps
 let monitor t = t.monitor
 let sketch t = t.sketch
-let last_quality t = t.last_quality
 let last_merged t = t.last_merged
 let first_trigger_step t = t.first_trigger_step
 
@@ -194,12 +189,6 @@ let assess t : Quality.report option =
   let shards = Sketch.to_shards t.sketch in
   if shards = [] then None
   else begin
-    (* staleness/provenance are judged on the shards as retained;
-       the merge consumes their recovered form *)
-    let recovered, recovery =
-      Merge.recover_stale_each ~fingerprints:t.fingerprints
-        ~build_id:t.expected_build_id shards
-    in
     let opts =
       {
         Merge.weights = [];
@@ -208,17 +197,13 @@ let assess t : Quality.report option =
           (if t.expected_build_id = "" then None else Some t.expected_build_id);
       }
     in
-    let merged = Merge.merge ~obs:t.obs ~opts recovered in
-    let tick =
-      Monitor.observe ~obs:t.obs t.monitor
-        ~expected_build_id:t.expected_build_id ~recovery shards ~merged
+    let merged, tick =
+      Monitor.observe ~obs:t.obs t.monitor ~opts ~fingerprints:t.fingerprints
+        shards
     in
     t.last_merged <- Some merged;
-    let q = tick.Monitor.tk_quality in
-    t.last_quality <- Some q;
-    Obs.set t.obs "service.coverage_pct" q.Quality.q_coverage_pct;
-    Obs.set t.obs "service.staleness_pct" q.Quality.q_staleness_pct;
-    Some q
+    t.last_quality <- Some tick.Monitor.tk_quality;
+    t.last_quality
   end
 
 let trigger_reason t (q : Quality.report) : string option =
@@ -420,37 +405,6 @@ let spool_scan ?(default_time = 0) dir : (string * event) list * skip list =
 
 let short_id s = if String.length s > 10 then String.sub s 0 10 else s
 
-let pp ppf (t : t) =
-  Fmt.pf ppf "continuous optimization service: %d step(s), %d host(s), t=%d@."
-    t.steps (Sketch.hosts t.sketch) t.now;
-  Fmt.pf ppf "  target build   %s%s@."
-    (match t.expected_build_id with "" -> "<none>" | id -> short_id id)
-    (match t.target with None -> " (tracking only)" | Some _ -> "");
-  Fmt.pf ppf "  ingest         %d shard(s), %d line(s), %d malformed@."
-    t.events_seen t.lines_in (Sketch.malformed t.sketch);
-  Fmt.pf ppf "  sketch         %d / %d bytes (peak %d), %d func(s), %d eviction(s)@."
-    (Sketch.occupancy t.sketch) (Sketch.budget t.sketch) (Sketch.peak t.sketch)
-    (Sketch.funcs t.sketch) (Sketch.evictions t.sketch);
-  (match t.last_quality with
-  | None -> ()
-  | Some q ->
-      Fmt.pf ppf "  quality        coverage %.1f%%  staleness %.1f%%  recovery %s@."
-        q.Quality.q_coverage_pct q.Quality.q_staleness_pct
-        (match q.Quality.q_recovery with
-        | Some st -> Printf.sprintf "%.2f" (Stale_match.recovery_rate st)
-        | None -> "-"));
-  (match reopts t with
-  | [] -> Fmt.pf ppf "  triggers       none@."
-  | rs ->
-      List.iter
-        (fun r ->
-          Fmt.pf ppf "  trigger        %s@step %d (t=%d): %s -> %s@."
-            r.ro_reason r.ro_step r.ro_time
-            (match r.ro_build_id_before with "" -> "<none>" | id -> short_id id)
-            (match r.ro_build_id_after with "" -> "<none>" | id -> short_id id))
-        rs);
-  Fmt.pf ppf "%a" Monitor.pp t.monitor
-
 let manifest_section (t : t) : string * Json.t =
   ( "service",
     Json.Obj
@@ -514,57 +468,43 @@ let manifest_section (t : t) : string * Json.t =
 
 (* ASCII status from a saved manifest — what `boltd --status` renders,
    so an operator can inspect a daemon's last written state without the
-   daemon. *)
+   daemon.  [pp] renders the live service through the same lines. *)
 let pp_status_json ppf (m : Json.t) =
   match Json.member "service" m with
   | None -> Fmt.pf ppf "no service section in this manifest@."
   | Some s ->
-      let int k = match Json.member k s with Some (Json.Int i) -> i | _ -> 0 in
-      let str k =
-        match Json.member k s with Some (Json.String v) -> v | _ -> ""
+      let int j k = Option.value ~default:0 (Json.get_int (Json.member k j)) in
+      let str j k =
+        Option.value ~default:"" (Json.get_string (Json.member k j))
       in
-      Fmt.pf ppf "service status: %d step(s), %d host(s), t=%d@." (int "steps")
-        (int "hosts") (int "now");
-      Fmt.pf ppf "  target build   %s@."
-        (match str "expected_build_id" with "" -> "<none>" | id -> short_id id);
-      Fmt.pf ppf "  ingest         %d shard(s), %d line(s)@." (int "events")
-        (int "lines");
+      let id j k = match str j k with "" -> "<none>" | id -> short_id id in
+      Fmt.pf ppf "service status: %d step(s), %d host(s), t=%d@." (int s "steps")
+        (int s "hosts") (int s "now");
+      Fmt.pf ppf "  target build   %s@." (id s "expected_build_id");
       (match Json.member "sketch" s with
       | Some sk ->
-          let ski k =
-            match Json.member k sk with Some (Json.Int i) -> i | _ -> 0
-          in
+          Fmt.pf ppf "  ingest         %d shard(s), %d line(s), %d malformed@."
+            (int s "events") (int s "lines") (int sk "malformed_lines");
           Fmt.pf ppf "  sketch         %d / %d bytes (peak %d), %d func(s), %d eviction(s)@."
-            (ski "occupancy_bytes") (ski "budget_bytes") (ski "peak_bytes")
-            (ski "funcs") (int "sketch_evictions")
+            (int sk "occupancy_bytes") (int sk "budget_bytes")
+            (int sk "peak_bytes") (int sk "funcs") (int s "sketch_evictions")
       | None -> ());
       (match Json.member "quality" s with
       | Some (Json.Obj _ as q) ->
-          let qf k =
-            match Json.member k q with
-            | Some (Json.Float f) -> f
-            | Some (Json.Int i) -> float_of_int i
-            | _ -> 0.0
-          in
-          Fmt.pf ppf "  quality        coverage %.1f%%  staleness %.1f%%@."
+          let qf k = Option.value ~default:0.0 (Json.get_float (Json.member k q)) in
+          Fmt.pf ppf "  quality        coverage %.1f%%  staleness %.1f%%  recovery %s@."
             (qf "coverage_pct") (qf "staleness_pct")
+            (match Option.bind (Json.member "recovery" q) (Json.member "rate") with
+            | Some (Json.Float r) -> Printf.sprintf "%.2f" r
+            | _ -> "-")
       | _ -> ());
-      (match Json.member "reopts" s with
-      | Some (Json.List rs) when rs <> [] ->
+      (match Json.get_list (Json.member "reopts" s) with
+      | Some (_ :: _ as rs) ->
           List.iter
             (fun r ->
-              let ri k =
-                match Json.member k r with Some (Json.Int i) -> i | _ -> 0
-              in
-              let rs_ k =
-                match Json.member k r with
-                | Some (Json.String v) -> v
-                | _ -> ""
-              in
               Fmt.pf ppf "  trigger        %s@step %d (t=%d): %s -> %s@."
-                (rs_ "reason") (ri "step") (ri "time")
-                (match rs_ "build_id_before" with "" -> "<none>" | i -> short_id i)
-                (match rs_ "build_id_after" with "" -> "<none>" | i -> short_id i))
+                (str r "reason") (int r "step") (int r "time")
+                (id r "build_id_before") (id r "build_id_after"))
             rs
       | _ -> Fmt.pf ppf "  triggers       none@.");
       (match Json.member "fleet_health" m with
@@ -581,3 +521,9 @@ let pp_status_json ppf (m : Json.t) =
                 ticks (List.length hosts) stale
           | _ -> ())
       | None -> ())
+
+(* boltd's exit block: the status lines of the live service, then the
+   fleet health table. *)
+let pp ppf (t : t) =
+  pp_status_json ppf (Json.Obj [ manifest_section t ]);
+  Monitor.pp ppf t.monitor

@@ -55,8 +55,6 @@ type t = {
   mutable peak : int; (* high-water mark, sampled after each ingest *)
   mutable evictions : int;
   mutable evicted_events : int64; (* saturating mass lost to eviction *)
-  mutable shards_in : int;
-  mutable records_in : int;
   mutable malformed : int;
 }
 
@@ -81,8 +79,6 @@ let create ?obs ~topk ~budget () =
     peak = 0;
     evictions = 0;
     evicted_events = 0L;
-    shards_in = 0;
-    records_in = 0;
     malformed = 0;
   }
 
@@ -254,8 +250,6 @@ let ingest t ~host (text : string) : ingested =
     enforce_budget t;
     t.peak <- max t.peak t.occupancy
   end;
-  t.shards_in <- t.shards_in + 1;
-  t.records_in <- t.records_in + !records;
   t.malformed <- t.malformed + List.length warnings;
   Obs.set t.obs "service.sketch_occupancy_bytes" (float_of_int t.occupancy);
   {
@@ -276,8 +270,6 @@ let peak t = t.peak
 let budget t = t.budget
 let evictions t = t.evictions
 let evicted_events t = t.evicted_events
-let shards_in t = t.shards_in
-let records_in t = t.records_in
 let malformed t = t.malformed
 
 (* Materialize one host's retained state as a canonical profile. *)

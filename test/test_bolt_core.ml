@@ -16,10 +16,22 @@ let profile_of exe ~input =
   | Some raw -> Bolt_profile.Perf2bolt.convert exe raw
   | None -> Bolt_profile.Fdata.empty
 
+(* Run registered passes by name, the way the pipeline runs them. *)
+let run_passes ctx names =
+  Bolt_core.Passman.(
+    run (make_env ctx Bolt_profile.Fdata.empty) (List.map find names))
+
 let build_ctx ?(opts = Bolt_core.Opts.default) exe =
   let ctx = Bolt_core.Context.create ~opts exe in
-  Bolt_core.Build.run ctx;
+  run_passes ctx [ "build-cfg" ];
   ctx
+
+(* The pass log line [line] was written, and counter [key] reads [n]. *)
+let check_logged ctx ~key n line =
+  Alcotest.(check int) key n
+    (Bolt_obs.Metrics.counter ctx.Bolt_core.Context.stats key);
+  Alcotest.(check bool) ("logged: " ^ line) true
+    (List.mem line ctx.Bolt_core.Context.log)
 
 let switch_src =
   {| fn classify(x) {
@@ -44,6 +56,10 @@ let switch_src =
 let test_cfg_reconstruction () =
   let exe = compile [ ("m", switch_src) ] in
   let ctx = build_ctx exe in
+  let funcs = List.length ctx.Bolt_core.Context.order in
+  let simple = List.length (Bolt_core.Context.simple_funcs ctx) in
+  check_logged ctx ~key:"build.funcs" funcs
+    (Printf.sprintf "build: %d functions, %d simple" funcs simple);
   let fb = Option.get (Bolt_core.Context.func ctx "classify") in
   Alcotest.(check bool) "simple" true fb.Bolt_core.Bfunc.simple;
   Alcotest.(check bool) "several blocks" true (Hashtbl.length fb.Bolt_core.Bfunc.blocks > 5);
@@ -127,18 +143,27 @@ let test_profile_matching () =
 let test_strip_rep_ret () =
   let exe = compile [ ("m", {| fn main() { out 1; return 0; } |}) ] in
   let ctx = build_ctx exe in
-  Bolt_core.Passes_simple.strip_rep_ret ctx;
-  let fb = Option.get (Bolt_core.Context.func ctx "main") in
-  let has_repz =
-    Hashtbl.fold
-      (fun _ (b : Bolt_core.Bfunc.bb) acc ->
-        acc
-        || List.exists
-             (fun (i : Bolt_core.Bfunc.minsn) -> i.Bolt_core.Bfunc.op = Bolt_isa.Insn.Repz_ret)
-             b.Bolt_core.Bfunc.insns)
-      fb.Bolt_core.Bfunc.blocks false
+  let repz () =
+    List.fold_left
+      (fun n (fb : Bolt_core.Bfunc.t) ->
+        Hashtbl.fold
+          (fun _ (b : Bolt_core.Bfunc.bb) n ->
+            n
+            + List.length
+                (List.filter
+                   (fun (i : Bolt_core.Bfunc.minsn) ->
+                     i.Bolt_core.Bfunc.op = Bolt_isa.Insn.Repz_ret)
+                   b.Bolt_core.Bfunc.insns))
+          fb.Bolt_core.Bfunc.blocks n)
+      0
+      (Bolt_core.Context.simple_funcs ctx)
   in
-  Alcotest.(check bool) "no repz left" false has_repz
+  let before = repz () in
+  Alcotest.(check bool) "main returns with repz" true (before > 0);
+  run_passes ctx [ "strip-rep-ret" ];
+  check_logged ctx ~key:"pass.strip-rep-ret.stripped" before
+    (Printf.sprintf "strip-rep-ret: %d returns stripped" before);
+  Alcotest.(check int) "no repz left" 0 (repz ())
 
 let test_icf_folds_twins () =
   let src =

@@ -8,10 +8,7 @@ module Machine = Bolt_sim.Machine
 let compile ?(options = Driver.default_options) srcs =
   (Driver.compile ~options srcs).Driver.exe
 
-let build_ctx ?(opts = Bolt_core.Opts.default) exe =
-  let ctx = Bolt_core.Context.create ~opts exe in
-  Bolt_core.Build.run ctx;
-  ctx
+let build_ctx = Test_bolt_core.build_ctx
 
 let test_liveness_callee_saved () =
   (* a framed function that uses r8 must report r8 as referenced *)
@@ -187,8 +184,13 @@ let test_sctc_straightens_jump_chains () =
   in
   let ctx = build_ctx exe in
   (* run sctc; it must not break the CFG *)
-  Bolt_core.Passes_simple.sctc ctx;
-  Bolt_core.Passes_simple.uce ctx;
+  Test_bolt_core.run_passes ctx [ "sctc"; "uce" ];
+  let logged key fmt =
+    let n = Bolt_obs.Metrics.counter ctx.Bolt_core.Context.stats key in
+    Test_bolt_core.check_logged ctx ~key n (Printf.sprintf fmt n)
+  in
+  logged "pass.sctc.simplified" "sctc: %d branches simplified";
+  logged "pass.uce.blocks_removed" "uce: %d unreachable blocks removed";
   let fb = Option.get (Bolt_core.Context.func ctx "main") in
   Alcotest.(check bool) "entry survives" true
     (Hashtbl.mem fb.Bolt_core.Bfunc.blocks fb.Bolt_core.Bfunc.entry)

@@ -396,8 +396,7 @@ let quarantine_demote_preserves () =
      identically (their original bytes are emitted verbatim) *)
   let b = Lazy.force base_rel in
   let opts = Bolt_core.Opts.default in
-  let ctx = Bolt_core.Context.create ~opts b.exe in
-  Bolt_core.Build.run ctx;
+  let ctx = Test_bolt_core.build_ctx ~opts b.exe in
   let victims =
     match Bolt_core.Context.simple_funcs ctx with
     | a :: _ :: c :: _ -> [ a; c ]
@@ -417,8 +416,7 @@ let quarantine_demote_preserves () =
 let quarantine_limit_enforced () =
   let b = Lazy.force base_rel in
   let opts = { Bolt_core.Opts.default with max_quarantine = Some 0 } in
-  let ctx = Bolt_core.Context.create ~opts b.exe in
-  Bolt_core.Build.run ctx;
+  let ctx = Test_bolt_core.build_ctx ~opts b.exe in
   match Bolt_core.Context.simple_funcs ctx with
   | [] -> Alcotest.fail "no simple functions in base workload"
   | fb :: _ -> (
@@ -430,8 +428,7 @@ let quarantine_limit_enforced () =
 let strict_turns_demotion_fatal () =
   let b = Lazy.force base_rel in
   let opts = { Bolt_core.Opts.default with strict = true } in
-  let ctx = Bolt_core.Context.create ~opts b.exe in
-  Bolt_core.Build.run ctx;
+  let ctx = Test_bolt_core.build_ctx ~opts b.exe in
   match Bolt_core.Context.simple_funcs ctx with
   | [] -> Alcotest.fail "no simple functions in base workload"
   | fb :: _ -> (

@@ -315,7 +315,7 @@ let test_torn_shard_skipped () =
 let test_quality_report () =
   let shards = golden_shards () in
   let merged = Merge.merge shards in
-  let q = Quality.assess ~expect_build_id:"revX" shards ~merged in
+  let q, _ = Quality.assess ~expected_build_id:"revX" shards ~merged in
   Alcotest.(check int) "shards" 3 q.Quality.q_shards;
   Alcotest.(check (list string)) "hosts"
     [ "web00"; "web01"; "web02" ] q.Quality.q_hosts;
@@ -353,7 +353,7 @@ let test_unstamped_not_stale () =
       ]
   in
   let merged = Merge.merge shards in
-  let q = Quality.assess ~expect_build_id:"revX" shards ~merged in
+  let q, _ = Quality.assess ~expected_build_id:"revX" shards ~merged in
   Alcotest.(check int) "unstamped" 1 q.Quality.q_unstamped_shards;
   Alcotest.(check int) "not counted stale" 0 q.Quality.q_stale_shards
 
@@ -379,7 +379,7 @@ let test_stale_shard_tolerated () =
       ~opts:{ Merge.default_options with Merge.expect_build_id = Some expect }
       shards
   in
-  let q = Quality.assess ~expect_build_id:expect shards ~merged in
+  let q, _ = Quality.assess ~expected_build_id:expect shards ~merged in
   Alcotest.(check int) "one stale shard detected" 1 q.Quality.q_stale_shards;
   (* the merged profile — stale records included — must optimize the
      current build without quarantining anything *)

@@ -35,10 +35,7 @@ let compile ~linker_icf p =
      ~externals:w.Gen.externals ~extra_objs:w.Gen.extra_objs w.Gen.sources)
     .Driver.exe
 
-let build exe =
-  let ctx = Context.create ~opts:Opts.default exe in
-  Build.run ctx;
-  ctx
+let build exe = Test_bolt_core.build_ctx exe
 
 let simple ctx = List.filter (fun fb -> fb.Bfunc.simple) (Context.all_funcs ctx)
 

@@ -384,21 +384,14 @@ let test_monitor_rollout () =
   let fps = P.fingerprints r.FS.fr_build in
   let obs = Obs.create ~name:"test-monitor" () in
   let monitor = Monitor.create () in
+  let opts =
+    { Merge.default_options with Merge.expect_build_id = Some target_id }
+  in
   List.iter
     (fun t ->
-      let shards = FS.tick_loaded_shards t in
-      let recovered, recovery =
-        Merge.recover_stale_each ~fingerprints:fps ~build_id:target_id shards
-      in
-      let merged =
-        Merge.merge
-          ~opts:
-            { Merge.default_options with Merge.expect_build_id = Some target_id }
-          recovered
-      in
       ignore
-        (Monitor.observe ~obs monitor ~expected_build_id:target_id ~recovery
-           shards ~merged))
+        (Monitor.observe ~obs monitor ~opts ~fingerprints:fps
+           (FS.tick_loaded_shards t)))
     ticks;
   let tks = Monitor.ticks monitor in
   Alcotest.(check int) "3 ticks recorded" 3 (List.length tks);
@@ -523,19 +516,16 @@ let test_alerts_order_invariant () =
       (FS.scale_tape sc)
   in
   let observe order =
-    let merged =
-      Merge.merge
+    let monitor = Monitor.create () in
+    let merged, _ =
+      Monitor.observe monitor
         ~opts:
           {
             Merge.default_options with
             Merge.expect_build_id = Some FS.scale_build_id;
           }
-        order
+        ~fingerprints:[] order
     in
-    let monitor = Monitor.create () in
-    ignore
-      (Monitor.observe monitor ~expected_build_id:FS.scale_build_id order
-         ~merged);
     let alerts =
       List.sort compare
         (List.map
@@ -563,6 +553,62 @@ let test_alerts_order_invariant () =
         (alerts = base_alerts);
       Alcotest.(check string) (label ^ ": same merged bytes") base_merged merged)
     [ ("reversed", List.rev shards); ("shuffled", perm) ]
+
+(* One round, one revision: with no expected id, the quality report
+   and the health tick both judge staleness against the modal shard
+   revision, the build-id stamped on the merged profile. *)
+let test_round_one_revision () =
+  let shard host build events =
+    Merge.shard_of_profile ~name:host
+      (fst
+         (Bolt_profile.Fdata.parse
+            (Printf.sprintf
+               "mode lbr\nH host %s\nH build-id %s\nH timestamp 1000\n\
+                H events %d\nB main 0 main 8 %d 0\n"
+               host build events events)))
+  in
+  let shards =
+    [ shard "web00" "aaaa" 100; shard "web01" "aaaa" 200; shard "web02" "bbbb" 500 ]
+  in
+  let monitor = Monitor.create () in
+  let merged, tk =
+    Monitor.observe monitor ~opts:Merge.default_options ~fingerprints:[] shards
+  in
+  let q = tk.Monitor.tk_quality in
+  Alcotest.(check string) "merged profile stamped with the modal revision"
+    "aaaa" (Option.get merged.Bolt_profile.Fdata.header).Bolt_profile.Fdata.hd_build_id;
+  Alcotest.(check string) "quality judges against it" "aaaa"
+    q.Quality.q_expected_build_id;
+  Alcotest.(check string) "so does the tick" "aaaa" tk.Monitor.tk_expected_build_id;
+  Alcotest.(check int) "quality: one stale shard" 1 q.Quality.q_stale_shards;
+  Alcotest.(check (float 1e-9)) "its events" 62.5 q.Quality.q_staleness_pct;
+  Alcotest.(check (list string)) "tick: the same stale host" [ "web02" ]
+    (Monitor.stale_hosts tk);
+  Alcotest.(check (list (pair string string)))
+    "stale_build alert on the minority host only"
+    [ ("stale_build", "web02") ]
+    (List.filter_map
+       (fun (a : Monitor.alert) ->
+         if a.Monitor.al_kind = "stale_build" then
+           Some (a.Monitor.al_kind, a.Monitor.al_host)
+         else None)
+       (Monitor.alerts monitor));
+  (* the two manifest sections name the same revision and stale hosts *)
+  let _, fleet = Quality.manifest_section q in
+  let _, health = Monitor.manifest_section monitor in
+  Alcotest.(check (option string)) "fleet section revision" (Some "aaaa")
+    (Json.get_string (Json.member "expected_build_id" fleet));
+  Alcotest.(check (option string)) "fleet_health section revision" (Some "aaaa")
+    (Json.get_string (Json.member "expected_build_id" health));
+  Alcotest.(check (list string)) "fleet_health stale hosts" [ "web02" ]
+    (List.filter_map
+       (fun h ->
+         if Json.member "stale" h = Some (Json.Bool true) then
+           Json.get_string (Json.member "host" h)
+         else None)
+       (Option.value ~default:[] (Json.get_list (Json.member "hosts" health))));
+  Alcotest.(check (option int)) "fleet section stale shards" (Some 1)
+    (Json.get_int (Json.member "stale_shards" fleet))
 
 let suite =
   [
@@ -592,4 +638,6 @@ let suite =
       test_unmatched_rules;
     Alcotest.test_case "monitor: 1000-host alerts invariant to arrival order"
       `Slow test_alerts_order_invariant;
+    Alcotest.test_case "monitor: one round judges one revision" `Quick
+      test_round_one_revision;
   ]

@@ -158,15 +158,12 @@ let test_table1_order () =
     ]
     table1_names
 
-let find_pass name =
-  List.find (fun p -> p.Passman.p_name = name) Passman.table1
-
 (* Each descriptor's predicate must match the Opts flag the old inline
    driver consulted, flag for flag: enabled under [default], disabled
    when exactly that flag is turned off. *)
 let test_enabled_predicates () =
   let check name ~off =
-    let p = find_pass name in
+    let p = Passman.find name in
     Alcotest.(check bool) (name ^ " on by default") true
       (p.Passman.p_enabled Opts.default);
     Alcotest.(check bool) (name ^ " off") false (p.Passman.p_enabled off)
@@ -190,7 +187,7 @@ let test_enabled_predicates () =
   (* reorder-functions always runs: under Rf_none it still computes the
      identity layout *)
   Alcotest.(check bool) "reorder-functions always on" true
-    ((find_pass "reorder-functions").Passman.p_enabled
+    ((Passman.find "reorder-functions").Passman.p_enabled
        { d with reorder_functions = Opts.Rf_none });
   (* under Opts.none every optimization pass is off *)
   Alcotest.(check (list string))

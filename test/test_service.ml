@@ -10,6 +10,7 @@
 module Fdata = Bolt_profile.Fdata
 module Merge = Bolt_fleet.Merge
 module Monitor = Bolt_fleet.Monitor
+module Quality = Bolt_fleet.Quality
 module FS = Bolt_fleet.Fleet_sim
 module S = Bolt_service.Service
 module Sk = Bolt_service.Sketch
@@ -318,6 +319,81 @@ let test_manifest_reproducible () =
     (run ()) (run ())
 
 (* ------------------------------------------------------------------ *)
+(* Tracking only: with no target, the modal revision is the expected one *)
+
+let test_tracking_only_staleness () =
+  let svc =
+    S.create
+      ~config:(svc_config { S.default_trigger with S.tr_min_hosts = 100 })
+      ~start_time:0 ()
+  in
+  let arrival host build =
+    { S.ev_time = 1_000; ev_host = host; ev_text = ramp_shard ~host ~build 4 }
+  in
+  let reports =
+    S.run svc
+      [
+        arrival "web01" "rev1";
+        arrival "web02" "rev1";
+        arrival "web03" "rev1";
+        arrival "web04" "rev2";
+      ]
+  in
+  (match reports with
+  | [ { S.sr_quality = Some q; _ } ] ->
+      Alcotest.(check string) "judged against the modal revision" "rev1"
+        q.Quality.q_expected_build_id;
+      Alcotest.(check (float 1e-9)) "the minority host's share of events" 25.0
+        q.Quality.q_staleness_pct
+  | _ -> Alcotest.fail "expected one assessed step");
+  Alcotest.(check (list string)) "stale_build alerts on the minority host"
+    [ "web04" ]
+    (List.filter_map
+       (fun (a : Monitor.alert) ->
+         if a.Monitor.al_kind = "stale_build" then Some a.Monitor.al_host
+         else None)
+       (Monitor.alerts (S.monitor svc)))
+
+(* ------------------------------------------------------------------ *)
+(* One status renderer: boltd's exit block opens with --status's lines *)
+
+let test_pp_is_status () =
+  let obs = Obs.create ~clock:(fun () -> 123.0) ~name:"boltd" () in
+  let svc =
+    S.create ~obs
+      ~config:
+        (svc_config
+           { S.default_trigger with S.tr_min_hosts = 4; tr_min_coverage_pct = 1.0 })
+      ~start_time:FS.base_timestamp ()
+  in
+  let tape = tape_of_scale small_scale in
+  let last = List.fold_left (fun a (e : S.event) -> max a e.S.ev_time) 0 tape in
+  (* a torn shard puts a malformed line into the ingest counts *)
+  ignore
+    (S.run svc
+       (tape @ [ { S.ev_time = last; ev_host = "web99"; ev_text = torn_shard } ]));
+  let path = in_temp "svc_status.json" in
+  Manifest.save path
+    (Manifest.make ~tool:"boltd"
+       ~sections:[ S.manifest_section svc; Monitor.manifest_section (S.monitor svc) ]
+       obs);
+  let lines s = String.split_on_char '\n' s |> List.filter (( <> ) "") in
+  let status =
+    Fmt.str "%a" S.pp_status_json (Manifest.load path)
+    |> lines
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"  fleet health" l))
+  in
+  Sys.remove path;
+  let live = lines (Fmt.str "%a" S.pp svc) in
+  Alcotest.(check bool) "status has its trigger and malformed lines" true
+    (List.exists (String.starts_with ~prefix:"  trigger        quality@") status
+    && List.exists (fun l -> String.ends_with ~suffix:", 1 malformed" l) status);
+  Alcotest.(check (list string)) "pp opens with the status lines" status
+    (List.filteri (fun i _ -> i < List.length status) live);
+  Alcotest.(check bool) "then the fleet health table" true
+    (String.starts_with ~prefix:"fleet health:" (List.nth live (List.length status)))
+
+(* ------------------------------------------------------------------ *)
 (* E2E: a 1000-host tape with drifting revisions through the daemon   *)
 
 (* Replicate a small simulated fleet (fresh + stale revisions, skewed
@@ -444,6 +520,10 @@ let suite =
       test_trigger_max_interval;
     Alcotest.test_case "tape: parse + skip diagnostics" `Quick test_load_tape;
     Alcotest.test_case "spool: header-driven host/time" `Quick test_spool_scan;
+    Alcotest.test_case "tracking only: modal revision judges staleness" `Quick
+      test_tracking_only_staleness;
+    Alcotest.test_case "pp opens with the --status lines" `Quick
+      test_pp_is_status;
     Alcotest.test_case "manifest: injected clock reproducibility" `Quick
       test_manifest_reproducible;
     Alcotest.test_case "e2e: 1000-host tape triggers a winning re-opt" `Slow

@@ -15,6 +15,7 @@ module Workloads = Bolt_workloads.Workloads
 module FS = Bolt_fleet.Fleet_sim
 module Merge = Bolt_fleet.Merge
 module Quality = Bolt_fleet.Quality
+module Monitor = Bolt_fleet.Monitor
 module P = Bolt_pipeline.Pipeline
 module Machine = Bolt_sim.Machine
 module Driver = Bolt_minic.Driver
@@ -316,8 +317,7 @@ let test_match_boundaries () =
       samples = [ { Fdata.sm_func = "helper"; sm_off = size + 64; sm_count = 1L } ];
     }
   in
-  let ctx = Bolt_core.Context.create ~opts:Bolt_core.Opts.default exe in
-  Bolt_core.Build.run ctx;
+  let ctx = Test_bolt_core.build_ctx exe in
   let st = Bolt_core.Match_profile.attach ctx prof in
   Bolt_core.Match_profile.finalize ctx ~lbr:true ~trust_fallthrough:true;
   Alcotest.(check bool) "off-the-end records counted stale" true
@@ -325,8 +325,7 @@ let test_match_boundaries () =
   Alcotest.(check bool) "unknown function counted" true
     (st.Bolt_core.Match_profile.unknown_funcs > 0);
   (* an empty profile attaches as a no-op *)
-  let ctx2 = Bolt_core.Context.create ~opts:Bolt_core.Opts.default exe in
-  Bolt_core.Build.run ctx2;
+  let ctx2 = Test_bolt_core.build_ctx exe in
   let st2 = Bolt_core.Match_profile.attach ctx2 Fdata.empty in
   Bolt_core.Match_profile.finalize ctx2 ~lbr:true ~trust_fallthrough:true;
   Alcotest.(check int) "empty profile matches nothing" 0
@@ -398,8 +397,9 @@ let test_recovery_e2e () =
   Alcotest.(check bool) "-j byte-identical with recovery" true
     (Objfile.to_string b1.P.exe = Objfile.to_string b4.P.exe)
 
-(* The fleet path: stale shards recovered per-shard before the merge,
-   breakdown surfaced through the quality report and manifest. *)
+(* The fleet path: the fleet round recovers stale shards per shard
+   before the merge and surfaces the breakdown through the quality
+   report and manifest. *)
 let test_fleet_recovery () =
   let cfg =
     {
@@ -415,28 +415,23 @@ let test_fleet_recovery () =
   let r = FS.run cfg in
   let target = r.FS.fr_build.P.exe in
   let shards = FS.loaded_shards r in
-  let shards', per_shard =
-    Merge.recover_stale_each ~fingerprints:target.Objfile.fingerprints
-      ~build_id:target.Objfile.build_id shards
-  in
-  let recovery = SM.sum_stats (List.map snd per_shard) in
-  (match recovery with
-  | None -> Alcotest.fail "expected stale shards to be recovered"
-  | Some st ->
-      Fmt.epr "fleet recovery: %a@." SM.pp_stats st;
-      Alcotest.(check bool) "functions recovered" true
-        (st.SM.st_exact + st.SM.st_fuzzy > 0));
   let opts =
     {
       Merge.default_options with
       Merge.expect_build_id = Some target.Objfile.build_id;
     }
   in
-  let merged = Merge.merge ~opts shards' in
-  let q =
-    Quality.assess ~expect_build_id:target.Objfile.build_id ?recovery shards
-      ~merged
+  let merged, tick =
+    Monitor.observe (Monitor.create ()) ~opts
+      ~fingerprints:target.Objfile.fingerprints shards
   in
+  let q = tick.Monitor.tk_quality in
+  (match q.Quality.q_recovery with
+  | None -> Alcotest.fail "expected stale shards to be recovered"
+  | Some st ->
+      Fmt.epr "fleet recovery: %a@." SM.pp_stats st;
+      Alcotest.(check bool) "functions recovered" true
+        (st.SM.st_exact + st.SM.st_fuzzy > 0));
   Alcotest.(check int) "staleness assessed pre-recovery" 2
     q.Quality.q_stale_shards;
   Alcotest.(check bool) "breakdown in quality report" true
