@@ -52,7 +52,35 @@ let assess ~expected_build_id ?recovery (shards : Merge.loaded list)
     ~(merged : Fdata.t) : report * shard_score list =
   let merged_funcs = Fdata.func_events merged in
   let nfuncs = Hashtbl.length merged_funcs in
-  let observers = Hashtbl.create 1024 in
+  (* agreement: how many shards saw each merged branch key.  The merged
+     branches are in canonical order, so each shard's keys, sorted with
+     the same comparator, are found by one forward walk of binary
+     searches. *)
+  let merged_branches = Array.of_list merged.Fdata.branches in
+  let keys = Array.length merged_branches in
+  let observers = Array.make keys 0 in
+  let observe (prof : Fdata.t) =
+    let mine = Array.of_list prof.Fdata.branches in
+    Array.sort Fdata.compare_branch mine;
+    let lo = ref 0 in
+    Array.iteri
+      (fun i b ->
+        if i = 0 || Fdata.compare_branch mine.(i - 1) b <> 0 then begin
+          (* the first merged key not below [b], at or after [lo] *)
+          let l = ref !lo and h = ref keys in
+          while !l < !h do
+            let m = (!l + !h) / 2 in
+            if Fdata.compare_branch merged_branches.(m) b < 0 then l := m + 1
+            else h := m
+          done;
+          if !l < keys && Fdata.compare_branch merged_branches.(!l) b = 0 then begin
+            observers.(!l) <- observers.(!l) + 1;
+            lo := !l + 1
+          end
+          else lo := !l
+        end)
+      mine
+  in
   let build_tally = Hashtbl.create 8 in
   let bump tbl k =
     Hashtbl.replace tbl k (1 + try Hashtbl.find tbl k with Not_found -> 0)
@@ -67,14 +95,7 @@ let assess ~expected_build_id ?recovery (shards : Merge.loaded list)
             (fun f _ acc -> if Hashtbl.mem merged_funcs f then acc + 1 else acc)
             (Fdata.func_events prof) 0
         in
-        (* agreement: count each distinct branch key once per shard *)
-        let mine = Hashtbl.create 256 in
-        List.iter
-          (fun (b : Fdata.branch) ->
-            Hashtbl.replace mine
-              (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off) ())
-          prof.Fdata.branches;
-        Hashtbl.iter (fun k () -> bump observers k) mine;
+        observe prof;
         (* staleness: the shard's revision against the expected one *)
         let id = (Merge.header sh).Fdata.hd_build_id in
         bump build_tally (if id = "" then "<unstamped>" else id);
@@ -92,15 +113,8 @@ let assess ~expected_build_id ?recovery (shards : Merge.loaded list)
         List.fold_left (fun a s -> a +. s.ss_coverage_pct) 0.0 scores
         /. float_of_int (List.length scores)
   in
-  let keys = List.length merged.Fdata.branches in
   let shared =
-    List.fold_left
-      (fun acc (b : Fdata.branch) ->
-        let k = (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off) in
-        match Hashtbl.find_opt observers k with
-        | Some n when n >= 2 -> acc + 1
-        | _ -> acc)
-      0 merged.Fdata.branches
+    Array.fold_left (fun acc n -> if n >= 2 then acc + 1 else acc) 0 observers
   in
   let agreement_pct = pct shared keys in
   let sum_events keep =

@@ -127,52 +127,142 @@ let iter_records t ~branch ~range ~sample =
   List.iter range t.ranges;
   List.iter sample t.samples
 
-(* The one record accumulator.  Every record [feed] passes to its
-   callbacks is summed into a table keyed by its endpoints (counts
-   saturating-added), and the table is materialized once, sorted, as
-   [t]'s record lists.  Two feeds holding the same multiset of events
-   produce the same value — and therefore the same bytes — which is what
-   makes merged output independent of shard order. *)
+(* ---- key order and sort-and-fold ---- *)
+
+(* The one record order: by key fields, in declaration order, on
+   [String.compare] and [Int.compare].  A folded run holds distinct
+   keys, and on two records with distinct keys polymorphic [compare]
+   also decides at the first differing key field, in the same string
+   and integer order: canonical output is ordered exactly as
+   [List.sort compare] orders it. *)
+let compare_branch a b =
+  let c = String.compare a.br_from_func b.br_from_func in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.br_from_off b.br_from_off in
+    if c <> 0 then c
+    else
+      let c = String.compare a.br_to_func b.br_to_func in
+      if c <> 0 then c else Int.compare a.br_to_off b.br_to_off
+
+let compare_range a b =
+  let c = String.compare a.rg_func b.rg_func in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.rg_start b.rg_start in
+    if c <> 0 then c else Int.compare a.rg_end b.rg_end
+
+let compare_sample a b =
+  let c = String.compare a.sm_func b.sm_func in
+  if c <> 0 then c else Int.compare a.sm_off b.sm_off
+
+let add_branch a b =
+  {
+    a with
+    br_count = sat_add a.br_count b.br_count;
+    br_mispreds = sat_add a.br_mispreds b.br_mispreds;
+  }
+
+let add_range a b = { a with rg_count = sat_add a.rg_count b.rg_count }
+let add_sample a b = { a with sm_count = sat_add a.sm_count b.sm_count }
+
+(* Records are buffered per kind and folded a chunk at a time, so live
+   memory is one record per distinct key plus one chunk, however long
+   the feed. *)
+let fold_chunk = 65_536
+
+(* One kind's records: [buf.(0 .. n-1)] as fed, and [run], the records
+   of every earlier chunk sorted with one record per key. *)
+type 'a folder = {
+  cmp : 'a -> 'a -> int;
+  add : 'a -> 'a -> 'a;
+  mutable buf : 'a array;
+  mutable n : int;
+  mutable run : 'a array;
+}
+
+let folder cmp add = { cmp; add; buf = [||]; n = 0; run = [||] }
+
+(* Merge two sorted runs of distinct keys, folding a key both hold with
+   [add], the earlier run's record first. *)
+let merge_runs cmp add x y =
+  let nx = Array.length x and ny = Array.length y in
+  if nx = 0 then y
+  else if ny = 0 then x
+  else begin
+    let out = Array.append x y in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < nx && !j < ny do
+      let c = cmp x.(!i) y.(!j) in
+      out.(!k) <-
+        (if c < 0 then x.(!i) else if c > 0 then y.(!j) else add x.(!i) y.(!j));
+      if c <= 0 then incr i;
+      if c >= 0 then incr j;
+      incr k
+    done;
+    Array.blit x !i out !k (nx - !i);
+    Array.blit y !j out (!k + nx - !i) (ny - !j);
+    let n = !k + nx - !i + ny - !j in
+    if n = nx + ny then out else Array.sub out 0 n
+  end
+
+(* Sort the buffered records (stably, so equal keys fold in feed
+   order), fold equal neighbours, and merge the result into [run]. *)
+let flush f =
+  if f.n > 0 then begin
+    let a = if f.n = Array.length f.buf then f.buf else Array.sub f.buf 0 f.n in
+    Array.stable_sort f.cmp a;
+    let k = ref 0 in
+    for i = 1 to f.n - 1 do
+      if f.cmp a.(!k) a.(i) = 0 then a.(!k) <- f.add a.(!k) a.(i)
+      else begin
+        incr k;
+        a.(!k) <- a.(i)
+      end
+    done;
+    f.run <- merge_runs f.cmp f.add f.run (Array.sub a 0 (!k + 1));
+    f.n <- 0
+  end
+
+(* Arrays past 256 words are allocated in the major heap, and
+   [Array.make] with a young record then forces a minor collection
+   first, promoting everything the minor heap holds; the buffer grows
+   and the merge allocates by [Array.append], which does not. *)
+let push f x =
+  if f.n = Array.length f.buf then
+    if f.n >= fold_chunk then flush f
+    else f.buf <- (if f.n = 0 then Array.make 16 x else Array.append f.buf f.buf);
+  f.buf.(f.n) <- x;
+  f.n <- f.n + 1
+
+let contents f =
+  flush f;
+  f.run
+
+(* The sort-and-fold every accumulation runs: [feed]'s records summed by
+   key with [sat_add], as arrays sorted in the one record order. *)
+let fold_records feed =
+  let b = folder compare_branch add_branch
+  and r = folder compare_range add_range
+  and s = folder compare_sample add_sample in
+  feed ~branch:(push b) ~range:(push r) ~sample:(push s);
+  (contents b, contents r, contents s)
+
+(* The one record accumulator: [fold_records], materialized as [t]'s
+   record lists.  Two feeds holding the same multiset of events produce
+   the same value — and therefore the same bytes — which is what makes
+   merged output independent of shard order. *)
 let accumulate feed t =
-  let tbl = Hashtbl.create 256 in
-  let bump k c m =
-    match Hashtbl.find_opt tbl k with
-    | Some (c0, m0) -> Hashtbl.replace tbl k (sat_add c0 c, sat_add m0 m)
-    | None -> Hashtbl.add tbl k (c, m)
-  in
-  feed
-    ~branch:(fun b ->
-      bump (`B (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off)) b.br_count
-        b.br_mispreds)
-    ~range:(fun r -> bump (`F (r.rg_func, r.rg_start, r.rg_end)) r.rg_count 0L)
-    ~sample:(fun s -> bump (`S (s.sm_func, s.sm_off)) s.sm_count 0L);
-  let branches = ref [] and ranges = ref [] and samples = ref [] in
-  Hashtbl.iter
-    (fun k (c, m) ->
-      match k with
-      | `B (ff, fo, tf, to_) ->
-          branches :=
-            {
-              br_from_func = ff;
-              br_from_off = fo;
-              br_to_func = tf;
-              br_to_off = to_;
-              br_count = c;
-              br_mispreds = m;
-            }
-            :: !branches
-      | `F (f, s, e) -> ranges := { rg_func = f; rg_start = s; rg_end = e; rg_count = c } :: !ranges
-      | `S (f, o) -> samples := { sm_func = f; sm_off = o; sm_count = c } :: !samples)
-    tbl;
+  let branches, ranges, samples = fold_records feed in
   let total =
-    List.fold_left (fun a (b : branch) -> sat_add a b.br_count) 0L !branches
-    |> fun acc -> List.fold_left (fun a (s : sample) -> sat_add a s.sm_count) acc !samples
+    Array.fold_left (fun a (b : branch) -> sat_add a b.br_count) 0L branches
+    |> fun acc -> Array.fold_left (fun a (s : sample) -> sat_add a s.sm_count) acc samples
   in
   {
     t with
-    branches = List.sort compare !branches;
-    ranges = List.sort compare !ranges;
-    samples = List.sort compare !samples;
+    branches = Array.to_list branches;
+    ranges = Array.to_list ranges;
+    samples = Array.to_list samples;
     total_samples = total;
     fingerprints = List.sort_uniq compare t.fingerprints;
   }

@@ -94,15 +94,33 @@ val iter_records :
   sample:(sample -> unit) ->
   unit
 
-(** The one record accumulator.  [accumulate feed t] runs [feed] once
-    with a callback per record kind, sums the records it receives by
-    endpoints with {!sat_add}, and returns [t] with those sums as its
-    sorted record lists, [total_samples] recomputed and [fingerprints]
-    sorted and deduplicated.  Feeds holding the same multiset of events
-    give identical values — and identical bytes — which is what makes
-    merged output independent of shard order.  {!normalize} feeds it a
-    profile's own records; the fleet merger feeds it scaled records from
-    many shards. *)
+(** The one branch record order, on [String.compare] and [Int.compare]
+    over the key fields [(from_func, from_off, to_func, to_off)]; ranges
+    are ordered by [(func, start, end)] and samples by [(func, off)] the
+    same way.  On records with distinct keys it is the order polymorphic
+    [compare] gives. *)
+val compare_branch : branch -> branch -> int
+
+(** Records per kind that {!fold_records} buffers before it sorts and
+    folds them into its run (65,536). *)
+val fold_chunk : int
+
+(** The one sort-and-fold.  [fold_records feed] runs [feed] once with a
+    callback per record kind and returns its records summed by key with
+    {!sat_add}, one record per key, each array sorted by its kind's
+    comparator.  Records are sorted and folded a {!fold_chunk} at a
+    time, so live memory is one record per distinct key plus one chunk. *)
+val fold_records :
+  (branch:(branch -> unit) -> range:(range -> unit) -> sample:(sample -> unit) -> unit) ->
+  branch array * range array * sample array
+
+(** The one record accumulator.  [accumulate feed t] returns [t] with
+    [fold_records feed] as its record lists, [total_samples] recomputed
+    and [fingerprints] sorted and deduplicated.  Feeds holding the same
+    multiset of events give identical values — and identical bytes —
+    which is what makes merged output independent of shard order.
+    {!normalize} feeds it a profile's own records; the fleet merger
+    feeds it scaled records from many shards. *)
 val accumulate :
   (branch:(branch -> unit) -> range:(range -> unit) -> sample:(sample -> unit) -> unit) ->
   t ->

@@ -421,3 +421,328 @@ module Cache = struct
       false
     end
 end
+
+(* The record accumulator [Bolt_profile.Fdata.accumulate] was before
+   sort-and-fold, kept verbatim: one hashtable keyed on polymorphic
+   variants of the record endpoints, then a polymorphic [List.sort
+   compare] per record kind. *)
+let accumulate feed t =
+  let tbl = Hashtbl.create 256 in
+  let bump k c m =
+    match Hashtbl.find_opt tbl k with
+    | Some (c0, m0) -> Hashtbl.replace tbl k (sat_add c0 c, sat_add m0 m)
+    | None -> Hashtbl.add tbl k (c, m)
+  in
+  feed
+    ~branch:(fun b ->
+      bump (`B (b.br_from_func, b.br_from_off, b.br_to_func, b.br_to_off)) b.br_count
+        b.br_mispreds)
+    ~range:(fun r -> bump (`F (r.rg_func, r.rg_start, r.rg_end)) r.rg_count 0L)
+    ~sample:(fun s -> bump (`S (s.sm_func, s.sm_off)) s.sm_count 0L);
+  let branches = ref [] and ranges = ref [] and samples = ref [] in
+  Hashtbl.iter
+    (fun k (c, m) ->
+      match k with
+      | `B (ff, fo, tf, to_) ->
+          branches :=
+            {
+              br_from_func = ff;
+              br_from_off = fo;
+              br_to_func = tf;
+              br_to_off = to_;
+              br_count = c;
+              br_mispreds = m;
+            }
+            :: !branches
+      | `F (f, s, e) -> ranges := { rg_func = f; rg_start = s; rg_end = e; rg_count = c } :: !ranges
+      | `S (f, o) -> samples := { sm_func = f; sm_off = o; sm_count = c } :: !samples)
+    tbl;
+  let total =
+    List.fold_left (fun a (b : branch) -> sat_add a b.br_count) 0L !branches
+    |> fun acc -> List.fold_left (fun a (s : sample) -> sat_add a s.sm_count) acc !samples
+  in
+  {
+    t with
+    branches = List.sort compare !branches;
+    ranges = List.sort compare !ranges;
+    samples = List.sort compare !samples;
+    total_samples = total;
+    fingerprints = List.sort_uniq compare t.fingerprints;
+  }
+
+(* The service sketch [Bolt_service.Sketch] was before sorted per-host
+   arrays, kept verbatim but for the fingerprint rule on supersession
+   (a shard on a new revision takes its own table, even an empty one):
+   three polymorphic hashtables per function entry, a [List.sort] of the
+   host's entries for top-K and of every fleet entry for the budget,
+   and one eviction counter bump per entry. *)
+module Sketch = struct
+  module Fdata = Bolt_profile.Fdata
+  module Obs = Bolt_obs.Obs
+
+  type entry = {
+    e_func : string;
+    mutable e_events : int64;
+    mutable e_bytes : int;
+    mutable e_branches : (int * string * int, int64 * int64) Hashtbl.t;
+    mutable e_ranges : (int * int, int64) Hashtbl.t;
+    mutable e_samples : (int, int64) Hashtbl.t;
+  }
+
+  type host_state = {
+    hs_host : string;
+    mutable hs_header : Fdata.header;
+    mutable hs_lbr : bool;
+    mutable hs_fingerprints : Bolt_obj.Fingerprint.t;
+    mutable hs_entries : (string, entry) Hashtbl.t;
+    mutable hs_bytes : int;
+  }
+
+  type t = {
+    topk : int;
+    budget : int;
+    obs : Obs.t;
+    hosts : (string, host_state) Hashtbl.t;
+    mutable occupancy : int;
+    mutable peak : int;
+    mutable evictions : int;
+    mutable evicted_events : int64;
+    mutable malformed : int;
+  }
+
+  let host_base = 96
+  let entry_base = 64
+  let branch_cost tf = 56 + String.length tf
+  let range_cost = 40
+  let sample_cost = 32
+
+  let create ?obs ~topk ~budget () =
+    let obs = match obs with Some o -> o | None -> Obs.null () in
+    {
+      topk = max 1 topk;
+      budget = max 1 budget;
+      obs;
+      hosts = Hashtbl.create 64;
+      occupancy = 0;
+      peak = 0;
+      evictions = 0;
+      evicted_events = 0L;
+      malformed = 0;
+    }
+
+  let entry_of func =
+    {
+      e_func = func;
+      e_events = 0L;
+      e_bytes = entry_base + String.length func;
+      e_branches = Hashtbl.create 8;
+      e_ranges = Hashtbl.create 4;
+      e_samples = Hashtbl.create 4;
+    }
+
+  let evict_entry t (hs : host_state) (e : entry) =
+    Hashtbl.remove hs.hs_entries e.e_func;
+    hs.hs_bytes <- hs.hs_bytes - e.e_bytes;
+    t.occupancy <- t.occupancy - e.e_bytes;
+    t.evictions <- t.evictions + 1;
+    t.evicted_events <- Fdata.sat_add t.evicted_events e.e_events;
+    Obs.incr t.obs "service.sketch_evictions"
+
+  let evict_order (h1, (e1 : entry)) (h2, (e2 : entry)) =
+    compare (e1.e_events, h1, e1.e_func) (e2.e_events, h2, e2.e_func)
+
+  let enforce_topk t (hs : host_state) =
+    let n = Hashtbl.length hs.hs_entries in
+    if n > t.topk then begin
+      let entries =
+        Hashtbl.fold (fun _ e acc -> (hs.hs_host, e) :: acc) hs.hs_entries []
+        |> List.sort evict_order
+      in
+      let rec drop k = function
+        | (_, e) :: rest when k > 0 ->
+            evict_entry t hs e;
+            drop (k - 1) rest
+        | _ -> ()
+      in
+      drop (n - t.topk) entries
+    end
+
+  let enforce_budget t =
+    if t.occupancy > t.budget then begin
+      let low_water = t.budget * 9 / 10 in
+      let all =
+        Hashtbl.fold
+          (fun _ hs acc ->
+            Hashtbl.fold (fun _ e acc -> (hs, e) :: acc) hs.hs_entries acc)
+          t.hosts []
+        |> List.sort (fun (h1, e1) (h2, e2) ->
+               evict_order (h1.hs_host, e1) (h2.hs_host, e2))
+      in
+      let rec go = function
+        | (hs, e) :: rest when t.occupancy > low_water ->
+            evict_entry t hs e;
+            go rest
+        | _ -> ()
+      in
+      go all
+    end
+
+  type ingested = { ig_records : int; ig_warnings : int; ig_skipped : bool }
+
+  let ingest t ~host (text : string) : ingested =
+    let entries = Hashtbl.create 64 in
+    let bytes = ref (host_base + String.length host) in
+    let records = ref 0 in
+    let entry func =
+      match Hashtbl.find_opt entries func with
+      | Some e -> e
+      | None ->
+          let e = entry_of func in
+          Hashtbl.add entries func e;
+          bytes := !bytes + e.e_bytes;
+          e
+    in
+    let grow e by =
+      e.e_bytes <- e.e_bytes + by;
+      bytes := !bytes + by
+    in
+    let prof, warnings =
+      Fdata.scan
+        ~branch:(fun (b : Fdata.branch) ->
+          incr records;
+          let e = entry b.Fdata.br_from_func in
+          e.e_events <- Fdata.sat_add e.e_events b.Fdata.br_count;
+          let k = (b.Fdata.br_from_off, b.Fdata.br_to_func, b.Fdata.br_to_off) in
+          (match Hashtbl.find_opt e.e_branches k with
+          | Some (c, m) ->
+              Hashtbl.replace e.e_branches k
+                ( Fdata.sat_add c b.Fdata.br_count,
+                  Fdata.sat_add m b.Fdata.br_mispreds )
+          | None ->
+              Hashtbl.add e.e_branches k (b.Fdata.br_count, b.Fdata.br_mispreds);
+              grow e (branch_cost b.Fdata.br_to_func)))
+        ~range:(fun (r : Fdata.range) ->
+          incr records;
+          let e = entry r.Fdata.rg_func in
+          e.e_events <- Fdata.sat_add e.e_events r.Fdata.rg_count;
+          let k = (r.Fdata.rg_start, r.Fdata.rg_end) in
+          (match Hashtbl.find_opt e.e_ranges k with
+          | Some c -> Hashtbl.replace e.e_ranges k (Fdata.sat_add c r.Fdata.rg_count)
+          | None ->
+              Hashtbl.add e.e_ranges k r.Fdata.rg_count;
+              grow e range_cost))
+        ~sample:(fun (s : Fdata.sample) ->
+          incr records;
+          let e = entry s.Fdata.sm_func in
+          e.e_events <- Fdata.sat_add e.e_events s.Fdata.sm_count;
+          match Hashtbl.find_opt e.e_samples s.Fdata.sm_off with
+          | Some c ->
+              Hashtbl.replace e.e_samples s.Fdata.sm_off
+                (Fdata.sat_add c s.Fdata.sm_count)
+          | None ->
+              Hashtbl.add e.e_samples s.Fdata.sm_off s.Fdata.sm_count;
+              grow e sample_cost)
+        text
+    in
+    let skipped = Bolt_fleet.Merge.torn ~records:!records ~warnings in
+    if not skipped then begin
+      let hs =
+        match Hashtbl.find_opt t.hosts host with
+        | Some hs ->
+            t.occupancy <- t.occupancy - hs.hs_bytes;
+            hs
+        | None ->
+            let hs =
+              {
+                hs_host = host;
+                hs_header = Fdata.no_header;
+                hs_lbr = true;
+                hs_fingerprints = [];
+                hs_entries = entries;
+                hs_bytes = 0;
+              }
+            in
+            Hashtbl.add t.hosts host hs;
+            hs
+      in
+      hs.hs_entries <- entries;
+      hs.hs_bytes <- !bytes;
+      t.occupancy <- t.occupancy + !bytes;
+      let hd = Option.value ~default:Fdata.no_header prof.Fdata.header in
+      if
+        prof.Fdata.fingerprints <> []
+        || hd.Fdata.hd_build_id <> hs.hs_header.Fdata.hd_build_id
+      then hs.hs_fingerprints <- prof.Fdata.fingerprints;
+      hs.hs_header <- { hd with Fdata.hd_host = host };
+      hs.hs_lbr <- prof.Fdata.lbr;
+      enforce_topk t hs;
+      enforce_budget t;
+      t.peak <- max t.peak t.occupancy
+    end;
+    t.malformed <- t.malformed + List.length warnings;
+    Obs.set t.obs "service.sketch_occupancy_bytes" (float_of_int t.occupancy);
+    {
+      ig_records = !records;
+      ig_warnings = List.length warnings;
+      ig_skipped = skipped;
+    }
+
+  let hosts t = Hashtbl.length t.hosts
+
+  let funcs t =
+    Hashtbl.fold (fun _ hs acc -> acc + Hashtbl.length hs.hs_entries) t.hosts 0
+
+  let occupancy t = t.occupancy
+  let peak t = t.peak
+  let evictions t = t.evictions
+  let evicted_events t = t.evicted_events
+  let malformed t = t.malformed
+
+  let profile_of (hs : host_state) : Fdata.t =
+    let branches = ref [] and ranges = ref [] and samples = ref [] in
+    Hashtbl.iter
+      (fun _ (e : entry) ->
+        Hashtbl.iter
+          (fun (fo, tf, to_) (c, m) ->
+            branches :=
+              {
+                Fdata.br_from_func = e.e_func;
+                br_from_off = fo;
+                br_to_func = tf;
+                br_to_off = to_;
+                br_count = c;
+                br_mispreds = m;
+              }
+              :: !branches)
+          e.e_branches;
+        Hashtbl.iter
+          (fun (s, en) c ->
+            ranges :=
+              { Fdata.rg_func = e.e_func; rg_start = s; rg_end = en; rg_count = c }
+              :: !ranges)
+          e.e_ranges;
+        Hashtbl.iter
+          (fun o c ->
+            samples :=
+              { Fdata.sm_func = e.e_func; sm_off = o; sm_count = c } :: !samples)
+          e.e_samples)
+      hs.hs_entries;
+    let p =
+      {
+        Fdata.lbr = hs.hs_lbr;
+        header = Some hs.hs_header;
+        branches = !branches;
+        ranges = !ranges;
+        samples = !samples;
+        total_samples = 0L;
+        fingerprints = hs.hs_fingerprints;
+      }
+    in
+    accumulate (iter_records p) p
+
+  let to_shards t : Bolt_fleet.Merge.loaded list =
+    Hashtbl.fold (fun _ hs acc -> hs :: acc) t.hosts []
+    |> List.sort (fun a b -> compare a.hs_host b.hs_host)
+    |> List.map (fun hs ->
+           Bolt_fleet.Merge.shard_of_profile ~name:hs.hs_host (profile_of hs))
+end

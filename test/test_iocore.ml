@@ -377,6 +377,99 @@ let mega_parity () =
        (String.split_on_char '\n' (String.trim m.Gen.mg_fdata)))
 
 (* ------------------------------------------------------------------ *)
+(* Fdata.accumulate == the hashtable accumulator it replaced          *)
+
+type feed_record =
+  | Fb of Fdata.branch
+  | Ff of Fdata.range
+  | Fs of Fdata.sample
+
+let gen_feed =
+  let open QCheck.Gen in
+  let func = oneofl [ "main"; "work"; "f_1"; "x"; "mf_000001"; "mf_00001" ] in
+  let off = int_range 0 12 in
+  let count =
+    frequency
+      [
+        (8, map Int64.of_int (int_range 0 1_000));
+        (1, map (fun d -> Int64.sub Int64.max_int (Int64.of_int d)) (int_range 0 3));
+      ]
+  in
+  let record =
+    frequency
+      [
+        ( 5,
+          map
+            (fun ((ff, fo), (tf, to_), (c, m)) ->
+              Fb
+                {
+                  Fdata.br_from_func = ff;
+                  br_from_off = fo;
+                  br_to_func = tf;
+                  br_to_off = to_;
+                  br_count = c;
+                  br_mispreds = m;
+                })
+            (triple (pair func off) (pair func off) (pair count count)) );
+        ( 2,
+          map
+            (fun ((f, s), l, c) ->
+              Ff { Fdata.rg_func = f; rg_start = s; rg_end = s + l; rg_count = c })
+            (triple (pair func off) (int_range 0 4) count) );
+        ( 2,
+          map
+            (fun ((f, o), c) -> Fs { Fdata.sm_func = f; sm_off = o; sm_count = c })
+            (pair (pair func off) count) );
+      ]
+  in
+  (* a short feed, or one where every kind is longer than a chunk and
+     every key repeats: each kind's base cycled past the chunk boundary,
+     so its last chunk holds only part of the base, then a few fresh
+     records *)
+  let cycled base =
+    int_range 0 (max 0 (List.length base - 1)) >>= fun past ->
+    let base = Array.of_list base in
+    return
+      (if base = [||] then []
+       else
+         List.init (Fdata.fold_chunk + past) (fun i ->
+             base.(i mod Array.length base)))
+  in
+  frequency
+    [
+      (9, list_size (int_range 0 300) record);
+      ( 1,
+        list_size (int_range 3 200) record >>= fun base ->
+        let kind k = List.filter (fun r -> k r) base in
+        cycled (kind (function Fb _ -> true | _ -> false)) >>= fun b ->
+        cycled (kind (function Ff _ -> true | _ -> false)) >>= fun f ->
+        cycled (kind (function Fs _ -> true | _ -> false)) >>= fun s ->
+        list_size (int_range 0 50) record >>= fun fresh ->
+        return (b @ f @ s @ fresh) );
+    ]
+
+let prop_accumulate_parity =
+  QCheck.Test.make ~name:"fdata accumulate == hashtable accumulator" ~count:200
+    (QCheck.make
+       ~print:(fun recs -> Printf.sprintf "%d records" (List.length recs))
+       gen_feed)
+    (fun recs ->
+      let feed ~branch ~range ~sample =
+        List.iter
+          (function Fb b -> branch b | Ff r -> range r | Fs s -> sample s)
+          recs
+      in
+      let t =
+        {
+          Fdata.empty with
+          Fdata.header = Some { Fdata.no_header with Fdata.hd_host = "fleet" };
+        }
+      in
+      let p = Fdata.accumulate feed t and o = Oracle.accumulate feed t in
+      Fdata.to_string p = Fdata.to_string o
+      && p.Fdata.total_samples = o.Fdata.total_samples)
+
+(* ------------------------------------------------------------------ *)
 (* sat_scale near the saturation boundary                             *)
 
 let sat_scale_boundary () =
@@ -400,6 +493,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_emit_parity;
     QCheck_alcotest.to_alcotest prop_reader_parity;
     QCheck_alcotest.to_alcotest prop_text_emitters;
+    QCheck_alcotest.to_alcotest prop_accumulate_parity;
     Alcotest.test_case "buf units" `Quick buf_units;
     Alcotest.test_case "belf fixtures old-vs-new" `Quick belf_fixture_parity;
     Alcotest.test_case "fdata fixtures old-vs-new" `Quick fdata_fixture_parity;

@@ -96,6 +96,146 @@ let test_sketch_budget () =
   Alcotest.(check bool) "the bound forced evictions" true (Sk.evictions sk > 0);
   Alcotest.(check int) "host states survive eviction" 10 (Sk.hosts sk)
 
+(* A host that moves to a new revision must not carry the old
+   revision's fingerprint table: the merged profile is stamped with the
+   new build-id, and stale recovery reads that table as the new
+   revision's. *)
+let test_sketch_fingerprints_follow_revision () =
+  let shard ~build ~g =
+    Printf.sprintf "mode lbr\nH host web01\nH build-id %s\n%sB f00 0 f00 8 5 0\n"
+      build
+      (if g then "G f00 16 abcd 1234 -\n" else "")
+  in
+  let fingerprints sk =
+    match Sk.to_shards sk with
+    | [ sh ] ->
+        List.map
+          (fun f -> f.Bolt_obj.Fingerprint.fp_func)
+          sh.Merge.sh_prof.Fdata.fingerprints
+    | _ -> Alcotest.fail "expected exactly one shard"
+  in
+  let sk = Sk.create ~topk:64 ~budget:(1 lsl 20) () in
+  ignore (Sk.ingest sk ~host:"web01" (shard ~build:"rev1" ~g:true));
+  ignore (Sk.ingest sk ~host:"web01" (shard ~build:"rev1" ~g:false));
+  Alcotest.(check (list string)) "same revision keeps its table" [ "f00" ]
+    (fingerprints sk);
+  ignore (Sk.ingest sk ~host:"web01" (shard ~build:"rev2" ~g:false));
+  Alcotest.(check (list string)) "a new revision drops the old table" []
+    (fingerprints sk);
+  let merged =
+    Merge.merge
+      ~opts:{ Merge.default_options with Merge.expect_build_id = Some "rev2" }
+      (Sk.to_shards sk)
+  in
+  Alcotest.(check int) "the merged rev2 profile has no rev1 table" 0
+    (List.length merged.Fdata.fingerprints)
+
+(* The sketch against [Oracle.Sketch], the hashtable sketch it replaced,
+   on random tapes: repeated hosts (supersession), torn shards, malformed
+   lines, duplicate keys within a shard, fingerprint tables across
+   revisions, counts near [Int64.max_int], top-K from 1 to 16 and budgets
+   small enough to evict every few shards.  Every observable value must
+   agree after every ingest. *)
+let gen_sketch_tape =
+  let open QCheck.Gen in
+  let func = map (Printf.sprintf "f%02d") (int_range 0 11) in
+  let count =
+    frequency
+      [
+        (8, map Int64.of_int (int_range 0 500));
+        (1, map (fun d -> Int64.sub Int64.max_int (Int64.of_int d)) (int_range 0 2));
+      ]
+  in
+  let record =
+    frequency
+      [
+        ( 5,
+          map
+            (fun ((ff, fo), (tf, to_), (c, m)) ->
+              Printf.sprintf "B %s %d %s %d %Ld %Ld" ff fo tf to_ c m)
+            (triple (pair func (int_range 0 5)) (pair func (int_range 0 5))
+               (pair count count)) );
+        ( 2,
+          map
+            (fun ((f, s), l, c) -> Printf.sprintf "F %s %d %d %Ld" f s (s + l) c)
+            (triple (pair func (int_range 0 5)) (int_range 0 3) count) );
+        ( 2,
+          map (fun ((f, o), c) -> Printf.sprintf "S %s %d %Ld" f o c)
+            (pair (pair func (int_range 0 5)) count) );
+        (1, return "B f00 zero f01 4 1 0");
+      ]
+  in
+  let shard host =
+    map
+      (fun ((mode, build), (fps, ts), lines) ->
+        String.concat "\n"
+          ([ "mode " ^ mode; "H host " ^ host; Printf.sprintf "H timestamp %d" ts ]
+          @ (if build = "" then [] else [ "H build-id " ^ build ])
+          @ List.map (Printf.sprintf "G %s 16 abcd 1234 -") fps
+          @ lines)
+        ^ "\n")
+      (triple
+         (pair (oneofl [ "lbr"; "lbr"; "sample" ]) (oneofl [ "rev1"; "rev2"; "" ]))
+         (pair (list_size (int_range 0 2) func) (int_range 1 9_999))
+         (list_size (int_range 0 30) record))
+  in
+  let torn host = return (Printf.sprintf "mode lbr\nH host %s\nB f00 0 f0" host) in
+  let arrival =
+    oneofl [ "web01"; "web02"; "web03"; "web04"; "db01" ] >>= fun host ->
+    map (fun text -> (host, text)) (frequency [ (8, shard host); (1, torn host) ])
+  in
+  triple (int_range 1 16) (int_range 200 4_000) (list_size (int_range 1 25) arrival)
+
+let prop_sketch_oracle =
+  QCheck.Test.make ~name:"sketch == hashtable sketch oracle" ~count:500
+    (QCheck.make
+       ~print:(fun (topk, budget, tape) ->
+         Printf.sprintf "topk %d budget %d\n%s" topk budget
+           (String.concat "----\n"
+              (List.map (fun (h, x) -> Printf.sprintf "[%s]\n%s" h x) tape)))
+       gen_sketch_tape)
+    (fun (topk, budget, tape) ->
+      let obs = Obs.create () and oobs = Obs.create () in
+      let sk = Sk.create ~obs ~topk ~budget ()
+      and o = Oracle.Sketch.create ~obs:oobs ~topk ~budget () in
+      let shards to_shards =
+        List.map
+          (fun (sh : Merge.loaded) ->
+            (sh.Merge.sh_name, Fdata.to_string sh.Merge.sh_prof))
+          to_shards
+      in
+      List.for_all
+        (fun (host, text) ->
+          let ig = Sk.ingest sk ~host text and oig = Oracle.Sketch.ingest o ~host text in
+          (ig.Sk.ig_records, ig.Sk.ig_warnings, ig.Sk.ig_skipped)
+          = Oracle.Sketch.(oig.ig_records, oig.ig_warnings, oig.ig_skipped)
+          && Sk.occupancy sk = Oracle.Sketch.occupancy o
+          && Sk.peak sk = Oracle.Sketch.peak o
+          && Sk.evictions sk = Oracle.Sketch.evictions o
+          && Sk.evicted_events sk = Oracle.Sketch.evicted_events o
+          && Sk.malformed sk = Oracle.Sketch.malformed o
+          && Sk.funcs sk = Oracle.Sketch.funcs o
+          && Sk.hosts sk = Oracle.Sketch.hosts o
+          && shards (Sk.to_shards sk) = shards (Oracle.Sketch.to_shards o)
+          && Json.to_string (Bolt_obs.Metrics.to_json obs.Obs.metrics)
+             = Json.to_string (Bolt_obs.Metrics.to_json oobs.Obs.metrics))
+        tape)
+
+(* Live memory, not the cost model: the words the sketch actually
+   reaches after a fleet tape under a tight budget. *)
+let test_sketch_live_memory () =
+  let budget = 256 * 1024 in
+  let sk = Sk.create ~topk:64 ~budget () in
+  List.iter
+    (fun (_, host, text) -> ignore (Sk.ingest sk ~host text))
+    (FS.scale_tape
+       { FS.default_scale with FS.sc_hosts = 200; sc_funcs = 1_500; sc_lines = 500 });
+  let live = Obj.reachable_words (Obj.repr sk) * (Sys.word_size / 8) in
+  Alcotest.(check bool)
+    (Printf.sprintf "live %d bytes <= 5 x budget %d" live budget)
+    true
+    (live <= 5 * budget)
+
 (* ------------------------------------------------------------------ *)
 (* Batch merge over parsed shards == streaming merge over their text  *)
 
@@ -510,6 +650,11 @@ let suite =
       test_sketch_budget;
     Alcotest.test_case "sketch: torn shard leaves the host unchanged" `Quick
       test_sketch_torn_shard;
+    Alcotest.test_case "sketch: a new revision drops the old fingerprints"
+      `Quick test_sketch_fingerprints_follow_revision;
+    Alcotest.test_case "sketch: live memory within 5x budget" `Quick
+      test_sketch_live_memory;
+    QCheck_alcotest.to_alcotest prop_sketch_oracle;
     Alcotest.test_case "batch merge == streaming merge (bytes)" `Quick
       test_merge_feeders_agree;
     Alcotest.test_case "trigger: quality gate after min-hosts" `Quick
