@@ -137,14 +137,18 @@ let build_function ctx (fb : Bfunc.t) =
         | Some d -> d.dbg_entries
         | None -> []
       in
+      (* the last entry, in sorted order, at or before [off] *)
       let loc_at =
-        let sorted = List.sort compare (List.map (fun (o, f, l) -> (o, (f, l))) dbg) in
+        let sorted =
+          Array.of_list (List.sort compare (List.map (fun (o, f, l) -> (o, (f, l))) dbg))
+        in
         fun off ->
-          let rec go acc = function
-            | (o, fl) :: rest when o <= off -> go (Some fl) rest
-            | _ -> acc
-          in
-          go None sorted
+          let lo = ref 0 and hi = ref (Array.length sorted) in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if fst sorted.(mid) <= off then lo := mid + 1 else hi := mid
+          done;
+          if !lo = 0 then None else Some (snd sorted.(!lo - 1))
       in
       (* CFI ops keyed by the offset at which they take effect *)
       let fde = Objfile.Index.fde ctx.Context.meta fb.fb_name in

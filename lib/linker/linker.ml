@@ -59,24 +59,50 @@ type stats = {
 
 let align a off = if a <= 1 then off else (off + a - 1) / a * a
 
+(* [bucket key xs] groups [xs] under each of its keys, keeping the order
+   of [xs] inside a bucket, and returns the lookup: a key's bucket, []
+   when it has none. *)
+let bucket key xs =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun k ->
+          Hashtbl.replace tbl k
+            (x :: Option.value (Hashtbl.find_opt tbl k) ~default:[]))
+        (key x))
+    (List.rev xs);
+  fun k -> Option.value (Hashtbl.find_opt tbl k) ~default:[]
+
+(* One chunk per input section, with the symbols and relocations of its
+   name and, for text sections, the FDEs, LSDAs and line tables of the
+   functions it defines.  Each of an object's lists is bucketed once by
+   section name: a name used twice reads the same buckets, and a record
+   goes under every section that holds a [Func] symbol of its
+   function. *)
 let collect_chunks objs =
   let chunks = ref [] in
   List.iteri
     (fun oi (o : Objfile.t) ->
+      let syms_in = bucket (fun sy -> [ sy.sym_section ]) o.symbols in
+      let relocs_in = bucket (fun r -> [ r.rel_section ]) o.relocs in
+      let funcs_named =
+        bucket (fun sy -> if sy.sym_kind = Func then [ sy.sym_name ] else []) o.symbols
+      in
+      let homes fn =
+        List.sort_uniq String.compare
+          (List.map (fun sy -> sy.sym_section) (funcs_named fn))
+      in
+      let fdes_in = bucket (fun f -> homes f.fde_func) o.fdes in
+      let lsdas_in = bucket (fun l -> homes l.lsda_func) o.lsdas in
+      let dbgs_in = bucket (fun d -> homes d.dbg_func) o.dbgs in
       List.iter
         (fun (s : section) ->
-          let in_sec (name : string) = name = s.sec_name in
-          let syms = List.filter (fun sy -> in_sec sy.sym_section) o.symbols in
-          let relocs = List.filter (fun r -> in_sec r.rel_section) o.relocs in
+          let syms = syms_in s.sec_name in
+          let relocs = relocs_in s.sec_name in
           let fdes, lsdas, dbgs =
             if s.sec_kind = Text then
-              let fnames =
-                List.filter (fun sy -> sy.sym_kind = Func) syms
-                |> List.map (fun sy -> sy.sym_name)
-              in
-              ( List.filter (fun f -> List.mem f.fde_func fnames) o.fdes,
-                List.filter (fun l -> List.mem l.lsda_func fnames) o.lsdas,
-                List.filter (fun d -> List.mem d.dbg_func fnames) o.dbgs )
+              (fdes_in s.sec_name, lsdas_in s.sec_name, dbgs_in s.sec_name)
             else ([], [], [])
           in
           chunks :=

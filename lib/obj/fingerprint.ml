@@ -152,6 +152,10 @@ let fingerprint_fn ~data ~base ~size ~name ~resolve : func =
   in
   let calls = ref [] in
   let func_oh = ref hash_empty in
+  (* blocks tile [0, size) in offset order, so one cursor hands each
+     instruction to the block its offset falls in *)
+  let cursor = ref 0 in
+  let off_of (off, _, _) = off in
   let blocks =
     Array.to_list
       (Array.mapi
@@ -159,20 +163,19 @@ let fingerprint_fn ~data ~base ~size ~name ~resolve : func =
            let stop = block_end k in
            let oh = ref hash_empty in
            let last = ref None in
-           Array.iter
-             (fun (off, sz, i) ->
-               if off >= start && off < stop then begin
-                 oh := mix !oh (op_kind i);
-                 func_oh := mix !func_oh (op_kind i);
-                 last := Some (off, sz, i);
-                 match i with
-                 | Insn.Call (Insn.Imm rel) -> (
-                     match resolve (off + sz + rel) with
-                     | Some callee -> calls := callee :: !calls
-                     | None -> ())
-                 | _ -> ()
-               end)
-             insns;
+           while !cursor < n && off_of insns.(!cursor) < stop do
+             let ((off, sz, i) as insn) = insns.(!cursor) in
+             incr cursor;
+             oh := mix !oh (op_kind i);
+             func_oh := mix !func_oh (op_kind i);
+             last := Some insn;
+             match i with
+             | Insn.Call (Insn.Imm rel) -> (
+                 match resolve (off + sz + rel) with
+                 | Some callee -> calls := callee :: !calls
+                 | None -> ())
+             | _ -> ()
+           done;
            (* shape: terminator class + successor positions relative to
               this block, so inserting a block shifts only its
               neighbourhood *)
@@ -229,13 +232,29 @@ let compute ~(sections : section list) ~(symbols : symbol list) : t =
     List.filter (fun s -> s.sym_kind = Func && s.sym_size > 0) symbols
     |> List.sort (fun a b -> compare (a.sym_value, a.sym_name) (b.sym_value, b.sym_name))
   in
-  (* address -> function name, for direct-call resolution *)
-  let resolve_in sym addr =
-    List.find_opt
-      (fun f -> addr >= f.sym_value && addr < f.sym_value + f.sym_size)
-      funcs
-    |> Option.map (fun f -> f.sym_name)
-    |> fun r -> ignore sym; r
+  (* address -> function name, for direct-call resolution: the first
+     symbol in (address, name) order whose range covers the address.
+     [reach.(k)] is the furthest end among symbols [0..k], so the first
+     [k] reaching past [addr] is that symbol if it starts at or below
+     [addr], and no symbol covers [addr] otherwise. *)
+  let funcs_arr = Array.of_list funcs in
+  let reach =
+    let m = ref min_int in
+    Array.map
+      (fun f ->
+        m := max !m (f.sym_value + f.sym_size);
+        !m)
+      funcs_arr
+  in
+  let resolve_in addr =
+    let lo = ref 0 and hi = ref (Array.length funcs_arr) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if reach.(mid) > addr then hi := mid else lo := mid + 1
+    done;
+    if !lo < Array.length funcs_arr && funcs_arr.(!lo).sym_value <= addr then
+      Some funcs_arr.(!lo).sym_name
+    else None
   in
   List.filter_map
     (fun sym ->
@@ -254,7 +273,7 @@ let compute ~(sections : section list) ~(symbols : symbol list) : t =
             Some
               (fingerprint_fn ~data:sec.sec_data ~base ~size:sym.sym_size
                  ~name:sym.sym_name
-                 ~resolve:(fun off -> resolve_in sym (sec.sec_addr + base + off))))
+                 ~resolve:(fun off -> resolve_in (sec.sec_addr + base + off))))
     funcs
 
 (* ---- BELF serialization (v5 payload) ---- *)

@@ -746,3 +746,203 @@ module Sketch = struct
     |> List.map (fun hs ->
            Bolt_fleet.Merge.shard_of_profile ~name:hs.hs_host (profile_of hs))
 end
+
+(* The chunk collector [Bolt_linker.Linker.collect_chunks] was before
+   per-object buckets, kept verbatim: every section filters its object's
+   whole symbol, relocation, FDE, LSDA and line-table lists. *)
+let collect_chunks objs =
+  let open Bolt_obj in
+  let open Types in
+  let open Bolt_linker.Linker in
+  let chunks = ref [] in
+  List.iteri
+    (fun oi (o : Objfile.t) ->
+      List.iter
+        (fun (s : section) ->
+          let in_sec (name : string) = name = s.sec_name in
+          let syms = List.filter (fun sy -> in_sec sy.sym_section) o.symbols in
+          let relocs = List.filter (fun r -> in_sec r.rel_section) o.relocs in
+          let fdes, lsdas, dbgs =
+            if s.sec_kind = Text then
+              let fnames =
+                List.filter (fun sy -> sy.sym_kind = Func) syms
+                |> List.map (fun sy -> sy.sym_name)
+              in
+              ( List.filter (fun f -> List.mem f.fde_func fnames) o.fdes,
+                List.filter (fun l -> List.mem l.lsda_func fnames) o.lsdas,
+                List.filter (fun d -> List.mem d.dbg_func fnames) o.dbgs )
+            else ([], [], [])
+          in
+          chunks :=
+            {
+              ch_obj = oi;
+              ch_name = s.sec_name;
+              ch_kind = s.sec_kind;
+              ch_data = s.sec_data;
+              ch_size = s.sec_size;
+              ch_syms = syms;
+              ch_relocs = relocs;
+              ch_fdes = fdes;
+              ch_lsdas = lsdas;
+              ch_dbgs = dbgs;
+              ch_out_off = -1;
+              ch_folded_into = None;
+            }
+            :: !chunks)
+        o.sections)
+    objs;
+  Array.of_list (List.rev !chunks)
+
+(* [Bolt_obj.Fingerprint.compute] as it was before the one-sweep block
+   walk, kept verbatim with its [decode_stream] and [fingerprint_fn]:
+   each block rescans the function's whole instruction array, and each
+   direct call scans the sorted function symbols for the first one that
+   covers its target. *)
+let fingerprints ~sections ~symbols =
+  let open Bolt_obj.Types in
+  let open Bolt_obj.Fingerprint in
+  let module Insn = Bolt_isa.Insn in
+  let module Codec = Bolt_isa.Codec in
+  let decode_stream data ~base ~size =
+    let insns = ref [] in
+    let pos = ref 0 in
+    (try
+       while !pos < size do
+         let i, sz = Codec.decode data (base + !pos) in
+         insns := (!pos, sz, i) :: !insns;
+         pos := !pos + sz
+       done
+     with Codec.Decode_error _ | Invalid_argument _ -> ());
+    Array.of_list (List.rev !insns)
+  in
+  let fingerprint_fn ~data ~base ~size ~name ~resolve : func =
+    let insns = decode_stream data ~base ~size in
+    let n = Array.length insns in
+    let in_func o = o >= 0 && o < size in
+    (* leaders: entry, intra-function branch targets, post-branch resume *)
+    let leaders = Hashtbl.create 16 in
+    Hashtbl.replace leaders 0 ();
+    Array.iter
+      (fun (off, sz, i) ->
+        let next = off + sz in
+        match i with
+        | Insn.Jmp (Insn.Imm rel, _) | Insn.Jcc (_, Insn.Imm rel, _) ->
+            if in_func (next + rel) then Hashtbl.replace leaders (next + rel) ();
+            if in_func next then Hashtbl.replace leaders next ()
+        | _ ->
+            if Insn.is_terminator i && in_func next then
+              Hashtbl.replace leaders next ())
+      insns;
+    let starts =
+      Hashtbl.fold (fun o () acc -> o :: acc) leaders [] |> List.sort compare
+    in
+    let starts_arr = Array.of_list starts in
+    let nb = Array.length starts_arr in
+    let block_end k = if k + 1 < nb then starts_arr.(k + 1) else size in
+    let index_of_start =
+      let h = Hashtbl.create 16 in
+      Array.iteri (fun k o -> Hashtbl.replace h o k) starts_arr;
+      fun o -> Hashtbl.find_opt h o
+    in
+    let calls = ref [] in
+    let func_oh = ref hash_empty in
+    let blocks =
+      Array.to_list
+        (Array.mapi
+           (fun k start ->
+             let stop = block_end k in
+             let oh = ref hash_empty in
+             let last = ref None in
+             Array.iter
+               (fun (off, sz, i) ->
+                 if off >= start && off < stop then begin
+                   oh := mix !oh (op_kind i);
+                   func_oh := mix !func_oh (op_kind i);
+                   last := Some (off, sz, i);
+                   match i with
+                   | Insn.Call (Insn.Imm rel) -> (
+                       match resolve (off + sz + rel) with
+                       | Some callee -> calls := callee :: !calls
+                       | None -> ())
+                   | _ -> ()
+                 end)
+               insns;
+             (* shape: terminator class + successor positions relative to
+                this block, so inserting a block shifts only its
+                neighbourhood *)
+             let sh = ref hash_empty in
+             (match !last with
+             | None -> ()
+             | Some (off, sz, i) ->
+                 sh := mix !sh (term_class i);
+                 let next = off + sz in
+                 let succ o =
+                   match index_of_start o with
+                   | Some j -> sh := mix !sh (j - k + 1024)
+                   | None -> sh := mix !sh 2048 (* leaves the function *)
+                 in
+                 (match i with
+                 | Insn.Jmp (Insn.Imm rel, _) -> succ (next + rel)
+                 | Insn.Jcc (_, Insn.Imm rel, _) ->
+                     succ (next + rel);
+                     if in_func next then succ next
+                 | _ -> if (not (Insn.is_terminator i)) && in_func next then succ next));
+             {
+               bk_off = start;
+               bk_size = stop - start;
+               bk_opcode_hash = !oh;
+               bk_shape_hash = !sh;
+             })
+           starts_arr)
+    in
+    let cfg =
+      List.fold_left
+        (fun h b -> mix h b.bk_shape_hash)
+        (mix hash_empty nb) blocks
+    in
+    {
+      fp_func = name;
+      fp_size = size;
+      fp_opcode_hash =
+        (if n = 0 then
+           (* undecodable from byte 0: fall back to a raw-byte hash so even
+              opaque functions fingerprint deterministically *)
+           hash_string hash_empty (Bytes.sub_string data base size)
+         else !func_oh);
+      fp_cfg_hash = cfg;
+      fp_calls = List.sort_uniq compare !calls;
+      fp_blocks = blocks;
+    }
+  in
+  let texts = List.filter (fun s -> s.sec_kind = Text) sections in
+  let funcs =
+    List.filter (fun s -> s.sym_kind = Func && s.sym_size > 0) symbols
+    |> List.sort (fun a b -> compare (a.sym_value, a.sym_name) (b.sym_value, b.sym_name))
+  in
+  (* address -> function name, for direct-call resolution *)
+  let resolve_in sym addr =
+    List.find_opt
+      (fun f -> addr >= f.sym_value && addr < f.sym_value + f.sym_size)
+      funcs
+    |> Option.map (fun f -> f.sym_name)
+    |> fun r -> ignore sym; r
+  in
+  List.filter_map
+    (fun sym ->
+      match
+        List.find_opt
+          (fun s ->
+            sym.sym_value >= s.sec_addr
+            && sym.sym_value + sym.sym_size <= s.sec_addr + s.sec_size)
+          texts
+      with
+      | None -> None
+      | Some sec ->
+          let base = sym.sym_value - sec.sec_addr in
+          if base < 0 || base + sym.sym_size > Bytes.length sec.sec_data then None
+          else
+            Some
+              (fingerprint_fn ~data:sec.sec_data ~base ~size:sym.sym_size
+                 ~name:sym.sym_name
+                 ~resolve:(fun off -> resolve_in sym (sec.sec_addr + base + off))))
+    funcs

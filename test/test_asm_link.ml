@@ -1,5 +1,7 @@
 (* Assembler and linker unit tests: relaxation, relocations, PLT/GOT
-   synthesis, linker ICF, function ordering, jump-table data resolution. *)
+   synthesis, linker ICF, function ordering, jump-table data resolution,
+   and the linker's chunk collection against [Oracle.collect_chunks],
+   the per-section filtering it replaced. *)
 
 open Bolt_isa
 open Bolt_asm.Asm
@@ -244,6 +246,156 @@ let test_lsda_and_dbg_roundtrip () =
   let d = Option.get (Objfile.Index.dbg meta "f") in
   Alcotest.(check int) "two line entries" 2 (List.length d.dbg_entries)
 
+(* ---- chunk collection against the filtering oracle ---- *)
+
+module Gen = Bolt_workloads.Gen
+module Driver = Bolt_minic.Driver
+
+let chunks_agree objs =
+  Bolt_linker.Linker.collect_chunks objs = Oracle.collect_chunks objs
+
+let test_chunks_fixture () =
+  let r = Driver.compile [ ("m", Test_iocore.fixture_source) ] in
+  Alcotest.(check bool) "fixture objects" true (chunks_agree r.Driver.objs)
+
+(* A small hhvm_like program with assembly dispatchers, so the link
+   also takes [Gen.extra_objs]. *)
+let small_hhvm =
+  {
+    Bolt_workloads.Workloads.hhvm_like with
+    Gen.funcs = 60;
+    modules = 3;
+    iterations = 10;
+    dup_plain_families = 2;
+    dup_plain_copies = 2;
+    dup_switch_families = 2;
+    dup_switch_copies = 2;
+    leaf_helpers = 6;
+    asm_dispatchers = 2;
+    top_funcs = 4;
+  }
+
+let test_chunks_gen () =
+  let w = Gen.gen small_hhvm in
+  Alcotest.(check bool) "extra objects" true (w.Gen.extra_objs <> []);
+  List.iter
+    (fun (lto, function_sections, linker_icf) ->
+      let options = { Driver.default_options with lto; function_sections; linker_icf } in
+      let r =
+        Driver.compile ~options ~externals:w.Gen.externals ~extra_objs:w.Gen.extra_objs
+          w.Gen.sources
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "lto %b, function sections %b, linker icf %b" lto
+           function_sections linker_icf)
+        true (chunks_agree r.Driver.objs))
+    [
+      (true, true, false);
+      (true, false, false);
+      (false, true, false);
+      (false, false, false);
+      (true, true, true);
+      (false, true, true);
+    ]
+
+(* Synthetic objects over small name pools, so sections share names,
+   symbols name missing sections or none, one function is defined in
+   two text sections, relocations patch missing sections, and frame,
+   EH and line records name functions with no [Func] symbol or with
+   one in a data section.  Records carry their list index, so a bucket
+   out of order shows. *)
+let gen_objfile =
+  let open QCheck.Gen in
+  let open Types in
+  let sec_name = oneofl [ ".text"; ".text.f"; ".text.g"; ".rodata"; ".data" ] in
+  let named = oneofl [ ".text"; ".text.f"; ".text.g"; ".rodata"; ".data"; ".missing"; "" ] in
+  let fn = oneofl [ "f"; "g"; "h"; "nosym" ] in
+  let indexed n g = map (List.mapi (fun i x -> x i)) (list_size (int_range 0 n) g) in
+  let section =
+    map3
+      (fun sec_name sec_kind n ->
+        { sec_name; sec_kind; sec_addr = 0; sec_data = Bytes.make n '\x02'; sec_size = n })
+      sec_name
+      (oneofl [ Text; Text; Rodata; Data; Bss ])
+      (int_range 0 8)
+  in
+  let symbol =
+    map3
+      (fun sym_name sym_kind sym_section i ->
+        { sym_name; sym_kind; sym_bind = Global; sym_section; sym_value = i; sym_size = 4 })
+      (oneofl [ "f"; "g"; "h"; "obj" ])
+      (oneofl [ Func; Func; Object; Notype ])
+      named
+  in
+  let reloc =
+    map2
+      (fun rel_section rel_sym i ->
+        {
+          rel_section;
+          rel_offset = i;
+          rel_kind = Abs64;
+          rel_sym;
+          rel_addend = 0;
+          rel_end = 0;
+          rel_pic_base = "";
+        })
+      named fn
+  in
+  let fde = map (fun fde_func i -> { fde_func; fde_addr = i; fde_size = 4; fde_cfi = [] }) fn in
+  let lsda =
+    map (fun lsda_func i -> { lsda_func; lsda_fn_addr = i; lsda_entries = [] }) fn
+  in
+  let dbg =
+    map (fun dbg_func i -> { dbg_func; dbg_addr = i; dbg_entries = [ (0, "x.mc", i) ] }) fn
+  in
+  let* sections = list_size (int_range 1 6) section in
+  let* symbols = indexed 10 symbol in
+  let* relocs = indexed 8 reloc in
+  let* fdes = indexed 6 fde in
+  let* lsdas = indexed 4 lsda in
+  let+ dbgs = indexed 4 dbg in
+  {
+    Objfile.kind = Objfile.Object;
+    entry = 0;
+    build_id = "";
+    sections;
+    symbols;
+    relocs;
+    fdes;
+    lsdas;
+    dbgs;
+    fingerprints = [];
+  }
+
+let print_objfile (o : Objfile.t) =
+  let open Types in
+  let kind = function Text -> "text" | Rodata -> "rodata" | Data -> "data" | Bss -> "bss" in
+  let skind = function Func -> "func" | Object -> "object" | Notype -> "notype" in
+  String.concat "\n"
+    [
+      "sections: "
+      ^ String.concat " " (List.map (fun s -> s.sec_name ^ ":" ^ kind s.sec_kind) o.sections);
+      "symbols: "
+      ^ String.concat " "
+          (List.map
+             (fun sy -> Printf.sprintf "%s:%s@%S" sy.sym_name (skind sy.sym_kind) sy.sym_section)
+             o.symbols);
+      "relocs in: " ^ String.concat " " (List.map (fun r -> r.rel_section) o.relocs);
+      "fdes: " ^ String.concat " " (List.map (fun f -> f.fde_func) o.fdes);
+      "lsdas: " ^ String.concat " " (List.map (fun l -> l.lsda_func) o.lsdas);
+      "dbgs: " ^ String.concat " " (List.map (fun d -> d.dbg_func) o.dbgs);
+    ]
+
+let prop_chunks =
+  QCheck.Test.make ~name:"collect_chunks == filtering oracle (synthetic objects)"
+    ~count:500
+    (QCheck.make
+       ~print:(fun objs -> String.concat "\n--\n" (List.map print_objfile objs))
+       QCheck.Gen.(list_size (int_range 1 3) gen_objfile))
+    chunks_agree
+
+let rand = Random.State.make [| 1907 |]
+
 let suite =
   [
     Alcotest.test_case "relax-short" `Quick test_relaxation_short;
@@ -259,4 +411,7 @@ let suite =
     Alcotest.test_case "jt-data-resolution" `Quick test_jump_table_data_resolution;
     Alcotest.test_case "pic-difference-dropped" `Quick test_pic_difference_dropped;
     Alcotest.test_case "lsda-dbg" `Quick test_lsda_and_dbg_roundtrip;
+    Alcotest.test_case "chunks-oracle-fixture" `Quick test_chunks_fixture;
+    Alcotest.test_case "chunks-oracle-gen" `Quick test_chunks_gen;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand prop_chunks;
   ]

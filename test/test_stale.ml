@@ -1,9 +1,12 @@
 (* Stale-profile recovery: fingerprint matching units (exact renames,
    fuzzy offset remapping, count inference, clean drops, deterministic
    tie refusal), BELF v5 fingerprint round-trips with v4 read-compat,
-   match_profile offset boundaries, and the subsystem's acceptance
-   check — a revision N-1 profile driven through the recovery path must
-   keep at least 70% of the fresh-profile win on the fleet workload. *)
+   match_profile offset boundaries, [Fingerprint.compute] against
+   [Oracle.fingerprints] (the rescanning computation it replaced) on
+   built and bolted binaries and on synthetic text sections, and the
+   subsystem's acceptance check — a revision N-1 profile driven through
+   the recovery path must keep at least 70% of the fresh-profile win on
+   the fleet workload. *)
 
 module Fdata = Bolt_profile.Fdata
 module SM = Bolt_profile.Stale_match
@@ -332,6 +335,221 @@ let test_match_boundaries () =
     st2.Bolt_core.Match_profile.matched_branches
 
 (* ------------------------------------------------------------------ *)
+(* Fingerprint.compute against the rescanning oracle                  *)
+
+module Isa = Bolt_isa
+module T = Bolt_obj.Types
+
+let fps_agree ~sections ~symbols =
+  F.compute ~sections ~symbols = Oracle.fingerprints ~sections ~symbols
+
+let exe_fps_agree (exe : Objfile.t) =
+  fps_agree ~sections:exe.Objfile.sections ~symbols:exe.Objfile.symbols
+
+let has_alias (exe : Objfile.t) =
+  let funcs =
+    List.filter
+      (fun (s : T.symbol) -> s.sym_kind = T.Func && s.sym_size > 0)
+      exe.Objfile.symbols
+  in
+  List.exists
+    (fun (a : T.symbol) ->
+      List.exists
+        (fun (b : T.symbol) -> a.sym_value = b.sym_value && a.sym_name < b.sym_name)
+        funcs)
+    funcs
+
+(* Inputs built with linker ICF (folded twins share an address) and
+   their bolted outputs, in relocations and in-place modes; in-place
+   outputs put split-off cold code in [.bolt.text]. *)
+let test_fingerprints_built () =
+  List.iter
+    (fun (seed, emit_relocs) ->
+      let label = Printf.sprintf "seed %d, emit_relocs %b" seed emit_relocs in
+      let w =
+        Gen.gen
+          {
+            Workloads.hhvm_like with
+            Gen.seed;
+            funcs = 80;
+            modules = 3;
+            iterations = 40;
+            dup_plain_families = 3;
+            dup_plain_copies = 2;
+            asm_dispatchers = 1;
+            top_funcs = 4;
+          }
+      in
+      let cc =
+        { Driver.default_options with Driver.emit_relocs; linker_icf = true }
+      in
+      let r =
+        Driver.compile ~options:cc ~externals:w.Gen.externals
+          ~extra_objs:w.Gen.extra_objs w.Gen.sources
+      in
+      let b = { P.exe = r.Driver.exe; cc } in
+      let sampling = { P.default_sampling with Machine.period = 97 } in
+      let prof, _ = P.profile ~sampling b ~input:w.Gen.input in
+      let b', _ = P.bolt b prof in
+      Alcotest.(check bool) (label ^ ": input has aliases") true (has_alias b.P.exe);
+      Alcotest.(check bool) (label ^ ": input") true (exe_fps_agree b.P.exe);
+      Alcotest.(check bool) (label ^ ": output") true (exe_fps_agree b'.P.exe);
+      if not emit_relocs then
+        Alcotest.(check bool) (label ^ ": output has .bolt.text") true
+          (Objfile.find_section b'.P.exe ".bolt.text" <> None))
+    [ (1, true); (1, false); (2, true); (2, false) ]
+
+(* Synthetic text sections: a random instruction stream encoded at
+   [text_at], with undecodable tail bytes sometimes, and a symbol table
+   of equal-address aliases, nested and overlapping ranges, zero sizes
+   and ranges past the section's end.  Direct calls land on function
+   starts, function middles, bytes no function covers, bytes two
+   functions cover, and anywhere. *)
+let text_at = 0x40_0000
+
+let gen_insn =
+  let open QCheck.Gen in
+  let open Isa.Insn in
+  let reg = map Isa.Reg.of_int (int_range 0 7) in
+  let rel = Imm 0 in
+  frequency
+    [
+      (3, map (fun k -> Nop k) (int_range 1 6));
+      (2, return Ret);
+      (1, return Halt);
+      (1, return Throw);
+      (3, map2 (fun d r -> Alu_rr (Add, d, r)) reg reg);
+      (2, map (fun n -> Alu_ri (Cmp, Isa.Reg.r1, Imm n)) (int_range 0 99));
+      (1, map (fun r -> Push r) reg);
+      (2, map (fun w -> Jmp (rel, w)) (oneofl [ W8; W32 ]));
+      (2, map2 (fun c w -> Jcc (c, rel, w)) (oneofl Isa.Cond.all) (oneofl [ W8; W32 ]));
+      (4, return (Call rel));
+      (1, map (fun r -> Call_ind r) reg);
+      (1, map (fun r -> Jmp_ind r) reg);
+    ]
+
+let gen_text =
+  let open QCheck.Gen in
+  let* insns = list_size (int_range 1 40) gen_insn in
+  let* tail = int_range 0 3 in
+  let code = List.fold_left (fun acc i -> acc + Isa.Insn.size i) 0 insns in
+  let size = code + tail in
+  (* symbols: fresh ranges, aliases of an earlier start, nested ranges *)
+  let* nsyms = int_range 1 8 in
+  let rec syms k acc =
+    if k = nsyms then return (List.rev acc)
+    else
+      let* name = oneofl [ "a"; "b"; "c"; "d" ] in
+      let name = Printf.sprintf "%s%d" name k in
+      let* kind = frequency [ (6, return T.Func); (1, return T.Object) ] in
+      let* value, sz =
+        match acc with
+        | [] -> pair (int_range (-4) (size + 4)) (int_range 0 48)
+        | prev ->
+            let* (p : T.symbol) = oneofl prev in
+            frequency
+              [
+                (3, pair (int_range (-4) (size + 4)) (int_range 0 48));
+                (2, map (fun sz -> (p.sym_value - text_at, sz)) (int_range 0 48));
+                ( 2,
+                  let* d = int_range 0 (max 0 (p.sym_size - 1)) in
+                  map (fun sz -> (p.sym_value - text_at + d, sz)) (int_range 0 24) );
+              ]
+      in
+      syms (k + 1)
+        ({
+           T.sym_name = name;
+           sym_kind = kind;
+           sym_bind = T.Global;
+           sym_section = ".text";
+           sym_value = text_at + value;
+           sym_size = sz;
+         }
+        :: acc)
+  in
+  let* symbols = syms 0 [] in
+  let funcs =
+    List.filter (fun (s : T.symbol) -> s.sym_kind = T.Func && s.sym_size > 0) symbols
+  in
+  let covers a (s : T.symbol) = a >= s.sym_value && a < s.sym_value + s.sym_size in
+  let cover_count a = List.length (List.filter (covers a) funcs) in
+  let span = List.init (size + 16) (fun k -> text_at - 8 + k) in
+  let pick_or_any xs = if xs = [] then int_range (text_at - 8) (text_at + size + 8) else oneofl xs in
+  let call_target =
+    frequency
+      [
+        (2, pick_or_any (List.map (fun (s : T.symbol) -> s.sym_value) funcs));
+        ( 2,
+          if funcs = [] then pick_or_any []
+          else
+            let* (s : T.symbol) = oneofl funcs in
+            map (fun d -> s.sym_value + d) (int_range 0 (s.sym_size - 1)) );
+        (1, pick_or_any (List.filter (fun a -> cover_count a = 0) span));
+        (2, pick_or_any (List.filter (fun a -> cover_count a >= 2) span));
+        (1, int_range (text_at - 64) (text_at + size + 64));
+      ]
+  in
+  (* aim every pc-relative operand; a short branch keeps a rel that fits *)
+  let rec aim off acc = function
+    | [] -> return (List.rev acc)
+    | i :: rest ->
+        let next = off + Isa.Insn.size i in
+        let* i =
+          match i with
+          | Isa.Insn.Call _ ->
+              map (fun t -> Isa.Insn.Call (Imm (t - (text_at + next)))) call_target
+          | Jmp (_, W8) -> map (fun r -> Isa.Insn.Jmp (Imm r, W8)) (int_range (-128) 127)
+          | Jcc (c, _, W8) ->
+              map (fun r -> Isa.Insn.Jcc (c, Imm r, W8)) (int_range (-128) 127)
+          | Jmp (_, W32) ->
+              map (fun t -> Isa.Insn.Jmp (Imm (t - next), W32)) (int_range (-8) (size + 8))
+          | Jcc (c, _, W32) ->
+              map
+                (fun t -> Isa.Insn.Jcc (c, Imm (t - next), W32))
+                (int_range (-8) (size + 8))
+          | i -> return i
+        in
+        aim next (i :: acc) rest
+  in
+  let+ insns = aim 0 [] insns in
+  let data = Bytes.make size '\xff' in
+  ignore (List.fold_left (fun pos i -> pos + Isa.Codec.encode_into data pos i) 0 insns);
+  let text =
+    { T.sec_name = ".text"; sec_kind = T.Text; sec_addr = text_at; sec_data = data; sec_size = size }
+  in
+  (text, symbols)
+
+let print_text ((text : T.section), symbols) =
+  let insns =
+    let rec go pos acc =
+      if pos >= text.T.sec_size then List.rev acc
+      else
+        match Isa.Codec.decode text.T.sec_data pos with
+        | i, sz -> go (pos + sz) (Printf.sprintf "+%d %s" pos (Isa.Insn.to_string i) :: acc)
+        | exception _ -> List.rev (Printf.sprintf "+%d <undecodable>" pos :: acc)
+    in
+    go 0 []
+  in
+  String.concat "\n"
+    (insns
+    @ List.map
+        (fun (s : T.symbol) ->
+          Printf.sprintf "%s %s [+%d, +%d)" s.T.sym_name
+            (if s.T.sym_kind = T.Func then "func" else "object")
+            (s.T.sym_value - text_at)
+            (s.T.sym_value - text_at + s.T.sym_size))
+        symbols)
+
+let prop_fingerprints =
+  QCheck.Test.make ~name:"fingerprints == rescanning oracle (synthetic text)" ~count:500
+    (QCheck.make ~print:print_text gen_text)
+    (fun (text, symbols) ->
+      let rodata = { text with T.sec_name = ".rodata"; sec_kind = T.Rodata; sec_addr = text_at + text.T.sec_size } in
+      fps_agree ~sections:[ text; rodata ] ~symbols)
+
+let rand = Random.State.make [| 2401 |]
+
+(* ------------------------------------------------------------------ *)
 (* End to end: revision N-1 profile on revision N                     *)
 
 let drift_params =
@@ -463,6 +681,8 @@ let suite =
     Alcotest.test_case "rewrite-restamps" `Quick test_rewrite_restamps;
     Alcotest.test_case "belf-v4-compat" `Quick test_v4_compat;
     Alcotest.test_case "match-profile-boundaries" `Quick test_match_boundaries;
+    Alcotest.test_case "fingerprints-oracle-built" `Quick test_fingerprints_built;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand prop_fingerprints;
     Alcotest.test_case "recovery-e2e-70pct" `Slow test_recovery_e2e;
     Alcotest.test_case "fleet-recovery" `Slow test_fleet_recovery;
   ]
