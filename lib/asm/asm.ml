@@ -60,7 +60,16 @@ exception Asm_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Asm_error s)) fmt
 
-(* ---- per-function assembly ---- *)
+(* ---- per-function assembly ----
+
+   A function's items are sized once into an int array: an instruction's
+   encoded size at its current width, or [-a] for an [A_align a] pad,
+   whose size depends on where it lands.  Local branches start narrow.
+   Each relaxation round recomputes every offset from the current sizes,
+   then widens every narrow branch whose displacement no longer fits,
+   and rounds repeat until one widens nothing.  The rounds stay whole: a
+   pad can shrink when an earlier branch widens, so widening one branch
+   at a time could settle on a different fixpoint. *)
 
 type fout = {
   fo_bytes : Bytes.t;
@@ -74,92 +83,117 @@ type fout = {
   fo_labels : (string * int) list; (* fn-local labels, for tests *)
 }
 
-(* Items with branch widths chosen; returns offsets of each item. *)
-let layout_function f =
-  let items = Array.of_list f.af_body in
-  let n = Array.length items in
-  (* Local label table: name -> item index. *)
-  let label_idx = Hashtbl.create 16 in
-  Array.iteri
-    (fun i it ->
-      match it with
-      | A_label l ->
-          if Hashtbl.mem label_idx l then err "duplicate label %s in %s" l f.af_name;
-          Hashtbl.add label_idx l i
-      | _ -> ())
-    items;
-  let is_local = Hashtbl.mem label_idx in
-  (* Width choice per item: true = wide.  Branches to non-local symbols are
-     always wide (they need a 32-bit relocation). *)
-  let wide = Array.make n false in
-  Array.iteri
-    (fun i it ->
-      match it with
-      | A_insn insn | A_insn_lp (insn, _) -> (
-          match insn with
-          | Insn.Jmp (Sym (s, _), _) | Insn.Jcc (_, Sym (s, _), _) ->
-              if not (is_local s) then wide.(i) <- true
-          | Insn.Jmp (_, w) | Insn.Jcc (_, _, w) -> if w = Insn.W32 then wide.(i) <- true
-          | _ -> ())
-      | _ -> ())
-    items;
-  let widen insn w =
-    match insn with
-    | Insn.Jmp (v, _) -> Insn.Jmp (v, w)
-    | Insn.Jcc (c, v, _) -> Insn.Jcc (c, v, w)
-    | i -> i
-  in
-  let item_size off i it =
-    match it with
-    | A_label _ | A_cfi _ | A_loc _ -> 0
-    | A_align a ->
-        if a <= 1 then 0
-        else
-          let pad = (a - (off mod a)) mod a in
-          pad
+(* A laid-out item stream: the first [l_n] items of [l_items]. *)
+type laid = {
+  l_items : aitem array;
+  l_n : int;
+  l_labels : (string, int) Hashtbl.t; (* local label -> item index *)
+  l_target : int array; (* a local branch's label item, else -1 *)
+  l_size : int array; (* encoded size, or -a for an A_align a pad *)
+  l_wide : Bytes.t; (* '\001' for a branch in its 32-bit form *)
+  l_offsets : int array; (* l_n + 1 entries *)
+}
+
+let with_width insn w =
+  match insn with
+  | Insn.Jmp (v, w') when w' <> w -> Insn.Jmp (v, w)
+  | Insn.Jcc (c, v, w') when w' <> w -> Insn.Jcc (c, v, w)
+  | i -> i
+
+let insn_of = function
+  | A_insn insn | A_insn_lp (insn, _) -> insn
+  | _ -> invalid_arg "Asm.insn_of"
+
+let layout_items ~name items n =
+  let labels = Hashtbl.create 16 in
+  for i = 0 to n - 1 do
+    match items.(i) with
+    | A_label l ->
+        if Hashtbl.mem labels l then err "duplicate label %s in %s" l name;
+        Hashtbl.add labels l i
+    | _ -> ()
+  done;
+  (* Branches to non-local symbols are always wide (they need a 32-bit
+     relocation); branches to local labels start narrow. *)
+  let target = Array.make n (-1) in
+  let size = Array.make n 0 in
+  let wide = Bytes.make n '\000' in
+  let narrow = ref [] in
+  for i = n - 1 downto 0 do
+    match items.(i) with
+    | A_label _ | A_cfi _ | A_loc _ -> ()
+    | A_align a -> if a > 1 then size.(i) <- -a
     | A_insn insn | A_insn_lp (insn, _) ->
-        Insn.size (widen insn (if wide.(i) then Insn.W32 else Insn.W8))
-  in
+        let w =
+          match insn with
+          | Insn.Jmp (Sym (s, _), _) | Insn.Jcc (_, Sym (s, _), _) -> (
+              match Hashtbl.find_opt labels s with
+              | Some t ->
+                  target.(i) <- t;
+                  narrow := i :: !narrow;
+                  Insn.W8
+              | None -> Insn.W32)
+          | Insn.Jmp (_, w) | Insn.Jcc (_, _, w) -> w
+          | _ -> Insn.W8
+        in
+        if w = Insn.W32 then Bytes.set wide i '\001';
+        size.(i) <- Insn.size (with_width insn w)
+  done;
   let offsets = Array.make (n + 1) 0 in
   let compute_offsets () =
     let off = ref 0 in
-    Array.iteri
-      (fun i it ->
-        offsets.(i) <- !off;
-        off := !off + item_size !off i it)
-      items;
+    for i = 0 to n - 1 do
+      offsets.(i) <- !off;
+      let s = size.(i) in
+      off := !off + if s >= 0 then s else (-s - (!off mod -s)) mod -s
+    done;
     offsets.(n) <- !off
   in
+  let narrow = Array.of_list !narrow in
+  let m = ref (Array.length narrow) in
   let changed = ref true in
   while !changed do
     changed := false;
     compute_offsets ();
-    Array.iteri
-      (fun i it ->
-        match it with
-        | (A_insn insn | A_insn_lp (insn, _)) when not wide.(i) -> (
-            match insn with
-            | Insn.Jmp (Sym (s, a), _) | Insn.Jcc (_, Sym (s, a), _)
-              when is_local s ->
-                let ti = Hashtbl.find label_idx s in
-                let target = offsets.(ti) + a in
-                let end_of = offsets.(i) + item_size offsets.(i) i it in
-                let rel = target - end_of in
-                if not (Bolt_isa.Codec.fits_i8 rel) then (
-                  wide.(i) <- true;
-                  changed := true)
-            | _ -> ())
-        | _ -> ())
-      items
+    (* widen against this round's offsets; the still-narrow branches
+       stay packed at the front of [narrow] *)
+    let kept = ref 0 in
+    for k = 0 to !m - 1 do
+      let i = narrow.(k) in
+      let insn = insn_of items.(i) in
+      let a = match insn with Insn.Jmp (Sym (_, a), _) | Insn.Jcc (_, Sym (_, a), _) -> a | _ -> 0 in
+      let rel = offsets.(target.(i)) + a - (offsets.(i) + size.(i)) in
+      if Codec.fits_i8 rel then begin
+        narrow.(!kept) <- i;
+        incr kept
+      end
+      else begin
+        Bytes.set wide i '\001';
+        size.(i) <- Insn.size (with_width insn Insn.W32);
+        changed := true
+      end
+    done;
+    m := !kept
   done;
-  compute_offsets ();
-  (items, offsets, wide, label_idx)
+  {
+    l_items = items;
+    l_n = n;
+    l_labels = labels;
+    l_target = target;
+    l_size = size;
+    l_wide = wide;
+    l_offsets = offsets;
+  }
+
+let layout_function f =
+  let items = Array.of_list f.af_body in
+  layout_items ~name:f.af_name items (Array.length items)
 
 (* [resolve_in_unit] maps a symbol defined elsewhere in the same section to
    its offset (used when a unit is assembled without function sections). *)
-let assemble_function ?(resolve_in_unit = fun _ -> None) ~base f =
-  let items, offsets, wide, label_idx = layout_function f in
-  let n = Array.length items in
+let assemble_laid ?(resolve_in_unit = fun _ -> None) ~base (l : laid) =
+  let n = l.l_n and items = l.l_items and offsets = l.l_offsets in
+  let label_idx = l.l_labels in
   let size = offsets.(n) in
   let bytes = Bytes.make size '\x02' (* single-byte nops *) in
   let relocs = ref [] in
@@ -204,79 +238,58 @@ let assemble_function ?(resolve_in_unit = fun _ -> None) ~base f =
   in
   let emit_insn i insn =
     let off = offsets.(i) in
-    let w = if wide.(i) then Insn.W32 else Insn.W8 in
     let insn =
-      match insn with
-      | Insn.Jmp (v, _) -> Insn.Jmp (v, w)
-      | Insn.Jcc (c, v, _) -> Insn.Jcc (c, v, w)
-      | x -> x
+      with_width insn (if Bytes.get l.l_wide i = '\000' then Insn.W8 else Insn.W32)
     in
-    let isize = Insn.size insn in
+    let isize = l.l_size.(i) in
     let end_of = off + isize in
     (* Resolve or relocate the symbolic operand, if any. *)
     let resolved =
-      match Codec.operand_kind insn with
-      | Codec.Op_none -> insn
-      | Codec.Op_rel (fo, fw) -> (
-          let v =
-            match insn with
-            | Insn.Jmp (v, _) | Insn.Jcc (_, v, _) | Insn.Call v | Insn.Lea_rel (_, v) -> v
-            | _ -> err "unexpected rel operand in %s" (Insn.to_string insn)
-          in
-          match v with
-          | Insn.Imm _ -> insn
-          | Insn.Sym (s, a) -> (
-              match local_target s a with
+      match Insn.value insn with
+      | Some (Insn.Sym (s, a)) -> (
+          match Codec.operand_kind insn with
+          | Codec.Op_none -> insn
+          | Codec.Op_rel (fo, fw) -> (
+              let t =
+                if l.l_target.(i) >= 0 then Some (offsets.(l.l_target.(i)) + a)
+                else local_target s a
+              in
+              match t with
               | Some t -> Insn.with_value insn (Insn.Imm (t - end_of))
               | None ->
                   let kind = if fw = 1 then Rel8 else Rel32 in
                   relocs := (off + fo, kind, s, a, isize - fo) :: !relocs;
-                  Insn.with_value insn (Insn.Imm 0)))
-      | Codec.Op_abs (fo, fw) -> (
-          let v =
-            match insn with
-            | Insn.Mov_ri (_, v, _)
-            | Insn.Load_abs (_, v)
-            | Insn.Store_abs (v, _)
-            | Insn.Lea (_, v)
-            | Insn.Call_mem v
-            | Insn.Jmp_mem v
-            | Insn.Alu_ri (_, _, v) ->
-                v
-            | _ -> err "unexpected abs operand in %s" (Insn.to_string insn)
-          in
-          match v with
-          | Insn.Imm _ -> insn
-          | Insn.Sym (s, a) ->
+                  Insn.with_value insn (Insn.Imm 0))
+          | Codec.Op_abs (fo, fw) ->
               let kind = if fw = 8 then Abs64 else Abs32 in
               relocs := (off + fo, kind, s, a, 0) :: !relocs;
               Insn.with_value insn (Insn.Imm 0))
+      | _ -> insn
     in
     ignore (Codec.encode_into bytes off resolved)
   in
-  Array.iteri
-    (fun i it ->
-      match it with
-      | A_label _ -> ()
-      | A_cfi op -> cfi := (offsets.(i), op) :: !cfi
-      | A_align _ ->
-          (* pad with single-byte nops: bytes are pre-filled with 0x02 *)
-          ()
-      | A_loc (f, l) -> cur_loc := Some (f, l)
-      | A_insn insn ->
-          close_lsda offsets.(i);
-          note_loc offsets.(i);
-          emit_insn i insn
-      | A_insn_lp (insn, pad) ->
-          (match !lsda_open with
-          | Some (p, _) when p = pad -> ()
-          | Some _ ->
-              close_lsda offsets.(i);
-              lsda_open := Some (pad, offsets.(i))
-          | None -> lsda_open := Some (pad, offsets.(i)));
-          note_loc offsets.(i);
-          emit_insn i insn)
-    items;
+  for i = 0 to n - 1 do
+    match items.(i) with
+    | A_label _ -> ()
+    | A_cfi op -> cfi := (offsets.(i), op) :: !cfi
+    | A_align _ ->
+        (* pad with single-byte nops: bytes are pre-filled with 0x02 *)
+        ()
+    | A_loc (f, l) -> cur_loc := Some (f, l)
+    | A_insn insn ->
+        close_lsda offsets.(i);
+        note_loc offsets.(i);
+        emit_insn i insn
+    | A_insn_lp (insn, pad) ->
+        (match !lsda_open with
+        | Some (p, _) when p = pad -> ()
+        | Some _ ->
+            close_lsda offsets.(i);
+            lsda_open := Some (pad, offsets.(i))
+        | None -> lsda_open := Some (pad, offsets.(i)));
+        note_loc offsets.(i);
+        emit_insn i insn
+  done;
   close_lsda size;
   let labels =
     Hashtbl.fold (fun l i acc -> (l, offsets.(i)) :: acc) label_idx []
@@ -291,6 +304,13 @@ let assemble_function ?(resolve_in_unit = fun _ -> None) ~base f =
     fo_dbg = List.rev !dbg;
     fo_labels = labels;
   }
+
+(* Assemble the first [n] items of [items] as the function [name]. *)
+let assemble_items ?resolve_in_unit ~base ~name items n =
+  assemble_laid ?resolve_in_unit ~base (layout_items ~name items n)
+
+let assemble_function ?resolve_in_unit ~base f =
+  assemble_laid ?resolve_in_unit ~base (layout_function f)
 
 (* ---- data sections ---- *)
 
@@ -416,24 +436,23 @@ let assemble (u : unit_) : Objfile.t =
     let align a off = ((off + a - 1) / a) * a in
     let bases = Hashtbl.create 16 in
     let off = ref 0 in
+    let laid = List.map (fun f -> (f, layout_function f)) u.u_funcs in
     List.iter
-      (fun f ->
+      (fun (f, l) ->
         off := align (max 1 f.af_align) !off;
         Hashtbl.add bases f.af_name !off;
-        (* account for size via a dry-run layout *)
-        let _, offsets, _, _ = layout_function f in
-        off := !off + offsets.(Array.length offsets - 1))
-      u.u_funcs;
+        off := !off + l.l_offsets.(l.l_n))
+      laid;
     let total = !off in
     let text = Bytes.make total '\x02' in
     let resolve_in_unit s = Hashtbl.find_opt bases s in
     List.iter
-      (fun f ->
+      (fun (f, l) ->
         let base = Hashtbl.find bases f.af_name in
-        let out = assemble_function ~resolve_in_unit ~base f in
+        let out = assemble_laid ~resolve_in_unit ~base l in
         Bytes.blit out.fo_bytes 0 text base out.fo_size;
         add_func_output ~sec:".text" ~base f out)
-      u.u_funcs;
+      laid;
     sections :=
       [ { sec_name = ".text"; sec_kind = Text; sec_addr = 0; sec_data = text; sec_size = total } ]
   end;

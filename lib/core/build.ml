@@ -20,23 +20,11 @@ open Bfunc
 
 let lbl off = Printf.sprintf ".LBB%d" off
 
-type raw = { r_off : int; r_insn : Insn.t; r_size : int }
-
+(* A function's bytes decoded in full, or [None] when some instruction
+   does not decode (or runs off the section). *)
 let decode_function (text : Types.section) ~addr ~size =
-  let base = addr - text.sec_addr in
-  let insns = ref [] in
-  let pos = ref 0 in
-  let ok = ref true in
-  while !ok && !pos < size do
-    match Codec.decode text.sec_data (base + !pos) with
-    | i, sz ->
-        insns := { r_off = !pos; r_insn = i; r_size = sz } :: !insns;
-        pos := !pos + sz
-    | exception Codec.Decode_error _ -> ok := false
-    (* an instruction straddling the section end reads past the buffer *)
-    | exception Invalid_argument _ -> ok := false
-  done;
-  if !ok then Some (List.rev !insns) else None
+  let d = Codec.decode_run text.sec_data ~base:(addr - text.sec_addr) ~size in
+  if d.Codec.complete then Some d else None
 
 (* ---- jump table discovery ---- *)
 
@@ -53,13 +41,13 @@ let decode_function (text : Types.section) ~addr ~size =
    which is safe to relocate verbatim. *)
 type jt_scan = Jt_found of int * bool * int | Jt_suspicious | Jt_absent
 
-let find_jump_table ctx (raws : raw array) idx fb_addr =
+let find_jump_table ctx (d : Codec.run) idx fb_addr =
   let lo_bound = ref None and hi_bound = ref None in
   let table = ref None in
   let saw_load = ref false in
   let start = max 0 (idx - 12) in
   for k = idx - 1 downto start do
-    (match raws.(k).r_insn with
+    match d.insns.(k) with
     | Insn.Alu_ri (Insn.Cmp, _, Insn.Imm v) -> (
         (* the first cmp hit walking backwards is the hi bound *)
         match !hi_bound with
@@ -68,12 +56,11 @@ let find_jump_table ctx (raws : raw array) idx fb_addr =
     | Insn.Lea (_, Insn.Imm a) when Context.in_section ctx.Context.rodata a ->
         if !table = None then table := Some (a, false)
     | Insn.Lea_rel (_, Insn.Imm disp) ->
-        let a = fb_addr + raws.(k).r_off + raws.(k).r_size + disp in
+        let a = fb_addr + d.offs.(k + 1) + disp in
         if !table = None && Context.in_section ctx.Context.rodata a then
           table := Some (a, true)
     | Insn.Load _ | Insn.Load_abs _ -> saw_load := true
-    | _ -> ());
-    ()
+    | _ -> ()
   done;
   match (!table, !lo_bound, !hi_bound) with
   | Some (addr, pic), Some lo, Some hi when hi >= lo && hi - lo < 4096 ->
@@ -85,30 +72,34 @@ let find_jump_table ctx (raws : raw array) idx fb_addr =
 
 (* Linear code for a function kept byte-identical, with the references
    that must survive relocation (calls, code addresses) symbolized. *)
-let symbolize_raw ctx (fb : Bfunc.t) raw_list =
-  fb.raw_insns <-
-    List.map
-      (fun r ->
-        let next_off = r.r_off + r.r_size in
-        let sym =
-          match r.r_insn with
-          | Insn.Call (Insn.Imm rel) -> (
-              match Context.resolve_code ctx (fb.fb_addr + next_off + rel) with
-              | Some (fn, 0) -> Insn.Call (Insn.Sym (fn, 0))
-              | _ -> r.r_insn)
-          | Insn.Lea_rel (rg, Insn.Imm disp) -> (
-              let a = fb.fb_addr + next_off + disp in
-              match Context.resolve_code ctx a with
-              | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
-              | _ -> Insn.Lea (rg, Insn.Imm a))
-          | Insn.Lea (rg, Insn.Imm a) -> (
-              match Context.resolve_code ctx a with
-              | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
-              | _ -> r.r_insn)
-          | i -> i
-        in
-        { op = sym; lp = None; loc = None; cfi_after = []; m_off = r.r_off })
-      raw_list
+let symbolize_raw ctx (fb : Bfunc.t) (d : Codec.run) =
+  let minsn k =
+    let next_off = d.offs.(k + 1) in
+    let r_insn = d.insns.(k) in
+    let sym =
+      match r_insn with
+      | Insn.Call (Insn.Imm rel) -> (
+          match Context.resolve_code ctx (fb.fb_addr + next_off + rel) with
+          | Some (fn, 0) -> Insn.Call (Insn.Sym (fn, 0))
+          | _ -> r_insn)
+      | Insn.Lea_rel (rg, Insn.Imm disp) -> (
+          let a = fb.fb_addr + next_off + disp in
+          match Context.resolve_code ctx a with
+          | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
+          | _ -> Insn.Lea (rg, Insn.Imm a))
+      | Insn.Lea (rg, Insn.Imm a) -> (
+          match Context.resolve_code ctx a with
+          | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
+          | _ -> r_insn)
+      | i -> i
+    in
+    { op = sym; lp = None; loc = None; cfi_after = []; m_off = d.offs.(k) }
+  in
+  let acc = ref [] in
+  for k = d.n - 1 downto 0 do
+    acc := minsn k :: !acc
+  done;
+  fb.raw_insns <- !acc
 
 (* Re-derive a function's verbatim representation from the input bytes:
    used when quarantining a function whose CFG was already mutated by a
@@ -116,10 +107,17 @@ let symbolize_raw ctx (fb : Bfunc.t) raw_list =
    (the rewriter then refuses to move the function at all). *)
 let redecode ctx (fb : Bfunc.t) =
   match decode_function ctx.Context.text ~addr:fb.fb_addr ~size:fb.fb_size with
-  | Some raw_list -> symbolize_raw ctx fb raw_list
+  | Some d -> symbolize_raw ctx fb d
   | None -> fb.raw_insns <- []
 
-(* ---- per-function CFG build ---- *)
+(* ---- per-function CFG build ----
+
+   One decode into arrays, then each instruction is visited a fixed
+   number of times: once to find leaders (marked in a byte per offset),
+   once to slice blocks.  Blocks are visited in offset order, so the
+   line table, the FDE's ops and the instruction stream are each walked
+   by one forward cursor; block-entry frame states are the FDE's ops
+   applied in one forward sweep.  Each block label is minted once. *)
 
 let build_function ctx (fb : Bfunc.t) =
   let opts = ctx.Context.opts in
@@ -128,40 +126,92 @@ let build_function ctx (fb : Bfunc.t) =
   | None ->
       mark_non_simple fb "undecodable bytes";
       fb.raw_insns <- []
-  | Some raw_list -> (
-      let raws = Array.of_list raw_list in
-      let n = Array.length raws in
-      (* source locations *)
-      let dbg =
+  | Some d -> (
+      let { Codec.n; offs; insns; _ } = d in
+      (* source locations, sorted; [loc_at] answers the last entry at or
+         before an offset, for offsets that never decrease *)
+      let lines =
         match Objfile.Index.dbg ctx.Context.meta fb.fb_name with
-        | Some d -> d.dbg_entries
+        | Some d -> Array.of_list d.dbg_entries
+        | None -> [||]
+      in
+      Array.sort compare lines;
+      let locs = Array.map (fun (_, f, l) -> Some (f, l)) lines in
+      let lc = ref 0 in
+      let loc_at off =
+        while !lc < Array.length lines && (let o, _, _ = lines.(!lc) in o <= off) do
+          incr lc
+        done;
+        if !lc = 0 then None else locs.(!lc - 1)
+      in
+      (* CFI ops by the offset at which they take effect, in list order
+         within an offset *)
+      let fde_ops =
+        match Objfile.Index.fde ctx.Context.meta fb.fb_name with
+        | Some f -> f.fde_cfi
         | None -> []
       in
-      (* the last entry, in sorted order, at or before [off] *)
-      let loc_at =
-        let sorted =
-          Array.of_list (List.sort compare (List.map (fun (o, f, l) -> (o, (f, l))) dbg))
-        in
-        fun off ->
-          let lo = ref 0 and hi = ref (Array.length sorted) in
-          while !lo < !hi do
-            let mid = (!lo + !hi) / 2 in
-            if fst sorted.(mid) <= off then lo := mid + 1 else hi := mid
-          done;
-          if !lo = 0 then None else Some (snd sorted.(!lo - 1))
+      let rec sorted = function
+        | (a, _) :: ((b, _) :: _ as rest) -> a <= b && sorted rest
+        | _ -> true
       in
-      (* CFI ops keyed by the offset at which they take effect *)
-      let fde = Objfile.Index.fde ctx.Context.meta fb.fb_name in
-      let cfi_at = Hashtbl.create 16 in
-      (match fde with
-      | Some f ->
-          List.iter
-            (fun (o, op) ->
-              Hashtbl.replace cfi_at o
-                ((try Hashtbl.find cfi_at o with Not_found -> []) @ [ op ]))
-            f.fde_cfi
-      | None -> ());
+      let in_order = sorted fde_ops in
+      let ops =
+        Array.of_list
+          (if in_order then fde_ops
+           else List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) fde_ops)
+      in
+      let cc = ref 0 in
+      let cfi_after next_off =
+        while !cc < Array.length ops && fst ops.(!cc) < next_off do
+          incr cc
+        done;
+        let stop = ref !cc in
+        while !stop < Array.length ops && fst ops.(!stop) = next_off do
+          incr stop
+        done;
+        let acc = ref [] in
+        for k = !stop - 1 downto !cc do
+          acc := snd ops.(k) :: !acc
+        done;
+        cc := !stop;
+        !acc
+      in
+      (* the frame state on entry to each leader: every op at or before
+         it applied in order — one sweep when the ops are sorted *)
+      let ce = ref 0 and est = ref Types.initial_cfi_state in
+      let entry_state leader =
+        if in_order then begin
+          while !ce < Array.length ops && fst ops.(!ce) <= leader do
+            est := Types.cfi_apply !est (snd ops.(!ce));
+            incr ce
+          done;
+          !est
+        end
+        else Types.cfi_state_at fde_ops leader
+      in
       let lsda = Objfile.Index.lsda ctx.Context.meta fb.fb_name in
+      (* landing-pad ranges with their pad labels; the first range in
+         table order that covers an offset wins *)
+      let pads =
+        match lsda with
+        | Some l ->
+            Array.of_list
+              (List.map
+                 (fun (e : Types.lsda_entry) ->
+                   (e.lsda_start, e.lsda_start + e.lsda_len, lbl e.lsda_pad))
+                 l.lsda_entries)
+        | None -> [||]
+      in
+      let lp_at off =
+        let rec go k =
+          if k = Array.length pads then None
+          else
+            let s, e, l = pads.(k) in
+            if off >= s && off < e then Some l else go (k + 1)
+        in
+        go 0
+      in
       (* symbolize a call target; raises Exit when impossible *)
       let call_target addr =
         match Context.resolve_code ctx addr with
@@ -169,231 +219,197 @@ let build_function ctx (fb : Bfunc.t) =
         | _ -> raise Exit
       in
       let in_func off = off >= 0 && off < fb.fb_size in
-      (* jump tables, keyed by the indirect jump's instruction index *)
+      (* jump tables, with the indirect jump's instruction index *)
       let jts = ref [] in
-      let jt_of_idx = Hashtbl.create 4 in
+      let jt_of_idx = ref [] in
       (try
          (* pass 1: control-flow targets and jump tables *)
-         let leaders = Hashtbl.create 32 in
-         Hashtbl.replace leaders 0 ();
-         let add_leader o = if in_func o then Hashtbl.replace leaders o () in
-         Array.iteri
-           (fun i r ->
-             let next = r.r_off + r.r_size in
-             match r.r_insn with
-             | Insn.Jmp (Insn.Imm rel, _) ->
-                 let t = next + rel in
-                 if in_func t then add_leader t
-                 else ignore (call_target (fb.fb_addr + t));
-                 add_leader next
-             | Insn.Jcc (_, Insn.Imm rel, _) ->
-                 let t = next + rel in
-                 if in_func t then add_leader t
-                 else ignore (call_target (fb.fb_addr + t));
-                 add_leader next
-             | Insn.Jmp_ind _ -> (
-                 match find_jump_table ctx raws i fb.fb_addr with
-                 | Jt_found (taddr, pic, count) ->
-                     let entries = Array.make count 0 in
-                     let ok = ref true in
-                     for k = 0 to count - 1 do
-                       match Context.section_value ctx ctx.Context.rodata (taddr + (8 * k)) with
-                       | Some v ->
-                           let target = if pic then taddr + v else v in
-                           let off = target - fb.fb_addr in
-                           if in_func off then entries.(k) <- off else ok := false
-                       | None -> ok := false
-                     done;
-                     if not !ok then begin
-                       mark_non_simple fb "invalid jump table entries";
-                       fb.table_unrecovered <- true;
-                       raise Exit
-                     end;
-                     Array.iter add_leader entries;
-                     let k = List.length !jts in
-                     jts := (taddr, pic, entries) :: !jts;
-                     Hashtbl.replace jt_of_idx i k;
-                     add_leader next
-                 | Jt_suspicious ->
-                     mark_non_simple fb "unrecoverable jump table";
+         let leader = Bytes.make fb.fb_size '\000' in
+         let add_leader o = if in_func o then Bytes.unsafe_set leader o '\001' in
+         add_leader 0;
+         for i = 0 to n - 1 do
+           let next = offs.(i + 1) in
+           match insns.(i) with
+           | Insn.Jmp (Insn.Imm rel, _) | Insn.Jcc (_, Insn.Imm rel, _) ->
+               let t = next + rel in
+               if in_func t then add_leader t
+               else ignore (call_target (fb.fb_addr + t));
+               add_leader next
+           | Insn.Jmp_ind _ -> (
+               match find_jump_table ctx d i fb.fb_addr with
+               | Jt_found (taddr, pic, count) ->
+                   let entries = Array.make count 0 in
+                   let ok = ref true in
+                   for k = 0 to count - 1 do
+                     match Context.section_value ctx ctx.Context.rodata (taddr + (8 * k)) with
+                     | Some v ->
+                         let target = if pic then taddr + v else v in
+                         let off = target - fb.fb_addr in
+                         if in_func off then entries.(k) <- off else ok := false
+                     | None -> ok := false
+                   done;
+                   if not !ok then begin
+                     mark_non_simple fb "invalid jump table entries";
                      fb.table_unrecovered <- true;
                      raise Exit
-                 | Jt_absent ->
-                     mark_non_simple fb
-                       "unresolved indirect jump (possible indirect tail call)";
-                     raise Exit)
-             | Insn.Jmp_mem _ ->
-                 mark_non_simple fb "jump through memory outside PLT";
-                 raise Exit
-             | Insn.Call (Insn.Imm rel) -> ignore (call_target (fb.fb_addr + next + rel))
-             | Insn.Ret | Insn.Repz_ret | Insn.Halt | Insn.Throw -> add_leader next
-             | _ -> ())
-           raws;
+                   end;
+                   Array.iter add_leader entries;
+                   jt_of_idx := (i, List.length !jts) :: !jt_of_idx;
+                   jts := (taddr, pic, entries) :: !jts;
+                   add_leader next
+               | Jt_suspicious ->
+                   mark_non_simple fb "unrecoverable jump table";
+                   fb.table_unrecovered <- true;
+                   raise Exit
+               | Jt_absent ->
+                   mark_non_simple fb
+                     "unresolved indirect jump (possible indirect tail call)";
+                   raise Exit)
+           | Insn.Jmp_mem _ ->
+               mark_non_simple fb "jump through memory outside PLT";
+               raise Exit
+           | Insn.Call (Insn.Imm rel) -> ignore (call_target (fb.fb_addr + next + rel))
+           | Insn.Ret | Insn.Repz_ret | Insn.Halt | Insn.Throw -> add_leader next
+           | _ -> ()
+         done;
          (match lsda with
          | Some l ->
              List.iter (fun (e : Types.lsda_entry) -> add_leader e.lsda_pad) l.lsda_entries;
              fb.has_eh <- true
          | None -> ());
-         (* landing pads for instructions *)
-         let lp_at off =
-           match lsda with
-           | None -> None
-           | Some l ->
-               List.find_opt
-                 (fun (e : Types.lsda_entry) ->
-                   off >= e.lsda_start && off < e.lsda_start + e.lsda_len)
-                 l.lsda_entries
-               |> Option.map (fun e -> lbl e.Types.lsda_pad)
+         (* leaders in offset order, each labelled once *)
+         let lead = Codec.marked leader in
+         let nb = Array.length lead in
+         let labels = Array.map lbl lead in
+         (* the label of a leader offset *)
+         let label_of off =
+           let lo = ref 0 and hi = ref (nb - 1) in
+           while !lo < !hi do
+             let mid = (!lo + !hi) / 2 in
+             if lead.(mid) < off then lo := mid + 1 else hi := mid
+           done;
+           labels.(!lo)
          in
-         let leader_list = Hashtbl.fold (fun o () acc -> o :: acc) leaders [] in
-         let leader_list = List.sort compare leader_list in
-         let next_leader = Hashtbl.create 32 in
-         let rec link = function
-           | a :: (b :: _ as rest) ->
-               Hashtbl.replace next_leader a b;
-               link rest
-           | _ -> []
+         let keep i op acc =
+           let r_off = offs.(i) in
+           {
+             op;
+             lp =
+               (match insns.(i) with
+               | Insn.Call _ | Insn.Call_ind _ | Insn.Call_mem _ | Insn.Throw ->
+                   lp_at r_off
+               | _ -> None);
+             loc = loc_at r_off;
+             cfi_after = cfi_after offs.(i + 1);
+             m_off = r_off;
+           }
+           :: acc
          in
-         ignore (link leader_list);
-         (* index raws by offset for block slicing *)
-         let idx_of_off = Hashtbl.create 64 in
-         Array.iteri (fun i r -> Hashtbl.replace idx_of_off r.r_off i) raws;
-         let cfi_ops_upto o =
-           (* list of (off, op) with off <= o, in order: used for entry states *)
-           match fde with
-           | Some f -> List.filter (fun (o', _) -> o' <= o) f.fde_cfi
-           | None -> []
-         in
-         List.iter
-           (fun leader ->
-             let stop =
-               match Hashtbl.find_opt next_leader leader with
-               | Some nl -> nl
-               | None -> fb.fb_size
-             in
-             let i0 =
-               match Hashtbl.find_opt idx_of_off leader with
-               | Some i -> i
-               | None ->
-                   mark_non_simple fb "leader inside an instruction";
-                   raise Exit
-             in
-             let insns = ref [] in
-             let term = ref None in
-             let i = ref i0 in
-             while !term = None && !i < n && raws.(!i).r_off < stop do
-               let r = raws.(!i) in
-               let next_off = r.r_off + r.r_size in
-               let mark_term t = term := Some t in
-               let keep ?(sym = r.r_insn) () =
-                 let cfi =
-                   match Hashtbl.find_opt cfi_at next_off with Some ops -> ops | None -> []
-                 in
-                 insns :=
-                   {
-                     op = sym;
-                     lp =
-                       (if Insn.is_call r.r_insn || r.r_insn = Insn.Throw then
-                          lp_at r.r_off
-                        else None);
-                     loc = loc_at r.r_off;
-                     cfi_after = cfi;
-                     m_off = r.r_off;
-                   }
-                   :: !insns
-               in
-               (match r.r_insn with
-               | Insn.Nop _ -> if not opts.Opts.strip_nops then keep ()
-               | Insn.Jmp (Insn.Imm rel, _) ->
-                   let t = next_off + rel in
-                   if in_func t then mark_term (T_jump (lbl t))
+         (* pass 2: slice blocks; [j] walks the instructions *)
+         let j = ref 0 in
+         for b = 0 to nb - 1 do
+           let leader = lead.(b) in
+           let stop = if b + 1 < nb then lead.(b + 1) else fb.fb_size in
+           while !j < n && offs.(!j) < leader do
+             incr j
+           done;
+           if !j = n || offs.(!j) <> leader then begin
+             mark_non_simple fb "leader inside an instruction";
+             raise Exit
+           end;
+           let acc = ref [] in
+           let term = ref None in
+           while Option.is_none !term && !j < n && offs.(!j) < stop do
+             let i = !j in
+             let r_insn = insns.(i) in
+             let next_off = offs.(i + 1) in
+             (match r_insn with
+             | Insn.Nop _ -> if not opts.Opts.strip_nops then acc := keep i r_insn !acc
+             | Insn.Jmp (Insn.Imm rel, _) ->
+                 let t = next_off + rel in
+                 if in_func t then term := Some (T_jump (label_of t))
+                 else begin
+                   (* direct tail call *)
+                   let fn = call_target (fb.fb_addr + t) in
+                   acc := keep i (Insn.Jmp (Insn.Sym (fn, 0), Insn.W32)) !acc;
+                   term := Some T_stop
+                 end
+             | Insn.Jcc (c, Insn.Imm rel, _) ->
+                 let t = next_off + rel in
+                 let fall =
+                   if in_func next_off then label_of next_off
                    else begin
-                     (* direct tail call *)
-                     let fn = call_target (fb.fb_addr + t) in
-                     keep ~sym:(Insn.Jmp (Insn.Sym (fn, 0), Insn.W32)) ();
-                     mark_term T_stop
-                   end
-               | Insn.Jcc (c, Insn.Imm rel, _) ->
-                   let t = next_off + rel in
-                   let fall =
-                     if in_func next_off then lbl next_off
-                     else begin
-                       mark_non_simple fb "conditional branch at function end";
-                       raise Exit
-                     end
-                   in
-                   if in_func t then mark_term (T_cond (c, lbl t, fall))
-                   else mark_term (T_condtail (c, call_target (fb.fb_addr + t), fall))
-               | Insn.Jmp_ind _ ->
-                   keep ();
-                   mark_term (T_indirect (Hashtbl.find_opt jt_of_idx !i))
-               | Insn.Ret | Insn.Repz_ret | Insn.Halt | Insn.Throw ->
-                   keep ();
-                   mark_term T_stop
-               | Insn.Call (Insn.Imm rel) ->
-                   let fn = call_target (fb.fb_addr + next_off + rel) in
-                   keep ~sym:(Insn.Call (Insn.Sym (fn, 0))) ()
-               | Insn.Lea_rel (rg, Insn.Imm disp) ->
-                   (* rewrite PIC address materialisation to absolute: the
-                      instruction is about to move, the data is not *)
-                   let a = fb.fb_addr + next_off + disp in
-                   (match Context.resolve_code ctx a with
-                   | Some (fn, 0) -> keep ~sym:(Insn.Lea (rg, Insn.Sym (fn, 0))) ()
-                   | _ -> keep ~sym:(Insn.Lea (rg, Insn.Imm a)) ())
-               | Insn.Lea (rg, Insn.Imm a) -> (
-                   (* function pointers must stay symbolic: the target is
-                      about to move *)
-                   match Context.resolve_code ctx a with
-                   | Some (fn, 0) -> keep ~sym:(Insn.Lea (rg, Insn.Sym (fn, 0))) ()
-                   | Some _ ->
-                       mark_non_simple fb "address of code taken mid-function";
-                       raise Exit
-                   | None -> keep ())
-               | _ -> keep ());
-               incr i
-             done;
-             let term =
-               match !term with
-               | Some t -> t
-               | None ->
-                   if stop >= fb.fb_size then begin
-                     mark_non_simple fb "control falls off the function end";
+                     mark_non_simple fb "conditional branch at function end";
                      raise Exit
                    end
-                   else T_jump (lbl stop)
-             in
-             let entry_state =
-               Types.cfi_state_at (cfi_ops_upto leader) leader
-             in
-             Hashtbl.replace fb.blocks (lbl leader)
-               {
-                 bl = lbl leader;
-                 b_off = leader;
-                 insns = List.rev !insns;
-                 term;
-                 ecount = 0;
-                 cfi_entry = entry_state;
-                 is_lp = false;
-               })
-           leader_list;
+                 in
+                 if in_func t then term := Some (T_cond (c, label_of t, fall))
+                 else term := Some (T_condtail (c, call_target (fb.fb_addr + t), fall))
+             | Insn.Jmp_ind _ ->
+                 acc := keep i r_insn !acc;
+                 term := Some (T_indirect (List.assoc_opt i !jt_of_idx))
+             | Insn.Ret | Insn.Repz_ret | Insn.Halt | Insn.Throw ->
+                 acc := keep i r_insn !acc;
+                 term := Some T_stop
+             | Insn.Call (Insn.Imm rel) ->
+                 let fn = call_target (fb.fb_addr + next_off + rel) in
+                 acc := keep i (Insn.Call (Insn.Sym (fn, 0))) !acc
+             | Insn.Lea_rel (rg, Insn.Imm disp) ->
+                 (* rewrite PIC address materialisation to absolute: the
+                    instruction is about to move, the data is not *)
+                 let a = fb.fb_addr + next_off + disp in
+                 acc :=
+                   keep i
+                     (match Context.resolve_code ctx a with
+                     | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
+                     | _ -> Insn.Lea (rg, Insn.Imm a))
+                     !acc
+             | Insn.Lea (rg, Insn.Imm a) -> (
+                 (* function pointers must stay symbolic: the target is
+                    about to move *)
+                 match Context.resolve_code ctx a with
+                 | Some (fn, 0) -> acc := keep i (Insn.Lea (rg, Insn.Sym (fn, 0))) !acc
+                 | Some _ ->
+                     mark_non_simple fb "address of code taken mid-function";
+                     raise Exit
+                 | None -> acc := keep i r_insn !acc)
+             | _ -> acc := keep i r_insn !acc);
+             incr j
+           done;
+           let term =
+             match !term with
+             | Some t -> t
+             | None ->
+                 if stop >= fb.fb_size then begin
+                   mark_non_simple fb "control falls off the function end";
+                   raise Exit
+                 end
+                 else T_jump labels.(b + 1)
+           in
+           Hashtbl.replace fb.blocks labels.(b)
+             {
+               bl = labels.(b);
+               b_off = leader;
+               insns = List.rev !acc;
+               term;
+               ecount = 0;
+               cfi_entry = entry_state leader;
+               is_lp = false;
+             }
+         done;
          (* jump tables, now that labels exist *)
          fb.jts <-
            Array.of_list
              (List.rev_map
                 (fun (addr, pic, entries) ->
-                  { jt_addr = addr; jt_pic = pic; jt_targets = Array.map lbl entries })
+                  { jt_addr = addr; jt_pic = pic; jt_targets = Array.map label_of entries })
                 !jts);
-         (match lsda with
-         | Some l ->
-             List.iter
-               (fun (e : Types.lsda_entry) ->
-                 match block_opt fb (lbl e.lsda_pad) with
-                 | Some b -> b.is_lp <- true
-                 | None -> ())
-               l.lsda_entries
-         | None -> ());
-         fb.layout <- List.map lbl leader_list;
-         fb.entry <- lbl 0
+         Array.iter
+           (fun (_, _, pad) ->
+             match block_opt fb pad with Some b -> b.is_lp <- true | None -> ())
+           pads;
+         fb.layout <- Array.to_list labels;
+         fb.entry <- labels.(0)
        with Exit ->
          if fb.why_not_simple = "" then
            mark_non_simple fb "unresolvable code reference";
@@ -401,7 +417,7 @@ let build_function ctx (fb : Bfunc.t) =
          fb.layout <- []);
       (* Non-simple fallback: keep bytes identical, but symbolize the
          references that must survive relocation. *)
-      if not fb.simple then symbolize_raw ctx fb raw_list)
+      if not fb.simple then symbolize_raw ctx fb d)
 
 (* ---- discovery ---- *)
 
@@ -457,8 +473,7 @@ let discover ctx =
            else Printf.sprintf "__unknown_%x" f.fde_addr)
           f.fde_addr f.fde_size)
     exe.fdes;
-  ctx.Context.order <-
-    List.sort compare !order |> List.map snd
+  Context.set_order ctx (List.sort compare !order |> List.map snd)
 
 (* The build-cfg pass's visitor: build one function's CFG, parking
    any failure diagnostic on the worker's shard.  CFG construction must

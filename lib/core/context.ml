@@ -9,6 +9,8 @@ type t = {
   opts : Opts.t;
   funcs : (string, Bfunc.t) Hashtbl.t;
   mutable order : string list; (* functions by original address *)
+  mutable rank : (string, int) Hashtbl.t;
+      (* name -> index in [order]; both set by [set_order] *)
   text : Types.section;
   plt : Types.section option;
   rodata : Types.section option;
@@ -110,6 +112,7 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
       opts;
       funcs = Hashtbl.create 256;
       order = [];
+      rank = Hashtbl.create 1;
       text;
       plt;
       rodata;
@@ -168,12 +171,17 @@ let simple_funcs ctx =
       if f.Bfunc.simple && f.Bfunc.folded_into = None then Some f else None)
     ctx.order
 
+(* Fix the function order, and the rank table [order_rank] reads. *)
+let set_order ctx names =
+  let tbl = Hashtbl.create 256 in
+  List.iteri (fun i n -> Hashtbl.replace tbl n i) names;
+  ctx.order <- names;
+  ctx.rank <- tbl
+
 (* Rank of a function name in the original address order; [max_int] for
    names outside it.  Used to fold per-domain results deterministically. *)
-let order_rank ctx =
-  let tbl = Hashtbl.create 256 in
-  List.iteri (fun i n -> Hashtbl.replace tbl n i) ctx.order;
-  fun n -> match Hashtbl.find_opt tbl n with Some i -> i | None -> max_int
+let order_rank ctx n =
+  match Hashtbl.find_opt ctx.rank n with Some i -> i | None -> max_int
 
 (* ---- per-domain shards ----
 
@@ -211,11 +219,12 @@ let sh_diag sh severity ~stage ?func fmt =
    (then stage/severity/message) so the record order matches what a
    sequential run in address order would have produced. *)
 let apply_shard_diags ctx shards =
-  let rank = order_rank ctx in
-  shards
-  |> List.concat_map (fun sh -> List.rev sh.sh_diags)
-  |> List.map (fun ((_sev, stage, func, msg) as d) ->
-         ((Option.fold ~none:max_int ~some:rank func, stage, msg), d))
-  |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
-  |> List.iter (fun (_, (sev, stage, func, msg)) ->
-         Diag.add ctx.diag sev ~stage ?func msg)
+  if List.exists (fun sh -> sh.sh_diags <> []) shards then
+    let rank = order_rank ctx in
+    shards
+    |> List.concat_map (fun sh -> List.rev sh.sh_diags)
+    |> List.map (fun ((_sev, stage, func, msg) as d) ->
+           ((Option.fold ~none:max_int ~some:rank func, stage, msg), d))
+    |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
+    |> List.iter (fun (_, (sev, stage, func, msg)) ->
+           Diag.add ctx.diag sev ~stage ?func msg)

@@ -32,65 +32,67 @@ type fragment = {
   fr_has_fde : bool;
 }
 
-let cfi_state_after st ops =
-  List.fold_left
-    (fun st op ->
-      match op with
-      | Bolt_obj.Types.Cfi_establish -> { st with Bolt_obj.Types.cfa_established = true }
-      | Bolt_obj.Types.Cfi_def_locals n -> { st with Bolt_obj.Types.cfa_locals = n }
-      | Bolt_obj.Types.Cfi_save (r, slot) ->
-          { st with Bolt_obj.Types.cfa_saved = st.Bolt_obj.Types.cfa_saved @ [ (r, slot) ] }
-      | Bolt_obj.Types.Cfi_restore r ->
-          {
-            st with
-            Bolt_obj.Types.cfa_saved =
-              List.filter (fun (r', _) -> r' <> r) st.Bolt_obj.Types.cfa_saved;
-          }
-      | Bolt_obj.Types.Cfi_teardown -> Bolt_obj.Types.initial_cfi_state
-      | Bolt_obj.Types.Cfi_set_state s -> s)
-    st ops
-
-(* Lower one fragment (a list of blocks in final order) to aitem list. *)
+(* Lower one fragment (a list of blocks in final order) to assembler
+   items: the body is the first [n] items of the returned array. *)
 let body_of_fragment (fb : Bfunc.t) ~(in_fragment : string -> bool)
-    ~(first_state : Bolt_obj.Types.cfi_state option) (blocks : string list) : aitem list =
-  let items = ref [] in
-  let push it = items := it :: !items in
+    ~(first_state : Bolt_obj.Types.cfi_state option) (blocks : string list) :
+    aitem array * int =
+  let items = ref (Array.make 256 (A_align 0)) and n = ref 0 in
+  let push it =
+    if !n = Array.length !items then begin
+      (* a constant filler: a young one would force a minor collection *)
+      let a = Array.make (2 * !n) (A_align 0) in
+      Array.blit !items 0 a 0 !n;
+      items := a
+    end;
+    Array.unsafe_set !items !n it;
+    incr n
+  in
   let ref_of l = if in_fragment l then Insn.Sym (l, 0) else Insn.Sym (xref fb.fb_name l, 0) in
-  let cur_state = ref (match first_state with Some s -> Some s | None -> None) in
+  (* the frame state the unwinder replays here; [known] is false only
+     before the first block of a fragment with no [first_state] *)
+  let cur = ref (Option.value first_state ~default:Bolt_obj.Types.initial_cfi_state) in
+  let known = ref (Option.is_some first_state) in
+  (* the line of the last [A_loc] pushed: repeating it changes nothing *)
+  let last_loc = ref None in
   let rec emit_blocks = function
     | [] -> ()
     | l :: rest ->
         let b = block fb l in
         push (A_label l);
         (* regenerate frame info at the boundary *)
-        (match !cur_state with
-        | Some st when not (Bolt_obj.Types.cfi_state_equal st b.cfi_entry) ->
-            push (A_cfi (Bolt_obj.Types.Cfi_set_state b.cfi_entry))
-        | None ->
-            if b.cfi_entry <> Bolt_obj.Types.initial_cfi_state then
-              push (A_cfi (Bolt_obj.Types.Cfi_set_state b.cfi_entry))
-        | Some _ -> ());
-        cur_state := Some b.cfi_entry;
+        let differs =
+          if !known then not (Bolt_obj.Types.cfi_state_equal !cur b.cfi_entry)
+          else b.cfi_entry <> Bolt_obj.Types.initial_cfi_state
+        in
+        if differs then push (A_cfi (Bolt_obj.Types.Cfi_set_state b.cfi_entry));
+        known := true;
+        cur := b.cfi_entry;
         List.iter
           (fun (i : minsn) ->
-            (match i.loc with Some (f, ln) -> push (A_loc (f, ln)) | None -> ());
+            (match i.loc with
+            | Some (f, ln) when i.loc != !last_loc ->
+                push (A_loc (f, ln));
+                last_loc := i.loc
+            | _ -> ());
             (match i.lp with
             | Some pad ->
                 (* landing-pad annotations keep their block symbol; the
                    rewriter resolves pads across fragments *)
                 push (A_insn_lp (i.op, pad))
             | None -> push (A_insn i.op));
-            (match !cur_state with
-            | Some st -> cur_state := Some (cfi_state_after st i.cfi_after)
-            | None -> ());
-            List.iter (fun op -> push (A_cfi op)) i.cfi_after)
+            match i.cfi_after with
+            | [] -> ()
+            | ops ->
+                cur := List.fold_left Bolt_obj.Types.cfi_apply !cur ops;
+                List.iter (fun op -> push (A_cfi op)) ops)
           b.insns;
-        let next = match rest with n :: _ -> Some n | [] -> None in
+        let is_next t = match rest with n :: _ -> String.equal n t | [] -> false in
         (match b.term with
-        | T_jump t -> if next <> Some t then push (A_insn (Insn.Jmp (ref_of t, Insn.W8)))
+        | T_jump t -> if not (is_next t) then push (A_insn (Insn.Jmp (ref_of t, Insn.W8)))
         | T_cond (c, taken, fall) ->
-            if next = Some fall then push (A_insn (Insn.Jcc (c, ref_of taken, Insn.W8)))
-            else if next = Some taken then
+            if is_next fall then push (A_insn (Insn.Jcc (c, ref_of taken, Insn.W8)))
+            else if is_next taken then
               push (A_insn (Insn.Jcc (Cond.invert c, ref_of fall, Insn.W8)))
             else begin
               push (A_insn (Insn.Jcc (c, ref_of taken, Insn.W8)));
@@ -98,12 +100,12 @@ let body_of_fragment (fb : Bfunc.t) ~(in_fragment : string -> bool)
             end
         | T_condtail (c, fn, fall) ->
             push (A_insn (Insn.Jcc (c, Insn.Sym (fn, 0), Insn.W32)));
-            if next <> Some fall then push (A_insn (Insn.Jmp (ref_of fall, Insn.W8)))
+            if not (is_next fall) then push (A_insn (Insn.Jmp (ref_of fall, Insn.W8)))
         | T_indirect _ | T_stop -> ());
         emit_blocks rest
   in
   emit_blocks blocks;
-  List.rev !items
+  (!items, !n)
 
 (* Emit a simple function: hot fragment plus optional cold fragment. *)
 let emit_simple (fb : Bfunc.t) : fragment list =
@@ -113,11 +115,8 @@ let emit_simple (fb : Bfunc.t) : fragment list =
   List.iter (fun l -> Hashtbl.replace in_hot l ()) hot;
   List.iter (fun l -> Hashtbl.replace in_cold l ()) cold;
   let mk name blocks ~in_fragment ~first_state =
-    let body = body_of_fragment fb ~in_fragment ~first_state blocks in
-    let af =
-      { af_name = name; af_global = true; af_align = 1; af_emit_fde = true; af_body = body }
-    in
-    let out = assemble_function ~base:0 af in
+    let items, n = body_of_fragment fb ~in_fragment ~first_state blocks in
+    let out = assemble_items ~base:0 ~name items n in
     {
       fr_name = name;
       fr_func = fb.fb_name;
@@ -142,24 +141,14 @@ let emit_simple (fb : Bfunc.t) : fragment list =
 (* Emit a non-simple function byte-identically (modulo symbolized
    references, which the rewriter re-resolves). *)
 let emit_raw (fb : Bfunc.t) : fragment =
-  let body =
-    List.concat_map
-      (fun (i : minsn) ->
-        match i.lp with
-        | Some pad -> [ A_insn_lp (i.op, pad) ]
-        | None -> [ A_insn i.op ])
-      fb.raw_insns
+  let items =
+    Array.of_list
+      (List.map
+         (fun (i : minsn) ->
+           match i.lp with Some pad -> A_insn_lp (i.op, pad) | None -> A_insn i.op)
+         fb.raw_insns)
   in
-  let af =
-    {
-      af_name = fb.fb_name;
-      af_global = true;
-      af_align = 1;
-      af_emit_fde = false;
-      af_body = body;
-    }
-  in
-  let out = assemble_function ~base:0 af in
+  let out = assemble_items ~base:0 ~name:fb.fb_name items (Array.length items) in
   {
     fr_name = fb.fb_name;
     fr_func = fb.fb_name;

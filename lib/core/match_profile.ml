@@ -157,9 +157,23 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
           (* a range end past the function still profiles the prefix *)
           if not (in_bounds fb r.rg_end) then stale fb "range end" r.rg_end;
           let _, _, arr = map_of fb in
+          (* the blocks starting in [rg_start, rg_end]: a binary search
+             for the first, then a walk while the start is in range *)
           let covered =
-            Array.to_list arr
-            |> List.filter (fun (o, _) -> o >= r.rg_start && o <= r.rg_end)
+            let lo = ref 0 and hi = ref (Array.length arr) in
+            while !lo < !hi do
+              let mid = (!lo + !hi) / 2 in
+              if fst arr.(mid) < r.rg_start then lo := mid + 1 else hi := mid
+            done;
+            let last = ref !lo in
+            while !last < Array.length arr && fst arr.(!last) <= r.rg_end do
+              incr last
+            done;
+            let acc = ref [] in
+            for k = !last - 1 downto !lo do
+              acc := arr.(k) :: !acc
+            done;
+            !acc
           in
           (* the block containing rg_start is covered too if it starts earlier *)
           let covered =

@@ -96,12 +96,13 @@ let protect_sharded ctx (sh : Context.shard) ~stage (fb : Bfunc.t) f =
    code) at any -j, pinned to the lowest-ranked failing function. *)
 let fold_shards ctx ~stage (shards : Context.shard list) =
   Context.apply_shard_diags ctx shards;
-  let rank = Context.order_rank ctx in
-  shards
-  |> List.concat_map (fun sh -> List.rev sh.Context.sh_verdicts)
-  |> List.sort (fun ((a : Bfunc.t), _) ((b : Bfunc.t), _) ->
-         compare (rank a.Bfunc.fb_name) (rank b.Bfunc.fb_name))
-  |> List.iter (fun (fb, msg) -> record ctx ~stage fb msg)
+  if List.exists (fun sh -> sh.Context.sh_verdicts <> []) shards then
+    let rank = Context.order_rank ctx in
+    shards
+    |> List.concat_map (fun sh -> List.rev sh.Context.sh_verdicts)
+    |> List.sort (fun ((a : Bfunc.t), _) ((b : Bfunc.t), _) ->
+           compare (rank a.Bfunc.fb_name) (rank b.Bfunc.fb_name))
+    |> List.iter (fun (fb, msg) -> record ctx ~stage fb msg)
 
 (* Pass-level barrier for whole-program passes (ICF, function reordering)
    whose failure cannot be pinned on one function: skip the pass, keep

@@ -76,9 +76,12 @@ let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
             ~direct_calls:(direct_calls ctx) prof
       in
       let order = Bolt_hfsort.Order.order algo g ~original:live in
-      let events = Bolt_profile.Fdata.func_events prof in
+      (* every live function has a node, holding its profile events
+         clamped to an int: positive exactly when the events are *)
       let is_sampled n =
-        match Hashtbl.find_opt events n with Some c -> c > 0L | None -> false
+        match Bolt_hfsort.Callgraph.node g n with
+        | Some nd -> nd.Bolt_hfsort.Callgraph.n_samples > 0
+        | None -> false
       in
       let hot, cold =
         if opts.Opts.split_all_cold then

@@ -157,66 +157,109 @@ let encode i =
   ignore (encode_into b 0 i);
   b
 
+(* The register fields of the byte after the opcode.  Top-level, so a
+   decode allocates nothing but the instruction. *)
+let reg_hi b pos = Reg.of_int (get8 b (pos + 1) lsr 4)
+let reg_lo b pos = Reg.of_int (get8 b (pos + 1) land 0x0f)
+
+(* Decode the instruction at [pos]. *)
+let decode_insn b pos =
+  let opc = get8 b pos in
+  match opc with
+  | 0x01 -> Halt
+  | 0x02 -> Nop 1
+  | 0x03 ->
+      let k = get8 b (pos + 1) in
+      if k < 2 || k > 15 then raise (Decode_error pos);
+      Nop k
+  | 0x04 -> Ret
+  | 0x05 -> Repz_ret
+  | 0x06 -> Push (reg_lo b pos)
+  | 0x07 -> Pop (reg_lo b pos)
+  | 0x08 -> Mov_rr (reg_hi b pos, reg_lo b pos)
+  | 0x09 -> Mov_ri (reg_lo b pos, Imm (get_i64 b (pos + 2)), I64)
+  | 0x0A -> Mov_ri (reg_lo b pos, Imm (get_i32 b (pos + 2)), I32)
+  | 0x0B -> Load (reg_hi b pos, reg_lo b pos, get_i32 b (pos + 2))
+  | 0x0C -> Store (reg_lo b pos, get_i32 b (pos + 2), reg_hi b pos)
+  | 0x0D -> Load_abs (reg_lo b pos, Imm (get_i32 b (pos + 2)))
+  | 0x0E -> Store_abs (Imm (get_i32 b (pos + 2)), reg_lo b pos)
+  | 0x0F -> Lea (reg_lo b pos, Imm (get_i32 b (pos + 2)))
+  | 0x56 -> Lea_rel (reg_lo b pos, Imm (get_i32 b (pos + 2)))
+  | op when op >= 0x10 && op <= 0x1B ->
+      Alu_rr (alu_of_code (op - 0x10), reg_hi b pos, reg_lo b pos)
+  | 0x57 ->
+      let v = get8 b (pos + 1) in
+      Setcc (Cond.of_int (v lsr 4), Reg.of_int (v land 0x0f))
+  | op when op >= 0x20 && op <= 0x2B ->
+      Alu_ri (alu_of_code (op - 0x20), reg_lo b pos, Imm (get_i32 b (pos + 2)))
+  | 0x30 -> Jmp (Imm (get_i8 b (pos + 1)), W8)
+  | 0x31 -> Jmp (Imm (get_i32 b (pos + 1)), W32)
+  | op when op >= 0x40 && op <= 0x45 ->
+      Jcc (Cond.of_int (op - 0x40), Imm (get_i8 b (pos + 1)), W8)
+  | op when op >= 0x48 && op <= 0x4D ->
+      Jcc (Cond.of_int (op - 0x48), Imm (get_i32 b (pos + 2)), W32)
+  | 0x50 -> Call (Imm (get_i32 b (pos + 1)))
+  | 0x51 -> Call_ind (reg_lo b pos)
+  | 0x52 -> Call_mem (Imm (get_i32 b (pos + 2)))
+  | 0x53 -> Jmp_ind (reg_lo b pos)
+  | 0x54 -> Jmp_mem (Imm (get_i32 b (pos + 2)))
+  | 0x60 -> In_ (reg_lo b pos)
+  | 0x61 -> Out (reg_lo b pos)
+  | 0x62 -> Throw
+  | _ -> raise (Decode_error pos)
+
 (* Decode the instruction at [pos]; returns it with its encoded size. *)
 let decode b pos =
-  let opc = get8 b pos in
-  let reg1 () = Reg.of_int (get8 b (pos + 1) land 0x0f) in
-  let pair () =
-    let v = get8 b (pos + 1) in
-    (Reg.of_int (v lsr 4), Reg.of_int (v land 0x0f))
-  in
-  let i =
-    match opc with
-    | 0x01 -> Halt
-    | 0x02 -> Nop 1
-    | 0x03 ->
-        let k = get8 b (pos + 1) in
-        if k < 2 || k > 15 then raise (Decode_error pos);
-        Nop k
-    | 0x04 -> Ret
-    | 0x05 -> Repz_ret
-    | 0x06 -> Push (reg1 ())
-    | 0x07 -> Pop (reg1 ())
-    | 0x08 ->
-        let d, s = pair () in
-        Mov_rr (d, s)
-    | 0x09 -> Mov_ri (reg1 (), Imm (get_i64 b (pos + 2)), I64)
-    | 0x0A -> Mov_ri (reg1 (), Imm (get_i32 b (pos + 2)), I32)
-    | 0x0B ->
-        let d, base = pair () in
-        Load (d, base, get_i32 b (pos + 2))
-    | 0x0C ->
-        let s, base = pair () in
-        Store (base, get_i32 b (pos + 2), s)
-    | 0x0D -> Load_abs (reg1 (), Imm (get_i32 b (pos + 2)))
-    | 0x0E -> Store_abs (Imm (get_i32 b (pos + 2)), reg1 ())
-    | 0x0F -> Lea (reg1 (), Imm (get_i32 b (pos + 2)))
-    | 0x56 -> Lea_rel (reg1 (), Imm (get_i32 b (pos + 2)))
-    | op when op >= 0x10 && op <= 0x1B ->
-        let d, s = pair () in
-        Alu_rr (alu_of_code (op - 0x10), d, s)
-    | 0x57 ->
-        let v = get8 b (pos + 1) in
-        Setcc (Cond.of_int (v lsr 4), Reg.of_int (v land 0x0f))
-    | op when op >= 0x20 && op <= 0x2B ->
-        Alu_ri (alu_of_code (op - 0x20), reg1 (), Imm (get_i32 b (pos + 2)))
-    | 0x30 -> Jmp (Imm (get_i8 b (pos + 1)), W8)
-    | 0x31 -> Jmp (Imm (get_i32 b (pos + 1)), W32)
-    | op when op >= 0x40 && op <= 0x45 ->
-        Jcc (Cond.of_int (op - 0x40), Imm (get_i8 b (pos + 1)), W8)
-    | op when op >= 0x48 && op <= 0x4D ->
-        Jcc (Cond.of_int (op - 0x48), Imm (get_i32 b (pos + 2)), W32)
-    | 0x50 -> Call (Imm (get_i32 b (pos + 1)))
-    | 0x51 -> Call_ind (reg1 ())
-    | 0x52 -> Call_mem (Imm (get_i32 b (pos + 2)))
-    | 0x53 -> Jmp_ind (reg1 ())
-    | 0x54 -> Jmp_mem (Imm (get_i32 b (pos + 2)))
-    | 0x60 -> In_ (reg1 ())
-    | 0x61 -> Out (reg1 ())
-    | 0x62 -> Throw
-    | _ -> raise (Decode_error pos)
-  in
+  let i = decode_insn b pos in
   (i, size i)
+
+(* [size] bytes at [base], decoded front to back: instruction [k < n]
+   is [insns.(k)] and spans [offs.(k), offs.(k + 1)), offsets relative
+   to [base].  Decoding stops at the first undecodable instruction or
+   one that runs off the buffer; [complete] says whether it reached
+   [size] (the last instruction may end past it). *)
+type run = { n : int; offs : int array; insns : t array; complete : bool }
+
+(* The offsets of the nonzero bytes of [marks], in increasing order: how
+   a byte-per-offset leader set becomes a sorted array. *)
+let marked marks =
+  let n = ref 0 in
+  for o = 0 to Bytes.length marks - 1 do
+    if Bytes.unsafe_get marks o <> '\000' then incr n
+  done;
+  let a = Array.make !n 0 in
+  let k = ref 0 in
+  for o = 0 to Bytes.length marks - 1 do
+    if Bytes.unsafe_get marks o <> '\000' then begin
+      Array.unsafe_set a !k o;
+      incr k
+    end
+  done;
+  a
+
+let decode_run b ~base ~size =
+  let offs = ref (Array.make ((size / 4) + 2) 0) in
+  let insns = ref (Array.make ((size / 4) + 1) Halt) in
+  let n = ref 0 and pos = ref 0 and complete = ref true in
+  while !complete && !pos < size do
+    match decode_insn b (base + !pos) with
+    | i ->
+        if !n = Array.length !insns then begin
+          let grow a fill =
+            let a' = Array.make (2 * Array.length a) fill in
+            Array.blit a 0 a' 0 (Array.length a);
+            a'
+          in
+          insns := grow !insns Halt;
+          offs := grow !offs 0
+        end;
+        !insns.(!n) <- i;
+        pos := !pos + Insn.size i;
+        incr n;
+        !offs.(!n) <- !pos
+    | exception (Decode_error _ | Invalid_argument _) -> complete := false
+  done;
+  { n = !n; offs = !offs; insns = !insns; complete = !complete }
 
 (* Location of the immediate operand inside the encoding, with its width in
    bytes and its addressing kind.  Relocation plumbing in the assembler and

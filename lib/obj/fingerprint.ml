@@ -107,71 +107,56 @@ let term_class (i : Insn.t) =
 
 (* ---- per-function computation ---- *)
 
-(* Decode [size] bytes at [base] linearly; stops cleanly at the first
-   undecodable byte (non-simple functions still get a usable prefix). *)
-let decode_stream data ~base ~size =
-  let insns = ref [] in
-  let pos = ref 0 in
-  (try
-     while !pos < size do
-       let i, sz = Codec.decode data (base + !pos) in
-       insns := (!pos, sz, i) :: !insns;
-       pos := !pos + sz
-     done
-   with Codec.Decode_error _ | Invalid_argument _ -> ());
-  Array.of_list (List.rev !insns)
-
 let fingerprint_fn ~data ~base ~size ~name ~resolve : func =
-  let insns = decode_stream data ~base ~size in
-  let n = Array.length insns in
+  (* decoding stops cleanly at the first undecodable byte: non-simple
+     functions still get a usable prefix *)
+  let { Codec.n; offs; insns; _ } = Codec.decode_run data ~base ~size in
   let in_func o = o >= 0 && o < size in
   (* leaders: entry, intra-function branch targets, post-branch resume *)
-  let leaders = Hashtbl.create 16 in
-  Hashtbl.replace leaders 0 ();
-  Array.iter
-    (fun (off, sz, i) ->
-      let next = off + sz in
-      match i with
-      | Insn.Jmp (Insn.Imm rel, _) | Insn.Jcc (_, Insn.Imm rel, _) ->
-          if in_func (next + rel) then Hashtbl.replace leaders (next + rel) ();
-          if in_func next then Hashtbl.replace leaders next ()
-      | _ ->
-          if Insn.is_terminator i && in_func next then
-            Hashtbl.replace leaders next ())
-    insns;
-  let starts =
-    Hashtbl.fold (fun o () acc -> o :: acc) leaders [] |> List.sort compare
-  in
-  let starts_arr = Array.of_list starts in
+  let leader = Bytes.make size '\000' in
+  let mark o = if in_func o then Bytes.unsafe_set leader o '\001' in
+  mark 0;
+  for k = 0 to n - 1 do
+    let next = offs.(k + 1) in
+    match insns.(k) with
+    | Insn.Jmp (Insn.Imm rel, _) | Insn.Jcc (_, Insn.Imm rel, _) ->
+        mark (next + rel);
+        mark next
+    | i -> if Insn.is_terminator i then mark next
+  done;
+  let starts_arr = Codec.marked leader in
   let nb = Array.length starts_arr in
   let block_end k = if k + 1 < nb then starts_arr.(k + 1) else size in
-  let index_of_start =
-    let h = Hashtbl.create 16 in
-    Array.iteri (fun k o -> Hashtbl.replace h o k) starts_arr;
-    fun o -> Hashtbl.find_opt h o
+  (* the block starting at [o], by binary search over the sorted starts *)
+  let index_of_start o =
+    let lo = ref 0 and hi = ref nb in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if starts_arr.(mid) < o then lo := mid + 1 else hi := mid
+    done;
+    if !lo < nb && starts_arr.(!lo) = o then Some !lo else None
   in
   let calls = ref [] in
   let func_oh = ref hash_empty in
   (* blocks tile [0, size) in offset order, so one cursor hands each
      instruction to the block its offset falls in *)
   let cursor = ref 0 in
-  let off_of (off, _, _) = off in
   let blocks =
     Array.to_list
       (Array.mapi
          (fun k start ->
            let stop = block_end k in
            let oh = ref hash_empty in
-           let last = ref None in
-           while !cursor < n && off_of insns.(!cursor) < stop do
-             let ((off, sz, i) as insn) = insns.(!cursor) in
+           let last = ref (-1) in
+           while !cursor < n && offs.(!cursor) < stop do
+             let i = insns.(!cursor) in
+             last := !cursor;
              incr cursor;
              oh := mix !oh (op_kind i);
              func_oh := mix !func_oh (op_kind i);
-             last := Some insn;
              match i with
              | Insn.Call (Insn.Imm rel) -> (
-                 match resolve (off + sz + rel) with
+                 match resolve (offs.(!cursor) + rel) with
                  | Some callee -> calls := callee :: !calls
                  | None -> ())
              | _ -> ()
@@ -180,22 +165,22 @@ let fingerprint_fn ~data ~base ~size ~name ~resolve : func =
               this block, so inserting a block shifts only its
               neighbourhood *)
            let sh = ref hash_empty in
-           (match !last with
-           | None -> ()
-           | Some (off, sz, i) ->
-               sh := mix !sh (term_class i);
-               let next = off + sz in
-               let succ o =
-                 match index_of_start o with
-                 | Some j -> sh := mix !sh (j - k + 1024)
-                 | None -> sh := mix !sh 2048 (* leaves the function *)
-               in
-               (match i with
-               | Insn.Jmp (Insn.Imm rel, _) -> succ (next + rel)
-               | Insn.Jcc (_, Insn.Imm rel, _) ->
-                   succ (next + rel);
-                   if in_func next then succ next
-               | _ -> if (not (Insn.is_terminator i)) && in_func next then succ next));
+           (if !last >= 0 then begin
+              let i = insns.(!last) in
+              sh := mix !sh (term_class i);
+              let next = offs.(!last + 1) in
+              let succ o =
+                match index_of_start o with
+                | Some j -> sh := mix !sh (j - k + 1024)
+                | None -> sh := mix !sh 2048 (* leaves the function *)
+              in
+              match i with
+              | Insn.Jmp (Insn.Imm rel, _) -> succ (next + rel)
+              | Insn.Jcc (_, Insn.Imm rel, _) ->
+                  succ (next + rel);
+                  if in_func next then succ next
+              | _ -> if (not (Insn.is_terminator i)) && in_func next then succ next
+            end);
            {
              bk_off = start;
              bk_size = stop - start;

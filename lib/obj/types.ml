@@ -126,22 +126,25 @@ type lsda_entry = {
 
 type lsda = { lsda_func : string; lsda_fn_addr : int; lsda_entries : lsda_entry list }
 
+(* The frame state after one op. *)
+let cfi_apply st = function
+  | Cfi_establish -> { st with cfa_established = true }
+  | Cfi_def_locals n -> { st with cfa_locals = n }
+  | Cfi_save (r, slot) -> { st with cfa_saved = st.cfa_saved @ [ (r, slot) ] }
+  | Cfi_restore r ->
+      { st with cfa_saved = List.filter (fun (r', _) -> r' <> r) st.cfa_saved }
+  | Cfi_teardown -> initial_cfi_state
+  | Cfi_set_state s -> s
+
 (* Applies [ops] in offset order up to and including [off]. *)
 let cfi_state_at ops off =
-  let apply st = function
-    | Cfi_establish -> { st with cfa_established = true }
-    | Cfi_def_locals n -> { st with cfa_locals = n }
-    | Cfi_save (r, slot) -> { st with cfa_saved = st.cfa_saved @ [ (r, slot) ] }
-    | Cfi_restore r ->
-        { st with cfa_saved = List.filter (fun (r', _) -> r' <> r) st.cfa_saved }
-    | Cfi_teardown -> initial_cfi_state
-    | Cfi_set_state s -> s
-  in
   List.fold_left
-    (fun st (o, op) -> if o <= off then apply st op else st)
+    (fun st (o, op) -> if o <= off then cfi_apply st op else st)
     initial_cfi_state ops
 
 let cfi_state_equal a b =
-  a.cfa_established = b.cfa_established
-  && a.cfa_locals = b.cfa_locals
-  && List.sort compare a.cfa_saved = List.sort compare b.cfa_saved
+  a == b
+  || a.cfa_established = b.cfa_established
+     && a.cfa_locals = b.cfa_locals
+     && (a.cfa_saved == b.cfa_saved
+        || List.sort compare a.cfa_saved = List.sort compare b.cfa_saved)

@@ -1,9 +1,11 @@
 (* Reference implementations, kept verbatim: for the iocore parity suite,
    the original per-byte Buf primitives and the split-based fdata parser
    and Printf emitter; for the ICF suite, the all-functions folding loop;
-   for the sim suite, the division-indexed LRU cache.  Production code is
-   checked against these independent implementations rather than against
-   itself. *)
+   for the sim suite, the division-indexed LRU cache; for the asm-link,
+   stale and dataflow-emit suites, the chunk collector, the fingerprint
+   stamp, the assembler, the emitter and the CFG builder as they were
+   before their linear-time rewrites.  Production code is checked against
+   these independent implementations rather than against itself. *)
 
 (* The original per-byte reader/writer primitives (modulo the reader's
    [limit] field replacing [String.length]). *)
@@ -946,3 +948,751 @@ let fingerprints ~sections ~symbols =
                  ~name:sym.sym_name
                  ~resolve:(fun off -> resolve_in sym (sec.sec_addr + base + off))))
     funcs
+
+(* [Bolt_asm.Asm.layout_function] and [assemble_function] as they were
+   before items were sized once into int arrays, kept verbatim: every
+   relaxation round re-sizes every item through [Insn.size (widen ..)],
+   and every local target resolves through the string label table. *)
+module Asm = struct
+  open Bolt_isa
+  open Bolt_obj
+  open Types
+  open Bolt_asm.Asm
+
+  (* Items with branch widths chosen; returns offsets of each item. *)
+  let layout_function f =
+    let items = Array.of_list f.af_body in
+    let n = Array.length items in
+    (* Local label table: name -> item index. *)
+    let label_idx = Hashtbl.create 16 in
+    Array.iteri
+      (fun i it ->
+        match it with
+        | A_label l ->
+            if Hashtbl.mem label_idx l then err "duplicate label %s in %s" l f.af_name;
+            Hashtbl.add label_idx l i
+        | _ -> ())
+      items;
+    let is_local = Hashtbl.mem label_idx in
+    (* Width choice per item: true = wide.  Branches to non-local symbols are
+       always wide (they need a 32-bit relocation). *)
+    let wide = Array.make n false in
+    Array.iteri
+      (fun i it ->
+        match it with
+        | A_insn insn | A_insn_lp (insn, _) -> (
+            match insn with
+            | Insn.Jmp (Sym (s, _), _) | Insn.Jcc (_, Sym (s, _), _) ->
+                if not (is_local s) then wide.(i) <- true
+            | Insn.Jmp (_, w) | Insn.Jcc (_, _, w) -> if w = Insn.W32 then wide.(i) <- true
+            | _ -> ())
+        | _ -> ())
+      items;
+    let widen insn w =
+      match insn with
+      | Insn.Jmp (v, _) -> Insn.Jmp (v, w)
+      | Insn.Jcc (c, v, _) -> Insn.Jcc (c, v, w)
+      | i -> i
+    in
+    let item_size off i it =
+      match it with
+      | A_label _ | A_cfi _ | A_loc _ -> 0
+      | A_align a ->
+          if a <= 1 then 0
+          else
+            let pad = (a - (off mod a)) mod a in
+            pad
+      | A_insn insn | A_insn_lp (insn, _) ->
+          Insn.size (widen insn (if wide.(i) then Insn.W32 else Insn.W8))
+    in
+    let offsets = Array.make (n + 1) 0 in
+    let compute_offsets () =
+      let off = ref 0 in
+      Array.iteri
+        (fun i it ->
+          offsets.(i) <- !off;
+          off := !off + item_size !off i it)
+        items;
+      offsets.(n) <- !off
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      compute_offsets ();
+      Array.iteri
+        (fun i it ->
+          match it with
+          | (A_insn insn | A_insn_lp (insn, _)) when not wide.(i) -> (
+              match insn with
+              | Insn.Jmp (Sym (s, a), _) | Insn.Jcc (_, Sym (s, a), _)
+                when is_local s ->
+                  let ti = Hashtbl.find label_idx s in
+                  let target = offsets.(ti) + a in
+                  let end_of = offsets.(i) + item_size offsets.(i) i it in
+                  let rel = target - end_of in
+                  if not (Bolt_isa.Codec.fits_i8 rel) then (
+                    wide.(i) <- true;
+                    changed := true)
+              | _ -> ())
+          | _ -> ())
+        items
+    done;
+    compute_offsets ();
+    (items, offsets, wide, label_idx)
+
+  (* [resolve_in_unit] maps a symbol defined elsewhere in the same section to
+     its offset (used when a unit is assembled without function sections). *)
+  let assemble_function ?(resolve_in_unit = fun _ -> None) ~base f =
+    let items, offsets, wide, label_idx = layout_function f in
+    let n = Array.length items in
+    let size = offsets.(n) in
+    let bytes = Bytes.make size '\x02' (* single-byte nops *) in
+    let relocs = ref [] in
+    let cfi = ref [] in
+    let lsda = ref [] in
+    let dbg = ref [] in
+    let cur_loc = ref None in
+    let note_loc off =
+      match !cur_loc with
+      | None -> ()
+      | Some (f, l) -> (
+          match !dbg with
+          | (_, f', l') :: _ when f' = f && l' = l -> ()
+          | _ -> dbg := (off, f, l) :: !dbg)
+    in
+    let lsda_sym = ref [] in
+    let lsda_open = ref None (* (label, start) of the range being grown *) in
+    let close_lsda upto =
+      match !lsda_open with
+      | None -> ()
+      | Some (pad_label, start) ->
+          lsda_sym := (start, upto - start, pad_label) :: !lsda_sym;
+          (match Hashtbl.find_opt label_idx pad_label with
+          | Some i ->
+              lsda :=
+                {
+                  lsda_start = start;
+                  lsda_len = upto - start;
+                  lsda_pad = offsets.(i);
+                  lsda_action = 1;
+                }
+                :: !lsda
+          | None ->
+              (* pad lives outside this fragment; the caller resolves it *)
+              ());
+          lsda_open := None
+    in
+    let local_target s a =
+      match Hashtbl.find_opt label_idx s with
+      | Some i -> Some (offsets.(i) + a)
+      | None -> ( match resolve_in_unit s with Some o -> Some (o - base + a) | None -> None)
+    in
+    let emit_insn i insn =
+      let off = offsets.(i) in
+      let w = if wide.(i) then Insn.W32 else Insn.W8 in
+      let insn =
+        match insn with
+        | Insn.Jmp (v, _) -> Insn.Jmp (v, w)
+        | Insn.Jcc (c, v, _) -> Insn.Jcc (c, v, w)
+        | x -> x
+      in
+      let isize = Insn.size insn in
+      let end_of = off + isize in
+      (* Resolve or relocate the symbolic operand, if any. *)
+      let resolved =
+        match Codec.operand_kind insn with
+        | Codec.Op_none -> insn
+        | Codec.Op_rel (fo, fw) -> (
+            let v =
+              match insn with
+              | Insn.Jmp (v, _) | Insn.Jcc (_, v, _) | Insn.Call v | Insn.Lea_rel (_, v) -> v
+              | _ -> err "unexpected rel operand in %s" (Insn.to_string insn)
+            in
+            match v with
+            | Insn.Imm _ -> insn
+            | Insn.Sym (s, a) -> (
+                match local_target s a with
+                | Some t -> Insn.with_value insn (Insn.Imm (t - end_of))
+                | None ->
+                    let kind = if fw = 1 then Rel8 else Rel32 in
+                    relocs := (off + fo, kind, s, a, isize - fo) :: !relocs;
+                    Insn.with_value insn (Insn.Imm 0)))
+        | Codec.Op_abs (fo, fw) -> (
+            let v =
+              match insn with
+              | Insn.Mov_ri (_, v, _)
+              | Insn.Load_abs (_, v)
+              | Insn.Store_abs (v, _)
+              | Insn.Lea (_, v)
+              | Insn.Call_mem v
+              | Insn.Jmp_mem v
+              | Insn.Alu_ri (_, _, v) ->
+                  v
+              | _ -> err "unexpected abs operand in %s" (Insn.to_string insn)
+            in
+            match v with
+            | Insn.Imm _ -> insn
+            | Insn.Sym (s, a) ->
+                let kind = if fw = 8 then Abs64 else Abs32 in
+                relocs := (off + fo, kind, s, a, 0) :: !relocs;
+                Insn.with_value insn (Insn.Imm 0))
+      in
+      ignore (Codec.encode_into bytes off resolved)
+    in
+    Array.iteri
+      (fun i it ->
+        match it with
+        | A_label _ -> ()
+        | A_cfi op -> cfi := (offsets.(i), op) :: !cfi
+        | A_align _ ->
+            (* pad with single-byte nops: bytes are pre-filled with 0x02 *)
+            ()
+        | A_loc (f, l) -> cur_loc := Some (f, l)
+        | A_insn insn ->
+            close_lsda offsets.(i);
+            note_loc offsets.(i);
+            emit_insn i insn
+        | A_insn_lp (insn, pad) ->
+            (match !lsda_open with
+            | Some (p, _) when p = pad -> ()
+            | Some _ ->
+                close_lsda offsets.(i);
+                lsda_open := Some (pad, offsets.(i))
+            | None -> lsda_open := Some (pad, offsets.(i)));
+            note_loc offsets.(i);
+            emit_insn i insn)
+      items;
+    close_lsda size;
+    let labels =
+      Hashtbl.fold (fun l i acc -> (l, offsets.(i)) :: acc) label_idx []
+    in
+    {
+      fo_bytes = bytes;
+      fo_size = size;
+      fo_relocs = List.rev !relocs;
+      fo_cfi = List.rev !cfi;
+      fo_lsda = List.rev !lsda;
+      fo_lsda_sym = List.rev !lsda_sym;
+      fo_dbg = List.rev !dbg;
+      fo_labels = labels;
+    }
+end
+
+(* [Bolt_core.Emit.body_of_fragment] and [emit_simple] as they were
+   before fragment bodies were built in arrays, kept verbatim: items
+   are consed onto a list, every block is looked up by its label, and
+   the fragment is assembled by the [Asm] oracle above.  The fragment
+   type is the production one, so results compare directly. *)
+module Emit = struct
+  open Bolt_isa
+  open Bolt_asm.Asm
+  open Asm
+  module Bfunc = Bolt_core.Bfunc
+  open Bfunc
+
+  (* Globally-unique symbol for a block, used for cross-fragment refs. *)
+  let xref fn l = fn ^ "/" ^ l
+
+  type fragment = Bolt_core.Emit.fragment = {
+    fr_name : string; (* symbol: fn or fn.cold *)
+    fr_func : string; (* owning function *)
+    fr_out : fout;
+    fr_labels : (string * int) list; (* block label -> offset *)
+    fr_lsda_sym : (int * int * string) list;
+    fr_has_fde : bool;
+  }
+
+  let cfi_state_after st ops =
+    List.fold_left
+      (fun st op ->
+        match op with
+        | Bolt_obj.Types.Cfi_establish -> { st with Bolt_obj.Types.cfa_established = true }
+        | Bolt_obj.Types.Cfi_def_locals n -> { st with Bolt_obj.Types.cfa_locals = n }
+        | Bolt_obj.Types.Cfi_save (r, slot) ->
+            { st with Bolt_obj.Types.cfa_saved = st.Bolt_obj.Types.cfa_saved @ [ (r, slot) ] }
+        | Bolt_obj.Types.Cfi_restore r ->
+            {
+              st with
+              Bolt_obj.Types.cfa_saved =
+                List.filter (fun (r', _) -> r' <> r) st.Bolt_obj.Types.cfa_saved;
+            }
+        | Bolt_obj.Types.Cfi_teardown -> Bolt_obj.Types.initial_cfi_state
+        | Bolt_obj.Types.Cfi_set_state s -> s)
+      st ops
+
+  (* Lower one fragment (a list of blocks in final order) to aitem list. *)
+  let body_of_fragment (fb : Bfunc.t) ~(in_fragment : string -> bool)
+      ~(first_state : Bolt_obj.Types.cfi_state option) (blocks : string list) : aitem list =
+    let items = ref [] in
+    let push it = items := it :: !items in
+    let ref_of l = if in_fragment l then Insn.Sym (l, 0) else Insn.Sym (xref fb.fb_name l, 0) in
+    let cur_state = ref (match first_state with Some s -> Some s | None -> None) in
+    let rec emit_blocks = function
+      | [] -> ()
+      | l :: rest ->
+          let b = block fb l in
+          push (A_label l);
+          (* regenerate frame info at the boundary *)
+          (match !cur_state with
+          | Some st when not (Bolt_obj.Types.cfi_state_equal st b.cfi_entry) ->
+              push (A_cfi (Bolt_obj.Types.Cfi_set_state b.cfi_entry))
+          | None ->
+              if b.cfi_entry <> Bolt_obj.Types.initial_cfi_state then
+                push (A_cfi (Bolt_obj.Types.Cfi_set_state b.cfi_entry))
+          | Some _ -> ());
+          cur_state := Some b.cfi_entry;
+          List.iter
+            (fun (i : minsn) ->
+              (match i.loc with Some (f, ln) -> push (A_loc (f, ln)) | None -> ());
+              (match i.lp with
+              | Some pad ->
+                  (* landing-pad annotations keep their block symbol; the
+                     rewriter resolves pads across fragments *)
+                  push (A_insn_lp (i.op, pad))
+              | None -> push (A_insn i.op));
+              (match !cur_state with
+              | Some st -> cur_state := Some (cfi_state_after st i.cfi_after)
+              | None -> ());
+              List.iter (fun op -> push (A_cfi op)) i.cfi_after)
+            b.insns;
+          let next = match rest with n :: _ -> Some n | [] -> None in
+          (match b.term with
+          | T_jump t -> if next <> Some t then push (A_insn (Insn.Jmp (ref_of t, Insn.W8)))
+          | T_cond (c, taken, fall) ->
+              if next = Some fall then push (A_insn (Insn.Jcc (c, ref_of taken, Insn.W8)))
+              else if next = Some taken then
+                push (A_insn (Insn.Jcc (Cond.invert c, ref_of fall, Insn.W8)))
+              else begin
+                push (A_insn (Insn.Jcc (c, ref_of taken, Insn.W8)));
+                push (A_insn (Insn.Jmp (ref_of fall, Insn.W8)))
+              end
+          | T_condtail (c, fn, fall) ->
+              push (A_insn (Insn.Jcc (c, Insn.Sym (fn, 0), Insn.W32)));
+              if next <> Some fall then push (A_insn (Insn.Jmp (ref_of fall, Insn.W8)))
+          | T_indirect _ | T_stop -> ());
+          emit_blocks rest
+    in
+    emit_blocks blocks;
+    List.rev !items
+
+  (* Emit a simple function: hot fragment plus optional cold fragment. *)
+  let emit_simple (fb : Bfunc.t) : fragment list =
+    let hot = hot_layout fb in
+    let cold = cold_layout fb in
+    let in_hot = Hashtbl.create 16 and in_cold = Hashtbl.create 16 in
+    List.iter (fun l -> Hashtbl.replace in_hot l ()) hot;
+    List.iter (fun l -> Hashtbl.replace in_cold l ()) cold;
+    let mk name blocks ~in_fragment ~first_state =
+      let body = body_of_fragment fb ~in_fragment ~first_state blocks in
+      let af =
+        { af_name = name; af_global = true; af_align = 1; af_emit_fde = true; af_body = body }
+      in
+      let out = assemble_function ~base:0 af in
+      {
+        fr_name = name;
+        fr_func = fb.fb_name;
+        fr_out = out;
+        fr_labels = out.fo_labels;
+        fr_lsda_sym = out.fo_lsda_sym;
+        fr_has_fde = true;
+      }
+    in
+    let hot_frag =
+      mk fb.fb_name hot
+        ~in_fragment:(Hashtbl.mem in_hot)
+        ~first_state:(Some Bolt_obj.Types.initial_cfi_state)
+    in
+    if cold = [] then [ hot_frag ]
+    else
+      let cold_frag =
+        mk (fb.fb_name ^ ".cold") cold ~in_fragment:(Hashtbl.mem in_cold) ~first_state:None
+      in
+      [ hot_frag; cold_frag ]
+end
+
+(* [Bolt_core.Build.build_function] as it was before decoding into
+   arrays, kept verbatim with the helpers it needs: leaders, next
+   leaders, instruction offsets and CFI ops live in int-keyed
+   [Hashtbl]s, and every block replays the FDE's ops from the start to
+   find its entry state. *)
+module Build = struct
+  open Bolt_isa
+  open Bolt_obj
+  open Bolt_core
+  open Bfunc
+
+  let lbl off = Printf.sprintf ".LBB%d" off
+
+  type raw = { r_off : int; r_insn : Insn.t; r_size : int }
+
+  let decode_function (text : Types.section) ~addr ~size =
+    let base = addr - text.sec_addr in
+    let insns = ref [] in
+    let pos = ref 0 in
+    let ok = ref true in
+    while !ok && !pos < size do
+      match Codec.decode text.sec_data (base + !pos) with
+      | i, sz ->
+          insns := { r_off = !pos; r_insn = i; r_size = sz } :: !insns;
+          pos := !pos + sz
+      | exception Codec.Decode_error _ -> ok := false
+      (* an instruction straddling the section end reads past the buffer *)
+      | exception Invalid_argument _ -> ok := false
+    done;
+    if !ok then Some (List.rev !insns) else None
+
+  (* ---- jump table discovery ---- *)
+
+  (* Scan backwards from an indirect jump for the switch idiom:
+       cmp r, #lo ; jlt default ; cmp r, #hi ; jgt default ;
+       [sub r, #lo] ; shl r, 3 ; lea rb, table ; add r, rb ;
+       load r, [r] ; [add r, rb] ; jmp *r
+
+     [Jt_found] carries (table_addr, pic, entry_count).  [Jt_suspicious]
+     means table-like evidence (a .rodata base, or a memory load feeding
+     the jump) without the full idiom: the jump probably reads a table we
+     cannot recover, so the function must not be moved.  [Jt_absent] is a
+     plain computed target — an indirect tail call through a register —
+     which is safe to relocate verbatim. *)
+  type jt_scan = Jt_found of int * bool * int | Jt_suspicious | Jt_absent
+
+  let find_jump_table ctx (raws : raw array) idx fb_addr =
+    let lo_bound = ref None and hi_bound = ref None in
+    let table = ref None in
+    let saw_load = ref false in
+    let start = max 0 (idx - 12) in
+    for k = idx - 1 downto start do
+      (match raws.(k).r_insn with
+      | Insn.Alu_ri (Insn.Cmp, _, Insn.Imm v) -> (
+          (* the first cmp hit walking backwards is the hi bound *)
+          match !hi_bound with
+          | None -> hi_bound := Some v
+          | Some _ -> if !lo_bound = None then lo_bound := Some v)
+      | Insn.Lea (_, Insn.Imm a) when Context.in_section ctx.Context.rodata a ->
+          if !table = None then table := Some (a, false)
+      | Insn.Lea_rel (_, Insn.Imm disp) ->
+          let a = fb_addr + raws.(k).r_off + raws.(k).r_size + disp in
+          if !table = None && Context.in_section ctx.Context.rodata a then
+            table := Some (a, true)
+      | Insn.Load _ | Insn.Load_abs _ -> saw_load := true
+      | _ -> ());
+      ()
+    done;
+    match (!table, !lo_bound, !hi_bound) with
+    | Some (addr, pic), Some lo, Some hi when hi >= lo && hi - lo < 4096 ->
+        Jt_found (addr, pic, hi - lo + 1)
+    | Some _, _, _ -> Jt_suspicious
+    | None, _, _ -> if !saw_load then Jt_suspicious else Jt_absent
+
+  (* ---- non-simple fallback ---- *)
+
+  (* Linear code for a function kept byte-identical, with the references
+     that must survive relocation (calls, code addresses) symbolized. *)
+  let symbolize_raw ctx (fb : Bfunc.t) raw_list =
+    fb.raw_insns <-
+      List.map
+        (fun r ->
+          let next_off = r.r_off + r.r_size in
+          let sym =
+            match r.r_insn with
+            | Insn.Call (Insn.Imm rel) -> (
+                match Context.resolve_code ctx (fb.fb_addr + next_off + rel) with
+                | Some (fn, 0) -> Insn.Call (Insn.Sym (fn, 0))
+                | _ -> r.r_insn)
+            | Insn.Lea_rel (rg, Insn.Imm disp) -> (
+                let a = fb.fb_addr + next_off + disp in
+                match Context.resolve_code ctx a with
+                | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
+                | _ -> Insn.Lea (rg, Insn.Imm a))
+            | Insn.Lea (rg, Insn.Imm a) -> (
+                match Context.resolve_code ctx a with
+                | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
+                | _ -> r.r_insn)
+            | i -> i
+          in
+          { op = sym; lp = None; loc = None; cfi_after = []; m_off = r.r_off })
+        raw_list
+  (* ---- per-function CFG build ---- *)
+
+  let build_function ctx (fb : Bfunc.t) =
+    let opts = ctx.Context.opts in
+    let text = ctx.Context.text in
+    match decode_function text ~addr:fb.fb_addr ~size:fb.fb_size with
+    | None ->
+        mark_non_simple fb "undecodable bytes";
+        fb.raw_insns <- []
+    | Some raw_list -> (
+        let raws = Array.of_list raw_list in
+        let n = Array.length raws in
+        (* source locations *)
+        let dbg =
+          match Objfile.Index.dbg ctx.Context.meta fb.fb_name with
+          | Some d -> d.dbg_entries
+          | None -> []
+        in
+        (* the last entry, in sorted order, at or before [off] *)
+        let loc_at =
+          let sorted =
+            Array.of_list (List.sort compare (List.map (fun (o, f, l) -> (o, (f, l))) dbg))
+          in
+          fun off ->
+            let lo = ref 0 and hi = ref (Array.length sorted) in
+            while !lo < !hi do
+              let mid = (!lo + !hi) / 2 in
+              if fst sorted.(mid) <= off then lo := mid + 1 else hi := mid
+            done;
+            if !lo = 0 then None else Some (snd sorted.(!lo - 1))
+        in
+        (* CFI ops keyed by the offset at which they take effect *)
+        let fde = Objfile.Index.fde ctx.Context.meta fb.fb_name in
+        let cfi_at = Hashtbl.create 16 in
+        (match fde with
+        | Some f ->
+            List.iter
+              (fun (o, op) ->
+                Hashtbl.replace cfi_at o
+                  ((try Hashtbl.find cfi_at o with Not_found -> []) @ [ op ]))
+              f.fde_cfi
+        | None -> ());
+        let lsda = Objfile.Index.lsda ctx.Context.meta fb.fb_name in
+        (* symbolize a call target; raises Exit when impossible *)
+        let call_target addr =
+          match Context.resolve_code ctx addr with
+          | Some (name, 0) -> name
+          | _ -> raise Exit
+        in
+        let in_func off = off >= 0 && off < fb.fb_size in
+        (* jump tables, keyed by the indirect jump's instruction index *)
+        let jts = ref [] in
+        let jt_of_idx = Hashtbl.create 4 in
+        (try
+           (* pass 1: control-flow targets and jump tables *)
+           let leaders = Hashtbl.create 32 in
+           Hashtbl.replace leaders 0 ();
+           let add_leader o = if in_func o then Hashtbl.replace leaders o () in
+           Array.iteri
+             (fun i r ->
+               let next = r.r_off + r.r_size in
+               match r.r_insn with
+               | Insn.Jmp (Insn.Imm rel, _) ->
+                   let t = next + rel in
+                   if in_func t then add_leader t
+                   else ignore (call_target (fb.fb_addr + t));
+                   add_leader next
+               | Insn.Jcc (_, Insn.Imm rel, _) ->
+                   let t = next + rel in
+                   if in_func t then add_leader t
+                   else ignore (call_target (fb.fb_addr + t));
+                   add_leader next
+               | Insn.Jmp_ind _ -> (
+                   match find_jump_table ctx raws i fb.fb_addr with
+                   | Jt_found (taddr, pic, count) ->
+                       let entries = Array.make count 0 in
+                       let ok = ref true in
+                       for k = 0 to count - 1 do
+                         match Context.section_value ctx ctx.Context.rodata (taddr + (8 * k)) with
+                         | Some v ->
+                             let target = if pic then taddr + v else v in
+                             let off = target - fb.fb_addr in
+                             if in_func off then entries.(k) <- off else ok := false
+                         | None -> ok := false
+                       done;
+                       if not !ok then begin
+                         mark_non_simple fb "invalid jump table entries";
+                         fb.table_unrecovered <- true;
+                         raise Exit
+                       end;
+                       Array.iter add_leader entries;
+                       let k = List.length !jts in
+                       jts := (taddr, pic, entries) :: !jts;
+                       Hashtbl.replace jt_of_idx i k;
+                       add_leader next
+                   | Jt_suspicious ->
+                       mark_non_simple fb "unrecoverable jump table";
+                       fb.table_unrecovered <- true;
+                       raise Exit
+                   | Jt_absent ->
+                       mark_non_simple fb
+                         "unresolved indirect jump (possible indirect tail call)";
+                       raise Exit)
+               | Insn.Jmp_mem _ ->
+                   mark_non_simple fb "jump through memory outside PLT";
+                   raise Exit
+               | Insn.Call (Insn.Imm rel) -> ignore (call_target (fb.fb_addr + next + rel))
+               | Insn.Ret | Insn.Repz_ret | Insn.Halt | Insn.Throw -> add_leader next
+               | _ -> ())
+             raws;
+           (match lsda with
+           | Some l ->
+               List.iter (fun (e : Types.lsda_entry) -> add_leader e.lsda_pad) l.lsda_entries;
+               fb.has_eh <- true
+           | None -> ());
+           (* landing pads for instructions *)
+           let lp_at off =
+             match lsda with
+             | None -> None
+             | Some l ->
+                 List.find_opt
+                   (fun (e : Types.lsda_entry) ->
+                     off >= e.lsda_start && off < e.lsda_start + e.lsda_len)
+                   l.lsda_entries
+                 |> Option.map (fun e -> lbl e.Types.lsda_pad)
+           in
+           let leader_list = Hashtbl.fold (fun o () acc -> o :: acc) leaders [] in
+           let leader_list = List.sort compare leader_list in
+           let next_leader = Hashtbl.create 32 in
+           let rec link = function
+             | a :: (b :: _ as rest) ->
+                 Hashtbl.replace next_leader a b;
+                 link rest
+             | _ -> []
+           in
+           ignore (link leader_list);
+           (* index raws by offset for block slicing *)
+           let idx_of_off = Hashtbl.create 64 in
+           Array.iteri (fun i r -> Hashtbl.replace idx_of_off r.r_off i) raws;
+           let cfi_ops_upto o =
+             (* list of (off, op) with off <= o, in order: used for entry states *)
+             match fde with
+             | Some f -> List.filter (fun (o', _) -> o' <= o) f.fde_cfi
+             | None -> []
+           in
+           List.iter
+             (fun leader ->
+               let stop =
+                 match Hashtbl.find_opt next_leader leader with
+                 | Some nl -> nl
+                 | None -> fb.fb_size
+               in
+               let i0 =
+                 match Hashtbl.find_opt idx_of_off leader with
+                 | Some i -> i
+                 | None ->
+                     mark_non_simple fb "leader inside an instruction";
+                     raise Exit
+               in
+               let insns = ref [] in
+               let term = ref None in
+               let i = ref i0 in
+               while !term = None && !i < n && raws.(!i).r_off < stop do
+                 let r = raws.(!i) in
+                 let next_off = r.r_off + r.r_size in
+                 let mark_term t = term := Some t in
+                 let keep ?(sym = r.r_insn) () =
+                   let cfi =
+                     match Hashtbl.find_opt cfi_at next_off with Some ops -> ops | None -> []
+                   in
+                   insns :=
+                     {
+                       op = sym;
+                       lp =
+                         (if Insn.is_call r.r_insn || r.r_insn = Insn.Throw then
+                            lp_at r.r_off
+                          else None);
+                       loc = loc_at r.r_off;
+                       cfi_after = cfi;
+                       m_off = r.r_off;
+                     }
+                     :: !insns
+                 in
+                 (match r.r_insn with
+                 | Insn.Nop _ -> if not opts.Opts.strip_nops then keep ()
+                 | Insn.Jmp (Insn.Imm rel, _) ->
+                     let t = next_off + rel in
+                     if in_func t then mark_term (T_jump (lbl t))
+                     else begin
+                       (* direct tail call *)
+                       let fn = call_target (fb.fb_addr + t) in
+                       keep ~sym:(Insn.Jmp (Insn.Sym (fn, 0), Insn.W32)) ();
+                       mark_term T_stop
+                     end
+                 | Insn.Jcc (c, Insn.Imm rel, _) ->
+                     let t = next_off + rel in
+                     let fall =
+                       if in_func next_off then lbl next_off
+                       else begin
+                         mark_non_simple fb "conditional branch at function end";
+                         raise Exit
+                       end
+                     in
+                     if in_func t then mark_term (T_cond (c, lbl t, fall))
+                     else mark_term (T_condtail (c, call_target (fb.fb_addr + t), fall))
+                 | Insn.Jmp_ind _ ->
+                     keep ();
+                     mark_term (T_indirect (Hashtbl.find_opt jt_of_idx !i))
+                 | Insn.Ret | Insn.Repz_ret | Insn.Halt | Insn.Throw ->
+                     keep ();
+                     mark_term T_stop
+                 | Insn.Call (Insn.Imm rel) ->
+                     let fn = call_target (fb.fb_addr + next_off + rel) in
+                     keep ~sym:(Insn.Call (Insn.Sym (fn, 0))) ()
+                 | Insn.Lea_rel (rg, Insn.Imm disp) ->
+                     (* rewrite PIC address materialisation to absolute: the
+                        instruction is about to move, the data is not *)
+                     let a = fb.fb_addr + next_off + disp in
+                     (match Context.resolve_code ctx a with
+                     | Some (fn, 0) -> keep ~sym:(Insn.Lea (rg, Insn.Sym (fn, 0))) ()
+                     | _ -> keep ~sym:(Insn.Lea (rg, Insn.Imm a)) ())
+                 | Insn.Lea (rg, Insn.Imm a) -> (
+                     (* function pointers must stay symbolic: the target is
+                        about to move *)
+                     match Context.resolve_code ctx a with
+                     | Some (fn, 0) -> keep ~sym:(Insn.Lea (rg, Insn.Sym (fn, 0))) ()
+                     | Some _ ->
+                         mark_non_simple fb "address of code taken mid-function";
+                         raise Exit
+                     | None -> keep ())
+                 | _ -> keep ());
+                 incr i
+               done;
+               let term =
+                 match !term with
+                 | Some t -> t
+                 | None ->
+                     if stop >= fb.fb_size then begin
+                       mark_non_simple fb "control falls off the function end";
+                       raise Exit
+                     end
+                     else T_jump (lbl stop)
+               in
+               let entry_state =
+                 Types.cfi_state_at (cfi_ops_upto leader) leader
+               in
+               Hashtbl.replace fb.blocks (lbl leader)
+                 {
+                   bl = lbl leader;
+                   b_off = leader;
+                   insns = List.rev !insns;
+                   term;
+                   ecount = 0;
+                   cfi_entry = entry_state;
+                   is_lp = false;
+                 })
+             leader_list;
+           (* jump tables, now that labels exist *)
+           fb.jts <-
+             Array.of_list
+               (List.rev_map
+                  (fun (addr, pic, entries) ->
+                    { jt_addr = addr; jt_pic = pic; jt_targets = Array.map lbl entries })
+                  !jts);
+           (match lsda with
+           | Some l ->
+               List.iter
+                 (fun (e : Types.lsda_entry) ->
+                   match block_opt fb (lbl e.lsda_pad) with
+                   | Some b -> b.is_lp <- true
+                   | None -> ())
+                 l.lsda_entries
+           | None -> ());
+           fb.layout <- List.map lbl leader_list;
+           fb.entry <- lbl 0
+         with Exit ->
+           if fb.why_not_simple = "" then
+             mark_non_simple fb "unresolvable code reference";
+           Hashtbl.reset fb.blocks;
+           fb.layout <- []);
+        (* Non-simple fallback: keep bytes identical, but symbolize the
+           references that must survive relocation. *)
+        if not fb.simple then symbolize_raw ctx fb raw_list)
+end

@@ -1,7 +1,8 @@
 (* Assembler and linker unit tests: relaxation, relocations, PLT/GOT
    synthesis, linker ICF, function ordering, jump-table data resolution,
-   and the linker's chunk collection against [Oracle.collect_chunks],
-   the per-section filtering it replaced. *)
+   the linker's chunk collection against [Oracle.collect_chunks],
+   the per-section filtering it replaced, and the assembler against
+   [Oracle.Asm], the relaxation that re-sized every item each round. *)
 
 open Bolt_isa
 open Bolt_asm.Asm
@@ -394,6 +395,168 @@ let prop_chunks =
        QCheck.Gen.(list_size (int_range 1 3) gen_objfile))
     chunks_agree
 
+(* ---- the assembler against [Oracle.Asm] ---- *)
+
+(* Random item streams over six labels.  Branches aim at the labels
+   (sometimes with an addend) and at non-local symbols; gaps of nops
+   set distances; alignment pads, CFI, line and landing-pad items sit
+   anywhere.  Three shapes are planted on purpose: a branch exactly at
+   the 8-bit boundary (127 and -128 stay narrow, 128 and -129 widen),
+   crossing branch chains whose widenings cascade over several rounds,
+   and a pad inside a branch's span behind a branch that widens, whose
+   padding then shrinks. *)
+type piece =
+  | P_label of int
+  | P_dup_label of int
+  | P_branch of bool * int * int (* conditional?, label, addend *)
+  | P_ext of bool (* branch to a non-local symbol *)
+  | P_gap of int (* exactly this many bytes of nops *)
+  | P_insn of Insn.t
+  | P_align of int
+  | P_cfi of Types.cfi_op
+  | P_loc of string * int
+  | P_lp of int option (* a call under a landing pad: a label, or one outside *)
+  | P_call_local of int
+  | P_lea_local of int
+
+let asm_label k = Printf.sprintf "L%d" k
+
+let nops n = List.init ((n + 14) / 15) (fun i -> A_insn (Insn.Nop (min 15 (n - (15 * i)))))
+
+let items_of_pieces pieces =
+  let defined = Hashtbl.create 8 in
+  List.concat_map
+    (function
+      | P_label k ->
+          if Hashtbl.mem defined k then []
+          else begin
+            Hashtbl.replace defined k ();
+            [ A_label (asm_label k) ]
+          end
+      | P_dup_label k -> [ A_label (asm_label k) ]
+      | P_branch (cond, k, a) ->
+          let v = Insn.Sym (asm_label k, a) in
+          [ A_insn (if cond then Insn.Jcc (Cond.Lt, v, Insn.W8) else Insn.Jmp (v, Insn.W8)) ]
+      | P_ext cond ->
+          let v = Insn.Sym ("ext_fn", 0) in
+          [ A_insn (if cond then Insn.Jcc (Cond.Eq, v, Insn.W8) else Insn.Jmp (v, Insn.W32)) ]
+      | P_gap n -> nops n
+      | P_insn i -> [ A_insn i ]
+      | P_align a -> [ A_align a ]
+      | P_cfi op -> [ A_cfi op ]
+      | P_loc (f, l) -> [ A_loc (f, l) ]
+      | P_lp pad ->
+          let pad = match pad with Some k -> asm_label k | None -> "outer_pad" in
+          [ A_insn_lp (Insn.Call (Insn.Sym ("callee", 0)), pad) ]
+      | P_call_local k -> [ A_insn (Insn.Call (Insn.Sym (asm_label k, 0))) ]
+      | P_lea_local k -> [ A_insn (Insn.Lea (Reg.r1, Insn.Sym (asm_label k, 0))) ])
+    pieces
+
+let gen_pieces =
+  let open QCheck.Gen in
+  let lab = int_bound 5 in
+  let piece =
+    frequency
+      [
+        (4, map (fun k -> P_label k) lab);
+        (1, map (fun k -> P_dup_label k) (frequency [ (30, return 9); (1, lab) ]));
+        ( 5,
+          map3
+            (fun c k a -> P_branch (c, k, a))
+            bool lab
+            (frequency [ (6, return 0); (1, int_range (-3) 3) ]) );
+        (1, map (fun c -> P_ext c) bool);
+        (3, map (fun n -> P_gap n) (frequency [ (3, int_range 1 40); (2, int_range 120 131) ]));
+        ( 2,
+          map
+            (fun i -> P_insn i)
+            (oneofl
+               [
+                 Insn.Ret;
+                 Insn.Mov_rr (Reg.r1, Reg.r2);
+                 Insn.Mov_ri (Reg.r1, Insn.Imm 7, Insn.I64);
+                 Insn.Mov_ri (Reg.r2, Insn.Sym ("glob", 16), Insn.I64);
+                 Insn.Jmp (Insn.Imm 3, Insn.W8);
+                 Insn.Jmp (Insn.Imm (-200), Insn.W32);
+                 Insn.Jcc (Cond.Eq, Insn.Imm 9, Insn.W8);
+                 Insn.Call (Insn.Sym ("callee", 0));
+                 Insn.Load_abs (Reg.r2, Insn.Sym ("glob", 8));
+                 Insn.Lea_rel (Reg.r3, Insn.Sym ("glob", 0));
+               ]) );
+        (2, map (fun a -> P_align a) (oneofl [ 0; 1; 2; 4; 8; 16 ]));
+        ( 1,
+          map
+            (fun op -> P_cfi op)
+            (oneofl
+               [
+                 Types.Cfi_establish;
+                 Types.Cfi_def_locals 16;
+                 Types.Cfi_save (Reg.r3, 8);
+                 Types.Cfi_teardown;
+               ]) );
+        (1, map2 (fun f l -> P_loc (f, l)) (oneofl [ "a.mc"; "b.mc" ]) (int_range 1 2));
+        (2, map (fun k -> P_lp k) (opt lab));
+        (1, map (fun k -> P_call_local k) lab);
+        (1, map (fun k -> P_lea_local k) lab);
+      ]
+  in
+  let chunk =
+    frequency
+      [
+        (12, map (fun p -> [ p ]) piece);
+        (* backward: rel = -(d + 2), from -126 to -130 *)
+        ( 2,
+          map3 (fun c k d -> [ P_label k; P_gap d; P_branch (c, k, 0) ]) bool lab (int_range 124 128) );
+        (* forward: rel = d, from 125 to 130 *)
+        ( 2,
+          map3 (fun c k d -> [ P_branch (c, k, 0); P_gap d; P_label k ]) bool lab (int_range 125 130) );
+        (* crossing chain: each branch's span holds the next branch *)
+        ( 1,
+          let+ c = bool and+ g = list_repeat 3 (int_range 30 46) and+ h = list_repeat 2 (int_range 30 60) in
+          match (g, h) with
+          | [ g1; g2; g3 ], [ h1; h2 ] ->
+              [
+                P_branch (c, 0, 0); P_gap g1; P_branch (c, 1, 0); P_gap g2; P_branch (c, 2, 0);
+                P_gap g3; P_label 0; P_gap h1; P_label 1; P_gap h2; P_label 2;
+              ]
+          | _ -> [] );
+        (* a pad in the span of a branch behind one that widens *)
+        ( 2,
+          let+ c = bool and+ g = int_range 124 128 and+ x = int_range 40 70
+          and+ a = oneofl [ 4; 8; 16 ] and+ y = int_range 40 70 in
+          [
+            P_label 3; P_gap g; P_branch (c, 3, 0); P_branch (c, 4, 0); P_gap x; P_align a;
+            P_gap y; P_label 4;
+          ] );
+      ]
+  in
+  map List.concat (list_size (int_range 1 14) chunk)
+
+let pp_item = function
+  | A_label l -> l ^ ":"
+  | A_insn i -> "  " ^ Insn.to_string i
+  | A_insn_lp (i, pad) -> Printf.sprintf "  %s  [lp %s]" (Insn.to_string i) pad
+  | A_cfi _ -> "  .cfi"
+  | A_align a -> Printf.sprintf "  .align %d" a
+  | A_loc (f, l) -> Printf.sprintf "  .loc %s %d" f l
+
+let catch_asm f = match f () with r -> Ok r | exception Asm_error m -> Error m
+
+let prop_assemble =
+  QCheck.Test.make ~name:"assemble_function == relaxing oracle (random item streams)"
+    ~count:1500
+    (QCheck.make
+       ~print:(fun (pieces, base, unit_) ->
+         Printf.sprintf "base %d, resolve in unit %b\n%s" base unit_
+           (String.concat "\n" (List.map pp_item (items_of_pieces pieces))))
+       QCheck.Gen.(triple gen_pieces (int_bound 40) bool))
+    (fun (pieces, base, unit_) ->
+      let f = mk_func "f" (items_of_pieces pieces) in
+      (* without function sections, calls inside the unit resolve here *)
+      let resolve_in_unit s = if unit_ && s = "callee" then Some 4096 else None in
+      catch_asm (fun () -> assemble_function ~resolve_in_unit ~base f)
+      = catch_asm (fun () -> Oracle.Asm.assemble_function ~resolve_in_unit ~base f))
+
 let rand = Random.State.make [| 1907 |]
 
 let suite =
@@ -414,4 +577,5 @@ let suite =
     Alcotest.test_case "chunks-oracle-fixture" `Quick test_chunks_fixture;
     Alcotest.test_case "chunks-oracle-gen" `Quick test_chunks_gen;
     QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand prop_chunks;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand prop_assemble;
   ]

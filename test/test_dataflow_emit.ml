@@ -1,6 +1,7 @@
 (* Lower-level bolt_core tests: liveness dataflow, heat-map construction,
-   dyno-stats accounting, and emission/relaxation invariants checked by
-   disassembling a rewritten binary. *)
+   dyno-stats accounting, emission/relaxation invariants checked by
+   disassembling a rewritten binary, and CFG construction and emission
+   against [Oracle.Build] and [Oracle.Emit]. *)
 
 open Bolt_minic
 module Machine = Bolt_sim.Machine
@@ -195,6 +196,170 @@ let test_sctc_straightens_jump_chains () =
   Alcotest.(check bool) "entry survives" true
     (Hashtbl.mem fb.Bolt_core.Bfunc.blocks fb.Bolt_core.Bfunc.entry)
 
+(* ---- CFG construction and emission against the oracles ---- *)
+
+module Bfunc = Bolt_core.Bfunc
+module Emit = Bolt_core.Emit
+module Types = Bolt_obj.Types
+
+let catch f = match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+
+(* Random CFGs for the emitter: up to seven blocks in a shuffled layout
+   with a random cold set, so fragments split and terminators flip
+   polarity or gain jumps; blocks of up to a dozen instructions (nops
+   of 15 bytes among them, so branches widen), carrying landing pads
+   inside and outside the function, source lines and CFI ops; and
+   entry frame states whose saved-register lists differ only in order. *)
+let gen_cfg =
+  let open QCheck.Gen in
+  let r3 = Bolt_isa.Reg.r3 and r4 = Bolt_isa.Reg.r4 in
+  let* nb = int_range 1 7 in
+  let labels = Array.init nb (fun k -> Printf.sprintf ".LBB%d" (10 * k)) in
+  let lab = map (fun k -> labels.(k)) (int_bound (nb - 1)) in
+  let state =
+    let+ est = bool
+    and+ locals = oneofl [ 0; 16 ]
+    and+ saved = oneofl [ []; [ (r3, 8) ]; [ (r3, 8); (r4, 16) ]; [ (r4, 16); (r3, 8) ] ] in
+    { Types.cfa_established = est; cfa_locals = locals; cfa_saved = saved }
+  in
+  let op =
+    frequency
+      [
+        (2, return Types.Cfi_establish);
+        (2, return (Types.Cfi_def_locals 16));
+        (2, return (Types.Cfi_save (r4, 16)));
+        (1, return (Types.Cfi_restore r3));
+        (1, return Types.Cfi_teardown);
+        (1, map (fun s -> Types.Cfi_set_state s) state);
+      ]
+  in
+  let insn =
+    let+ op =
+      oneofl
+        Bolt_isa.Insn.
+          [
+            Nop 15; Nop 15; Nop 3; Mov_rr (r3, r4); Alu_ri (Add, r3, Imm 1);
+            Load_abs (r4, Sym ("glob", 0)); Call (Sym ("callee", 0)); Lea (r3, Sym ("fnptr", 0));
+            Call_ind r3; Throw;
+          ]
+    and+ lp = opt ~ratio:0.3 (frequency [ (6, lab); (1, return ".Lelsewhere") ])
+    and+ loc =
+      (* shared values, as a build's consecutive instructions share them *)
+      oneofl [ None; None; Some ("a.mc", 1); Some ("a.mc", 2); Some ("b.mc", 1) ]
+    and+ cfi = frequency [ (5, return []); (1, list_size (int_range 1 2) op) ] in
+    Bfunc.mk ~lp ~loc ~cfi op
+  in
+  let term =
+    frequency
+      [
+        (3, map (fun l -> Bfunc.T_jump l) lab);
+        (4, map3 (fun c a b -> Bfunc.T_cond (c, a, b)) (oneofl [ Bolt_isa.Cond.Eq; Lt ]) lab lab);
+        (1, map (fun l -> Bfunc.T_condtail (Bolt_isa.Cond.Ne, "tailfn", l)) lab);
+        (1, return (Bfunc.T_indirect None));
+        (1, return Bfunc.T_stop);
+      ]
+  in
+  let* blocks = list_repeat nb (triple (list_size (int_range 0 12) insn) term state) in
+  let* layout = shuffle_l (Array.to_list labels) in
+  let+ cold = list_repeat nb (frequency [ (3, return false); (1, return true) ]) in
+  let fb = Bfunc.create ~name:"f" ~addr:0x1000 ~size:(10 * nb) in
+  List.iteri
+    (fun k (insns, term, cfi_entry) ->
+      Bfunc.add_block fb
+        { bl = labels.(k); b_off = 10 * k; insns; term; ecount = 0; cfi_entry; is_lp = false })
+    blocks;
+  List.iteri (fun k c -> if c then Hashtbl.replace fb.cold_set labels.(k) ()) cold;
+  fb.layout <- layout;
+  fb.entry <- labels.(0);
+  fb
+
+let prop_emit =
+  QCheck.Test.make ~name:"emit_simple == list-building oracle (random CFGs)" ~count:500
+    (QCheck.make
+       ~print:(fun fb ->
+         Fmt.str "%acold: %s@." Bfunc.pp fb
+           (String.concat " " (Bfunc.cold_layout fb)))
+       gen_cfg)
+    (fun fb -> catch (fun () -> Emit.emit_simple fb) = catch (fun () -> Oracle.Emit.emit_simple fb))
+
+(* Every function of a real binary: its CFG built from fresh state by
+   [Build.build_function] and by [Oracle.Build.build_function] (labels,
+   layout, instructions with their pads, lines and CFI, terminators,
+   entry frame states, jump tables, the simple verdict and its reason),
+   then, after the whole pipeline, each live function's fragments from
+   [Emit] and from [Oracle.Emit].  Returns (simple, non-simple, jump
+   tables, cold fragments), so callers can check the build exercised
+   each path. *)
+let check_against_oracles what exe prof =
+  let opts = { Bolt_core.Opts.default with Bolt_core.Opts.jobs = 1 } in
+  let ctx = Bolt_core.Context.create ~opts exe in
+  Bolt_core.Build.discover ctx;
+  let simple = ref 0 and non_simple = ref 0 and jts = ref 0 and cold = ref 0 in
+  List.iter
+    (fun (fb : Bfunc.t) ->
+      let fresh () = Bfunc.create ~name:fb.fb_name ~addr:fb.fb_addr ~size:fb.fb_size in
+      let a = fresh () and b = fresh () in
+      Bolt_core.Build.build_function ctx a;
+      Oracle.Build.build_function ctx b;
+      if a <> b then Alcotest.failf "%s: CFG of %s differs from the oracle's" what fb.fb_name;
+      if a.simple then incr simple else incr non_simple;
+      jts := !jts + Array.length a.jts)
+    (Bolt_core.Context.all_funcs ctx);
+  let ctx = Bolt_core.Context.create ~opts exe in
+  let env = Bolt_core.Passman.make_env ctx prof in
+  Bolt_core.Passman.run env Bolt_core.Passman.pre_passes;
+  Bolt_core.Passman.run env Bolt_core.Passman.table1;
+  List.iter
+    (fun (fb : Bfunc.t) ->
+      if fb.folded_into <> None then ()
+      else if fb.simple then begin
+        let frags = Emit.emit_simple fb in
+        if frags <> Oracle.Emit.emit_simple fb then
+          Alcotest.failf "%s: fragments of %s differ from the oracle's" what fb.fb_name;
+        cold := !cold + List.length frags - 1
+      end
+      else
+        let body =
+          List.map
+            (fun (i : Bfunc.minsn) ->
+              match i.lp with
+              | Some pad -> Bolt_asm.Asm.A_insn_lp (i.op, pad)
+              | None -> Bolt_asm.Asm.A_insn i.op)
+            fb.raw_insns
+        in
+        let af =
+          { Bolt_asm.Asm.af_name = fb.fb_name; af_global = true; af_align = 1;
+            af_emit_fde = false; af_body = body }
+        in
+        if (Emit.emit_raw fb).fr_out <> Oracle.Asm.assemble_function ~base:0 af then
+          Alcotest.failf "%s: verbatim %s differs from the oracle's" what fb.fb_name)
+    (Bolt_core.Context.all_funcs ctx);
+  (!simple, !non_simple, !jts, !cold)
+
+let test_oracles_built () =
+  let w = Bolt_workloads.Gen.gen Test_asm_link.small_hhvm in
+  List.iter
+    (fun lto ->
+      let cc = { Driver.default_options with lto } in
+      let r =
+        Driver.compile ~options:cc ~externals:w.externals ~extra_objs:w.extra_objs w.sources
+      in
+      let prof, _ = Bolt_pipeline.Pipeline.profile { exe = r.exe; cc } ~input:w.input in
+      let simple, non_simple, jts, cold =
+        check_against_oracles (Printf.sprintf "hhvm_like, lto %b" lto) r.exe prof
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "lto %b: simple, non-simple, jump tables, cold fragments" lto)
+        true
+        (simple > 0 && non_simple > 0 && jts > 0 && cold > 0))
+    [ true; false ];
+  let m = Bolt_workloads.Gen.gen_mega ~seed:5 ~funcs:400 ~fdata_lines:6000 () in
+  let exe = Bolt_obj.Objfile.of_string m.mg_belf in
+  let prof, _ = Bolt_profile.Fdata.parse m.mg_fdata in
+  let simple, _, _, cold = check_against_oracles "gen_mega" exe prof in
+  Alcotest.(check bool) "gen_mega: simple functions and cold fragments" true
+    (simple > 0 && cold > 0)
+
 let suite =
   [
     Alcotest.test_case "liveness" `Quick test_liveness_callee_saved;
@@ -203,4 +368,7 @@ let suite =
     Alcotest.test_case "dyno-empty" `Quick test_dyno_stats_zero_on_empty_profile;
     Alcotest.test_case "report-bad-layout" `Quick test_report_bad_layout_detects;
     Alcotest.test_case "sctc-safe" `Quick test_sctc_straightens_jump_chains;
+    Alcotest.test_case "oracles-built" `Quick test_oracles_built;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 2019 |]) prop_emit;
   ]
