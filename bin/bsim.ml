@@ -39,7 +39,7 @@ let record_counters obs (c : Machine.counters) =
   List.iter (fun (k, v) -> Obs.incr obs ~by:v k) pairs
 
 let run exe_path record event period lbr precise counters_flag heat_csv input_str
-    dump_counters_sym trace_out history =
+    trace_out history =
   let obs =
     Obs.create ~enabled:(trace_out <> None || history <> None) ~name:"bsim" ()
   in
@@ -94,21 +94,6 @@ let run exe_path record event period lbr precise counters_flag heat_csv input_st
           close_out oc
       | None -> ())
   | None -> ());
-  (match dump_counters_sym with
-  | Some spec -> (
-      (* SYMBOL:N -> dump N 64-bit words from the final memory *)
-      match String.split_on_char ':' spec with
-      | [ sym; n ] -> (
-          match Bolt_obj.Objfile.find_symbol exe sym with
-          | Some s ->
-              for i = 0 to int_of_string n - 1 do
-                Printf.printf "counter %d %d\n" i
-                  (Bolt_sim.Memory.read64 o.Machine.final_mem
-                     (s.Bolt_obj.Types.sym_value + (8 * i)))
-              done
-          | None -> Fmt.epr "no symbol %s@." sym)
-      | _ -> Fmt.epr "bad --dump-counters spec@.")
-  | None -> ());
   Bolt_obs.History.save_run ~ppf:Fmt.stderr ~tool:"bsim"
     ~argv:(Array.to_list Sys.argv)
     ~sections:
@@ -116,13 +101,8 @@ let run exe_path record event period lbr precise counters_flag heat_csv input_st
          ( "run",
            Json.Obj
              [
-               ("exe", Json.String exe_path);
                ("exit_code", Json.Int o.Machine.exit_code);
                ("uncaught_exception", Json.Bool o.Machine.uncaught_exception);
-               ("sampling", Json.Bool (sampling <> None));
-               ("event", Json.String event);
-               ("period", Json.Int period);
-               ("lbr", Json.Bool lbr);
              ] );
        ]
       @
@@ -160,7 +140,6 @@ let precise = Arg.(value & opt bool true & info [ "precise" ] ~doc:"PEBS-style p
 let counters = Arg.(value & flag & info [ "counters" ] ~doc:"Print performance counters.")
 let heat_csv = Arg.(value & opt (some string) None & info [ "heatmap" ] ~doc:"Write fetch heat CSV.")
 let input = Arg.(value & opt string "" & info [ "input" ] ~doc:"Comma-separated input tape.")
-let dump_counters = Arg.(value & opt (some string) None & info [ "dump-counters" ] ~doc:"SYMBOL:N memory dump.")
 
 let trace_out =
   Arg.(
@@ -186,6 +165,6 @@ let cmd =
     (Cmd.info "bsim" ~doc:"BISA simulator with sampling profiler")
     Term.(
       const run $ exe_path $ record $ event $ period $ lbr $ precise $ counters
-      $ heat_csv $ input $ dump_counters $ trace_out $ history)
+      $ heat_csv $ input $ trace_out $ history)
 
 let () = exit (Cmd.eval' cmd)

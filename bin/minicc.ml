@@ -1,8 +1,7 @@
 (* minicc: the MiniC compiler driver.
 
      minicc -o prog.x a.mc b.mc
-     minicc -O2 --lto --pgo-apply prof.edges -o prog.x a.mc
-     minicc --instrument --mapping prog.map -o prog.x a.mc
+     minicc -O2 --lto -o prog.x a.mc
      minicc -o prog.x w/*.mc w/*.bo --externs w/externals.txt   *)
 
 open Cmdliner
@@ -14,8 +13,8 @@ let read_file path =
   close_in ic;
   s
 
-let compile srcs out opt lto pgo_apply instrument mapping_out emit_relocs
-    function_sections pic_jt icf order_file externs_file =
+let compile srcs out opt lto emit_relocs function_sections pic_jt icf
+    order_file externs_file =
   (* .bo positionals are pre-assembled BELF objects (genwork's assembly
      dispatchers); everything else is MiniC source *)
   let objs, mc_srcs =
@@ -43,13 +42,6 @@ let compile srcs out opt lto pgo_apply instrument mapping_out emit_relocs
                    | None -> Fmt.failwith "bad externs line: %s" line)
                | _ -> Fmt.failwith "bad externs line: %s" line)
   in
-  let pgo =
-    if instrument then Bolt_minic.Driver.Instrument
-    else
-      match pgo_apply with
-      | Some p -> Bolt_minic.Driver.Apply (Bolt_minic.Pgo.load_profile p)
-      | None -> Bolt_minic.Driver.No_pgo
-  in
   let func_order =
     Option.map
       (fun p ->
@@ -69,7 +61,6 @@ let compile srcs out opt lto pgo_apply instrument mapping_out emit_relocs
       Bolt_minic.Driver.default_options with
       opt_level = opt;
       lto;
-      pgo;
       emit_relocs;
       function_sections;
       pic_jump_tables = pic_jt;
@@ -80,10 +71,6 @@ let compile srcs out opt lto pgo_apply instrument mapping_out emit_relocs
   match Bolt_minic.Driver.compile ~options ~externals ~extra_objs sources with
   | r ->
       Bolt_obj.Objfile.save out r.exe;
-      (match (r.mapping, mapping_out) with
-      | Some m, Some path -> Bolt_minic.Pgo.save_mapping path m
-      | Some m, None -> Bolt_minic.Pgo.save_mapping (out ^ ".map") m
-      | None, _ -> ());
       Fmt.pr "wrote %s (%d bytes of code, %d functions)@." out
         (Bolt_obj.Objfile.text_size r.exe)
         (List.length (Bolt_obj.Objfile.function_symbols r.exe));
@@ -99,15 +86,6 @@ let srcs = Arg.(non_empty & pos_all file [] & info [] ~docv:"SOURCE")
 let out = Arg.(value & opt string "a.x" & info [ "o" ] ~docv:"OUT" ~doc:"Output executable.")
 let opt = Arg.(value & opt int 2 & info [ "O" ] ~doc:"Optimization level (0-2).")
 let lto = Arg.(value & flag & info [ "lto" ] ~doc:"Whole-program (link-time) optimization.")
-
-let pgo_apply =
-  Arg.(value & opt (some file) None & info [ "pgo-apply" ] ~doc:"Apply an edge profile.")
-
-let instrument =
-  Arg.(value & flag & info [ "instrument" ] ~doc:"Insert PGO edge counters.")
-
-let mapping_out =
-  Arg.(value & opt (some string) None & info [ "mapping" ] ~doc:"Counter mapping output.")
 
 let emit_relocs =
   Arg.(value & opt bool true & info [ "emit-relocs" ] ~doc:"Keep relocations (BOLT relocations mode).")
@@ -135,7 +113,7 @@ let cmd =
   Cmd.v
     (Cmd.info "minicc" ~doc:"MiniC compiler targeting BELF/BISA")
     Term.(
-      const compile $ srcs $ out $ opt $ lto $ pgo_apply $ instrument $ mapping_out
-      $ emit_relocs $ function_sections $ pic_jt $ icf $ order_file $ externs_file)
+      const compile $ srcs $ out $ opt $ lto $ emit_relocs $ function_sections $ pic_jt
+      $ icf $ order_file $ externs_file)
 
 let () = exit (Cmd.eval' cmd)

@@ -79,14 +79,7 @@ let run exe_path samples_path out host timestamp merge_into trace_out history =
   Bolt_obs.History.save_run ~tool:"perf2bolt" ~argv:(Array.to_list Sys.argv)
     ~sections:
       [
-        ( "run",
-          Json.Obj
-            [
-              ("exe", Json.String exe_path);
-              ("samples", Json.String samples_path);
-              ("out", Json.String out);
-              ("lbr", Json.Bool raw.Bolt_sim.Machine.rp_lbr);
-            ] );
+        ("run", Json.Obj [ ("lbr", Json.Bool raw.Bolt_sim.Machine.rp_lbr) ]);
       ]
     ~workload:(Filename.basename exe_path)
     ~build_id:exe.Bolt_obj.Objfile.build_id ?trace_out ?history obs;

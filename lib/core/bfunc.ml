@@ -173,9 +173,6 @@ let block_size f (b : bb) =
   in
   base + term_size
 
-let code_size f =
-  Hashtbl.fold (fun _ b acc -> acc + block_size f b) f.blocks 0
-
 let has_profile f = Hashtbl.length f.edge_counts > 0 || f.exec_count > 0
 
 let is_cold f l = Hashtbl.mem f.cold_set l

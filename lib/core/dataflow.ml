@@ -1,11 +1,12 @@
-(* Binary-level dataflow: register liveness over the CFG, the analysis
-   framework §4 mentions feeding BOLT's frame optimizations.
+(* Register references over a function's CFG: which blocks read or
+   write a register, the question BOLT's frame optimizations (§4:
+   frame-opts and shrink-wrapping) ask before moving or dropping a
+   callee-saved spill.
 
    Register sets are int bitmasks (16 registers).  Calls clobber the
    caller-saved set and are assumed to read all argument registers; a
    return reads r0 and every callee-saved register (the caller expects
-   them preserved), which makes the analysis safely conservative for
-   deciding whether a callee-saved register is genuinely dead. *)
+   them preserved), which keeps the answer conservative. *)
 
 open Bolt_isa
 open Bfunc
@@ -30,81 +31,23 @@ let insn_defs (i : Insn.t) =
   | Insn.Call _ | Insn.Call_mem _ | Insn.Call_ind _ -> caller_saved_mask
   | _ -> mask_of (Insn.defs i)
 
-(* live-in per block label *)
-let liveness (fb : Bfunc.t) : (string, int) Hashtbl.t =
-  let live_in = Hashtbl.create 32 in
-  let live_out = Hashtbl.create 32 in
-  Hashtbl.iter
-    (fun l _ ->
-      Hashtbl.replace live_in l 0;
-      Hashtbl.replace live_out l 0)
-    fb.blocks;
-  let block_transfer (b : bb) out =
-    (* terminators: conditional branches read flags only; stop blocks end
-       with their own final instruction already in [insns] *)
-    let term_live =
-      match b.term with
-      | T_stop | T_indirect _ -> out (* final insn handled below *)
-      | T_condtail _ -> out lor ret_live_mask lor args_mask
-      | _ -> out
-    in
-    List.fold_right
-      (fun (i : minsn) live ->
-        live land lnot (insn_defs i.op) lor insn_uses i.op)
-      b.insns term_live
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun l b ->
-        let out =
-          List.fold_left
-            (fun acc s -> acc lor try Hashtbl.find live_in s with Not_found -> 0)
-            0 (successors_eh fb b)
-        in
-        let out =
-          (* stop blocks that fall nowhere: if they end in ret, the ret's
-             uses are inside insns; throw similar *)
-          out
-        in
-        Hashtbl.replace live_out l out;
-        let inn = block_transfer b out in
-        if inn <> (try Hashtbl.find live_in l with Not_found -> 0) then begin
-          Hashtbl.replace live_in l inn;
-          changed := true
-        end)
-      fb.blocks
-  done;
-  live_in
-
-(* Does the function reference register [r] anywhere outside prologue
-   pushes and epilogue pops of that same register? *)
-let references_reg (fb : Bfunc.t) r =
+(* Does block [b] reference [r] anywhere outside prologue pushes and
+   epilogue pops of that same register? *)
+let block_references r (b : bb) =
   let rmask = 1 lsl Reg.to_int r in
-  Hashtbl.fold
-    (fun _ b acc ->
-      acc
-      || List.exists
-           (fun (i : minsn) ->
-             match i.op with
-             | Insn.Push r' | Insn.Pop r' when Reg.equal r' r -> false
-             | op -> insn_uses op land rmask <> 0 || insn_defs op land rmask <> 0)
-           b.insns)
-    fb.blocks false
+  List.exists
+    (fun (i : minsn) ->
+      match i.op with
+      | Insn.Push r' | Insn.Pop r' when Reg.equal r' r -> false
+      | op -> insn_uses op land rmask <> 0 || insn_defs op land rmask <> 0)
+    b.insns
 
-(* Blocks that reference [r] (excluding its own push/pop). *)
 let blocks_referencing (fb : Bfunc.t) r =
-  let rmask = 1 lsl Reg.to_int r in
   Hashtbl.fold
-    (fun l b acc ->
-      if
-        List.exists
-          (fun (i : minsn) ->
-            match i.op with
-            | Insn.Push r' | Insn.Pop r' when Reg.equal r' r -> false
-            | op -> insn_uses op land rmask <> 0 || insn_defs op land rmask <> 0)
-          b.insns
-      then l :: acc
-      else acc)
+    (fun l b acc -> if block_references r b then l :: acc else acc)
     fb.blocks []
+
+(* [blocks_referencing fb r <> []], without scanning past the first
+   referencing block: frame-opts asks it for every saved register. *)
+let references_reg (fb : Bfunc.t) r =
+  Hashtbl.fold (fun _ b acc -> acc || block_references r b) fb.blocks false

@@ -9,10 +9,9 @@
    up memory by generating millions of warnings; the counters keep the
    true totals. *)
 
-type severity = Info | Warning | Error
+type severity = Warning | Error
 
 let severity_name = function
-  | Info -> "info"
   | Warning -> "warning"
   | Error -> "error"
 
@@ -32,7 +31,6 @@ exception Quarantine_limit of int
 type t = {
   mutable records : record list; (* newest first, capped *)
   mutable dropped : int; (* records not stored because of the cap *)
-  mutable n_info : int;
   mutable n_warning : int;
   mutable n_error : int;
   mutable quarantined : (string * string) list; (* function, stage; newest first *)
@@ -43,7 +41,6 @@ let create ?(max_records = 500) () =
   {
     records = [];
     dropped = 0;
-    n_info = 0;
     n_warning = 0;
     n_error = 0;
     quarantined = [];
@@ -51,15 +48,13 @@ let create ?(max_records = 500) () =
   }
 
 let count t = function
-  | Info -> t.n_info
   | Warning -> t.n_warning
   | Error -> t.n_error
 
-let total t = t.n_info + t.n_warning + t.n_error
+let total t = t.n_warning + t.n_error
 
 let add t severity ~stage ?func msg =
   (match severity with
-  | Info -> t.n_info <- t.n_info + 1
   | Warning -> t.n_warning <- t.n_warning + 1
   | Error -> t.n_error <- t.n_error + 1);
   if total t - t.dropped > t.max_records then t.dropped <- t.dropped + 1
@@ -68,7 +63,6 @@ let add t severity ~stage ?func msg =
       { d_severity = severity; d_stage = stage; d_func = func; d_msg = msg }
       :: t.records
 
-let infof t ~stage ?func fmt = Fmt.kstr (add t Info ~stage ?func) fmt
 let warnf t ~stage ?func fmt = Fmt.kstr (add t Warning ~stage ?func) fmt
 let errorf t ~stage ?func fmt = Fmt.kstr (add t Error ~stage ?func) fmt
 
@@ -82,15 +76,3 @@ let quarantined t = List.rev t.quarantined
 
 (* Oldest first. *)
 let records t = List.rev t.records
-
-let pp_record ppf r =
-  Fmt.pf ppf "[%s] %s%s: %s" (severity_name r.d_severity) r.d_stage
-    (match r.d_func with Some f -> " (" ^ f ^ ")" | None -> "")
-    r.d_msg
-
-let pp_summary ppf t =
-  Fmt.pf ppf "diagnostics: %d error(s), %d warning(s), %d info" t.n_error
-    t.n_warning t.n_info;
-  if t.dropped > 0 then Fmt.pf ppf " (%d records dropped)" t.dropped;
-  if t.quarantined <> [] then
-    Fmt.pf ppf "; %d function(s) quarantined" (List.length t.quarantined)

@@ -86,14 +86,3 @@ let summary_json t : Bolt_obs.Json.t =
       ("hot_cells", Bolt_obs.Json.Int hot_cells);
       ("max_cell_log10", Bolt_obs.Json.Float max_cell);
     ]
-
-let to_csv t =
-  let b = Buffer.create 4096 in
-  for r = 0 to t.rows - 1 do
-    for c = 0 to t.cols - 1 do
-      if c > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "%.3f" t.cells.((r * t.cols) + c))
-    done;
-    Buffer.add_char b '\n'
-  done;
-  Buffer.contents b

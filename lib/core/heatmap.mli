@@ -33,6 +33,3 @@ val summary_json : t -> Bolt_obs.Json.t
 
 (** ASCII rendering, one glyph per cell, log-scaled like Figure 9. *)
 val render : Format.formatter -> t -> unit
-
-(** CSV matrix for external plotting. *)
-val to_csv : t -> string

@@ -47,13 +47,14 @@ let cfg_of_fn ?(cold = fun _ -> false) (fb : Bfunc.t) : Cfg.t =
   let entry = Option.value ~default:(-1) (Hashtbl.find_opt idx fb.entry) in
   Cfg.make ~nodes ~entry edges
 
-(* Blocks the split-functions pass is about to sink to the cold
-   fragment make worthless fall-through partners: any adjacency the
-   engine buys against one (a stale profile can carry a hot edge into a
-   block that never executed) is destroyed right after reorder-bbs.
-   When splitting is on, project the CFG with such blocks' edges
-   dropped, so every algorithm competes only on adjacencies that
-   survive. *)
+(* The split rule: [None] when [fb] is not split at all, else the
+   predicate naming the blocks split-functions sinks to the cold
+   fragment.  reorder-bbs asks the same question first: such blocks
+   make worthless fall-through partners, since any adjacency the engine
+   buys against one (a stale profile can carry a hot edge into a block
+   that never executed) is destroyed right after.  So it projects the
+   CFG with their edges dropped, and every algorithm competes only on
+   adjacencies that survive. *)
 let sunk_cold opts (fb : Bfunc.t) =
   let size_ok =
     match opts.Opts.split_functions with
@@ -61,10 +62,12 @@ let sunk_cold opts (fb : Bfunc.t) =
     | Opts.Split_all -> true
     | Opts.Split_large -> fb.fb_size > 256
   in
-  if size_ok && has_profile fb && fb.exec_count > 0 then fun l ->
-    let b = block fb l in
-    b.ecount = 0 && l <> fb.entry && (opts.Opts.split_eh || not b.is_lp)
-  else fun _ -> false
+  if size_ok && has_profile fb && fb.exec_count > 0 then
+    Some
+      (fun l ->
+        let b = block fb l in
+        b.ecount = 0 && l <> fb.entry && (opts.Opts.split_eh || not b.is_lp))
+  else None
 
 let algo_name = function
   | Opts.Rb_none -> "none"
@@ -86,7 +89,7 @@ let reorder_fn ctx sh (fb : Bfunc.t) =
     && has_profile fb
     && Hashtbl.length fb.Bfunc.blocks > 1
   then begin
-    let cfg = cfg_of_fn ~cold:(sunk_cold ctx.Context.opts fb) fb in
+    let cfg = cfg_of_fn ?cold:(sunk_cold ctx.Context.opts fb) fb in
     let order = Engine.order (engine_algo algo) cfg in
     fb.layout <- Array.to_list (Array.map (Cfg.label cfg) order);
     Context.sh_incr sh "pass.reorder-bbs.reordered";
@@ -118,32 +121,18 @@ let snapshot_totals rows =
 (* Hot/cold splitting: cold blocks go to the function's cold fragment,
    which the rewriter emits in the cold code area. *)
 let split_fn ctx sh (fb : Bfunc.t) =
-  let opts = ctx.Context.opts in
-  match opts.Opts.split_functions with
-  | Opts.Split_none -> ()
-  | mode ->
-      let size_ok =
-        match mode with
-        | Opts.Split_all -> true
-        | Opts.Split_large -> fb.fb_size > 256
-        | Opts.Split_none -> false
-      in
-      if size_ok && has_profile fb && fb.exec_count > 0 then begin
-        List.iter
-          (fun l ->
-            let b = block fb l in
-            let cold =
-              b.ecount = 0 && l <> fb.entry
-              && (opts.Opts.split_eh || not b.is_lp)
-            in
-            if cold then begin
-              Hashtbl.replace fb.cold_set l ();
-              Context.sh_incr sh "pass.split-functions.blocks_split";
-              Context.sh_touch sh fb
-            end)
-          fb.layout;
-        (* a cold block that can fall into a hot one needs a jump; the
-           emitter handles that, but keep cold blocks grouped at the end
-           of the layout for deterministic output *)
-        fb.layout <- hot_layout fb @ cold_layout fb
-      end
+  match sunk_cold ctx.Context.opts fb with
+  | None -> ()
+  | Some cold ->
+      List.iter
+        (fun l ->
+          if cold l then begin
+            Hashtbl.replace fb.cold_set l ();
+            Context.sh_incr sh "pass.split-functions.blocks_split";
+            Context.sh_touch sh fb
+          end)
+        fb.layout;
+      (* a cold block that can fall into a hot one needs a jump; the
+         emitter handles that, but keep cold blocks grouped at the end
+         of the layout for deterministic output *)
+      fb.layout <- hot_layout fb @ cold_layout fb

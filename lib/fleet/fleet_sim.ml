@@ -122,14 +122,7 @@ let stale_params (p : Gen.params) =
 
 let compile_params ?obs (p : Gen.params) : P.build =
   let w = Gen.gen p in
-  let cc = Bolt_minic.Driver.default_options in
-  let obs = match obs with Some o -> o | None -> Obs.null () in
-  Obs.span obs "fleet.compile" (fun () ->
-      let r =
-        Bolt_minic.Driver.compile ~options:cc ~externals:w.Gen.externals
-          ~extra_objs:w.Gen.extra_objs w.Gen.sources
-      in
-      { P.exe = r.exe; cc })
+  P.compile ?obs ~externals:w.Gen.externals ~extra_objs:w.Gen.extra_objs w.Gen.sources
 
 let run ?obs (c : config) : result =
   let obs = match obs with Some o -> o | None -> Obs.null () in

@@ -32,15 +32,6 @@ let add_edge g caller callee w =
     | Some r -> r := !r + w
     | None -> Hashtbl.add g.edges (caller, callee) (ref w)
 
-(* Incoming call weight per function. *)
-let in_weights g =
-  let h = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun (_, callee) w ->
-      Hashtbl.replace h callee (!w + try Hashtbl.find h callee with Not_found -> 0))
-    g.edges;
-  h
-
 (* The hottest caller of each function; equal weights break towards the
    lexicographically smaller caller so the result does not depend on
    hashtable iteration order. *)

@@ -46,7 +46,3 @@ let name = function
   | Le -> "le"
   | Gt -> "gt"
   | Ge -> "ge"
-
-let pp ppf c = Fmt.string ppf (name c)
-
-let equal (a : t) (b : t) = a = b

@@ -22,5 +22,3 @@ val invert : t -> t
 val holds : t -> int -> bool
 
 val name : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

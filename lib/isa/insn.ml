@@ -159,24 +159,12 @@ let is_terminator i =
   | CF_jump | CF_ijump | CF_ret | CF_halt | CF_throw -> true
   | CF_none | CF_cond | CF_call | CF_icall -> false
 
-let is_branch i =
-  match classify i with
-  | CF_jump | CF_cond | CF_ijump -> true
-  | _ -> false
-
 let is_call i = match classify i with CF_call | CF_icall -> true | _ -> false
 
 (* Symbolic/direct target of a branch or call, if any. *)
 let target = function
   | Jmp (v, _) | Jcc (_, v, _) | Call v -> Some v
   | _ -> None
-
-let with_target i v =
-  match i with
-  | Jmp (_, w) -> Jmp (v, w)
-  | Jcc (c, _, w) -> Jcc (c, v, w)
-  | Call _ -> Call v
-  | _ -> invalid_arg "Insn.with_target"
 
 (* Replace the (unique) symbolic operand of an instruction. *)
 let with_value i v =

@@ -35,11 +35,8 @@ let sp = 15
    r0..r7 are clobbered by calls; r8..r14 survive them. *)
 
 let args = [ r1; r2; r3; r4 ]
-let ret = r0
 let caller_saved = [ r0; r1; r2; r3; r4; r5; r6; r7 ]
 let callee_saved = [ r8; r9; r10; r11; r12; r13; fp ]
-
-let is_callee_saved r = r >= r8 && r <= fp && r <> sp
 
 let name r =
   match r with

@@ -4,7 +4,7 @@
 
     ABI: arguments in [r1..r4], result in [r0]; [r0..r7] are clobbered by
     calls, [r8..fp] are callee-saved.  These sets drive both the MiniC
-    code generator and BOLT's liveness analysis. *)
+    code generator and BOLT's register-reference queries. *)
 
 type t = private int
 
@@ -35,12 +35,8 @@ val sp : t
 (** Argument registers, in position order. *)
 val args : t list
 
-(** The return-value register ([r0]). *)
-val ret : t
-
 val caller_saved : t list
 val callee_saved : t list
-val is_callee_saved : t -> bool
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit

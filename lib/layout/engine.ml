@@ -21,11 +21,6 @@
 
 type algo = Cache | Cache_plus | Ext_tsp
 
-let name = function
-  | Cache -> "cache"
-  | Cache_plus -> "cache+"
-  | Ext_tsp -> "ext-tsp"
-
 (* Entry chain first, then weight desc, chain id asc — and any node the
    merge loops never reached (there are none today, but keep the
    contract total) would simply still be its own chain. *)

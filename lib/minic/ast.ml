@@ -75,23 +75,3 @@ type decl =
   | Dconst of string * int list (* read-only table (.rodata) *)
 
 type module_ = { m_name : string; m_decls : decl list }
-
-let binop_name = function
-  | Badd -> "+"
-  | Bsub -> "-"
-  | Bmul -> "*"
-  | Bdiv -> "/"
-  | Bmod -> "%"
-  | Band -> "&"
-  | Bor -> "|"
-  | Bxor -> "^"
-  | Bshl -> "<<"
-  | Bshr -> ">>"
-  | Beq -> "=="
-  | Bne -> "!="
-  | Blt -> "<"
-  | Ble -> "<="
-  | Bgt -> ">"
-  | Bge -> ">="
-  | Bland -> "&&"
-  | Blor -> "||"

@@ -29,18 +29,6 @@ type options = {
   emit_fde : bool;
 }
 
-let default_options =
-  {
-    opt_level = 2;
-    lto = false;
-    function_sections = true;
-    pic_jump_tables = true;
-    align_loops = true;
-    plt_calls = true;
-    repz_ret = true;
-    emit_fde = true;
-  }
-
 type home = Hreg of Reg.t | Hslot of int (* slot index, 8 bytes each *)
 
 let lbl fn l = Printf.sprintf ".L%s$%d" fn l

@@ -178,83 +178,3 @@ let has_call b =
   List.exists
     (fun (i, _) -> match i with Icall _ | Icall_ind _ -> true | _ -> false)
     b.insns
-
-(* ---- printing, for tests and debugging ---- *)
-
-let binop_name = function
-  | Add -> "add"
-  | Sub -> "sub"
-  | Mul -> "mul"
-  | Div -> "div"
-  | Mod -> "mod"
-  | And -> "and"
-  | Or -> "or"
-  | Xor -> "xor"
-  | Shl -> "shl"
-  | Shr -> "shr"
-
-let cmpop_name = function
-  | Ceq -> "eq"
-  | Cne -> "ne"
-  | Clt -> "lt"
-  | Cle -> "le"
-  | Cgt -> "gt"
-  | Cge -> "ge"
-
-let negate_cmp = function
-  | Ceq -> Cne
-  | Cne -> Ceq
-  | Clt -> Cge
-  | Cle -> Cgt
-  | Cgt -> Cle
-  | Cge -> Clt
-
-let pp_insn ppf i =
-  let t = Fmt.pf in
-  match i with
-  | Iconst (d, n) -> t ppf "t%d = %d" d n
-  | Imov (d, a) -> t ppf "t%d = t%d" d a
-  | Ibin (op, d, a, b) -> t ppf "t%d = %s t%d, t%d" d (binop_name op) a b
-  | Icmp (op, d, a, b) -> t ppf "t%d = %s t%d, t%d" d (cmpop_name op) a b
-  | Iload_g (d, g) -> t ppf "t%d = load %s" d g
-  | Istore_g (g, a) -> t ppf "store %s, t%d" g a
-  | Iload_idx (d, g, i) -> t ppf "t%d = load %s[t%d]" d g i
-  | Istore_idx (g, i, v) -> t ppf "store %s[t%d], t%d" g i v
-  | Iload_ro (d, g, i) -> t ppf "t%d = loadro %s[%d]" d g i
-  | Iaddr (d, s) -> t ppf "t%d = &%s" d s
-  | Icall (Some d, fn, args) ->
-      t ppf "t%d = call %s(%a)" d fn Fmt.(list ~sep:comma (fun p a -> pf p "t%d" a)) args
-  | Icall (None, fn, args) ->
-      t ppf "call %s(%a)" fn Fmt.(list ~sep:comma (fun p a -> pf p "t%d" a)) args
-  | Icall_ind (Some d, c, args) ->
-      t ppf "t%d = call *t%d(%a)" d c Fmt.(list ~sep:comma (fun p a -> pf p "t%d" a)) args
-  | Icall_ind (None, c, args) ->
-      t ppf "call *t%d(%a)" c Fmt.(list ~sep:comma (fun p a -> pf p "t%d" a)) args
-  | Iin d -> t ppf "t%d = in" d
-  | Iout a -> t ppf "out t%d" a
-  | Iprofcnt n -> t ppf "profcnt %d" n
-  | Ilandingpad d -> t ppf "t%d = landingpad" d
-
-let pp_term ppf = function
-  | Tret (Some t) -> Fmt.pf ppf "ret t%d" t
-  | Tret None -> Fmt.pf ppf "ret"
-  | Tjmp l -> Fmt.pf ppf "jmp L%d" l
-  | Tbr (op, a, b, l1, l2) ->
-      Fmt.pf ppf "br %s t%d, t%d -> L%d, L%d" (cmpop_name op) a b l1 l2
-  | Tswitch (t, base, targets, d) ->
-      Fmt.pf ppf "switch t%d base=%d [%a] default L%d" t base
-        Fmt.(array ~sep:sp (fun p l -> pf p "L%d" l))
-        targets d
-  | Tthrow t -> Fmt.pf ppf "throw t%d" t
-
-let pp_func ppf f =
-  Fmt.pf ppf "fn %s(%a) entry=L%d@." f.f_name
-    Fmt.(list ~sep:comma (fun p t -> pf p "t%d" t))
-    f.f_params f.f_entry;
-  List.iter
-    (fun (l, b) ->
-      Fmt.pf ppf "L%d:%s@." l
-        (match b.lp with Some lp -> Printf.sprintf " (lp L%d)" lp | None -> "");
-      List.iter (fun (i, _) -> Fmt.pf ppf "  %a@." pp_insn i) b.insns;
-      Fmt.pf ppf "  %a@." pp_term b.term)
-    f.f_blocks

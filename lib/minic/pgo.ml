@@ -4,9 +4,10 @@
    classic, expensive scheme whose overhead motivates sample-based
    profiling in the paper).  Counters live in a .bss array
    [__prof_counters]; the compiler also produces a mapping from counter
-   index to (function, edge).  After a run, the simulator dumps the
-   counter memory and [write_profile] turns it into a text profile that
-   [annotate] can apply on a later build of the same sources. *)
+   index to (function, edge).  After a run, the counter array is read
+   back from the final memory image and [profile_of_counters] turns it
+   into an edge profile that [annotate] applies on a later build of the
+   same sources. *)
 
 open Ir
 
@@ -79,31 +80,6 @@ let instrument (p : program) : mapping =
 let num_counters (m : mapping) =
   List.fold_left (fun acc (_, _, _, i) -> max acc (i + 1)) 0 m
 
-(* ---- mapping and profile files ---- *)
-
-let save_mapping path (m : mapping) =
-  let oc = open_out path in
-  List.iter
-    (fun (f, s, d, i) -> Printf.fprintf oc "%s %d %d %d\n" f s d i)
-    m;
-  close_out oc
-
-let load_mapping path : mapping =
-  let ic = open_in path in
-  let rec loop acc =
-    match input_line ic with
-    | line ->
-        let parts = String.split_on_char ' ' line in
-        (match parts with
-        | [ f; s; d; i ] ->
-            loop ((f, int_of_string s, int_of_string d, int_of_string i) :: acc)
-        | _ -> loop acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  loop []
-
 (* Combine a mapping with raw counter values into an edge profile. *)
 let profile_of_counters (m : mapping) (counters : int array) :
     (string * label * label * int) list =
@@ -111,28 +87,6 @@ let profile_of_counters (m : mapping) (counters : int array) :
     (fun (f, s, d, i) ->
       (f, s, d, if i < Array.length counters then counters.(i) else 0))
     m
-
-let save_profile path prof =
-  let oc = open_out path in
-  List.iter
-    (fun (f, s, d, c) -> if c > 0 then Printf.fprintf oc "%s %d %d %d\n" f s d c)
-    prof;
-  close_out oc
-
-let load_profile path =
-  let ic = open_in path in
-  let rec loop acc =
-    match input_line ic with
-    | line -> (
-        match String.split_on_char ' ' line with
-        | [ f; s; d; c ] ->
-            loop ((f, int_of_string s, int_of_string d, int_of_string c) :: acc)
-        | _ -> loop acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  loop []
 
 (* Attach edge counts to the program's functions.  The label space must
    match the build that was instrumented: both builds lower and clean up

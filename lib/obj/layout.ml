@@ -9,7 +9,6 @@ let text_base = 0x40_0000
 let rodata_base = 0x100_0000
 let data_base = 0x200_0000
 let bolt_text_base = 0x300_0000
-let heap_base = 0x400_0000
 let stack_top = 0x7f0_0000
 let page_size = 4096
 

@@ -287,8 +287,3 @@ let run (t : Objfile.t) : issue list =
   List.rev !issues
 
 let fatal issues = List.filter (fun i -> i.v_severity = Fatal) issues
-
-let pp_issue ppf i =
-  Fmt.pf ppf "[%s] %s"
-    (match i.v_severity with Warning -> "warning" | Fatal -> "fatal")
-    i.v_what

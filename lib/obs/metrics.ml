@@ -1,5 +1,5 @@
-(* Typed metrics registry: counters, gauges and distributions, keyed by
-   a dotted name ("pass.icf.folded", "sim.l1i_misses", ...).
+(* Typed metrics registry: counters and gauges, keyed by a dotted name
+   ("pass.icf.folded", "sim.l1i_misses", ...).
 
    Naming convention (documented in DESIGN.md): lowercase dotted paths,
    first segment the owning subsystem (pass/profile/sim/rewrite/bench),
@@ -8,14 +8,7 @@
    it with another kind raises [Invalid_argument] so type confusion is a
    bug at the recording site, not a silently corrupted manifest. *)
 
-type dist = {
-  mutable d_n : int;
-  mutable d_sum : float;
-  mutable d_min : float;
-  mutable d_max : float;
-}
-
-type value = Counter of int ref | Gauge of float ref | Dist of dist
+type value = Counter of int ref | Gauge of float ref
 
 (* The mutex makes every recording and snapshot operation atomic, so a
    registry shared across domains never tears a count.  The parallel
@@ -31,7 +24,6 @@ let locked t f = Mutex.protect t.m f
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
-  | Dist _ -> "distribution"
 
 let mismatch name v wanted =
   invalid_arg
@@ -51,19 +43,6 @@ let set t name x =
       | Some v -> mismatch name v "gauge"
       | None -> Hashtbl.replace t.tbl name (Gauge (ref x)))
 
-let observe t name x =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl name with
-      | Some (Dist d) ->
-          d.d_n <- d.d_n + 1;
-          d.d_sum <- d.d_sum +. x;
-          if x < d.d_min then d.d_min <- x;
-          if x > d.d_max then d.d_max <- x
-      | Some v -> mismatch name v "distribution"
-      | None ->
-          Hashtbl.replace t.tbl name
-            (Dist { d_n = 1; d_sum = x; d_min = x; d_max = x }))
-
 let counter t name =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl name with Some (Counter r) -> !r | _ -> 0)
@@ -72,13 +51,9 @@ let gauge t name =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl name with Some (Gauge r) -> !r | _ -> 0.0)
 
-let dist t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl name with Some (Dist d) -> Some d | _ -> None)
-
-(* Fold [other] into [into]: counters add, distributions combine, a gauge
-   takes [other]'s (most recent) value.  Used to aggregate per-stage,
-   per-domain or per-workload registries into one run-level registry.
+(* Fold [other] into [into]: counters add, a gauge takes [other]'s (most
+   recent) value.  Used to aggregate per-stage, per-domain or
+   per-workload registries into one run-level registry.
    Only [into] is locked: [other] is expected to be quiescent at merge
    time (a finished shard), and locking both would risk a lock-order
    deadlock when two registries merge into each other concurrently. *)
@@ -89,16 +64,8 @@ let merge ~into other =
           match (Hashtbl.find_opt into.tbl name, v) with
           | None, Counter r -> Hashtbl.replace into.tbl name (Counter (ref !r))
           | None, Gauge r -> Hashtbl.replace into.tbl name (Gauge (ref !r))
-          | None, Dist d ->
-              Hashtbl.replace into.tbl name
-                (Dist { d_n = d.d_n; d_sum = d.d_sum; d_min = d.d_min; d_max = d.d_max })
           | Some (Counter a), Counter b -> a := !a + !b
           | Some (Gauge a), Gauge b -> a := !b
-          | Some (Dist a), Dist b ->
-              a.d_n <- a.d_n + b.d_n;
-              a.d_sum <- a.d_sum +. b.d_sum;
-              if b.d_min < a.d_min then a.d_min <- b.d_min;
-              if b.d_max > a.d_max then a.d_max <- b.d_max
           | Some existing, _ -> mismatch name existing (kind_name v))
         other.tbl)
 
@@ -140,37 +107,6 @@ let to_json t : Json.t =
            match v with
            | Counter r -> [ ("type", Json.String "counter"); ("value", Json.Int !r) ]
            | Gauge r -> [ ("type", Json.String "gauge"); ("value", Json.Float !r) ]
-           | Dist d ->
-               [
-                 ("type", Json.String "dist");
-                 ("n", Json.Int d.d_n);
-                 ("sum", Json.Float d.d_sum);
-                 ("min", Json.Float d.d_min);
-                 ("max", Json.Float d.d_max);
-               ]
          in
          (name, Json.Obj body))
        (sorted_bindings t))
-
-let of_json (j : Json.t) : t =
-  let t = create () in
-  (match j with
-  | Json.Obj fields ->
-      List.iter
-        (fun (name, body) ->
-          match Json.get_string (Json.member "type" body) with
-          | Some "counter" ->
-              incr t name
-                ~by:(Option.value ~default:0 (Json.get_int (Json.member "value" body)))
-          | Some "gauge" ->
-              set t name
-                (Option.value ~default:0.0 (Json.get_float (Json.member "value" body)))
-          | Some "dist" ->
-              let f k = Option.value ~default:0.0 (Json.get_float (Json.member k body)) in
-              let n = Option.value ~default:0 (Json.get_int (Json.member "n" body)) in
-              Hashtbl.replace t.tbl name
-                (Dist { d_n = n; d_sum = f "sum"; d_min = f "min"; d_max = f "max" })
-          | _ -> ())
-        fields
-  | _ -> ());
-  t

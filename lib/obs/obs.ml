@@ -24,7 +24,6 @@ let null () = create ~enabled:false ~name:"null" ()
 let is_enabled t = t.enabled
 let incr t ?by name = if t.enabled then Metrics.incr t.metrics ?by name
 let set t name v = if t.enabled then Metrics.set t.metrics name v
-let observe t name v = if t.enabled then Metrics.observe t.metrics name v
 let event t ?attrs name = if t.enabled then Trace.event t.trace ?attrs name
 let add_child t ?attrs name ~dur_s =
   if t.enabled then Trace.add_child t.trace ?attrs name ~dur_s

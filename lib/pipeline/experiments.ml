@@ -36,31 +36,16 @@ let fb_flow ?(lto = false) ?(heatmap = false) ?(bolt_opts = Bolt_core.Opts.defau
     ~name (params : Bolt_workloads.Gen.params) : fb_result =
   let w = Bolt_workloads.Gen.gen params in
   let compile cc =
-    Bolt_minic.Driver.compile ~options:cc ~externals:w.externals
-      ~extra_objs:w.extra_objs w.sources
+    Pipeline.compile ~cc ~externals:w.externals ~extra_objs:w.extra_objs w.sources
   in
   let cc0 = { Bolt_minic.Driver.default_options with lto } in
-  let b0 = compile cc0 in
-  let prof0, _ =
-    Pipeline.profile { Pipeline.exe = b0.exe; cc = cc0 } ~input:w.input
-  in
   (* HFSort at link time, as in [25] *)
-  let funcs =
-    Bolt_obj.Objfile.function_symbols b0.exe
-    |> List.filter_map (fun (s : Bolt_obj.Types.symbol) ->
-           if s.sym_section = ".text" then Some (s.sym_name, max 1 s.sym_size)
-           else None)
-  in
-  let g = Bolt_hfsort.Callgraph.of_profile ~funcs prof0 in
-  let order =
-    Bolt_hfsort.Order.order Bolt_hfsort.Order.C3 g ~original:(List.map fst funcs)
-  in
-  let cc1 = { cc0 with func_order = Some order } in
-  let b1 = compile cc1 in
-  let base = Machine.run ~heatmap b1.exe ~input:w.input in
-  let prof1, _ = Pipeline.profile { Pipeline.exe = b1.exe; cc = cc1 } ~input:w.input in
-  let exe2, report = Bolt_core.Bolt.optimize ~opts:bolt_opts b1.exe prof1 in
-  let opt = Machine.run ~heatmap ~fuel:2_000_000_000 exe2 ~input:w.input in
+  let order = Pipeline.hfsort_order (compile cc0) ~input:w.input in
+  let b1 = compile { cc0 with func_order = Some order } in
+  let base = Pipeline.run ~heatmap b1 ~input:w.input in
+  let prof1, _ = Pipeline.profile b1 ~input:w.input in
+  let b2, report = Pipeline.bolt ~opts:bolt_opts b1 prof1 in
+  let opt = Pipeline.run ~heatmap b2 ~input:w.input in
   {
     fb_name = name;
     fb_speedup = Pipeline.speedup ~baseline:base ~optimized:opt;
@@ -69,7 +54,7 @@ let fb_flow ?(lto = false) ?(heatmap = false) ?(bolt_opts = Bolt_core.Opts.defau
     fb_base = base;
     fb_opt = opt;
     fb_base_exe = b1.exe;
-    fb_opt_exe = exe2;
+    fb_opt_exe = b2.exe;
     fb_behaviour_ok = Pipeline.same_behaviour base opt;
   }
 
@@ -137,51 +122,39 @@ let compiler_flow ?(quick = false) ~(lto : bool) (params : Bolt_workloads.Gen.pa
   let inputs = compiler_inputs ~quick params.Bolt_workloads.Gen.seed in
   let train = List.assoc "full-build" inputs in
   let compile cc =
-    Bolt_minic.Driver.compile ~options:cc ~externals:w.externals
-      ~extra_objs:w.extra_objs w.sources
+    Pipeline.compile ~cc ~externals:w.externals ~extra_objs:w.extra_objs w.sources
   in
   let cc_base = Bolt_minic.Driver.default_options in
   let b_base = compile cc_base in
-  let run exe input = Machine.run ~fuel:2_000_000_000 exe ~input in
-  let base_cycles =
-    List.map (fun (n, i) -> (n, Machine.cycles (run b_base.exe i).Machine.counters)) inputs
-  in
-  let speedups_of exe =
+  let cycles b input = Machine.cycles (Pipeline.run b ~input).Machine.counters in
+  let base_cycles = List.map (fun (n, i) -> (n, cycles b_base i)) inputs in
+  let speedups_of b =
     List.map
       (fun (n, i) ->
-        let c = Machine.cycles (run exe i).Machine.counters in
+        let c = cycles b i in
         let c0 = List.assoc n base_cycles in
         (n, 100.0 *. (float_of_int c0 /. float_of_int c -. 1.0)))
       inputs
   in
   (* BOLT on the plain baseline *)
-  let prof_base, _ =
-    Pipeline.profile { Pipeline.exe = b_base.exe; cc = cc_base } ~input:train
-  in
-  let exe_bolt, rep_bolt = Bolt_core.Bolt.optimize b_base.exe prof_base in
+  let prof_base, _ = Pipeline.profile b_base ~input:train in
+  let b_bolt, rep_bolt = Pipeline.bolt b_base prof_base in
   (* PGO (+LTO) *)
   let edge_prof =
     Pipeline.pgo_profile ~externals:w.externals ~extra_objs:w.extra_objs
       ~cc:{ cc_base with lto } w.sources ~input:train
   in
-  let edge_prof =
-    (* instrumented builds of the workload read the same input *)
-    edge_prof
-  in
-  let cc_pgo = { cc_base with pgo = Bolt_minic.Driver.Apply edge_prof; lto } in
-  let b_pgo = compile cc_pgo in
+  let b_pgo = compile { cc_base with pgo = Bolt_minic.Driver.Apply edge_prof; lto } in
   (* BOLT on PGO(+LTO) *)
-  let prof_pgo, _ =
-    Pipeline.profile { Pipeline.exe = b_pgo.exe; cc = cc_pgo } ~input:train
-  in
-  let exe_pgobolt, rep_pgobolt = Bolt_core.Bolt.optimize b_pgo.exe prof_pgo in
+  let prof_pgo, _ = Pipeline.profile b_pgo ~input:train in
+  let b_pgobolt, rep_pgobolt = Pipeline.bolt b_pgo prof_pgo in
   let pgo_name = if lto then "PGO+LTO" else "PGO" in
   {
     cc_variants =
       [
-        { cv_name = "BOLT"; cv_speedups = speedups_of exe_bolt };
-        { cv_name = pgo_name; cv_speedups = speedups_of b_pgo.exe };
-        { cv_name = pgo_name ^ "+BOLT"; cv_speedups = speedups_of exe_pgobolt };
+        { cv_name = "BOLT"; cv_speedups = speedups_of b_bolt };
+        { cv_name = pgo_name; cv_speedups = speedups_of b_pgo };
+        { cv_name = pgo_name ^ "+BOLT"; cv_speedups = speedups_of b_pgobolt };
       ];
     cc_bolt_report = rep_bolt;
     cc_pgobolt_report = rep_pgobolt;
@@ -292,27 +265,17 @@ let scenario_opts = function
 
 let fig11 ?(params = { Bolt_workloads.Workloads.hhvm_like with iterations = 6_000 }) () =
   let w = Bolt_workloads.Gen.gen params in
-  let cc = Bolt_minic.Driver.default_options in
-  let b =
-    Bolt_minic.Driver.compile ~options:cc ~externals:w.externals ~extra_objs:w.extra_objs
-      w.sources
-  in
+  let b = Pipeline.compile ~externals:w.externals ~extra_objs:w.extra_objs w.sources in
   let profile ~lbr =
     let sampling = { Pipeline.default_sampling with Machine.lbr } in
-    let o = Machine.run ~sampling b.exe ~input:w.input in
-    match o.Machine.profile with
-    | Some raw -> Bolt_profile.Perf2bolt.convert b.exe raw
-    | None -> Bolt_profile.Fdata.empty
+    fst (Pipeline.profile ~sampling b ~input:w.input)
   in
   let prof_lbr = profile ~lbr:true in
   let prof_nolbr = profile ~lbr:false in
   List.map
     (fun scenario ->
       let opts = scenario_opts scenario in
-      let run prof =
-        let exe, _ = Bolt_core.Bolt.optimize ~opts b.exe prof in
-        Machine.run ~fuel:2_000_000_000 exe ~input:w.input
-      in
+      let run prof = Pipeline.run (fst (Pipeline.bolt ~opts b prof)) ~input:w.input in
       let with_lbr = run prof_lbr in
       let without = run prof_nolbr in
       let impr f =
@@ -335,21 +298,11 @@ let fig11 ?(params = { Bolt_workloads.Workloads.hhvm_like with iterations = 6_00
 
 let sec51 ?(params = { Bolt_workloads.Workloads.hhvm_like with iterations = 6_000 }) () =
   let w = Bolt_workloads.Gen.gen params in
-  let cc = Bolt_minic.Driver.default_options in
-  let b =
-    Bolt_minic.Driver.compile ~options:cc ~externals:w.externals ~extra_objs:w.extra_objs
-      w.sources
-  in
-  let base = Machine.run b.exe ~input:w.input in
-  let try_sampling name (s : Machine.sample_cfg) =
-    let o = Machine.run ~sampling:s b.exe ~input:w.input in
-    let prof =
-      match o.Machine.profile with
-      | Some raw -> Bolt_profile.Perf2bolt.convert b.exe raw
-      | None -> Bolt_profile.Fdata.empty
-    in
-    let exe, _ = Bolt_core.Bolt.optimize b.exe prof in
-    let opt = Machine.run ~fuel:2_000_000_000 exe ~input:w.input in
+  let b = Pipeline.compile ~externals:w.externals ~extra_objs:w.extra_objs w.sources in
+  let base = Pipeline.run b ~input:w.input in
+  let try_sampling name sampling =
+    let prof, _ = Pipeline.profile ~sampling b ~input:w.input in
+    let opt = Pipeline.run (fst (Pipeline.bolt b prof)) ~input:w.input in
     (name, Pipeline.speedup ~baseline:base ~optimized:opt)
   in
   [
@@ -386,9 +339,9 @@ let icf_experiment ?(params = { Bolt_workloads.Workloads.hhvm_like with iteratio
     Bolt_minic.Driver.compile ~options:cc ~externals:w.externals ~extra_objs:w.extra_objs
       w.sources
   in
-  let prof, _ = Pipeline.profile { Pipeline.exe = r.exe; cc } ~input:w.input in
-  let opts = { Bolt_core.Opts.none with icf = true } in
-  let _, report = Bolt_core.Bolt.optimize ~opts r.exe prof in
+  let b = { Pipeline.exe = r.exe; cc } in
+  let prof, _ = Pipeline.profile b ~input:w.input in
+  let _, report = Pipeline.bolt ~opts:{ Bolt_core.Opts.none with icf = true } b prof in
   let text = Bolt_obj.Objfile.text_size r.exe in
   {
     icf_linker_folded = r.link_stats.Bolt_linker.Linker.icf_folded;
@@ -447,18 +400,13 @@ type fig2_result = {
 let fig2 () =
   let sources = [ ("m", fig2_source) ] in
   let cc = Bolt_minic.Driver.default_options in
-  let plain = Bolt_minic.Driver.compile ~options:cc sources in
-  let base = Machine.run plain.exe ~input:[||] in
+  let plain = Pipeline.compile ~cc sources in
+  let base = Pipeline.run plain ~input:[||] in
   let edge_prof = Pipeline.pgo_profile ~cc sources ~input:[||] in
-  let b =
-    Bolt_minic.Driver.compile
-      ~options:{ cc with pgo = Bolt_minic.Driver.Apply edge_prof }
-      sources
-  in
-  let pgo = Machine.run b.exe ~input:[||] in
-  let prof, _ = Pipeline.profile { Pipeline.exe = plain.exe; cc } ~input:[||] in
-  let exe', _ = Bolt_core.Bolt.optimize plain.exe prof in
-  let opt = Machine.run ~fuel:2_000_000_000 exe' ~input:[||] in
+  let b = Pipeline.compile ~cc:{ cc with pgo = Bolt_minic.Driver.Apply edge_prof } sources in
+  let pgo = Pipeline.run b ~input:[||] in
+  let prof, _ = Pipeline.profile plain ~input:[||] in
+  let opt = Pipeline.run (fst (Pipeline.bolt plain prof)) ~input:[||] in
   {
     f2_plain_taken = base.Machine.counters.Machine.cond_taken;
     f2_pgo_taken = pgo.Machine.counters.Machine.cond_taken;
@@ -485,13 +433,13 @@ let fig10 ?(quick = false) () =
     Pipeline.pgo_profile ~externals:w.externals ~extra_objs:w.extra_objs
       ~cc:{ cc with lto = true } w.sources ~input:train
   in
-  let cc_pgo = { cc with pgo = Bolt_minic.Driver.Apply edge_prof; lto = true } in
   let b =
-    Bolt_minic.Driver.compile ~options:cc_pgo ~externals:w.externals
-      ~extra_objs:w.extra_objs w.sources
+    Pipeline.compile
+      ~cc:{ cc with pgo = Bolt_minic.Driver.Apply edge_prof; lto = true }
+      ~externals:w.externals ~extra_objs:w.extra_objs w.sources
   in
-  let prof, _ = Pipeline.profile { Pipeline.exe = b.exe; cc = cc_pgo } ~input:train in
-  let _, report = Bolt_core.Bolt.optimize b.exe prof in
+  let prof, _ = Pipeline.profile b ~input:train in
+  let _, report = Pipeline.bolt b prof in
   report.Bolt_core.Bolt.r_bad_layout
 
 (* ---- ablations ---- *)

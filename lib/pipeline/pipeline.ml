@@ -31,10 +31,11 @@ let build_id (b : build) : string = b.exe.Bolt_obj.Objfile.build_id
 let fingerprints (b : build) : Bolt_obj.Fingerprint.t =
   b.exe.Bolt_obj.Objfile.fingerprints
 
-let compile ?obs ?(cc = Bolt_minic.Driver.default_options) sources : build =
+let compile ?obs ?(cc = Bolt_minic.Driver.default_options) ?externals ?extra_objs
+    sources : build =
   let obs = opt_obs obs in
   Obs.span obs "compile" (fun () ->
-      let r = Bolt_minic.Driver.compile ~options:cc sources in
+      let r = Bolt_minic.Driver.compile ~options:cc ?externals ?extra_objs sources in
       Obs.incr obs ~by:(List.length sources) "build.sources";
       { exe = r.exe; cc })
 

@@ -21,8 +21,17 @@ type build = { exe : Bolt_obj.Objfile.t; cc : Bolt_minic.Driver.options }
     records stage metrics, so a driver gets a single trace across the whole
     experiment. Omitted, the helpers are telemetry-free. *)
 
+(** Compile and link MiniC [sources].  [?externals] (name, arity) declares
+    functions that [?extra_objs], pre-assembled objects linked beside the
+    sources, define: a generated workload's [Gen.externals] and
+    [Gen.extra_objs]. Both go straight to {!Bolt_minic.Driver.compile}. *)
 val compile :
-  ?obs:Obs.t -> ?cc:Bolt_minic.Driver.options -> (string * string) list -> build
+  ?obs:Obs.t ->
+  ?cc:Bolt_minic.Driver.options ->
+  ?externals:(string * int) list ->
+  ?extra_objs:Bolt_obj.Objfile.t list ->
+  (string * string) list ->
+  build
 
 (** The revision identity a deployment pipeline keys on: the build-id
     stamp and CFG fingerprint table of the built binary. These are what

@@ -21,9 +21,13 @@
    - inferred: the function matched but too few blocks aligned to trust
      offset remapping.  Intra-function records are dropped and only
      function-level evidence survives — call edges into the entry, and a
-     synthesized entry count when no caller was recorded — leaving the
-     block-level counts to [Match_profile.finalize]'s dataflow repair
-     (§5.2: entry counts propagate through the CFG).
+     synthesized entry count when no caller was recorded.  Nothing
+     spreads that count over the CFG: for an LBR profile
+     [Match_profile.finalize] takes each block's count from that block's
+     own edges, and its §5.2 surplus repair moves flow along one edge at
+     most, so every block past the entry keeps count 0 and is split
+     cold.  The function keeps its call-graph heat, not its block
+     layout; ROADMAP.md's flow-inference item is the fix.
    - dropped: no plausible counterpart (the function was deleted).  Its
      records are removed entirely, so they cannot spray unknown-function
      diagnostics downstream.
@@ -44,17 +48,6 @@ type stats = {
   st_records_in : int; (* branch+range+sample records before *)
   st_records_kept : int; (* ... and after recovery *)
 }
-
-let empty_stats =
-  {
-    st_funcs = 0;
-    st_exact = 0;
-    st_fuzzy = 0;
-    st_inferred = 0;
-    st_dropped = 0;
-    st_records_in = 0;
-    st_records_kept = 0;
-  }
 
 (* Componentwise sum of per-shard recoveries: one fleet-level
    breakdown, [None] when no shard needed recovering. *)

@@ -102,7 +102,6 @@ type t = {
   obs : Obs.t;
   sketch : Sketch.t;
   monitor : Monitor.t;
-  start_time : int;
   mutable target : P.build option; (* None: track/trigger without rewriting *)
   mutable expected_build_id : string;
   mutable fingerprints : Bolt_obj.Fingerprint.t;
@@ -131,7 +130,6 @@ let create ?obs ?(config = default_config) ?target ?expect_build_id
     obs;
     sketch = Sketch.create ~obs ~topk:config.c_topk ~budget:config.c_budget ();
     monitor = Monitor.create ();
-    start_time;
     target;
     expected_build_id = expected;
     fingerprints = fps;
@@ -413,20 +411,8 @@ let manifest_section (t : t) : string * Json.t =
         ("events", Json.Int t.events_seen);
         ("lines", Json.Int t.lines_in);
         ("hosts", Json.Int (Sketch.hosts t.sketch));
-        ("start_time", Json.Int t.start_time);
         ("now", Json.Int t.now);
         ("expected_build_id", Json.String t.expected_build_id);
-        ( "trigger",
-          let tr = t.cfg.c_trigger in
-          Json.Obj
-            [
-              ("min_hosts", Json.Int tr.tr_min_hosts);
-              ("min_coverage_pct", Json.Float tr.tr_min_coverage_pct);
-              ("max_staleness_pct", Json.Float tr.tr_max_staleness_pct);
-              ("min_recovery_rate", Json.Float tr.tr_min_recovery_rate);
-              ("max_interval_s", Json.Int tr.tr_max_interval);
-              ("cooldown_hosts", Json.Int tr.tr_cooldown_hosts);
-            ] );
         ( "sketch",
           Json.Obj
             [

@@ -66,5 +66,3 @@ let pop_ras p addr =
     let predicted = p.ras.(p.ras_top mod Array.length p.ras) in
     predicted <> addr
   end
-
-let branch_misses p = p.cond_misses + p.target_misses

@@ -383,6 +383,79 @@ let test_frame_opts_removes_dead_save () =
   let b = Machine.run exe' ~input:[||] in
   Alcotest.(check (list int)) "same output" a.Machine.output b.Machine.output
 
+(* One cold rule for two passes: on split runs of a profiled datacenter
+   build and of a program with small functions, split-functions sinks
+   exactly the blocks that reorder-bbs projected out as
+   [Layout_bbs.sunk_cold] just before it ran, so a change to the rule
+   moves both uses together.  Returns each simple function's size and
+   cold blocks. *)
+let split_follows_sunk_cold exe prof =
+  let ctx = Bolt_core.Context.create ~opts:Bolt_core.Opts.default exe in
+  let env = Bolt_core.Passman.make_env ctx prof in
+  Bolt_core.Passman.run env Bolt_core.Passman.pre_passes;
+  let rec before_reorder = function
+    | (p : Bolt_core.Passman.pass) :: rest when p.p_name <> "reorder-bbs" ->
+        p :: before_reorder rest
+    | _ -> []
+  in
+  Bolt_core.Passman.run env (before_reorder Bolt_core.Passman.table1);
+  let sunk =
+    List.map
+      (fun (fb : Bolt_core.Bfunc.t) ->
+        ( fb.fb_name,
+          match Bolt_core.Layout_bbs.sunk_cold ctx.Bolt_core.Context.opts fb with
+          | None -> []
+          | Some cold -> List.sort compare (List.filter cold fb.layout) ))
+      (Bolt_core.Context.simple_funcs ctx)
+  in
+  Bolt_core.Passman.run env
+    (List.map Bolt_core.Passman.find [ "reorder-bbs"; "split-functions" ]);
+  let split =
+    List.map
+      (fun (name, _) ->
+        let fb = Option.get (Bolt_core.Context.func ctx name) in
+        ( name,
+          List.sort compare
+            (Hashtbl.fold (fun l () acc -> l :: acc) fb.Bolt_core.Bfunc.cold_set []) ))
+      sunk
+  in
+  Alcotest.(check (list (pair string (list string)))) "cold_set = sunk_cold" sunk split;
+  List.map
+    (fun (name, cold) -> ((Option.get (Bolt_core.Context.func ctx name)).fb_size, cold))
+    split
+
+let test_split_follows_sunk_cold () =
+  let module P = Bolt_pipeline.Pipeline in
+  let w = Bolt_workloads.Gen.gen Test_asm_link.small_hhvm in
+  let b = P.compile ~externals:w.externals ~extra_objs:w.extra_objs w.sources in
+  let small =
+    compile
+      ~options:
+        {
+          Driver.default_options with
+          inline_decisions = { Inline.default_decisions with small_threshold = 0; hint_threshold = 0 };
+        }
+      [
+        ( "m",
+          {| fn pick(x) { if (x < 0) { return 0 - x; } return x + 1; }
+             fn main() {
+               var i = 0;
+               var s = 0;
+               while (i < 3000) { s = s + pick(i); i = i + 1; }
+               out s;
+               return 0;
+             } |} );
+      ]
+  in
+  let split =
+    split_follows_sunk_cold b.P.exe (fst (P.profile b ~input:w.input))
+    @ split_follows_sunk_cold small (profile_of small ~input:[||])
+  in
+  Alcotest.(check bool) "a function over 256 bytes split" true
+    (List.exists (fun (size, cold) -> size > 256 && cold <> []) split);
+  Alcotest.(check bool) "a function of at most 256 bytes split" true
+    (List.exists (fun (size, cold) -> size <= 256 && cold <> []) split)
+
 let suite =
   [
     Alcotest.test_case "cfg-reconstruction" `Quick test_cfg_reconstruction;
@@ -402,4 +475,5 @@ let suite =
     Alcotest.test_case "exceptions-survive" `Quick test_exceptions_survive_rewrite;
     Alcotest.test_case "identity-rewrite" `Quick test_identity_rewrite_preserves_everything;
     Alcotest.test_case "frame-opts" `Quick test_frame_opts_removes_dead_save;
+    Alcotest.test_case "split-follows-sunk-cold" `Quick test_split_follows_sunk_cold;
   ]

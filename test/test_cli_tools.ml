@@ -56,35 +56,13 @@ let test_file_flow () =
     (Machine.cycles b.Machine.counters < Machine.cycles a.Machine.counters)
 
 let test_pgo_file_flow () =
-  (* instrument -> run -> dump counters via the mapping file -> rebuild *)
-  let map_path = in_temp "t_prog.map" in
-  let prof_path = in_temp "t_prog.edges" in
+  (* instrument -> run -> read the counters back -> rebuild with the profile *)
   let sources = [ ("m", src) ] in
-  let r =
-    Bolt_minic.Driver.compile
-      ~options:{ Bolt_minic.Driver.default_options with pgo = Bolt_minic.Driver.Instrument }
-      sources
-  in
-  let mapping = Option.get r.mapping in
-  Bolt_minic.Pgo.save_mapping map_path mapping;
-  let o = Machine.run r.exe ~input:[||] in
-  let base =
-    (Option.get (Bolt_obj.Objfile.find_symbol r.exe Bolt_minic.Pgo.counters_symbol))
-      .Bolt_obj.Types.sym_value
-  in
-  let mapping' = Bolt_minic.Pgo.load_mapping map_path in
-  Alcotest.(check int) "mapping roundtrip" (List.length mapping) (List.length mapping');
-  let counters =
-    Array.init (Bolt_minic.Pgo.num_counters mapping') (fun i ->
-        Bolt_sim.Memory.read64 o.Machine.final_mem (base + (8 * i)))
-  in
-  let prof = Bolt_minic.Pgo.profile_of_counters mapping' counters in
-  Bolt_minic.Pgo.save_profile prof_path prof;
-  let prof' = Bolt_minic.Pgo.load_profile prof_path in
-  List.iter Sys.remove [ map_path; prof_path ];
+  let cc = Bolt_minic.Driver.default_options in
+  let prof = Bolt_pipeline.Pipeline.pgo_profile ~cc sources ~input:[||] in
   let r2 =
     Bolt_minic.Driver.compile
-      ~options:{ Bolt_minic.Driver.default_options with pgo = Bolt_minic.Driver.Apply prof' }
+      ~options:{ cc with pgo = Bolt_minic.Driver.Apply prof }
       sources
   in
   let a = Machine.run r2.exe ~input:[||] in

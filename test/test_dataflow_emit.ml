@@ -1,4 +1,4 @@
-(* Lower-level bolt_core tests: liveness dataflow, heat-map construction,
+(* Lower-level bolt_core tests: register references, heat-map construction,
    dyno-stats accounting, emission/relaxation invariants checked by
    disassembling a rewritten binary, and CFG construction and emission
    against [Oracle.Build] and [Oracle.Emit]. *)
@@ -11,7 +11,7 @@ let compile ?(options = Driver.default_options) srcs =
 
 let build_ctx = Test_bolt_core.build_ctx
 
-let test_liveness_callee_saved () =
+let test_references_callee_saved () =
   (* a framed function that uses r8 must report r8 as referenced *)
   let exe =
     compile
@@ -38,11 +38,7 @@ let test_liveness_callee_saved () =
       (fun r -> Bolt_core.Dataflow.references_reg fb r)
       Bolt_isa.Reg.callee_saved
   in
-  Alcotest.(check bool) "uses callee-saved regs" true used_any;
-  (* liveness converges and entry block exists *)
-  let live = Bolt_core.Dataflow.liveness fb in
-  Alcotest.(check bool) "entry live-in computed" true
-    (Hashtbl.mem live fb.Bolt_core.Bfunc.entry)
+  Alcotest.(check bool) "uses callee-saved regs" true used_any
 
 let test_heatmap_build_and_prefix () =
   let h = Hashtbl.create 16 in
@@ -52,11 +48,7 @@ let test_heatmap_build_and_prefix () =
   let t = Bolt_core.Heatmap.build ~rows:8 ~cols:8 ~base:0x400000 ~span:(64 * 64 * 8) h in
   Alcotest.(check bool) "prefix captures all" true
     (Bolt_core.Heatmap.heat_in_prefix t 0.25 > 0.99);
-  Alcotest.(check bool) "extent small" true (Bolt_core.Heatmap.hot_extent t <= 2 * t.Bolt_core.Heatmap.bucket);
-  (* csv shape: rows lines, cols columns *)
-  let csv = Bolt_core.Heatmap.to_csv t in
-  let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
-  Alcotest.(check int) "csv rows" 8 (List.length lines)
+  Alcotest.(check bool) "extent small" true (Bolt_core.Heatmap.hot_extent t <= 2 * t.Bolt_core.Heatmap.bucket)
 
 (* Disassemble every function of a rewritten binary: all bytes must decode
    and all direct intra-function branch targets must land on instruction
@@ -362,7 +354,7 @@ let test_oracles_built () =
 
 let suite =
   [
-    Alcotest.test_case "liveness" `Quick test_liveness_callee_saved;
+    Alcotest.test_case "liveness" `Quick test_references_callee_saved;
     Alcotest.test_case "heatmap-build" `Quick test_heatmap_build_and_prefix;
     Alcotest.test_case "rewritten-decodes" `Quick test_rewritten_binary_decodes;
     Alcotest.test_case "dyno-empty" `Quick test_dyno_stats_zero_on_empty_profile;

@@ -173,14 +173,6 @@ let test_inline_scales_profile () =
   let main = List.find (fun f -> f.Ir.f_name = "main") p.Ir.p_funcs in
   Alcotest.(check bool) "main grew" true (List.length main.Ir.f_blocks > 1)
 
-let test_pgo_profile_files () =
-  let prof = [ ("f", 0, 1, 42); ("g", 2, 3, 7) ] in
-  let path = Filename.temp_file "bolt" ".edges" in
-  Pgo.save_profile path prof;
-  let p = Pgo.load_profile path in
-  Sys.remove path;
-  Alcotest.(check bool) "roundtrip" true (p = prof)
-
 let suite =
   [
     Alcotest.test_case "lexer-tokens" `Quick test_lexer_tokens;
@@ -194,5 +186,4 @@ let suite =
     Alcotest.test_case "constant-folding" `Quick test_constant_folding;
     Alcotest.test_case "instrumentation" `Quick test_instrumentation_counts_edges;
     Alcotest.test_case "inline" `Quick test_inline_scales_profile;
-    Alcotest.test_case "pgo-files" `Quick test_pgo_profile_files;
   ]

@@ -92,17 +92,8 @@ let test_metrics_basics () =
   Metrics.incr m "pass.icf.folded";
   Metrics.incr m ~by:4 "pass.icf.folded";
   Metrics.set m "profile.staleness_ratio" 0.25;
-  Metrics.observe m "func.size" 10.0;
-  Metrics.observe m "func.size" 30.0;
   Alcotest.(check int) "counter" 5 (Metrics.counter m "pass.icf.folded");
   Alcotest.(check (float 0.0)) "gauge" 0.25 (Metrics.gauge m "profile.staleness_ratio");
-  (match Metrics.dist m "func.size" with
-  | Some d ->
-      Alcotest.(check int) "dist n" 2 d.Metrics.d_n;
-      Alcotest.(check (float 0.0)) "dist sum" 40.0 d.Metrics.d_sum;
-      Alcotest.(check (float 0.0)) "dist min" 10.0 d.Metrics.d_min;
-      Alcotest.(check (float 0.0)) "dist max" 30.0 d.Metrics.d_max
-  | None -> Alcotest.fail "distribution missing");
   Alcotest.check_raises "kind mismatch rejected"
     (Invalid_argument "Metrics: pass.icf.folded is a counter, not a gauge")
     (fun () -> Metrics.set m "pass.icf.folded" 1.0)
@@ -112,23 +103,14 @@ let test_metrics_merge () =
   Metrics.incr a ~by:3 "c.shared";
   Metrics.incr a ~by:1 "c.only_a";
   Metrics.set a "g.x" 1.0;
-  Metrics.observe a "d.x" 5.0;
   Metrics.incr b ~by:4 "c.shared";
   Metrics.incr b ~by:7 "c.only_b";
   Metrics.set b "g.x" 2.0;
-  Metrics.observe b "d.x" 1.0;
-  Metrics.observe b "d.x" 9.0;
   Metrics.merge ~into:a b;
   Alcotest.(check int) "counters add" 7 (Metrics.counter a "c.shared");
   Alcotest.(check int) "a-only kept" 1 (Metrics.counter a "c.only_a");
   Alcotest.(check int) "b-only copied" 7 (Metrics.counter a "c.only_b");
   Alcotest.(check (float 0.0)) "gauge takes other's" 2.0 (Metrics.gauge a "g.x");
-  (match Metrics.dist a "d.x" with
-  | Some d ->
-      Alcotest.(check int) "dist n combined" 3 d.Metrics.d_n;
-      Alcotest.(check (float 0.0)) "dist min combined" 1.0 d.Metrics.d_min;
-      Alcotest.(check (float 0.0)) "dist max combined" 9.0 d.Metrics.d_max
-  | None -> Alcotest.fail "merged distribution missing");
   (* merging into a fresh registry must not alias the source *)
   let fresh = Metrics.create () in
   Metrics.merge ~into:fresh a;
