@@ -18,7 +18,7 @@ let dump_function exe meta (s : Types.symbol) =
   in
   Printf.printf "\n%08x <%s>:  (%d bytes, %s)\n" s.sym_value s.sym_name s.sym_size
     sec.sec_name;
-  let dbg = Objfile.Index.dbg meta s.sym_name in
+  let dbg = Objfile.Index.dbg meta s.sym_value in
   let line_at off =
     match dbg with
     | None -> None

@@ -221,6 +221,21 @@ let pp_report ppf (r : report) =
   Fmt.pf ppf "  dyno-stats (profile-weighted, before -> after):@.";
   Dyno_stats.pp_comparison ppf ~before:r.r_dyno_before ~after:r.r_dyno_after
 
+let recovery_json = function
+  | None -> Json.Null
+  | Some (st : Bolt_profile.Stale_match.stats) ->
+      Json.Obj
+        [
+          ("funcs", Json.Int st.st_funcs);
+          ("exact", Json.Int st.st_exact);
+          ("fuzzy", Json.Int st.st_fuzzy);
+          ("inferred", Json.Int st.st_inferred);
+          ("dropped", Json.Int st.st_dropped);
+          ("records_in", Json.Int st.st_records_in);
+          ("records_kept", Json.Int st.st_records_kept);
+          ("rate", Json.Float (Bolt_profile.Stale_match.recovery_rate st));
+        ]
+
 (* The report's contribution to the run manifest: everything a later
    perf PR wants to diff — pass outcomes, profile quality, dyno-stats
    deltas, quarantine and diagnostics — as stable JSON sections. *)
@@ -251,26 +266,7 @@ let manifest_sections (r : report) : (string * Json.t) list =
           ("stale_records", Json.Int r.r_profile_stale_records);
           ("unknown_funcs", Json.Int r.r_profile_unknown_funcs);
           ("staleness_ratio", Json.Float r.r_profile_staleness);
-          ( "recovery",
-            match r.r_recovery with
-            | None -> Json.Null
-            | Some st ->
-                Json.Obj
-                  [
-                    ("funcs", Json.Int st.Bolt_profile.Stale_match.st_funcs);
-                    ("exact", Json.Int st.Bolt_profile.Stale_match.st_exact);
-                    ("fuzzy", Json.Int st.Bolt_profile.Stale_match.st_fuzzy);
-                    ( "inferred",
-                      Json.Int st.Bolt_profile.Stale_match.st_inferred );
-                    ( "dropped",
-                      Json.Int st.Bolt_profile.Stale_match.st_dropped );
-                    ( "records_in",
-                      Json.Int st.Bolt_profile.Stale_match.st_records_in );
-                    ( "records_kept",
-                      Json.Int st.Bolt_profile.Stale_match.st_records_kept );
-                    ( "rate",
-                      Json.Float (Bolt_profile.Stale_match.recovery_rate st) );
-                  ] );
+          ("recovery", recovery_json r.r_recovery);
         ] );
     ( "dyno_stats",
       Json.Obj

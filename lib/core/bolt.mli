@@ -93,6 +93,12 @@ val optimize :
     dyno-stats before/after table. *)
 val pp_report : Format.formatter -> report -> unit
 
+(** A stale-profile recovery breakdown as the manifests' [recovery]
+    object ([null] when there was none); the run manifest's
+    [profile_quality] and the fleet manifest's [fleet] section both
+    carry it. *)
+val recovery_json : Bolt_profile.Stale_match.stats option -> Bolt_obs.Json.t
+
 (** The report as stable JSON manifest sections ([report],
     [profile_quality], [dyno_stats], [layout], [quarantine],
     [diagnostics], [bad_layout]) for {!Bolt_obs.Manifest.make}. *)

@@ -68,6 +68,10 @@ let find_jump_table ctx (d : Codec.run) idx fb_addr =
   | Some _, _, _ -> Jt_suspicious
   | None, _, _ -> if !saw_load then Jt_suspicious else Jt_absent
 
+(* The function starting at [a], named by the index's alias rule. *)
+let entry_at ctx a =
+  Option.map (fun (s : Types.symbol) -> s.sym_name) (Symtab.at ctx.Context.syms a)
+
 (* ---- non-simple fallback ---- *)
 
 (* Linear code for a function kept byte-identical, with the references
@@ -79,18 +83,18 @@ let symbolize_raw ctx (fb : Bfunc.t) (d : Codec.run) =
     let sym =
       match r_insn with
       | Insn.Call (Insn.Imm rel) -> (
-          match Context.resolve_code ctx (fb.fb_addr + next_off + rel) with
-          | Some (fn, 0) -> Insn.Call (Insn.Sym (fn, 0))
-          | _ -> r_insn)
+          match entry_at ctx (fb.fb_addr + next_off + rel) with
+          | Some fn -> Insn.Call (Insn.Sym (fn, 0))
+          | None -> r_insn)
       | Insn.Lea_rel (rg, Insn.Imm disp) -> (
           let a = fb.fb_addr + next_off + disp in
-          match Context.resolve_code ctx a with
-          | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
-          | _ -> Insn.Lea (rg, Insn.Imm a))
+          match entry_at ctx a with
+          | Some fn -> Insn.Lea (rg, Insn.Sym (fn, 0))
+          | None -> Insn.Lea (rg, Insn.Imm a))
       | Insn.Lea (rg, Insn.Imm a) -> (
-          match Context.resolve_code ctx a with
-          | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
-          | _ -> r_insn)
+          match entry_at ctx a with
+          | Some fn -> Insn.Lea (rg, Insn.Sym (fn, 0))
+          | None -> r_insn)
       | i -> i
     in
     { op = sym; lp = None; loc = None; cfi_after = []; m_off = d.offs.(k) }
@@ -131,7 +135,7 @@ let build_function ctx (fb : Bfunc.t) =
       (* source locations, sorted; [loc_at] answers the last entry at or
          before an offset, for offsets that never decrease *)
       let lines =
-        match Objfile.Index.dbg ctx.Context.meta fb.fb_name with
+        match Objfile.Index.dbg ctx.Context.meta fb.fb_addr with
         | Some d -> Array.of_list d.dbg_entries
         | None -> [||]
       in
@@ -147,7 +151,7 @@ let build_function ctx (fb : Bfunc.t) =
       (* CFI ops by the offset at which they take effect, in list order
          within an offset *)
       let fde_ops =
-        match Objfile.Index.fde ctx.Context.meta fb.fb_name with
+        match Objfile.Index.fde ctx.Context.meta fb.fb_addr with
         | Some f -> f.fde_cfi
         | None -> []
       in
@@ -190,7 +194,7 @@ let build_function ctx (fb : Bfunc.t) =
         end
         else Types.cfi_state_at fde_ops leader
       in
-      let lsda = Objfile.Index.lsda ctx.Context.meta fb.fb_name in
+      let lsda = Objfile.Index.lsda ctx.Context.meta fb.fb_addr in
       (* landing-pad ranges with their pad labels; the first range in
          table order that covers an offset wins *)
       let pads =
@@ -214,9 +218,7 @@ let build_function ctx (fb : Bfunc.t) =
       in
       (* symbolize a call target; raises Exit when impossible *)
       let call_target addr =
-        match Context.resolve_code ctx addr with
-        | Some (name, 0) -> name
-        | _ -> raise Exit
+        match entry_at ctx addr with Some name -> name | None -> raise Exit
       in
       let in_func off = off >= 0 && off < fb.fb_size in
       (* jump tables, with the indirect jump's instruction index *)
@@ -360,16 +362,16 @@ let build_function ctx (fb : Bfunc.t) =
                  let a = fb.fb_addr + next_off + disp in
                  acc :=
                    keep i
-                     (match Context.resolve_code ctx a with
-                     | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
-                     | _ -> Insn.Lea (rg, Insn.Imm a))
+                     (match entry_at ctx a with
+                     | Some fn -> Insn.Lea (rg, Insn.Sym (fn, 0))
+                     | None -> Insn.Lea (rg, Insn.Imm a))
                      !acc
              | Insn.Lea (rg, Insn.Imm a) -> (
                  (* function pointers must stay symbolic: the target is
                     about to move *)
-                 match Context.resolve_code ctx a with
-                 | Some (fn, 0) -> acc := keep i (Insn.Lea (rg, Insn.Sym (fn, 0))) !acc
-                 | Some _ ->
+                 match entry_at ctx a with
+                 | Some fn -> acc := keep i (Insn.Lea (rg, Insn.Sym (fn, 0))) !acc
+                 | None when Symtab.covering ctx.Context.syms a <> None ->
                      mark_non_simple fb "address of code taken mid-function";
                      raise Exit
                  | None -> acc := keep i r_insn !acc)
@@ -453,11 +455,14 @@ let discover ctx =
       end
     end
   in
-  (* symbol-table functions (skip PLT stubs: they are kept verbatim) *)
+  (* symbol-table functions (skip PLT stubs: they are kept verbatim); of
+     several symbols at one start, only the one the index names *)
   List.iter
     (fun (s : Types.symbol) ->
       if s.sym_kind = Types.Func && s.sym_section = ".text" then
-        add s.sym_name s.sym_value s.sym_size)
+        match entry_at ctx s.sym_value with
+        | Some owner when owner <> s.sym_name -> ()
+        | _ -> add s.sym_name s.sym_value s.sym_size)
     exe.symbols;
   (* frame-info-only functions: the hybrid half of discovery *)
   List.iter

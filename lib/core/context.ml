@@ -5,7 +5,7 @@ open Bolt_obj
 
 type t = {
   exe : Objfile.t;
-  meta : Objfile.Index.t; (* [exe]'s FDEs, line tables and LSDAs by name *)
+  meta : Objfile.Index.t; (* [exe]'s FDEs, line tables and LSDAs by start *)
   opts : Opts.t;
   funcs : (string, Bfunc.t) Hashtbl.t;
   mutable order : string list; (* functions by original address *)
@@ -16,8 +16,7 @@ type t = {
   rodata : Types.section option;
   got : Types.section option;
   relocations_mode : bool;
-  (* sorted (addr, size, name) of code symbols for address resolution *)
-  sym_index : (int * int * string) array;
+  syms : Symtab.t; (* [exe]'s functions by address *)
   plt_target : (string, string) Hashtbl.t; (* stub symbol -> target function *)
   mutable func_layout : (string list * string list) option; (* hot, cold order *)
   mutable log : string list; (* pass log, newest first *)
@@ -58,23 +57,6 @@ let in_section (sec : Types.section option) addr =
   | Some s -> addr >= s.sec_addr && addr < s.sec_addr + s.sec_size
   | None -> false
 
-(* Resolve a code address to (function name, offset). *)
-let resolve_code ctx addr =
-  let a = ctx.sym_index in
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
-  let res = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let base, size, name = a.(mid) in
-    if addr < base then hi := mid - 1
-    else if addr >= base + size then lo := mid + 1
-    else begin
-      res := Some (name, addr - base);
-      lo := !hi + 1
-    end
-  done;
-  !res
-
 let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
   let obs =
     match obs with Some o -> o | None -> Bolt_obs.Obs.create ~name:"bolt" ()
@@ -92,17 +74,6 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
     | Some b -> b
     | None -> exe.relocs <> []
   in
-  let code_syms =
-    List.filter
-      (fun (s : Types.symbol) ->
-        s.sym_kind = Types.Func && (s.sym_section = ".text" || s.sym_section = ".plt"))
-      exe.symbols
-  in
-  let sym_index =
-    List.map (fun (s : Types.symbol) -> (s.sym_value, max 1 s.sym_size, s.sym_name)) code_syms
-    |> Array.of_list
-  in
-  Array.sort compare sym_index;
   (* resolve PLT stubs through their GOT slots *)
   let plt_target = Hashtbl.create 16 in
   let ctx =
@@ -118,7 +89,7 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
       rodata;
       got;
       relocations_mode;
-      sym_index;
+      syms = Symtab.create exe.symbols;
       plt_target;
       func_layout = None;
       log = [];
@@ -138,9 +109,9 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
             | Bolt_isa.Insn.Jmp_mem (Bolt_isa.Insn.Imm slot), _ -> (
                 match section_value ctx ctx.got slot with
                 | Some target -> (
-                    match resolve_code ctx target with
-                    | Some (name, 0) -> Hashtbl.replace plt_target s.sym_name name
-                    | _ ->
+                    match Symtab.at ctx.syms target with
+                    | Some f -> Hashtbl.replace plt_target s.sym_name f.Types.sym_name
+                    | None ->
                         Diag.warnf ctx.diag ~stage:"plt-scan" ~func:s.sym_name
                           "GOT slot %#x does not point at a function entry" slot)
                 | None ->

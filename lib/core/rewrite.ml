@@ -64,19 +64,29 @@ let plt_slots ctx =
   | None -> ());
   slots
 
+(* The function a symbol name stands for: its own, or for an alias
+   discovery never registered, the one the index names at its start. *)
+let owner ctx name =
+  match Context.func ctx name with
+  | Some f -> Some f
+  | None ->
+      Option.bind (Symtab.find ctx.Context.syms name) (fun s ->
+          Option.bind (Symtab.at ctx.Context.syms s.sym_value) (fun o ->
+              Context.func ctx o.sym_name))
+
+(* Where a symbol's code lives now: its owner, followed through ICF
+   folds to the survivor. *)
 let canon_name ctx name =
   let rec go n =
     match Context.func ctx n with
-    | Some f -> ( match f.folded_into with Some s -> go s | None -> n)
-    | None -> n
+    | Some { folded_into = Some s; _ } -> go s
+    | _ -> n
   in
-  go name
+  match owner ctx name with Some f -> go f.fb_name | None -> name
 
 let run ctx : result =
   let exe = ctx.Context.exe in
   let opts = ctx.Context.opts in
-  let text_size_before = exe.sections |> List.filter (fun s -> s.sec_kind = Text)
-                         |> List.fold_left (fun a s -> a + s.sec_size) 0 in
   let live =
     List.filter_map
       (fun n ->
@@ -464,7 +474,7 @@ let run ctx : result =
           | Some a -> Some { s with sym_value = a; sym_section = ".text" }
           | None -> None
         else
-          match Context.func ctx s.sym_name with
+          match owner ctx s.sym_name with
           | Some fb -> (
               let target = canon_name ctx s.sym_name in
               match Hashtbl.find_opt frag_addr target with
@@ -545,13 +555,13 @@ let run ctx : result =
       | Some fb ->
           (* non-simple or reverted: original metadata rebased *)
           if frag.Emit.fr_name = fb.fb_name then begin
-            (match Objfile.Index.fde meta fb.fb_name with
+            (match Objfile.Index.fde meta fb.fb_addr with
             | Some f -> fdes := { f with fde_addr = p.p_addr } :: !fdes
             | None -> ());
-            (match Objfile.Index.lsda meta fb.fb_name with
+            (match Objfile.Index.lsda meta fb.fb_addr with
             | Some l -> lsdas := { l with lsda_fn_addr = p.p_addr } :: !lsdas
             | None -> ());
-            match Objfile.Index.dbg meta fb.fb_name with
+            match Objfile.Index.dbg meta fb.fb_addr with
             | Some d -> dbgs := { d with dbg_addr = p.p_addr } :: !dbgs
             | None -> ()
           end
@@ -560,9 +570,12 @@ let run ctx : result =
   (* reverted functions keep their original records *)
   Hashtbl.iter
     (fun n () ->
-      (match Objfile.Index.fde meta n with Some f -> fdes := f :: !fdes | None -> ());
-      (match Objfile.Index.lsda meta n with Some l -> lsdas := l :: !lsdas | None -> ());
-      match Objfile.Index.dbg meta n with Some d -> dbgs := d :: !dbgs | None -> ())
+      match Context.func ctx n with
+      | Some fb ->
+          (match Objfile.Index.fde meta fb.fb_addr with Some f -> fdes := f :: !fdes | None -> ());
+          (match Objfile.Index.lsda meta fb.fb_addr with Some l -> lsdas := l :: !lsdas | None -> ());
+          (match Objfile.Index.dbg meta fb.fb_addr with Some d -> dbgs := d :: !dbgs | None -> ())
+      | None -> ())
     reverted;
 
   let other_sections =
@@ -598,16 +611,12 @@ let run ctx : result =
            fingerprints = [];
          })
   in
-  let text_size_after =
-    out.Objfile.sections |> List.filter (fun s -> s.sec_kind = Text)
-    |> List.fold_left (fun a s -> a + s.sec_size) 0
-  in
   {
     out;
     hot_size = !hot_end - Layout.text_base;
     cold_size = !cold_bytes;
-    text_size_before;
-    text_size_after;
+    text_size_before = Objfile.text_size exe;
+    text_size_after = Objfile.text_size out;
   }
 
 (* ---- the hardened rewrite driver ----
@@ -617,11 +626,6 @@ let run ctx : result =
    is quarantined and the rewrite re-run without it; if the rewrite still
    cannot complete (and we are not strict) the run degrades to the
    identity rewrite — the input binary unchanged. *)
-
-let text_bytes (e : Objfile.t) =
-  e.Objfile.sections
-  |> List.filter (fun (s : section) -> s.sec_kind = Text)
-  |> List.fold_left (fun a (s : section) -> a + s.sec_size) 0
 
 (* How many times a Frag_error may quarantine a function and retry the
    whole rewrite before giving up.  Each retry removes at least one
@@ -651,7 +655,7 @@ let run_protected ctx : result * bool =
         "rewrite failed (%s); falling back to the identity rewrite"
         (Printexc.to_string exn);
       Bolt_obs.Obs.event obs "identity-fallback";
-      let tb = text_bytes ctx.Context.exe in
+      let tb = Objfile.text_size ctx.Context.exe in
       ( {
           out = ctx.Context.exe;
           hot_size = 0;

@@ -191,24 +191,7 @@ let manifest_section (r : report) : string * Json.t =
         ("stale_shards", Json.Int r.q_stale_shards);
         ("unstamped_shards", Json.Int r.q_unstamped_shards);
         ("staleness_pct", Json.Float r.q_staleness_pct);
-        ( "recovery",
-          match r.q_recovery with
-          | None -> Json.Null
-          | Some st ->
-              Json.Obj
-                [
-                  ("funcs", Json.Int st.Bolt_profile.Stale_match.st_funcs);
-                  ("exact", Json.Int st.Bolt_profile.Stale_match.st_exact);
-                  ("fuzzy", Json.Int st.Bolt_profile.Stale_match.st_fuzzy);
-                  ("inferred", Json.Int st.Bolt_profile.Stale_match.st_inferred);
-                  ("dropped", Json.Int st.Bolt_profile.Stale_match.st_dropped);
-                  ( "records_in",
-                    Json.Int st.Bolt_profile.Stale_match.st_records_in );
-                  ( "records_kept",
-                    Json.Int st.Bolt_profile.Stale_match.st_records_kept );
-                  ( "rate",
-                    Json.Float (Bolt_profile.Stale_match.recovery_rate st) );
-                ] );
+        ("recovery", Bolt_core.Bolt.recovery_json r.q_recovery);
       ] )
 
 let pp ppf (r : report) =

@@ -12,7 +12,10 @@
 
    Switch statements lower to PIC or absolute jump tables; the PIC flavour
    leaves no relocations behind after linking, so the rewriter has to
-   rediscover the table by pattern matching, as the paper describes. *)
+   rediscover the table by pattern matching, as the paper describes.
+
+   Every function returns with the 2-byte legacy-AMD [repz ret], which
+   BOLT's strip-rep-ret pass removes, and gets a frame descriptor. *)
 
 open Bolt_isa
 open Bolt_asm.Asm
@@ -25,8 +28,6 @@ type options = {
   pic_jump_tables : bool;
   align_loops : bool;
   plt_calls : bool; (* extern calls go through the PLT (non-LTO builds) *)
-  repz_ret : bool; (* emit the legacy-AMD 2-byte return *)
-  emit_fde : bool;
 }
 
 type home = Hreg of Reg.t | Hslot of int (* slot index, 8 bytes each *)
@@ -321,7 +322,7 @@ let emit_term st ~lp ~next (t : Ir.term) =
       | Some t -> load_temp st Reg.r0 t
       | None -> ins st (Insn.Mov_ri (Reg.r0, Insn.Imm 0, Insn.I32)));
       if st.frame.frameless then
-        ins st (if st.opts.repz_ret then Insn.Repz_ret else Insn.Ret)
+        ins st Insn.Repz_ret
       else if next <> None then
         (* the shared epilogue sits right after the last block *)
         ins st (Insn.Jmp (Insn.Sym (epi_lbl fn, 0), Insn.W8))
@@ -417,13 +418,13 @@ let gen_func ~opts ~module_of (f : Ir.func) : afunc * ditem list =
     ins st (Insn.Mov_rr (Reg.sp, Reg.fp));
     ins st (Insn.Pop Reg.fp);
     push st (A_cfi T.Cfi_teardown);
-    ins st (if opts.repz_ret then Insn.Repz_ret else Insn.Ret)
+    ins st Insn.Repz_ret
   end;
   ( {
       af_name = fn;
       af_global = true;
       af_align = Bolt_obj.Layout.func_align;
-      af_emit_fde = opts.emit_fde;
+      af_emit_fde = true;
       af_body = List.rev st.items;
     },
     List.rev st.rodata )

@@ -16,8 +16,6 @@ type options = {
   pic_jump_tables : bool;
   align_loops : bool;
   plt_calls : bool;
-  repz_ret : bool;
-  emit_fde : bool;
   emit_relocs : bool;
   linker_icf : bool;
   func_order : string list option; (* link-time function order (HFSort) *)
@@ -33,8 +31,6 @@ let default_options =
     pic_jump_tables = true;
     align_loops = true;
     plt_calls = true;
-    repz_ret = true;
-    emit_fde = true;
     emit_relocs = true;
     linker_icf = false;
     func_order = None;
@@ -83,8 +79,6 @@ let compile ?(options = default_options) ?(externals = []) ?(extra_objs = [])
       pic_jump_tables = options.pic_jump_tables;
       align_loops = options.align_loops;
       plt_calls = options.plt_calls;
-      repz_ret = options.repz_ret;
-      emit_fde = options.emit_fde;
     }
   in
   let extra_bss =

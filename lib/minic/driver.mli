@@ -21,8 +21,6 @@ type options = {
           BOLT must then rediscover them by pattern matching *)
   align_loops : bool;
   plt_calls : bool;  (** cross-module calls go through PLT stubs *)
-  repz_ret : bool;  (** emit the 2-byte legacy-AMD return *)
-  emit_fde : bool;
   emit_relocs : bool;  (** keep relocations: enables BOLT's relocations mode *)
   linker_icf : bool;
   func_order : string list option;  (** link-time function order (HFSort) *)

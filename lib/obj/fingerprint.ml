@@ -208,38 +208,15 @@ let fingerprint_fn ~data ~base ~size ~name ~resolve : func =
     fp_blocks = blocks;
   }
 
-(* Fingerprint every function symbol that lies inside a text section.
-   Only sections and symbols are consulted, so the computation commutes
-   with build-id stamping. *)
+(* Fingerprint every function symbol that lies inside a text section;
+   a direct call names the function [Symtab.covering] its target.  Only
+   sections and symbols are consulted, so the computation commutes with
+   build-id stamping. *)
 let compute ~(sections : section list) ~(symbols : symbol list) : t =
   let texts = List.filter (fun s -> s.sec_kind = Text) sections in
-  let funcs =
-    List.filter (fun s -> s.sym_kind = Func && s.sym_size > 0) symbols
-    |> List.sort (fun a b -> compare (a.sym_value, a.sym_name) (b.sym_value, b.sym_name))
-  in
-  (* address -> function name, for direct-call resolution: the first
-     symbol in (address, name) order whose range covers the address.
-     [reach.(k)] is the furthest end among symbols [0..k], so the first
-     [k] reaching past [addr] is that symbol if it starts at or below
-     [addr], and no symbol covers [addr] otherwise. *)
-  let funcs_arr = Array.of_list funcs in
-  let reach =
-    let m = ref min_int in
-    Array.map
-      (fun f ->
-        m := max !m (f.sym_value + f.sym_size);
-        !m)
-      funcs_arr
-  in
+  let funcs = Symtab.create symbols in
   let resolve_in addr =
-    let lo = ref 0 and hi = ref (Array.length funcs_arr) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if reach.(mid) > addr then hi := mid else lo := mid + 1
-    done;
-    if !lo < Array.length funcs_arr && funcs_arr.(!lo).sym_value <= addr then
-      Some funcs_arr.(!lo).sym_name
-    else None
+    Option.map (fun s -> s.sym_name) (Symtab.covering funcs addr)
   in
   List.filter_map
     (fun sym ->
@@ -259,7 +236,7 @@ let compute ~(sections : section list) ~(symbols : symbol list) : t =
               (fingerprint_fn ~data:sec.sec_data ~base ~size:sym.sym_size
                  ~name:sym.sym_name
                  ~resolve:(fun off -> resolve_in (sec.sec_addr + base + off))))
-    funcs
+    (Array.to_list funcs.Symtab.syms)
 
 (* ---- BELF serialization (v5 payload) ---- *)
 

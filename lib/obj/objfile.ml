@@ -84,46 +84,42 @@ let function_symbols t =
   List.filter (fun s -> s.sym_kind = Func && s.sym_section <> "") t.symbols
   |> List.sort (fun a b -> compare a.sym_value b.sym_value)
 
-(* Innermost function symbol covering [addr], by value+size. *)
-let function_at t addr =
-  List.find_opt
-    (fun s ->
-      s.sym_kind = Func && addr >= s.sym_value && addr < s.sym_value + s.sym_size)
-    t.symbols
-
 let section_at t addr =
   List.find_opt
     (fun s -> addr >= s.sec_addr && addr < s.sec_addr + s.sec_size)
     t.sections
 
-(* Per-name lookup of a binary's metadata records: frame descriptors, line
-   tables and exception tables.  Build it once per binary, so per-function
-   lookups stay O(1).  When two records share a name the first one in list
-   order wins, as a [List.find_opt] would. *)
+(* A binary's metadata records (frame descriptors, line tables and
+   exception tables) by the function start they describe, the way
+   [.eh_frame_hdr] keys frame info, so every alias of a function finds
+   the same records.  Build it once per binary, so per-function lookups
+   stay O(1).  When two records share a start the first one in list order
+   wins.  Starts are addresses in executables and section offsets in
+   objects, where records of different sections can share one. *)
 module Index = struct
   type t = {
-    fde_of : (string, fde) Hashtbl.t;
-    dbg_of : (string, dbg) Hashtbl.t;
-    lsda_of : (string, lsda) Hashtbl.t;
+    fde_at : (int, fde) Hashtbl.t;
+    dbg_at : (int, dbg) Hashtbl.t;
+    lsda_at : (int, lsda) Hashtbl.t;
   }
 
-  let table name_of records =
+  let table start_of records =
     let tbl = Hashtbl.create (List.length records) in
     List.iter
-      (fun r -> if not (Hashtbl.mem tbl (name_of r)) then Hashtbl.add tbl (name_of r) r)
+      (fun r -> if not (Hashtbl.mem tbl (start_of r)) then Hashtbl.add tbl (start_of r) r)
       records;
     tbl
 
   let create o =
     {
-      fde_of = table (fun f -> f.fde_func) o.fdes;
-      dbg_of = table (fun d -> d.dbg_func) o.dbgs;
-      lsda_of = table (fun l -> l.lsda_func) o.lsdas;
+      fde_at = table (fun f -> f.fde_addr) o.fdes;
+      dbg_at = table (fun d -> d.dbg_addr) o.dbgs;
+      lsda_at = table (fun l -> l.lsda_fn_addr) o.lsdas;
     }
 
-  let fde ix name = Hashtbl.find_opt ix.fde_of name
-  let dbg ix name = Hashtbl.find_opt ix.dbg_of name
-  let lsda ix name = Hashtbl.find_opt ix.lsda_of name
+  let fde ix start = Hashtbl.find_opt ix.fde_at start
+  let dbg ix start = Hashtbl.find_opt ix.dbg_at start
+  let lsda ix start = Hashtbl.find_opt ix.lsda_at start
 end
 
 let text_size t =

@@ -1,5 +1,6 @@
 (* perf2bolt: convert raw simulator samples (absolute addresses) into the
-   function-relative fdata profile, using the executable's symbol table.
+   function-relative fdata profile, using the executable's function index
+   ([Symtab.covering] names the function an address falls in).
 
    Mirrors the real tool: branch records whose endpoints fall outside any
    known function are dropped; fall-through ranges are only kept when both
@@ -13,26 +14,11 @@
 open Bolt_obj
 
 let convert ?header (exe : Objfile.t) (raw : Bolt_sim.Machine.raw_profile) : Fdata.t =
-  let funcs =
-    Objfile.function_symbols exe
-    |> List.map (fun (s : Types.symbol) -> (s.sym_value, s.sym_value + s.sym_size, s.sym_name))
-    |> Array.of_list
-  in
-  Array.sort compare funcs;
+  let funcs = Symtab.create exe.Objfile.symbols in
   let resolve addr =
-    let lo = ref 0 and hi = ref (Array.length funcs - 1) in
-    let res = ref None in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let a, b, name = funcs.(mid) in
-      if addr < a then hi := mid - 1
-      else if addr >= b then lo := mid + 1
-      else begin
-        res := Some (name, addr - a);
-        lo := !hi + 1
-      end
-    done;
-    !res
+    Option.map
+      (fun (s : Types.symbol) -> (s.sym_name, addr - s.sym_value))
+      (Symtab.covering funcs addr)
   in
   let c64 n = Int64.of_int (max 0 n) in
   let branches = ref [] in

@@ -157,16 +157,10 @@ type seg = {
   memo : Insn.t array array;
 }
 
-type fninfo = {
-  fi_addr : int;
-  fi_size : int;
-  fi_fde : Types.fde option;
-  fi_lsda : Types.lsda option;
-}
-
 type image = {
   segs : seg array; (* in section order *)
-  funcs : fninfo array; (* sorted by address *)
+  funcs : Symtab.t;
+  meta : Objfile.Index.t; (* frame info and exception tables by start *)
   entry : int;
   mem : Memory.t;
 }
@@ -237,38 +231,13 @@ let load (exe : Objfile.t) : image =
       | _ -> Memory.load_bytes mem s.sec_addr s.sec_data);
       if s.sec_kind = Types.Text then segs := predecode s :: !segs)
     exe.sections;
-  let fdes = Hashtbl.create 64 in
-  List.iter (fun (f : Types.fde) -> Hashtbl.replace fdes f.fde_func f) exe.fdes;
-  let lsdas = Hashtbl.create 64 in
-  List.iter (fun (l : Types.lsda) -> Hashtbl.replace lsdas l.lsda_func l) exe.lsdas;
-  let funcs =
-    Objfile.function_symbols exe
-    |> List.map (fun (s : Types.symbol) ->
-           {
-             fi_addr = s.sym_value;
-             fi_size = s.sym_size;
-             fi_fde = Hashtbl.find_opt fdes s.sym_name;
-             fi_lsda = Hashtbl.find_opt lsdas s.sym_name;
-           })
-    |> Array.of_list
-  in
-  Array.sort (fun a b -> compare a.fi_addr b.fi_addr) funcs;
-  { segs = Array.of_list (List.rev !segs); funcs; entry = exe.entry; mem }
-
-let function_at (img : image) addr =
-  let lo = ref 0 and hi = ref (Array.length img.funcs - 1) in
-  let found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let f = img.funcs.(mid) in
-    if addr < f.fi_addr then hi := mid - 1
-    else if addr >= f.fi_addr + f.fi_size then lo := mid + 1
-    else begin
-      found := Some f;
-      lo := !hi + 1
-    end
-  done;
-  !found
+  {
+    segs = Array.of_list (List.rev !segs);
+    funcs = Symtab.create exe.symbols;
+    meta = Objfile.Index.create exe;
+    entry = exe.entry;
+    mem;
+  }
 
 (* ---- execution ---- *)
 
@@ -412,12 +381,14 @@ let run ?(config = default_config) ?(sampling : sample_cfg option)
     fp - state.cfa_locals - (8 * List.length state.cfa_saved)
   in
   let rec unwind at_ip =
-    match function_at img at_ip with
+    match Symtab.covering img.funcs at_ip with
     | None -> None
-    | Some fi -> (
-        let off = at_ip - fi.fi_addr in
+    | Some fn -> (
+        let start = fn.Types.sym_value in
+        let fde = Objfile.Index.fde img.meta start in
+        let off = at_ip - start in
         let pad =
-          match fi.fi_lsda with
+          match Objfile.Index.lsda img.meta start with
           | None -> None
           | Some l ->
               List.find_opt
@@ -430,18 +401,18 @@ let run ?(config = default_config) ?(sampling : sample_cfg option)
             (* the stack pointer the landing pad expects is derived from
                the frame state at the covered call site; the pad itself may
                live in a split-off cold fragment with its own descriptor *)
-            match fi.fi_fde with
+            match fde with
             | Some fde ->
                 let st = Types.cfi_state_at fde.fde_cfi off in
                 if st.cfa_established then begin
                   regs.(15) <- landing_sp regs.(14) st;
-                  Some (fi.fi_addr + e.lsda_pad)
+                  Some (start + e.lsda_pad)
                 end
-                else Some (fi.fi_addr + e.lsda_pad)
-            | None -> Some (fi.fi_addr + e.lsda_pad))
+                else Some (start + e.lsda_pad)
+            | None -> Some (start + e.lsda_pad))
         | None -> (
             (* pop this frame and continue in the caller *)
-            match fi.fi_fde with
+            match fde with
             | None -> None (* can't unwind through frame-info-less code *)
             | Some fde ->
                 let st = Types.cfi_state_at fde.fde_cfi off in

@@ -1396,18 +1396,18 @@ module Build = struct
           let sym =
             match r.r_insn with
             | Insn.Call (Insn.Imm rel) -> (
-                match Context.resolve_code ctx (fb.fb_addr + next_off + rel) with
-                | Some (fn, 0) -> Insn.Call (Insn.Sym (fn, 0))
-                | _ -> r.r_insn)
+                match Bolt_core.Build.entry_at ctx (fb.fb_addr + next_off + rel) with
+                | Some fn -> Insn.Call (Insn.Sym (fn, 0))
+                | None -> r.r_insn)
             | Insn.Lea_rel (rg, Insn.Imm disp) -> (
                 let a = fb.fb_addr + next_off + disp in
-                match Context.resolve_code ctx a with
-                | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
-                | _ -> Insn.Lea (rg, Insn.Imm a))
+                match Bolt_core.Build.entry_at ctx a with
+                | Some fn -> Insn.Lea (rg, Insn.Sym (fn, 0))
+                | None -> Insn.Lea (rg, Insn.Imm a))
             | Insn.Lea (rg, Insn.Imm a) -> (
-                match Context.resolve_code ctx a with
-                | Some (fn, 0) -> Insn.Lea (rg, Insn.Sym (fn, 0))
-                | _ -> r.r_insn)
+                match Bolt_core.Build.entry_at ctx a with
+                | Some fn -> Insn.Lea (rg, Insn.Sym (fn, 0))
+                | None -> r.r_insn)
             | i -> i
           in
           { op = sym; lp = None; loc = None; cfi_after = []; m_off = r.r_off })
@@ -1426,7 +1426,7 @@ module Build = struct
         let n = Array.length raws in
         (* source locations *)
         let dbg =
-          match Objfile.Index.dbg ctx.Context.meta fb.fb_name with
+          match Objfile.Index.dbg ctx.Context.meta fb.fb_addr with
           | Some d -> d.dbg_entries
           | None -> []
         in
@@ -1444,7 +1444,7 @@ module Build = struct
             if !lo = 0 then None else Some (snd sorted.(!lo - 1))
         in
         (* CFI ops keyed by the offset at which they take effect *)
-        let fde = Objfile.Index.fde ctx.Context.meta fb.fb_name in
+        let fde = Objfile.Index.fde ctx.Context.meta fb.fb_addr in
         let cfi_at = Hashtbl.create 16 in
         (match fde with
         | Some f ->
@@ -1454,12 +1454,10 @@ module Build = struct
                   ((try Hashtbl.find cfi_at o with Not_found -> []) @ [ op ]))
               f.fde_cfi
         | None -> ());
-        let lsda = Objfile.Index.lsda ctx.Context.meta fb.fb_name in
+        let lsda = Objfile.Index.lsda ctx.Context.meta fb.fb_addr in
         (* symbolize a call target; raises Exit when impossible *)
         let call_target addr =
-          match Context.resolve_code ctx addr with
-          | Some (name, 0) -> name
-          | _ -> raise Exit
+          match Bolt_core.Build.entry_at ctx addr with Some name -> name | None -> raise Exit
         in
         let in_func off = off >= 0 && off < fb.fb_size in
         (* jump tables, keyed by the indirect jump's instruction index *)
@@ -1630,15 +1628,15 @@ module Build = struct
                      (* rewrite PIC address materialisation to absolute: the
                         instruction is about to move, the data is not *)
                      let a = fb.fb_addr + next_off + disp in
-                     (match Context.resolve_code ctx a with
-                     | Some (fn, 0) -> keep ~sym:(Insn.Lea (rg, Insn.Sym (fn, 0))) ()
-                     | _ -> keep ~sym:(Insn.Lea (rg, Insn.Imm a)) ())
+                     (match Bolt_core.Build.entry_at ctx a with
+                     | Some fn -> keep ~sym:(Insn.Lea (rg, Insn.Sym (fn, 0))) ()
+                     | None -> keep ~sym:(Insn.Lea (rg, Insn.Imm a)) ())
                  | Insn.Lea (rg, Insn.Imm a) -> (
                      (* function pointers must stay symbolic: the target is
                         about to move *)
-                     match Context.resolve_code ctx a with
-                     | Some (fn, 0) -> keep ~sym:(Insn.Lea (rg, Insn.Sym (fn, 0))) ()
-                     | Some _ ->
+                     match Bolt_core.Build.entry_at ctx a with
+                     | Some fn -> keep ~sym:(Insn.Lea (rg, Insn.Sym (fn, 0))) ()
+                     | None when Symtab.covering ctx.Context.syms a <> None ->
                          mark_non_simple fb "address of code taken mid-function";
                          raise Exit
                      | None -> keep ())

@@ -236,15 +236,17 @@ let test_lsda_and_dbg_roundtrip () =
       ]
   in
   let obj = assemble { empty_unit with u_funcs = [ f; mk_func "main" [ A_insn Insn.Ret ] ] } in
+  (* with function sections, [f] starts at offset 0 of its own section
+     and comes first, so its records win offset 0 *)
   let meta = Objfile.Index.create obj in
-  let l = Option.get (Objfile.Index.lsda meta "f") in
+  let l = Option.get (Objfile.Index.lsda meta 0) in
   (match l.lsda_entries with
   | [ e ] ->
       Alcotest.(check int) "range start" 0 e.lsda_start;
       Alcotest.(check int) "range len" 5 e.lsda_len;
       Alcotest.(check int) "pad offset" 6 e.lsda_pad
   | _ -> Alcotest.fail "one lsda entry expected");
-  let d = Option.get (Objfile.Index.dbg meta "f") in
+  let d = Option.get (Objfile.Index.dbg meta 0) in
   Alcotest.(check int) "two line entries" 2 (List.length d.dbg_entries)
 
 (* ---- chunk collection against the filtering oracle ---- *)

@@ -352,6 +352,51 @@ let test_exceptions_survive_rewrite () =
   Alcotest.(check (list int)) "same output" a.Machine.output b.Machine.output;
   Alcotest.(check bool) "throws happened" true (a.Machine.counters.Machine.throws > 0)
 
+(* BOLT's ICF folds two functions an exception unwinds through; the
+   output's symbol table then holds two names at the survivor's address,
+   and the unwinder must find the survivor's frame info whichever name
+   owns the return address. *)
+let test_icf_folded_unwind () =
+  let src =
+    {| fn risky(x) { if (x % 97 == 13) { throw x; } return x * 2; }
+       fn mid1(x) { return risky(x) + 1; }
+       fn mid2(x) { return risky(x) + 1; }
+       fn main() {
+         var i = 0;
+         var s = 0;
+         while (i < 2000) {
+           try { s = s + mid1(i); } catch (e) { s = s - e; }
+           try { s = s + mid2(i); } catch (e) { s = s - e; }
+           i = i + 1;
+         }
+         out s;
+         return 0;
+       } |}
+  in
+  List.iter
+    (fun emit_relocs ->
+      let options =
+        {
+          Driver.default_options with
+          emit_relocs;
+          inline_decisions =
+            { Inline.default_decisions with small_threshold = 0; hint_threshold = 0 };
+        }
+      in
+      let label = Printf.sprintf "emit_relocs %b" emit_relocs in
+      let exe = compile ~options [ ("m", src) ] in
+      let prof = profile_of exe ~input:[||] in
+      let exe', report = Bolt_core.Bolt.optimize exe prof in
+      Alcotest.(check int) (label ^ ": mid1 and mid2 folded") 1
+        report.Bolt_core.Bolt.r_icf_folded;
+      let a = Machine.run exe ~input:[||] in
+      let b = Machine.run ~fuel:200_000_000 exe' ~input:[||] in
+      Alcotest.(check bool) (label ^ ": throws happened") true
+        (a.Machine.counters.Machine.throws > 0);
+      Alcotest.(check bool) (label ^ ": same behaviour") true
+        (Bolt_pipeline.Pipeline.same_behaviour a b))
+    [ true; false ]
+
 let test_identity_rewrite_preserves_everything () =
   let exe = compile [ ("m", switch_src) ] in
   let prof = profile_of exe ~input:[||] in
@@ -473,6 +518,7 @@ let suite =
     Alcotest.test_case "dyno-stats" `Quick test_dyno_stats_taken_branches_drop;
     Alcotest.test_case "inplace-mode" `Quick test_inplace_mode;
     Alcotest.test_case "exceptions-survive" `Quick test_exceptions_survive_rewrite;
+    Alcotest.test_case "icf-folded-unwind" `Quick test_icf_folded_unwind;
     Alcotest.test_case "identity-rewrite" `Quick test_identity_rewrite_preserves_everything;
     Alcotest.test_case "frame-opts" `Quick test_frame_opts_removes_dead_save;
     Alcotest.test_case "split-follows-sunk-cold" `Quick test_split_follows_sunk_cold;

@@ -361,7 +361,9 @@ let has_alias (exe : Objfile.t) =
 
 (* Inputs built with linker ICF (folded twins share an address) and
    their bolted outputs, in relocations and in-place modes; in-place
-   outputs put split-off cold code in [.bolt.text]. *)
+   outputs put split-off cold code in [.bolt.text].  Every alias of a
+   folded twin must resolve to the function discovery registered, or
+   the output calls into code that moved. *)
 let test_fingerprints_built () =
   List.iter
     (fun (seed, emit_relocs) ->
@@ -391,10 +393,19 @@ let test_fingerprints_built () =
       let sampling = { P.default_sampling with Machine.period = 97 } in
       let prof, _ = P.profile ~sampling b ~input:w.Gen.input in
       let b', _ = P.bolt b prof in
+      let base = P.run b ~input:w.Gen.input and opt = P.run b' ~input:w.Gen.input in
+      Alcotest.(check bool) (label ^ ": output behaves like input") true
+        (P.same_behaviour base opt);
       Alcotest.(check bool) (label ^ ": input has aliases") true (has_alias b.P.exe);
       Alcotest.(check bool) (label ^ ": input") true (exe_fps_agree b.P.exe);
       Alcotest.(check bool) (label ^ ": output") true (exe_fps_agree b'.P.exe);
-      if not emit_relocs then
+      if emit_relocs then
+        (* every alias moved with the function discovery registered *)
+        Alcotest.(check (list string)) (label ^ ": output verifies") []
+          (List.map
+             (fun (i : Bolt_obj.Verify.issue) -> i.v_what)
+             (Bolt_obj.Verify.fatal (Bolt_obj.Verify.run b'.P.exe)))
+      else
         Alcotest.(check bool) (label ^ ": output has .bolt.text") true
           (Objfile.find_section b'.P.exe ".bolt.text" <> None))
     [ (1, true); (1, false); (2, true); (2, false) ]
@@ -547,6 +558,41 @@ let prop_fingerprints =
       let rodata = { text with T.sec_name = ".rodata"; sec_kind = T.Rodata; sec_addr = text_at + text.T.sec_size } in
       fps_agree ~sections:[ text; rodata ] ~symbols)
 
+(* The function-address index against a brute-force scan: at every
+   address around the synthetic text, [at] and [covering] name the first
+   function symbol in (start, name) order that starts there or whose
+   range holds it, and [find] the first of a name. *)
+let prop_symtab =
+  QCheck.Test.make ~name:"symtab == brute-force scan (synthetic text)" ~count:500
+    (QCheck.make ~print:print_text gen_text)
+    (fun (text, symbols) ->
+      let idx = Bolt_obj.Symtab.create symbols in
+      let first_where p =
+        List.fold_left
+          (fun best (s : T.symbol) ->
+            if s.sym_kind <> T.Func || s.sym_size <= 0 || not (p s) then best
+            else
+              match best with
+              | Some (b : T.symbol)
+                when compare (b.sym_value, b.sym_name) (s.sym_value, s.sym_name) <= 0 ->
+                  best
+              | _ -> Some s)
+          None symbols
+      in
+      let name = Option.map (fun (s : T.symbol) -> s.sym_name) in
+      List.for_all
+        (fun a ->
+          name (Bolt_obj.Symtab.at idx a)
+          = name (first_where (fun s -> s.sym_value = a))
+          && name (Bolt_obj.Symtab.covering idx a)
+             = name (first_where (fun s -> a >= s.sym_value && a < s.sym_value + s.sym_size)))
+        (List.init (text.T.sec_size + 72) (fun k -> text_at - 8 + k))
+      && List.for_all
+           (fun (s : T.symbol) ->
+             name (Bolt_obj.Symtab.find idx s.sym_name)
+             = name (first_where (fun f -> f.sym_name = s.sym_name)))
+           symbols)
+
 let rand = Random.State.make [| 2401 |]
 
 (* ------------------------------------------------------------------ *)
@@ -683,6 +729,7 @@ let suite =
     Alcotest.test_case "match-profile-boundaries" `Quick test_match_boundaries;
     Alcotest.test_case "fingerprints-oracle-built" `Quick test_fingerprints_built;
     QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand prop_fingerprints;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand prop_symtab;
     Alcotest.test_case "recovery-e2e-70pct" `Slow test_recovery_e2e;
     Alcotest.test_case "fleet-recovery" `Slow test_fleet_recovery;
   ]
