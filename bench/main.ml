@@ -236,6 +236,7 @@ let run_icf () =
     r.E.icf_linker_bytes;
   Printf.printf "  BOLT ICF  : %d more functions, %d bytes = %.1f%% of text (paper: ~3%%)\n"
     r.E.icf_bolt_folded r.E.icf_bolt_bytes r.E.icf_pct;
+  Printf.printf "  behaviour %s\n" (if r.E.icf_behaviour_ok then "identical" else "MISMATCH!");
   add_section "icf"
     (Json.Obj
        [
@@ -244,6 +245,7 @@ let run_icf () =
          ("bolt_folded", Json.Int r.E.icf_bolt_folded);
          ("bolt_bytes", Json.Int r.E.icf_bolt_bytes);
          ("bolt_pct_of_text", Json.Float r.E.icf_pct);
+         ("behaviour_ok", Json.Bool r.E.icf_behaviour_ok);
        ])
 
 (* ---- Figure 2 ---- *)

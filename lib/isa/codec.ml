@@ -213,6 +213,46 @@ let decode b pos =
   let i = decode_insn b pos in
   (i, size i)
 
+(* The bounds check of the byte accessors, for the last byte [decode]
+   reads of a [k]-byte encoding. *)
+let need b pos k = if pos + k > Bytes.length b then invalid_arg "index out of bounds"
+
+(* [snd (decode b pos)] without building the instruction.  It reads
+   the bytes [decode] reads and raises as it does: [Decode_error] for a
+   bad opcode or nop size, [Invalid_argument] for a bad condition field
+   or an encoding cut off by the end of [b].  Like [decode], it reads
+   only the opcode of [repz ret] and only the size byte of a long nop. *)
+let length b pos =
+  match get8 b pos with
+  | 0x01 | 0x02 | 0x04 | 0x62 -> 1
+  | 0x05 -> 2
+  | 0x03 ->
+      let k = get8 b (pos + 1) in
+      if k < 2 || k > 15 then raise (Decode_error pos);
+      k
+  | 0x57 ->
+      ignore (Cond.of_int (get8 b (pos + 1) lsr 4));
+      2
+  | 0x06 | 0x07 | 0x08 | 0x30 | 0x51 | 0x53 | 0x60 | 0x61 ->
+      need b pos 2;
+      2
+  | op when (op >= 0x10 && op <= 0x1B) || (op >= 0x40 && op <= 0x45) ->
+      need b pos 2;
+      2
+  | 0x31 | 0x50 ->
+      need b pos 5;
+      5
+  | 0x0A | 0x0B | 0x0C | 0x0D | 0x0E | 0x0F | 0x52 | 0x54 | 0x56 ->
+      need b pos 6;
+      6
+  | op when (op >= 0x20 && op <= 0x2B) || (op >= 0x48 && op <= 0x4D) ->
+      need b pos 6;
+      6
+  | 0x09 ->
+      need b pos 10;
+      10
+  | _ -> raise (Decode_error pos)
+
 (* [size] bytes at [base], decoded front to back: instruction [k < n]
    is [insns.(k)] and spans [offs.(k), offs.(k + 1)), offsets relative
    to [base].  Decoding stops at the first undecodable instruction or

@@ -329,6 +329,7 @@ type icf_result = {
   icf_bolt_bytes : int;
   icf_text_size : int;
   icf_pct : float; (* BOLT's extra reduction, % of text *)
+  icf_behaviour_ok : bool; (* the output behaves like the input on its input *)
 }
 
 let icf_experiment ?(params = { Bolt_workloads.Workloads.hhvm_like with iterations = 3_000 })
@@ -340,8 +341,10 @@ let icf_experiment ?(params = { Bolt_workloads.Workloads.hhvm_like with iteratio
       w.sources
   in
   let b = { Pipeline.exe = r.exe; cc } in
-  let prof, _ = Pipeline.profile b ~input:w.input in
-  let _, report = Pipeline.bolt ~opts:{ Bolt_core.Opts.none with icf = true } b prof in
+  (* the profiling run is the input's run on the workload's input *)
+  let prof, base = Pipeline.profile b ~input:w.input in
+  let b', report = Pipeline.bolt ~opts:{ Bolt_core.Opts.none with icf = true } b prof in
+  let opt = Pipeline.run b' ~input:w.input in
   let text = Bolt_obj.Objfile.text_size r.exe in
   {
     icf_linker_folded = r.link_stats.Bolt_linker.Linker.icf_folded;
@@ -350,6 +353,7 @@ let icf_experiment ?(params = { Bolt_workloads.Workloads.hhvm_like with iteratio
     icf_bolt_bytes = report.Bolt_core.Bolt.r_icf_bytes;
     icf_text_size = text;
     icf_pct = 100.0 *. float_of_int report.Bolt_core.Bolt.r_icf_bytes /. float_of_int text;
+    icf_behaviour_ok = Pipeline.same_behaviour base opt;
   }
 
 (* ---- Figure 2: the motivating example ---- *)

@@ -11,9 +11,6 @@ type t = {
   btb_mask : int;
   ras : int array;
   mutable ras_top : int;
-  mutable cond_lookups : int;
-  mutable cond_misses : int;
-  mutable target_misses : int;
 }
 
 let create ?(gshare_bits = 14) ?(btb_bits = 12) ?(ras_depth = 32) () =
@@ -26,23 +23,18 @@ let create ?(gshare_bits = 14) ?(btb_bits = 12) ?(ras_depth = 32) () =
     btb_mask = (1 lsl btb_bits) - 1;
     ras = Array.make ras_depth 0;
     ras_top = 0;
-    cond_lookups = 0;
-    cond_misses = 0;
-    target_misses = 0;
   }
 
 (* Predict and update the direction of a conditional branch at [pc].
    Returns true when the prediction was wrong. *)
 let cond_branch p pc taken =
-  p.cond_lookups <- p.cond_lookups + 1;
   let idx = (pc lxor p.ghist) land p.gshare_mask in
   let ctr = p.gshare.(idx) in
   let predicted = ctr >= 2 in
-  p.gshare.(idx) <- (if taken then min 3 (ctr + 1) else max 0 (ctr - 1));
+  p.gshare.(idx) <-
+    (if taken then if ctr < 3 then ctr + 1 else 3 else if ctr > 0 then ctr - 1 else 0);
   p.ghist <- ((p.ghist lsl 1) lor (if taken then 1 else 0)) land p.gshare_mask;
-  let mispred = predicted <> taken in
-  if mispred then p.cond_misses <- p.cond_misses + 1;
-  mispred
+  predicted <> taken
 
 (* Target prediction for a taken branch (direct or indirect) at [pc].
    Returns true when the predicted target was wrong. *)
@@ -51,7 +43,6 @@ let taken_target p pc target =
   let mispred = p.btb_tags.(idx) <> pc || p.btb_targets.(idx) <> target in
   p.btb_tags.(idx) <- pc;
   p.btb_targets.(idx) <- target;
-  if mispred then p.target_misses <- p.target_misses + 1;
   mispred
 
 let push_ras p addr =

@@ -3,15 +3,21 @@
    Only hit/miss behaviour is modelled — the timing cost of a miss is
    charged by the machine's cycle model.  The same structure serves as a
    TLB by using page-sized "lines".  The set count must be a power of
-   two, so a line's set is a mask, not a division. *)
+   two, so a line's set is a mask, not a division.
+
+   Each set keeps its lines in order of use, the most recent first, so
+   LRU needs no timestamps: an access moves its line to the front, and a
+   miss drops the line at the back.  Empty ways hold -1 and sit behind
+   every line that was ever installed, in way order, as they would with
+   the lowest-numbered empty way filled first.  A line already in front
+   is left where it is, so an access to it changes nothing but the
+   access count. *)
 
 type t = {
   set_mask : int; (* sets - 1 *)
   assoc : int;
   line_bits : int;
-  tags : int array; (* sets * assoc, -1 = invalid *)
-  stamps : int array; (* LRU timestamps *)
-  mutable tick : int;
+  tags : int array; (* sets * assoc, each set most recently used first *)
   mutable accesses : int;
   mutable misses : int;
 }
@@ -29,38 +35,26 @@ let create ~size ~line ~assoc =
     assoc;
     line_bits;
     tags = Array.make (sets * assoc) (-1);
-    stamps = Array.make (sets * assoc) 0;
-    tick = 0;
     accesses = 0;
     misses = 0;
   }
 
-(* Returns true on hit.  A miss installs the line in the set's least
-   recently used way (the lowest-numbered one on a tie). *)
+(* Returns true on hit.  A miss installs the line in place of the set's
+   least recently used one. *)
 let access c addr =
   c.accesses <- c.accesses + 1;
-  let tick = c.tick + 1 in
-  c.tick <- tick;
   let line = addr lsr c.line_bits in
   let base = (line land c.set_mask) * c.assoc in
-  let stop = base + c.assoc in
+  let last = base + c.assoc - 1 in
   let tags = c.tags in
   let i = ref base in
-  while !i < stop && Array.unsafe_get tags !i <> line do
+  while !i < last && Array.unsafe_get tags !i <> line do
     incr i
   done;
-  if !i < stop then begin
-    Array.unsafe_set c.stamps !i tick;
-    true
-  end
-  else begin
-    c.misses <- c.misses + 1;
-    let stamps = c.stamps in
-    let victim = ref base in
-    for j = base + 1 to stop - 1 do
-      if Array.unsafe_get stamps j < Array.unsafe_get stamps !victim then victim := j
-    done;
-    Array.unsafe_set tags !victim line;
-    Array.unsafe_set stamps !victim tick;
-    false
-  end
+  let hit = Array.unsafe_get tags !i = line in
+  if not hit then c.misses <- c.misses + 1;
+  for j = !i downto base + 1 do
+    Array.unsafe_set tags j (Array.unsafe_get tags (j - 1))
+  done;
+  Array.unsafe_set tags base line;
+  hit

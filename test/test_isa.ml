@@ -90,6 +90,39 @@ let decode_error () =
   | _ -> Alcotest.fail "expected Decode_error"
   | exception Codec.Decode_error 0 -> ()
 
+(* [Codec.length] returns what [decode] sizes and raises what [decode]
+   raises, on random bytes around valid encodings, cut short at random
+   and read at every position up to one past the end. *)
+let length_parity =
+  let open QCheck.Gen in
+  let opcode =
+    oneofl
+      [ 0x01; 0x02; 0x03; 0x04; 0x05; 0x06; 0x08; 0x09; 0x0A; 0x0F; 0x10; 0x1B; 0x1C; 0x20; 0x2B;
+        0x2C; 0x30; 0x31; 0x40; 0x45; 0x46; 0x48; 0x4D; 0x4E; 0x50; 0x52; 0x54; 0x55; 0x56;
+        0x57; 0x60; 0x62; 0x63; 0xff ]
+  in
+  let bytes =
+    oneof
+      [
+        map (fun i -> Bytes.to_string (Codec.encode i)) insn_gen;
+        map (fun l -> String.concat "" (List.map (fun c -> String.make 1 (Char.chr c)) l))
+          (list_size (int_range 0 12) (oneof [ opcode; int_range 0 255 ]));
+      ]
+  in
+  let gen =
+    pair bytes bytes >>= fun (a, b) ->
+    let s = a ^ b in
+    int_range 0 (String.length s) >>= fun cut ->
+    let s = String.sub s 0 cut in
+    int_range 0 (String.length s) >|= fun pos -> (s, pos)
+  in
+  let result f = match f () with n -> Ok n | exception e -> Error e in
+  QCheck.Test.make ~name:"length == size of decode, exceptions included" ~count:5000
+    (QCheck.make ~print:(fun (s, pos) -> Printf.sprintf "%S at %d" s pos) gen)
+    (fun (s, pos) ->
+      let b = Bytes.of_string s in
+      result (fun () -> Codec.length b pos) = result (fun () -> snd (Codec.decode b pos)))
+
 let cond_invert_involutive =
   QCheck.Test.make ~name:"cond invert is involutive" ~count:100
     (QCheck.make cond_gen) (fun c -> Cond.invert (Cond.invert c) = c)
@@ -118,4 +151,5 @@ let suite =
     QCheck_alcotest.to_alcotest cond_invert_involutive;
     QCheck_alcotest.to_alcotest cond_invert_negates;
     QCheck_alcotest.to_alcotest operand_kind_consistent;
+    QCheck_alcotest.to_alcotest length_parity;
   ]

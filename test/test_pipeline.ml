@@ -70,7 +70,8 @@ let test_icf_on_top_of_linker () =
       ()
   in
   Alcotest.(check bool) "linker folded some" true (r.E.icf_linker_folded > 0);
-  Alcotest.(check bool) "BOLT folded more" true (r.E.icf_bolt_folded > 0)
+  Alcotest.(check bool) "BOLT folded more" true (r.E.icf_bolt_folded > 0);
+  Alcotest.(check bool) "output behaves like the input" true r.E.icf_behaviour_ok
 
 let test_pgo_complements_bolt () =
   (* tiny compiler-flow: all three variants must beat the baseline and the

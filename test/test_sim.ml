@@ -1,6 +1,7 @@
 (* Simulator unit tests: memory, caches, branch prediction, timing
-   counters, LBR sampling, unwinding, load-time and fetch errors, and the
-   golden digests that pin every observable of a run. *)
+   counters, LBR sampling, unwinding, load-time and fetch errors, the
+   golden digests that pin every observable of a run, and random
+   programs run against the per-instruction oracle. *)
 
 open Bolt_sim
 module Insn = Bolt_isa.Insn
@@ -151,9 +152,10 @@ let test_cache_power_of_two () =
       (Cache.access c (l * 64))
   done
 
-(* Mask-indexed sets and the loop search choose exactly the hits, misses
-   and victims of the division-indexed original, over power-of-two set
-   counts, line sizes from 1 byte to a page, and 1 to 8 ways. *)
+(* Mask-indexed sets kept in order of use give exactly the hits and
+   misses of the division-indexed, timestamped original, over
+   power-of-two set counts, line sizes from 1 byte to a page, and 1 to 8
+   ways. *)
 let cache_oracle_prop =
   let open QCheck.Gen in
   let geometry =
@@ -264,9 +266,8 @@ let test_heatmap_collection () =
 
 let test_fuel_exhaustion () =
   let exe = compile {| fn main() { var i = 1; while (i > 0) { i = i + 1; } return 0; } |} in
-  match Machine.run ~fuel:10_000 exe ~input:[||] with
-  | _ -> Alcotest.fail "expected Sim_error"
-  | exception Machine.Sim_error _ -> ()
+  Alcotest.check_raises "endless loop" (Machine.Sim_error "out of fuel") (fun () ->
+      ignore (Machine.run ~fuel:10_000 exe ~input:[||]))
 
 let test_deterministic () =
   let exe =
@@ -385,7 +386,7 @@ module P = Bolt_pipeline.Pipeline
    exit code, the output tape, the uncaught flag, the raw profile
    (sample count and the sorted branch, trace and IP tables) and the
    sorted heat map. *)
-let outcome_digest (o : Machine.outcome) =
+let outcome_text (o : Machine.outcome) =
   let b = Buffer.create 4096 in
   let c = o.Machine.counters in
   List.iter (Printf.bprintf b "%d\n")
@@ -418,7 +419,9 @@ let outcome_digest (o : Machine.outcome) =
       List.iter
         (fun (l, n) -> Printf.bprintf b "\nH %d %d" l n)
         (sorted h (fun l n -> (l, n))));
-  Test_iocore.md5 (Buffer.contents b)
+  Buffer.contents b
+
+let outcome_digest o = Test_iocore.md5 (outcome_text o)
 
 (* The iocore fixture program (throw/catch unwinding, a switch jump
    table, globals) and its BOLTed output, run in every simulator mode:
@@ -450,6 +453,316 @@ let golden_sim_digests () =
   check "sim_bolted"
     (Machine.run ~heatmap:true ~sampling:P.default_sampling bolted.P.exe ~input)
 
+(* ---- the block-cached run against the per-instruction oracle ---- *)
+
+module Reg = Bolt_isa.Reg
+module Cond = Bolt_isa.Cond
+
+(* A random program is up to two text sections of items.  A branch
+   names its target by item, resolved once the sizes are known, or by
+   raw address, which may land inside an instruction, on padding or
+   outside the text. *)
+type target =
+  | Item of int * int (* section, item; the item count is the section's end *)
+  | Ahead of int (* bytes past the branch's end *)
+  | Addr of int
+
+type item =
+  | Op of Insn.t
+  | Br of (int -> Insn.t) * target (* a 32-bit-displacement branch *)
+  | Addr_of of Reg.t * target (* load a target's address, for an indirect branch *)
+  | Raw of string (* bytes, decodable or not *)
+  | Skipped of string (* the same, behind a jump over them *)
+
+(* Where the second section goes: apart, right after or before the
+   first, or overlapping it from either side of the section order. *)
+type placement = Apart | After | Before | Overlap | Overlap_first
+
+type prog = {
+  secs : item array list; (* the first is entered at its start *)
+  second : placement;
+  handler : (int * int * int) option; (* try-range start and end items, pad item *)
+  fuel : int;
+  sampling : Machine.sample_cfg option;
+  heatmap : bool;
+  input : int array;
+}
+
+let item_size = function
+  | Op i -> Insn.size i
+  | Br (mk, _) -> Insn.size (mk 0)
+  | Addr_of (r, _) -> Insn.size (Insn.Lea (r, Insn.Imm 0))
+  | Raw s -> String.length s
+  | Skipped s -> Insn.size (Insn.Jmp (Insn.Imm 0, Insn.W32)) + String.length s
+
+(* Section addresses and item offsets, then the encoded bytes. *)
+let layout p =
+  let offsets items =
+    let o = Array.make (Array.length items + 1) 0 in
+    Array.iteri (fun k it -> o.(k + 1) <- o.(k) + item_size it) items;
+    o
+  in
+  let offs = List.map offsets p.secs in
+  let size k = let o = List.nth offs k in o.(Array.length o - 1) in
+  let a = Layout.text_base + 0x40 in
+  let addrs =
+    match (p.secs, p.second) with
+    | [ _ ], _ -> [ a ]
+    | _, Apart -> [ a; Layout.bolt_text_base ]
+    | _, After -> [ a; a + size 0 ]
+    | _, Before -> [ a; a - size 1 ]
+    | _, (Overlap | Overlap_first) -> [ a; a + (size 0 / 2) ]
+  in
+  let addr_of ~from = function
+    | Item (s, k) ->
+        let o = List.nth offs s in
+        List.nth addrs s + o.(min k (Array.length o - 1))
+    | Ahead d -> from + d
+    | Addr x -> x
+  in
+  let code =
+    List.mapi
+      (fun s items ->
+        let base = List.nth addrs s and o = List.nth offs s in
+        String.concat ""
+          (Array.to_list
+             (Array.mapi
+                (fun k it ->
+                  let enc i = Bytes.to_string (Bolt_isa.Codec.encode i) in
+                  match it with
+                  | Op i -> enc i
+                  | Br (mk, t) ->
+                      let from = base + o.(k + 1) in
+                      enc (mk (addr_of ~from t - from))
+                  | Addr_of (r, t) ->
+                      enc (Insn.Lea (r, Insn.Imm (addr_of ~from:(base + o.(k + 1)) t)))
+                  | Raw b -> b
+                  | Skipped b -> enc (Insn.Jmp (Insn.Imm (String.length b), Insn.W32)) ^ b)
+                items)))
+      p.secs
+  in
+  (addrs, offs, code)
+
+let prog_exe p =
+  let addrs, offs, code = layout p in
+  let texts = List.combine addrs code in
+  let texts = if p.second = Overlap_first then List.rev texts else texts in
+  let exe = { (raw_exe texts) with Bolt_obj.Objfile.entry = List.hd addrs } in
+  match p.handler with
+  | None -> exe
+  | Some (lo, hi, pad) ->
+      let start = List.hd addrs and o = List.hd offs in
+      let size = o.(Array.length o - 1) in
+      {
+        exe with
+        symbols =
+          [
+            {
+              Bolt_obj.Types.sym_name = "f";
+              sym_kind = Bolt_obj.Types.Func;
+              sym_bind = Bolt_obj.Types.Global;
+              sym_section = Printf.sprintf ".text.%x" start;
+              sym_value = start;
+              sym_size = size;
+            };
+          ];
+        lsdas =
+          [
+            {
+              Bolt_obj.Types.lsda_func = "f";
+              lsda_fn_addr = start;
+              lsda_entries =
+                [
+                  {
+                    lsda_start = o.(lo);
+                    lsda_len = o.(hi) - o.(lo);
+                    lsda_pad = o.(pad);
+                    lsda_action = 0;
+                  };
+                ];
+            };
+          ];
+      }
+
+let show_prog p =
+  let addrs, _, code = layout p in
+  let hex s =
+    String.to_seq s |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) |> List.of_seq
+    |> String.concat ""
+  in
+  Printf.sprintf "fuel %d heat %b sampling %s handler %s input [%s]\n%s" p.fuel p.heatmap
+    (match p.sampling with
+    | None -> "none"
+    | Some s ->
+        Printf.sprintf "%s/%d lbr %b precise %b"
+          (match s.Machine.event with
+          | Machine.Ev_cycles -> "cycles"
+          | Ev_instructions -> "insns"
+          | Ev_taken_branches -> "taken")
+          s.period s.lbr s.precise)
+    (match p.handler with None -> "none" | Some (a, b, c) -> Printf.sprintf "%d-%d->%d" a b c)
+    (String.concat ";" (Array.to_list (Array.map string_of_int p.input)))
+    (String.concat "\n" (List.map2 (fun a c -> Printf.sprintf "%#x: %s" a (hex c)) addrs code))
+
+let gen_prog =
+  let open QCheck.Gen in
+  (* r12 and r13 count loop trips up from 0, so loops end however
+     they nest; nothing else writes them, fp or sp *)
+  let reg = map Reg.of_int (int_range 0 11) in
+  let counters = [ Reg.r12; Reg.r13 ] in
+  let cond = map Cond.of_int (int_range 0 5) in
+  let alu = oneofl Insn.[ Add; Sub; Mul; Div; Mod; And; Or; Xor; Shl; Shr; Cmp; Test ] in
+  let base = frequency [ (3, return Reg.sp); (1, reg) ] in
+  let disp = oneof [ map (fun w -> 8 * w) (int_range (-6) 6); int_range (-20) 20 ] in
+  (* data words on one page, across a page boundary, and a line apart *)
+  let data =
+    map (fun k -> Layout.data_base + k) (oneof [ int_range 0 200; int_range 4060 4130 ])
+  in
+  let op =
+    frequency
+      [
+        (3, map2 (fun r v -> Insn.Mov_ri (r, Insn.Imm v, Insn.I32)) reg (int_range (-40) 40));
+        (1, map2 (fun r v -> Insn.Mov_ri (r, Insn.Imm v, Insn.I64)) reg int);
+        (2, map2 (fun d s -> Insn.Mov_rr (d, s)) reg reg);
+        (3, map3 (fun op d s -> Insn.Alu_rr (op, d, s)) alu reg reg);
+        (3, map3 (fun op d v -> Insn.Alu_ri (op, d, Insn.Imm v)) alu reg (int_range (-70) 70));
+        (4, map3 (fun d b o -> Insn.Load (d, b, o)) reg base disp);
+        (4, map3 (fun b o s -> Insn.Store (b, o, s)) base disp reg);
+        (2, map2 (fun d a -> Insn.Load_abs (d, Insn.Imm a)) reg data);
+        (2, map2 (fun a s -> Insn.Store_abs (Insn.Imm a, s)) data reg);
+        (2, map (fun r -> Insn.Push r) reg);
+        (2, map (fun r -> Insn.Pop r) reg);
+        (1, map2 (fun r a -> Insn.Lea (r, Insn.Imm a)) reg data);
+        (1, map2 (fun r d -> Insn.Lea_rel (r, Insn.Imm d)) reg (int_range (-64) 64));
+        (1, map2 (fun c r -> Insn.Setcc (c, r)) cond reg);
+        (1, map (fun r -> Insn.In_ r) reg);
+        (1, map (fun r -> Insn.Out r) reg);
+        (2, map (fun k -> Insn.Nop k) (int_range 1 15));
+      ]
+  in
+  let jmp d = Insn.Jmp (Insn.Imm d, Insn.W32) in
+  let jcc c d = Insn.Jcc (c, Insn.Imm d, Insn.W32) in
+  let call d = Insn.Call (Insn.Imm d) in
+  let padding = oneofl [ "\xff"; "\x00"; "\x03\x01"; "\xff\xff\xff" ] in
+  (* section [s] of [nsecs]: [n] generated items, most of them plain *)
+  let section nsecs s n =
+    (* an item past the group at [pos], here or in a later section:
+       only loops go back *)
+    let forward pos =
+      map2
+        (fun s' k -> if s' = s then Item (s, pos + 3 + k) else Item (s', k))
+        (int_range s (nsecs - 1)) (int_range 0 8)
+    in
+    (* on, into or past an instruction, or out of the text *)
+    let wild =
+      frequency [ (4, map (fun d -> Ahead d) (int_range (-4) 48)); (1, return (Addr 0x10)) ]
+    in
+    let item pos =
+      frequency
+        [
+          (160, map (fun i -> [ Op i ]) op);
+          (1, return [ Op Insn.Halt ]);
+          (1, return [ Op Insn.Throw ]);
+          (1, oneofl [ [ Op Insn.Ret ]; [ Op Insn.Repz_ret ] ]);
+          (6, map (fun t -> [ Br (jmp, t) ]) (forward pos));
+          (10, map2 (fun c t -> [ Br (jcc c, t) ]) cond (forward pos));
+          (4, map (fun t -> [ Br (call, t) ]) (forward pos));
+          (1, map (fun t -> [ Br (jmp, t) ]) wild);
+          ( 12,
+            map3
+              (fun r trips back ->
+                [
+                  Op (Insn.Alu_ri (Insn.Add, r, Insn.Imm 1));
+                  Op (Insn.Alu_ri (Insn.Cmp, r, Insn.Imm trips));
+                  Br (jcc Cond.Lt, Item (s, back));
+                ])
+              (oneofl counters) (int_range 0 12) (int_range 0 pos) );
+          ( 2,
+            map3
+              (fun r t call_it ->
+                [ Addr_of (r, t); Op (if call_it then Insn.Call_ind r else Insn.Jmp_ind r) ])
+              reg (forward pos) bool );
+          ( 1,
+            map2
+              (fun a call_it ->
+                let slot = Insn.Imm a in
+                [ Op (if call_it then Insn.Call_mem slot else Insn.Jmp_mem slot) ])
+              data bool );
+          (* padding, jumped over or (rarely) run into *)
+          (4, map (fun b -> [ Skipped b ]) padding);
+          (1, map (fun b -> [ Raw b ]) padding);
+        ]
+    in
+    let rec go k acc =
+      if k >= n then return (List.rev acc)
+      else item (List.length acc) >>= fun is -> go (k + 1) (List.rev_append is acc)
+    in
+    go 0 [] >>= fun items ->
+    (* a section may run off its end, or end in an instruction its end
+       cuts short, which the load rejects *)
+    frequency [ (30, return [ Op Insn.Halt ]); (8, return []); (1, return [ Raw "\x09\x00" ]) ]
+    >|= fun tail ->
+    Array.of_list (items @ tail)
+  in
+  int_range 1 2 >>= fun nsecs ->
+  list_repeat nsecs (int_range 3 80) >>= fun lens ->
+  flatten_l (List.mapi (fun s n -> section nsecs s n) lens) >>= fun secs ->
+  oneofl [ Apart; After; Before; Overlap; Overlap_first ] >>= fun second ->
+  let n0 = Array.length (List.hd secs) in
+  (* a landing pad past its try range, so a caught throw runs on *)
+  opt (pair (int_range 0 (n0 - 1)) (int_range 0 (n0 - 1))) >>= fun h ->
+  (match h with
+  | None -> return None
+  | Some (a, b) ->
+      let lo = min a b and hi = max a b in
+      map (fun pad -> Some (lo, hi, pad)) (int_range hi (n0 - 1)))
+  >>= fun handler ->
+  frequency [ (4, return 5000); (1, int_range 0 300) ] >>= fun fuel ->
+  opt
+    (map2
+       (fun (event, period) (lbr, precise) -> { Machine.event; period; lbr; precise })
+       (pair
+          (oneofl Machine.[ Ev_cycles; Ev_instructions; Ev_taken_branches ])
+          (int_range 1 40))
+       (pair bool bool))
+  >>= fun sampling ->
+  bool >>= fun heatmap ->
+  array_size (int_range 0 4) (int_range (-5) 5) >|= fun input ->
+  { secs; second; handler; fuel; sampling; heatmap; input }
+
+(* Everything a run leaves: the outcome, the raw profile's tables in
+   the order they iterate (as [Samples.save] and [Perf2bolt] read
+   them), every memory page, or the exception it raised (from the load
+   or the run). *)
+let observe run p =
+  match run p with
+  | (o : Machine.outcome) ->
+      let in_order tbl f = Hashtbl.fold (fun k v acc -> f k v :: acc) tbl [] in
+      let order =
+        Option.map
+          (fun (r : Machine.raw_profile) ->
+            ( in_order r.rp_branches (fun k (n, m) -> (k, !n, !m)),
+              in_order r.rp_traces (fun k n -> (k, !n)),
+              in_order r.rp_ips (fun k n -> (k, !n)) ))
+          o.profile
+      in
+      let pages =
+        Hashtbl.fold (fun k b acc -> (k, Bytes.to_string b) :: acc) o.final_mem.Memory.pages []
+      in
+      Ok (outcome_text o, order, List.sort compare pages)
+  | exception e -> Error (Printexc.to_string e)
+
+let oracle_prop =
+  QCheck.Test.make ~name:"block-cached run == per-instruction oracle" ~count:2000
+    (QCheck.make ~print:show_prog gen_prog)
+    (fun p ->
+      let exe = prog_exe p in
+      let run f p =
+        f ?config:None ?sampling:p.sampling ?heatmap:(Some p.heatmap) ?fuel:(Some p.fuel) exe
+          ~input:p.input
+      in
+      observe (run Machine.run) p = observe (run Oracle.Machine.run) p)
+
 let suite =
   [
     Alcotest.test_case "golden digests" `Quick golden_sim_digests;
@@ -476,4 +789,5 @@ let suite =
     Alcotest.test_case "jump-outside-text" `Quick test_jump_outside_text;
     Alcotest.test_case "padding-tolerated" `Quick test_padding_tolerated;
     Alcotest.test_case "two-text-sections" `Quick test_two_text_sections;
+    QCheck_alcotest.to_alcotest oracle_prop;
   ]
