@@ -3,13 +3,15 @@
 
 open Bolt_obj
 
+module Names = Hashtbl.Make (String)
+
 type t = {
   exe : Objfile.t;
   meta : Objfile.Index.t; (* [exe]'s FDEs, line tables and LSDAs by start *)
   opts : Opts.t;
   funcs : (string, Bfunc.t) Hashtbl.t;
   mutable order : string list; (* functions by original address *)
-  mutable rank : (string, int) Hashtbl.t;
+  mutable rank : int Names.t;
       (* name -> index in [order]; both set by [set_order] *)
   text : Types.section;
   plt : Types.section option;
@@ -19,6 +21,8 @@ type t = {
   syms : Symtab.t; (* [exe]'s functions by address *)
   plt_target : (string, string) Hashtbl.t; (* stub symbol -> target function *)
   mutable func_layout : (string list * string list) option; (* hot, cold order *)
+  mutable profile : Profile_view.t option;
+      (* the profile as match-profile resolved it; [None] before it runs *)
   mutable log : string list; (* pass log, newest first *)
   diag : Diag.t; (* structured diagnostics for the whole run *)
   obs : Bolt_obs.Obs.t; (* trace spans + metrics registry for the run *)
@@ -83,7 +87,7 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
       opts;
       funcs = Hashtbl.create 256;
       order = [];
-      rank = Hashtbl.create 1;
+      rank = Names.create 1;
       text;
       plt;
       rodata;
@@ -92,6 +96,7 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
       syms = Symtab.create exe.symbols;
       plt_target;
       func_layout = None;
+      profile = None;
       log = [];
       diag = Diag.create ();
       obs;
@@ -144,15 +149,15 @@ let simple_funcs ctx =
 
 (* Fix the function order, and the rank table [order_rank] reads. *)
 let set_order ctx names =
-  let tbl = Hashtbl.create 256 in
-  List.iteri (fun i n -> Hashtbl.replace tbl n i) names;
+  let tbl = Names.create 256 in
+  List.iteri (fun i n -> Names.replace tbl n i) names;
   ctx.order <- names;
   ctx.rank <- tbl
 
 (* Rank of a function name in the original address order; [max_int] for
    names outside it.  Used to fold per-domain results deterministically. *)
 let order_rank ctx n =
-  match Hashtbl.find_opt ctx.rank n with Some i -> i | None -> max_int
+  match Names.find ctx.rank n with i -> i | exception Not_found -> max_int
 
 (* ---- per-domain shards ----
 

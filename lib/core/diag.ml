@@ -63,8 +63,17 @@ let add t severity ~stage ?func msg =
       { d_severity = severity; d_stage = stage; d_func = func; d_msg = msg }
       :: t.records
 
-let warnf t ~stage ?func fmt = Fmt.kstr (add t Warning ~stage ?func) fmt
-let errorf t ~stage ?func fmt = Fmt.kstr (add t Error ~stage ?func) fmt
+(* A record past the cap is only counted, so its message is never
+   formatted: a stale profile can raise thousands of warnings. *)
+let emitf t severity ~stage ?func fmt =
+  if total t - t.dropped >= t.max_records then
+    Format.ikfprintf
+      (fun _ -> add t severity ~stage ?func "")
+      Format.str_formatter fmt
+  else Fmt.kstr (add t severity ~stage ?func) fmt
+
+let warnf t ~stage ?func fmt = emitf t Warning ~stage ?func fmt
+let errorf t ~stage ?func fmt = emitf t Error ~stage ?func fmt
 
 (* A function was demoted to non-simple and left byte-identical. *)
 let quarantine t ~stage ~func msg =

@@ -17,34 +17,32 @@
 open Bolt_isa
 open Bfunc
 
-(* Per-site indirect-call target profile, provided by the driver from the
-   fdata inter-function branch records. *)
-type site_profile = (string * int, (string * int) list) Hashtbl.t
-
-let build_site_profile ctx (prof : Bolt_profile.Fdata.t) : site_profile =
-  let h = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Bolt_profile.Fdata.branch) ->
-      if b.br_from_func <> b.br_to_func && b.br_to_off = 0 then begin
-        (* keep only records whose source is an indirect call instruction *)
-        match Context.func ctx b.br_from_func with
-        | Some fb when fb.simple ->
-            let key = (b.br_from_func, b.br_from_off) in
-            Hashtbl.replace h key
+(* [fb]'s call sites as the profile recorded them: call-site offset ->
+   (target, count) for each call record from it, newest first. *)
+let sites ctx (fb : Bfunc.t) =
+  let h = Hashtbl.create 8 in
+  (match ctx.Context.profile with
+  | Some v ->
+      let i = Context.order_rank ctx fb.fb_name in
+      if i < Array.length v.Profile_view.funcs then
+        List.iter
+          (fun (b : Bolt_profile.Fdata.branch) ->
+            Hashtbl.replace h b.br_from_off
               ((b.br_to_func, Bolt_profile.Fdata.clamp_int b.br_count)
-              :: (try Hashtbl.find h key with Not_found -> []))
-        | _ -> ()
-      end)
-    prof.branches;
+              :: (try Hashtbl.find h b.br_from_off with Not_found -> [])))
+          (List.rev v.Profile_view.sites.(i))
+  | None -> ());
   h
 
 (* Promote when the top target takes at least this percentage of the calls. *)
 let threshold_pct = 66
 
-let run ctx (sites : site_profile) =
+let run ctx =
   let promoted = ref 0 in
   Quarantine.iter_simple ctx ~stage:"icp"
     (fun fb ->
+      (* only a function holding an indirect call reads its sites *)
+      let sites = lazy (sites ctx fb) in
       (* collect candidate (block, insn) sites first: we mutate the CFG *)
       let candidates = ref [] in
       Hashtbl.iter
@@ -53,7 +51,7 @@ let run ctx (sites : site_profile) =
             (fun (i : minsn) ->
               match i.op with
               | Insn.Call_ind _ when i.m_off >= 0 -> (
-                  match Hashtbl.find_opt sites (fb.fb_name, i.m_off) with
+                  match Hashtbl.find_opt (Lazy.force sites) i.m_off with
                   | Some targets ->
                       let total = List.fold_left (fun a (_, c) -> a + c) 0 targets in
                       let merged = Hashtbl.create 8 in

@@ -26,35 +26,15 @@ type stats = {
   mutable unknown_funcs : int;
 }
 
-(* offset -> block lookup per function *)
-let offset_maps (fb : Bfunc.t) =
-  let starts = Hashtbl.create 32 in
-  let spans = ref [] in
-  Hashtbl.iter
-    (fun _ b ->
-      if b.b_off >= 0 then begin
-        Hashtbl.replace starts b.b_off b.bl;
-        spans := (b.b_off, b.bl) :: !spans
-      end)
-    fb.blocks;
-  let arr = Array.of_list (List.sort compare !spans) in
-  let containing off =
-    (* greatest block start <= off *)
-    let lo = ref 0 and hi = ref (Array.length arr - 1) in
-    let res = ref None in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let o, l = arr.(mid) in
-      if o <= off then begin
-        res := Some l;
-        lo := mid + 1
-      end
-      else hi := mid - 1
-    done;
-    !res
-  in
-  (starts, containing, arr)
+(* A record's function, as an index into [Context.order]; -1 for a name
+   that is not a function of the binary. *)
+let index ctx name =
+  match Context.Names.find ctx.Context.rank name with
+  | i -> i
+  | exception Not_found -> -1
 
+(* One pass over the records: attach them to the CFGs, and build the
+   context's profile view from the same lookups. *)
 let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
   (* profile counts are saturating int64; CFG machinery runs on native
      ints, so clamp at the boundary *)
@@ -95,132 +75,110 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
       "%s offset %d outside function of size %d (stale profile?)" what off
       fb.fb_size
   in
-  let in_bounds fb off = off >= 0 && off < fb.fb_size in
-  let maps = Hashtbl.create 64 in
-  let map_of fb =
-    match Hashtbl.find_opt maps fb.fb_name with
-    | Some m -> m
-    | None ->
-        let m = offset_maps fb in
-        Hashtbl.add maps fb.fb_name m;
-        m
+  let unmatched count =
+    st.unmatched_branches <- st.unmatched_branches + 1;
+    st.unmatched_count <- st.unmatched_count + count
   in
+  let in_bounds fb off = off >= 0 && off < fb.fb_size in
+  let v = Profile_view.create (Array.of_list (Context.all_funcs ctx)) in
+  ctx.Context.profile <- Some v;
   (* 1. taken-branch records -> edges; call records -> entry counts *)
   List.iter
     (fun (b : Bolt_profile.Fdata.branch) ->
-      if b.br_from_func = b.br_to_func then begin
-        match Context.func ctx b.br_from_func with
-        | Some fb when fb.simple ->
-            let drop () =
-              st.unmatched_branches <- st.unmatched_branches + 1;
-              st.unmatched_count <- st.unmatched_count + c64 b.br_count
-            in
-            if not (in_bounds fb b.br_from_off) then begin
-              stale fb "branch source" b.br_from_off;
-              drop ()
+      let fi = index ctx b.br_from_func in
+      let count = c64 b.br_count in
+      if fi >= 0 then Profile_view.add_events v fi count;
+      if String.equal b.br_from_func b.br_to_func then begin
+        if fi < 0 then begin
+          note_unknown b.br_from_func;
+          unmatched count
+        end
+        else
+          let fb = v.funcs.(fi) in
+          if not fb.simple then ()
+          else if not (in_bounds fb b.br_from_off) then begin
+            stale fb "branch source" b.br_from_off;
+            unmatched count
+          end
+          else if not (in_bounds fb b.br_to_off) then begin
+            stale fb "branch target" b.br_to_off;
+            unmatched count
+          end
+          else begin
+            let m = Profile_view.offsets v fi in
+            let s = Profile_view.containing m b.br_from_off in
+            let d = Profile_view.starting_at m b.br_to_off in
+            if s >= 0 && d >= 0 then begin
+              add_edge_count fb m.blocks.(s).bl m.blocks.(d).bl count
+                (c64 b.br_mispreds);
+              st.matched_branches <- st.matched_branches + 1;
+              st.matched_count <- st.matched_count + count
             end
-            else if not (in_bounds fb b.br_to_off) then begin
-              stale fb "branch target" b.br_to_off;
-              drop ()
-            end
-            else begin
-              let starts, containing, _ = map_of fb in
-              let src = containing b.br_from_off in
-              let dst = Hashtbl.find_opt starts b.br_to_off in
-              match (src, dst) with
-              | Some s, Some d ->
-                  add_edge_count fb s d (c64 b.br_count) (c64 b.br_mispreds);
-                  st.matched_branches <- st.matched_branches + 1;
-                  st.matched_count <- st.matched_count + c64 b.br_count
-              | _ -> drop ()
-            end
-        | Some _ -> ()
-        | None ->
-            note_unknown b.br_from_func;
-            st.unmatched_branches <- st.unmatched_branches + 1;
-            st.unmatched_count <- st.unmatched_count + c64 b.br_count
+            else unmatched count
+          end
       end
       else if b.br_to_off = 0 then begin
         (* a call (or tail transfer) into the target's entry *)
-        match Context.func ctx b.br_to_func with
-        | Some fb -> fb.exec_count <- fb.exec_count + c64 b.br_count
-        | None -> note_unknown b.br_to_func
+        let ti = index ctx b.br_to_func in
+        if ti >= 0 then begin
+          let fb = v.funcs.(ti) in
+          fb.exec_count <- fb.exec_count + count
+        end
+        else note_unknown b.br_to_func;
+        if fi >= 0 then Profile_view.add_call v ~caller:fi ~callee:ti b count
       end)
     prof.branches;
   (* 2. fall-through ranges: block counts + non-taken edge counts *)
   List.iter
     (fun (r : Bolt_profile.Fdata.range) ->
-      match Context.func ctx r.rg_func with
-      | Some fb when fb.simple && not (in_bounds fb r.rg_start) ->
-          stale fb "range start" r.rg_start
-      | Some fb when fb.simple ->
+      let i = index ctx r.rg_func in
+      if i < 0 then note_unknown r.rg_func
+      else begin
+        let count = c64 r.rg_count in
+        Profile_view.add_events v i count;
+        let fb = v.funcs.(i) in
+        if not fb.simple then ()
+        else if not (in_bounds fb r.rg_start) then stale fb "range start" r.rg_start
+        else begin
           (* a range end past the function still profiles the prefix *)
           if not (in_bounds fb r.rg_end) then stale fb "range end" r.rg_end;
-          let _, _, arr = map_of fb in
-          (* the blocks starting in [rg_start, rg_end]: a binary search
-             for the first, then a walk while the start is in range *)
-          let covered =
-            let lo = ref 0 and hi = ref (Array.length arr) in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if fst arr.(mid) < r.rg_start then lo := mid + 1 else hi := mid
-            done;
-            let last = ref !lo in
-            while !last < Array.length arr && fst arr.(!last) <= r.rg_end do
-              incr last
-            done;
-            let acc = ref [] in
-            for k = !last - 1 downto !lo do
-              acc := arr.(k) :: !acc
-            done;
-            !acc
-          in
-          (* the block containing rg_start is covered too if it starts earlier *)
-          let covered =
-            let _, containing, _ = map_of fb in
-            match containing r.rg_start with
-            | Some l when not (List.exists (fun (_, l') -> l' = l) covered) ->
-                ((-1), l) :: covered
-            | _ -> covered
-          in
-          let rec pairs = function
-            | (_, a) :: ((_, b) :: _ as rest) ->
-                (* sequential flow between adjacent covered blocks *)
-                let ba = block fb a in
-                (match ba.term with
-                | T_cond (_, _, fall) when fall = b ->
-                    add_edge_count fb a b (c64 r.rg_count) 0
-                | T_jump t when t = b -> add_edge_count fb a b (c64 r.rg_count) 0
-                | _ -> ());
-                pairs rest
-            | _ -> ()
-          in
-          pairs covered;
-          List.iter
-            (fun (_, l) ->
-              let b = block fb l in
-              b.ecount <- b.ecount + c64 r.rg_count)
-            covered
-      | Some _ -> ()
-      | None -> note_unknown r.rg_func)
+          (* covered: the block containing rg_start through the one
+             containing rg_end (just the first, for an inverted range) *)
+          let m = Profile_view.offsets v i in
+          let first = Profile_view.containing m r.rg_start in
+          let last = max first (Profile_view.containing m r.rg_end) in
+          for k = max first 0 to last do
+            let a = m.blocks.(k) in
+            (* sequential flow between adjacent covered blocks *)
+            (if k < last then
+               let next = m.blocks.(k + 1).bl in
+               match a.term with
+               | T_cond (_, _, fall) when fall = next ->
+                   add_edge_count fb a.bl next count 0
+               | T_jump t when t = next -> add_edge_count fb a.bl next count 0
+               | _ -> ());
+            a.ecount <- a.ecount + count
+          done
+        end
+      end)
     prof.ranges;
   (* 3. non-LBR: block counts from IP samples *)
-  if not prof.lbr then
-    List.iter
-      (fun (s : Bolt_profile.Fdata.sample) ->
-        match Context.func ctx s.sm_func with
-        | Some fb when fb.simple && not (in_bounds fb s.sm_off) ->
-            stale fb "sample" s.sm_off
-        | Some fb when fb.simple -> (
-            let _, containing, _ = map_of fb in
-            match containing s.sm_off with
-            | Some l ->
-                let b = block fb l in
-                b.ecount <- b.ecount + c64 s.sm_count
-            | None -> ())
-        | Some fb -> fb.exec_count <- fb.exec_count + c64 s.sm_count
-        | None -> note_unknown s.sm_func)
-      prof.samples;
+  List.iter
+    (fun (s : Bolt_profile.Fdata.sample) ->
+      let i = index ctx s.sm_func in
+      let count = c64 s.sm_count in
+      if i >= 0 then Profile_view.add_events v i count;
+      if not prof.lbr then
+        if i < 0 then note_unknown s.sm_func
+        else
+          let fb = v.funcs.(i) in
+          if not fb.simple then fb.exec_count <- fb.exec_count + count
+          else if not (in_bounds fb s.sm_off) then stale fb "sample" s.sm_off
+          else
+            let m = Profile_view.offsets v i in
+            let k = Profile_view.containing m s.sm_off in
+            if k >= 0 then m.blocks.(k).ecount <- m.blocks.(k).ecount + count)
+    prof.samples;
   st.unknown_funcs <- Hashtbl.length unknown;
   st
 

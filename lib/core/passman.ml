@@ -256,7 +256,7 @@ let table1 =
       (fun env m ->
         let promoted =
           Quarantine.pass env.ctx ~stage:"icp" ~default:0 (fun () ->
-              Icp.run env.ctx (Icp.build_site_profile env.ctx env.prof))
+              Icp.run env.ctx)
         in
         Metrics.incr m ~by:promoted "pass.icp.promoted");
     pf "peepholes"

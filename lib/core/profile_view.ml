@@ -1,0 +1,107 @@
+(* The profile as match-profile read it, kept on the context for the
+   passes that read the profile after it.
+
+   [Match_profile.attach] makes the one pass over the records, and looks
+   each record's functions up once, as indices into [Context.order].
+   Everything later passes need from the records lands here, in tables
+   indexed by function: ICP reads the call sites of the functions that
+   hold an indirect call, and reorder-functions builds its call graph
+   from the event totals and call weights.  The view holds tables
+   proportional to the functions and the distinct calls, never a copy of
+   the records. *)
+
+open Bfunc
+
+(* One function's blocks with an original offset, sorted by start: the
+   offset-to-block map the profile's offsets resolve through. *)
+type offsets = { starts : int array; blocks : bb array }
+
+module Int_tbl = Hashtbl.Make (Int)
+
+type t = {
+  funcs : Bfunc.t array; (* [Context.order] as functions *)
+  offsets : offsets array;
+      (* per function; [no_offsets] until a record needs the map *)
+  totals : int array;
+      (* per function: the counts of its records (branches from it, its
+         ranges, its samples), summed saturating at [max_int] — what
+         [Fdata.func_events] sums, clamped to an int *)
+  calls : int ref Int_tbl.t;
+      (* call weight per (caller, callee), keyed [caller * n + callee]:
+         the sum of the positive counts of the records between them *)
+  mutable call_order : (int * int ref) list;
+      (* [calls]' entries, newest first: the order their first positive
+         record came in *)
+  sites : Bolt_profile.Fdata.branch list array;
+      (* per caller: its call records, newest first *)
+}
+
+let no_offsets = { starts = [||]; blocks = [||] }
+
+let create (funcs : Bfunc.t array) =
+  let n = Array.length funcs in
+  {
+    funcs;
+    offsets = Array.make n no_offsets;
+    totals = Array.make n 0;
+    calls = Int_tbl.create 1024;
+    call_order = [];
+    sites = Array.make n [];
+  }
+
+(* [i]'s offset map, built the first time a record needs it. *)
+let offsets v i =
+  let m = v.offsets.(i) in
+  if m != no_offsets then m
+  else begin
+    let blocks =
+      Hashtbl.fold
+        (fun _ b acc -> if b.b_off >= 0 then b :: acc else acc)
+        v.funcs.(i).blocks []
+      |> Array.of_list
+    in
+    Array.sort (fun a b -> Int.compare a.b_off b.b_off) blocks;
+    let m = { starts = Array.map (fun b -> b.b_off) blocks; blocks } in
+    v.offsets.(i) <- m;
+    m
+  end
+
+(* The index of the block containing [off] (the greatest start at or
+   below it), or -1 when every block starts past it. *)
+let containing m off =
+  let lo = ref 0 and hi = ref (Array.length m.starts) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if m.starts.(mid) <= off then lo := mid + 1 else hi := mid
+  done;
+  !lo - 1
+
+(* The index of the block starting exactly at [off], or -1. *)
+let starting_at m off =
+  let k = containing m off in
+  if k >= 0 && m.starts.(k) = off then k else -1
+
+(* Count [c] (non-negative) of a record of function [i]. *)
+let add_events v i c =
+  let t = v.totals.(i) in
+  v.totals.(i) <- (if t > max_int - c then max_int else t + c)
+
+(* A call record [b] from function [caller] into [callee] (-1 when the
+   callee is not a function of the binary), with its count [c]. *)
+let add_call v ~caller ~callee (b : Bolt_profile.Fdata.branch) c =
+  v.sites.(caller) <- b :: v.sites.(caller);
+  if callee >= 0 && c > 0 then begin
+    let key = (caller * Array.length v.funcs) + callee in
+    match Int_tbl.find v.calls key with
+    | w -> w := !w + c
+    | exception Not_found ->
+        let w = ref c in
+        Int_tbl.add v.calls key w;
+        v.call_order <- (key, w) :: v.call_order
+  end
+
+(* Every call weight, in the order its first positive record came:
+   (caller, callee, weight). *)
+let calls v =
+  let n = Array.length v.funcs in
+  List.rev_map (fun (key, w) -> (key / n, key mod n, !w)) v.call_order

@@ -41,6 +41,26 @@ let direct_calls ctx =
           fb.Bfunc.raw_insns);
   !calls
 
+(* The LBR call graph of the live functions [funcs] ((name, size) in
+   address order): each node holds its function's event total and each
+   edge a call weight, both from the profile view.  Without a view
+   (match-profile never ran) every node reads 0 samples and there are no
+   edges. *)
+let lbr_callgraph ctx ~funcs =
+  let total, calls =
+    match ctx.Context.profile with
+    | None -> ((fun _ -> 0), [])
+    | Some v ->
+        let name i = v.Profile_view.funcs.(i).Bfunc.fb_name in
+        ( (fun n -> v.Profile_view.totals.(Context.order_rank ctx n)),
+          List.map
+            (fun (caller, callee, w) -> (name caller, name callee, w))
+            (Profile_view.calls v) )
+  in
+  Bolt_hfsort.Callgraph.build
+    ~nodes:(List.map (fun (n, size) -> (n, size, total n)) funcs)
+    ~calls
+
 (* Returns (hot order, cold order). *)
 let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
   let opts = ctx.Context.opts in
@@ -70,7 +90,7 @@ let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
           live
       in
       let g =
-        if prof.lbr then Bolt_hfsort.Callgraph.of_profile ~funcs prof
+        if prof.lbr then lbr_callgraph ctx ~funcs
         else
           Bolt_hfsort.Callgraph.of_samples_and_calls ~funcs
             ~direct_calls:(direct_calls ctx) prof

@@ -46,19 +46,52 @@ let hottest_caller g =
     g.edges;
   best
 
+(* The one builder of an LBR call graph.  [nodes] lists (name, size,
+   samples); a name's first entry makes its node.  [calls] lists
+   (caller, callee, weight) for distinct pairs, each weight the sum of
+   its records' positive counts, in the order the pairs' first such
+   record came; a call between two nodes becomes an edge. *)
+let build ~(nodes : (string * int * int) list)
+    ~(calls : (string * string * int) list) : t =
+  let g = create () in
+  List.iter
+    (fun (name, size, samples) ->
+      if not (Hashtbl.mem g.nodes name) then
+        Hashtbl.replace g.nodes name
+          { n_name = name; n_size = size; n_samples = samples })
+    nodes;
+  List.iter
+    (fun (caller, callee, w) ->
+      if Hashtbl.mem g.nodes caller && Hashtbl.mem g.nodes callee then
+        Hashtbl.add g.edges (caller, callee) (ref w))
+    calls;
+  g
+
 (* Build from an LBR profile: calls are branches landing at offset 0 of
    another function. *)
 let of_profile ~(funcs : (string * int) list) (prof : Bolt_profile.Fdata.t) : t =
-  let g = create () in
-  List.iter (fun (name, size) -> add_node g ~name ~size) funcs;
   let events = Bolt_profile.Fdata.func_events prof in
-  Hashtbl.iter (fun name c -> add_samples g name (Bolt_profile.Fdata.clamp_int c)) events;
+  let samples name =
+    match Hashtbl.find_opt events name with
+    | Some c -> Bolt_profile.Fdata.clamp_int c
+    | None -> 0
+  in
+  let weights = Hashtbl.create 1024 and calls = ref [] in
   List.iter
     (fun (b : Bolt_profile.Fdata.branch) ->
-      if b.br_from_func <> b.br_to_func && b.br_to_off = 0 then
-        add_edge g b.br_from_func b.br_to_func (Bolt_profile.Fdata.clamp_int b.br_count))
+      let w = Bolt_profile.Fdata.clamp_int b.br_count in
+      if b.br_from_func <> b.br_to_func && b.br_to_off = 0 && w > 0 then
+        let key = (b.br_from_func, b.br_to_func) in
+        match Hashtbl.find_opt weights key with
+        | Some r -> r := !r + w
+        | None ->
+            let r = ref w in
+            Hashtbl.add weights key r;
+            calls := (key, r) :: !calls)
     prof.branches;
-  g
+  build
+    ~nodes:(List.map (fun (name, size) -> (name, size, samples name)) funcs)
+    ~calls:(List.rev_map (fun ((caller, callee), r) -> (caller, callee, !r)) !calls)
 
 (* §5.3 fallback: no LBR.  [direct_calls] lists the binary's static call
    sites as (caller, offset-in-caller, callee); each edge gets the IP

@@ -45,7 +45,9 @@ let make ~nodes ?(entry = -1) edges =
   let edges =
     Hashtbl.fold (fun (s, d) c acc -> (s, d, !c) :: acc) tbl []
     |> List.sort (fun (s1, d1, a) (s2, d2, b) ->
-           if a <> b then compare b a else compare (s1, d1) (s2, d2))
+           if a <> b then Int.compare b a
+           else if s1 <> s2 then Int.compare s1 s2
+           else Int.compare d1 d2)
     |> Array.of_list
   in
   let succ = Array.make (max n 1) [] in

@@ -282,9 +282,11 @@ let match_functions (old_fps : F.func list) (new_fps : F.func list) :
 
 (* ---- record rewriting ---- *)
 
-(* Synthetic caller for inferred entry counts; [Match_profile.attach]
-   never resolves the source of a call record, so the ghost name is safe
-   and self-describing in dumps. *)
+(* Synthetic caller for inferred entry counts.  [Match_profile.attach]
+   credits a call record to its target's entry; the ghost name is no
+   function of the binary, so it gets no event total, call weight or
+   call site (and no unknown-function diagnostic), and it is
+   self-describing in dumps. *)
 let ghost_caller = "<stale-inferred>"
 
 let recover ~(fingerprints : F.t) ~(build_id : string) (p : Fdata.t) :

@@ -5,8 +5,10 @@
    per-instruction simulator loop; for the asm-link,
    stale and dataflow-emit suites, the chunk collector, the fingerprint
    stamp, the assembler, the emitter and the CFG builder as they were
-   before their linear-time rewrites.  Production code is checked against
-   these independent implementations rather than against itself. *)
+   before their linear-time rewrites; for the profile-hfsort suite, the
+   name-keyed profile readers of match-profile, ICP and
+   reorder-functions.  Production code is checked against these
+   independent implementations rather than against itself. *)
 
 (* The original per-byte reader/writer primitives (modulo the reader's
    [limit] field replacing [String.length]). *)
@@ -2229,4 +2231,252 @@ module Machine = struct
       uncaught_exception = !uncaught;
       final_mem = mem;
     }
+end
+
+(* The three readers of the profile as they were before the profile
+   view, kept verbatim: [Match_profile.attach] looks each record's
+   functions up by name and builds offset maps on a label table;
+   [Icp.build_site_profile] reads every call record again into a table
+   keyed by (caller, offset); [Callgraph.of_profile] reads them a third
+   time, with each function's events from [Fdata.func_events]. *)
+module Match_profile = struct
+  open Bolt_core
+  open Bfunc
+
+  (* offset -> block lookup per function *)
+  let offset_maps (fb : Bfunc.t) =
+    let starts = Hashtbl.create 32 in
+    let spans = ref [] in
+    Hashtbl.iter
+      (fun _ b ->
+        if b.b_off >= 0 then begin
+          Hashtbl.replace starts b.b_off b.bl;
+          spans := (b.b_off, b.bl) :: !spans
+        end)
+      fb.blocks;
+    let arr = Array.of_list (List.sort compare !spans) in
+    let containing off =
+      (* greatest block start <= off *)
+      let lo = ref 0 and hi = ref (Array.length arr - 1) in
+      let res = ref None in
+      while !lo <= !hi do
+        let mid = (!lo + !hi) / 2 in
+        let o, l = arr.(mid) in
+        if o <= off then begin
+          res := Some l;
+          lo := mid + 1
+        end
+        else hi := mid - 1
+      done;
+      !res
+    in
+    (starts, containing, arr)
+
+  let attach ctx (prof : Bolt_profile.Fdata.t) : Match_profile.stats =
+    (* profile counts are saturating int64; CFG machinery runs on native
+       ints, so clamp at the boundary *)
+    let c64 = Bolt_profile.Fdata.clamp_int in
+    let st =
+      {
+        Match_profile.matched_branches = 0;
+        unmatched_branches = 0;
+        matched_count = 0;
+        unmatched_count = 0;
+        stale_records = 0;
+        unknown_funcs = 0;
+      }
+    in
+    (* A stale profile names functions that no longer exist and offsets the
+       code has drifted past.  Both degrade that function's profile to
+       unmatched/partial — never an exception, never mis-attribution to
+       whatever block happens to sit at the bad offset. *)
+    let unknown = Hashtbl.create 16 in
+    (* names in the symbol table that aren't optimizable functions (plt
+       stubs, data symbols) are legitimately unattachable — only names
+       absent from the binary altogether hint at a stale profile *)
+    let known_syms = Hashtbl.create 64 in
+    List.iter
+      (fun (s : Bolt_obj.Types.symbol) -> Hashtbl.replace known_syms s.sym_name ())
+      ctx.Context.exe.Bolt_obj.Objfile.symbols;
+    let note_unknown name =
+      if (not (Hashtbl.mem known_syms name)) && not (Hashtbl.mem unknown name)
+      then begin
+        Hashtbl.replace unknown name ();
+        Diag.warnf ctx.Context.diag ~stage:"match-profile" ~func:name
+          "profile names a function not in the binary (stale profile?)"
+      end
+    in
+    let stale fb what off =
+      st.stale_records <- st.stale_records + 1;
+      Diag.warnf ctx.Context.diag ~stage:"match-profile" ~func:fb.fb_name
+        "%s offset %d outside function of size %d (stale profile?)" what off
+        fb.fb_size
+    in
+    let in_bounds fb off = off >= 0 && off < fb.fb_size in
+    let maps = Hashtbl.create 64 in
+    let map_of fb =
+      match Hashtbl.find_opt maps fb.fb_name with
+      | Some m -> m
+      | None ->
+          let m = offset_maps fb in
+          Hashtbl.add maps fb.fb_name m;
+          m
+    in
+    (* 1. taken-branch records -> edges; call records -> entry counts *)
+    List.iter
+      (fun (b : Bolt_profile.Fdata.branch) ->
+        if b.br_from_func = b.br_to_func then begin
+          match Context.func ctx b.br_from_func with
+          | Some fb when fb.simple ->
+              let drop () =
+                st.unmatched_branches <- st.unmatched_branches + 1;
+                st.unmatched_count <- st.unmatched_count + c64 b.br_count
+              in
+              if not (in_bounds fb b.br_from_off) then begin
+                stale fb "branch source" b.br_from_off;
+                drop ()
+              end
+              else if not (in_bounds fb b.br_to_off) then begin
+                stale fb "branch target" b.br_to_off;
+                drop ()
+              end
+              else begin
+                let starts, containing, _ = map_of fb in
+                let src = containing b.br_from_off in
+                let dst = Hashtbl.find_opt starts b.br_to_off in
+                match (src, dst) with
+                | Some s, Some d ->
+                    add_edge_count fb s d (c64 b.br_count) (c64 b.br_mispreds);
+                    st.matched_branches <- st.matched_branches + 1;
+                    st.matched_count <- st.matched_count + c64 b.br_count
+                | _ -> drop ()
+              end
+          | Some _ -> ()
+          | None ->
+              note_unknown b.br_from_func;
+              st.unmatched_branches <- st.unmatched_branches + 1;
+              st.unmatched_count <- st.unmatched_count + c64 b.br_count
+        end
+        else if b.br_to_off = 0 then begin
+          (* a call (or tail transfer) into the target's entry *)
+          match Context.func ctx b.br_to_func with
+          | Some fb -> fb.exec_count <- fb.exec_count + c64 b.br_count
+          | None -> note_unknown b.br_to_func
+        end)
+      prof.branches;
+    (* 2. fall-through ranges: block counts + non-taken edge counts *)
+    List.iter
+      (fun (r : Bolt_profile.Fdata.range) ->
+        match Context.func ctx r.rg_func with
+        | Some fb when fb.simple && not (in_bounds fb r.rg_start) ->
+            stale fb "range start" r.rg_start
+        | Some fb when fb.simple ->
+            (* a range end past the function still profiles the prefix *)
+            if not (in_bounds fb r.rg_end) then stale fb "range end" r.rg_end;
+            let _, _, arr = map_of fb in
+            (* the blocks starting in [rg_start, rg_end]: a binary search
+               for the first, then a walk while the start is in range *)
+            let covered =
+              let lo = ref 0 and hi = ref (Array.length arr) in
+              while !lo < !hi do
+                let mid = (!lo + !hi) / 2 in
+                if fst arr.(mid) < r.rg_start then lo := mid + 1 else hi := mid
+              done;
+              let last = ref !lo in
+              while !last < Array.length arr && fst arr.(!last) <= r.rg_end do
+                incr last
+              done;
+              let acc = ref [] in
+              for k = !last - 1 downto !lo do
+                acc := arr.(k) :: !acc
+              done;
+              !acc
+            in
+            (* the block containing rg_start is covered too if it starts earlier *)
+            let covered =
+              let _, containing, _ = map_of fb in
+              match containing r.rg_start with
+              | Some l when not (List.exists (fun (_, l') -> l' = l) covered) ->
+                  ((-1), l) :: covered
+              | _ -> covered
+            in
+            let rec pairs = function
+              | (_, a) :: ((_, b) :: _ as rest) ->
+                  (* sequential flow between adjacent covered blocks *)
+                  let ba = block fb a in
+                  (match ba.term with
+                  | T_cond (_, _, fall) when fall = b ->
+                      add_edge_count fb a b (c64 r.rg_count) 0
+                  | T_jump t when t = b -> add_edge_count fb a b (c64 r.rg_count) 0
+                  | _ -> ());
+                  pairs rest
+              | _ -> ()
+            in
+            pairs covered;
+            List.iter
+              (fun (_, l) ->
+                let b = block fb l in
+                b.ecount <- b.ecount + c64 r.rg_count)
+              covered
+        | Some _ -> ()
+        | None -> note_unknown r.rg_func)
+      prof.ranges;
+    (* 3. non-LBR: block counts from IP samples *)
+    if not prof.lbr then
+      List.iter
+        (fun (s : Bolt_profile.Fdata.sample) ->
+          match Context.func ctx s.sm_func with
+          | Some fb when fb.simple && not (in_bounds fb s.sm_off) ->
+              stale fb "sample" s.sm_off
+          | Some fb when fb.simple -> (
+              let _, containing, _ = map_of fb in
+              match containing s.sm_off with
+              | Some l ->
+                  let b = block fb l in
+                  b.ecount <- b.ecount + c64 s.sm_count
+              | None -> ())
+          | Some fb -> fb.exec_count <- fb.exec_count + c64 s.sm_count
+          | None -> note_unknown s.sm_func)
+        prof.samples;
+    st.unknown_funcs <- Hashtbl.length unknown;
+    st
+end
+
+module Icp = struct
+  open Bolt_core
+
+  type site_profile = (string * int, (string * int) list) Hashtbl.t
+
+  let build_site_profile ctx (prof : Bolt_profile.Fdata.t) : site_profile =
+    let h = Hashtbl.create 64 in
+    List.iter
+      (fun (b : Bolt_profile.Fdata.branch) ->
+        if b.br_from_func <> b.br_to_func && b.br_to_off = 0 then begin
+          (* keep only records whose source is an indirect call instruction *)
+          match Context.func ctx b.br_from_func with
+          | Some fb when fb.simple ->
+              let key = (b.br_from_func, b.br_from_off) in
+              Hashtbl.replace h key
+                ((b.br_to_func, Bolt_profile.Fdata.clamp_int b.br_count)
+                :: (try Hashtbl.find h key with Not_found -> []))
+          | _ -> ()
+        end)
+      prof.branches;
+    h
+end
+
+module Callgraph = struct
+  open Bolt_hfsort.Callgraph
+
+  let of_profile ~(funcs : (string * int) list) (prof : Bolt_profile.Fdata.t) : t =
+    let g = create () in
+    List.iter (fun (name, size) -> add_node g ~name ~size) funcs;
+    let events = Bolt_profile.Fdata.func_events prof in
+    Hashtbl.iter (fun name c -> add_samples g name (Bolt_profile.Fdata.clamp_int c)) events;
+    List.iter
+      (fun (b : Bolt_profile.Fdata.branch) ->
+        if b.br_from_func <> b.br_to_func && b.br_to_off = 0 then
+          add_edge g b.br_from_func b.br_to_func (Bolt_profile.Fdata.clamp_int b.br_count))
+      prof.branches;
+    g
 end

@@ -359,6 +359,24 @@ let golden_digests () =
   Alcotest.(check string) "bmerge streaming" (digest_of "bmerge")
     (md5 (Fdata.to_string streamed))
 
+(* The same pin at mega shape: [Bolt.optimize -j 1] on the input the
+   dataflow-emit suite checks against its oracles (400 mostly cold
+   functions, 6,000 profile lines), both its output bytes and its
+   report's manifest sections (counters, profile quality, dyno-stats,
+   layout scores, diagnostics in order). *)
+let mega_golden_digests () =
+  let m = Gen.gen_mega ~seed:5 ~funcs:400 ~fdata_lines:6000 () in
+  let exe = Objfile.of_string m.Gen.mg_belf in
+  let prof, _ = Fdata.parse m.Gen.mg_fdata in
+  let opts = { Bolt_core.Opts.default with Bolt_core.Opts.jobs = 1 } in
+  let out, report = Bolt_core.Bolt.optimize ~opts exe prof in
+  Alcotest.(check string) "obolt mega j=1" (digest_of "obolt_mega_j1")
+    (md5 (Objfile.to_string out));
+  Alcotest.(check string) "obolt mega report" (digest_of "obolt_mega_report")
+    (md5
+       (Bolt_obs.Json.to_string
+          (Bolt_obs.Json.Obj (Bolt_core.Bolt.manifest_sections report))))
+
 (* ------------------------------------------------------------------ *)
 (* Mega-workload smoke: the bench's generator, at unit-test scale     *)
 
@@ -498,6 +516,7 @@ let suite =
     Alcotest.test_case "belf fixtures old-vs-new" `Quick belf_fixture_parity;
     Alcotest.test_case "fdata fixtures old-vs-new" `Quick fdata_fixture_parity;
     Alcotest.test_case "golden digests (pre-refactor bytes)" `Slow golden_digests;
+    Alcotest.test_case "golden digests at mega shape" `Quick mega_golden_digests;
     Alcotest.test_case "mega workload parity" `Quick mega_parity;
     Alcotest.test_case "sat_scale boundary" `Quick sat_scale_boundary;
   ]

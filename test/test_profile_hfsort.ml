@@ -157,6 +157,259 @@ let order_is_permutation =
           List.length o = 16 && List.sort compare o = List.sort compare names)
         [ O.C3; O.Hfsort_plus; O.Pettis_hansen ])
 
+(* ---- the profile view against the name-keyed readers ---- *)
+
+module Bfunc = Bolt_core.Bfunc
+module Ctx = Bolt_core.Context
+module Types = Bolt_obj.Types
+module Fdata = Bolt_profile.Fdata
+
+(* A random function: simple or not, blocks at increasing offsets from
+   0 or 1 (so an offset can precede every block), terminators naming its
+   own blocks (mostly falling through to the next one, so fall-through
+   ranges add edges), an occasional synthesized block, and slack bytes
+   after the last block. *)
+type fn_spec = {
+  fs_simple : bool;
+  fs_first : int;
+  fs_blocks : (int * Bfunc.term) list; (* size, terminator *)
+  fs_synth : bool;
+  fs_slack : int;
+  fs_folded : bool; (* folded by ICF before reorder-functions *)
+}
+
+let lbl off = Printf.sprintf ".LBB%d" off
+
+(* Start offsets: the first at [first], each next one past the previous
+   one's size. *)
+let starts first sizes =
+  List.rev (snd (List.fold_left (fun (o, acc) sz -> (o + sz, o :: acc)) (first, []) sizes))
+
+let gen_fn =
+  let open QCheck.Gen in
+  let* nb = int_range 1 6 in
+  let* sizes = list_repeat nb (int_range 1 12) in
+  let* first = frequency [ (4, return 0); (1, return 1) ] in
+  let offs = starts first sizes in
+  let label k = lbl (List.nth offs k) in
+  let any = map label (int_bound (nb - 1)) in
+  let term k =
+    let next = if k + 1 < nb then label (k + 1) else label k in
+    frequency
+      [
+        (4, map (fun t -> Bfunc.T_cond (Bolt_isa.Cond.Eq, t, next)) any);
+        (2, return (Bfunc.T_jump next));
+        (1, map (fun t -> Bfunc.T_jump t) any);
+        (1, map2 (fun a b -> Bfunc.T_cond (Bolt_isa.Cond.Lt, a, b)) any any);
+        (1, return (Bfunc.T_condtail (Bolt_isa.Cond.Ne, "f0", next)));
+        (1, return (Bfunc.T_indirect None));
+        (1, return Bfunc.T_stop);
+      ]
+  in
+  let* terms = flatten_l (List.init nb term) in
+  let+ simple = frequency [ (5, return true); (1, return false) ]
+  and+ synth = frequency [ (5, return false); (1, return true) ]
+  and+ slack = int_range 0 3
+  and+ folded = frequency [ (4, return false); (1, return true) ] in
+  {
+    fs_simple = simple;
+    fs_first = first;
+    fs_blocks = List.combine sizes terms;
+    fs_synth = synth;
+    fs_slack = slack;
+    fs_folded = folded;
+  }
+
+let fn_size f =
+  List.fold_left (fun a (sz, _) -> a + sz) f.fs_first f.fs_blocks + f.fs_slack
+
+(* Names a profile may carry: the functions f0.., a name the binary
+   lacks, a symbol that is not a function, and the stale matcher's
+   synthetic caller. *)
+let gen_name n =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map (fun i -> Printf.sprintf "f%d" i) (int_bound n));
+        (1, return "gone");
+        (1, return "data_sym");
+        (1, return Bolt_profile.Stale_match.ghost_caller);
+      ])
+
+let gen_count =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return 0L);
+        (8, map Int64.of_int (int_range 1 1000));
+        (1, map (fun d -> Int64.sub Int64.max_int (Int64.of_int d)) (int_range 0 2));
+        (1, map (fun d -> Int64.add (Int64.of_int max_int) (Int64.of_int d)) (int_range (-1) 1));
+      ])
+
+(* Offsets: block starts, points inside blocks, and past either end. *)
+let gen_off = QCheck.Gen.(frequency [ (3, int_range 0 12); (1, int_range (-1) 40) ])
+
+let gen_profile n =
+  let open QCheck.Gen in
+  let name = gen_name n in
+  let branch =
+    let* from_func = name in
+    let* to_func = frequency [ (3, return from_func); (2, name) ] in
+    let+ from_off = gen_off
+    and+ to_off = frequency [ (2, return 0); (3, gen_off) ]
+    and+ br_count = gen_count
+    and+ br_mispreds = gen_count in
+    Fdata.
+      { br_from_func = from_func; br_from_off = from_off; br_to_func = to_func;
+        br_to_off = to_off; br_count; br_mispreds }
+  in
+  let range =
+    let+ rg_func = name and+ rg_start = gen_off and+ len = int_range (-2) 20
+    and+ rg_count = gen_count in
+    { Fdata.rg_func; rg_start; rg_end = rg_start + len; rg_count }
+  in
+  let sample =
+    let+ sm_func = name and+ sm_off = gen_off and+ sm_count = gen_count in
+    { Fdata.sm_func; sm_off; sm_count }
+  in
+  (* drawn with replacement from small pools, so records repeat *)
+  let pick pool = if pool = [] then return [] else list_size (int_range 0 24) (oneofl pool) in
+  let* bs = list_size (int_range 0 10) branch
+  and* rs = list_size (int_range 0 5) range
+  and* ss = list_size (int_range 0 5) sample
+  and* lbr = bool in
+  let+ branches = pick bs and+ ranges = pick rs and+ samples = pick ss in
+  { Fdata.empty with lbr; branches; ranges; samples }
+
+(* A context over [fns], named f0.. in address order, with every CFG as
+   build-cfg would leave it.  Built afresh for each reader. *)
+let context_of fns =
+  let base = 0x1000 in
+  let addrs = starts base (List.map (fun f -> fn_size f + 16) fns) in
+  let symbols =
+    List.mapi
+      (fun i (f, addr) ->
+        { Types.sym_name = Printf.sprintf "f%d" i; sym_kind = Types.Func;
+          sym_bind = Types.Global; sym_section = ".text"; sym_value = addr;
+          sym_size = fn_size f })
+      (List.combine fns addrs)
+    @ [ { Types.sym_name = "data_sym"; sym_kind = Types.Object; sym_bind = Types.Global;
+          sym_section = ".text"; sym_value = base; sym_size = 0 } ]
+  in
+  let text_size = 0x4000 in
+  let text =
+    { Types.sec_name = ".text"; sec_kind = Types.Text; sec_addr = base;
+      sec_data = Bytes.make text_size '\x00'; sec_size = text_size }
+  in
+  let exe =
+    { (Bolt_obj.Objfile.empty Bolt_obj.Objfile.Executable) with
+      Bolt_obj.Objfile.sections = [ text ]; symbols }
+  in
+  let ctx = Ctx.create ~opts:Bolt_core.Opts.default exe in
+  List.iteri
+    (fun i (f, addr) ->
+      let name = Printf.sprintf "f%d" i in
+      let fb = Bfunc.create ~name ~addr ~size:(fn_size f) in
+      if not f.fs_simple then Bfunc.mark_non_simple fb "generated";
+      let offs = starts f.fs_first (List.map fst f.fs_blocks) in
+      List.iter2
+        (fun off (_, term) ->
+          Bfunc.add_block fb
+            { Bfunc.bl = lbl off; b_off = off; insns = []; term; ecount = 0;
+              cfi_entry = Types.initial_cfi_state; is_lp = false })
+        offs f.fs_blocks;
+      if f.fs_synth then
+        Bfunc.add_block fb
+          { Bfunc.bl = ".Lsynth"; b_off = -1; insns = []; term = Bfunc.T_stop;
+            ecount = 0; cfi_entry = Types.initial_cfi_state; is_lp = false };
+      fb.layout <- List.map lbl offs;
+      fb.entry <- lbl f.fs_first;
+      Hashtbl.replace ctx.Ctx.funcs name fb)
+    (List.combine fns addrs);
+  Ctx.set_order ctx (List.mapi (fun i _ -> Printf.sprintf "f%d" i) fns);
+  ctx
+
+(* Everything attach and finalize leave on the functions: entry counts,
+   edge counts with their insertion order, block counts, profile
+   accuracy; then the diagnostics in order. *)
+let cfg_state ctx =
+  ( List.map
+      (fun (fb : Bfunc.t) ->
+        ( fb.fb_name,
+          fb.exec_count,
+          fb.profile_acc,
+          Hashtbl.fold (fun k (c, m) acc -> (k, !c, !m) :: acc) fb.edge_counts [],
+          List.sort compare (Hashtbl.fold (fun l b acc -> (l, b.Bfunc.ecount) :: acc) fb.blocks []) ))
+      (Ctx.all_funcs ctx),
+    Bolt_core.Diag.records ctx.Ctx.diag,
+    Bolt_core.Diag.total ctx.Ctx.diag )
+
+let graph_state (g : CG.t) =
+  ( Hashtbl.fold (fun k n acc -> (k, n.CG.n_size, n.CG.n_samples) :: acc) g.CG.nodes [],
+    Hashtbl.fold (fun k w acc -> (k, !w) :: acc) g.CG.edges [] )
+
+let prop_profile_view =
+  let gen =
+    QCheck.Gen.(
+      let* fns = list_size (int_range 1 5) gen_fn in
+      let+ prof = gen_profile (List.length fns) and+ trust = bool in
+      (fns, prof, trust))
+  in
+  let print (fns, prof, trust) =
+    Fmt.str "trust_fallthrough %b@.%a@.%s" trust
+      Fmt.(list ~sep:cut (fun ppf (i, f) ->
+               pf ppf "f%d: simple %b folded %b size %d blocks at %d, sizes %a" i f.fs_simple
+                 f.fs_folded (fn_size f) f.fs_first (list ~sep:sp int) (List.map fst f.fs_blocks)))
+      (List.mapi (fun i f -> (i, f)) fns)
+      (Fdata.to_string prof)
+  in
+  QCheck.Test.make ~name:"profile view == name-keyed readers (random CFGs, profiles)"
+    ~count:1000 (QCheck.make ~print gen)
+    (fun (fns, prof, trust_fallthrough) ->
+      let a = context_of fns and b = context_of fns in
+      let sa = Oracle.Match_profile.attach a prof in
+      let sb = Bolt_core.Match_profile.attach b prof in
+      let attached = cfg_state a = cfg_state b in
+      (* finalize can raise (its non-LBR split divides by a sum that
+         wraps near [max_int]); it must do so on both *)
+      let finalize ctx =
+        match Bolt_core.Match_profile.finalize ctx ~lbr:prof.Fdata.lbr ~trust_fallthrough with
+        | () -> None
+        | exception e -> Some (Printexc.to_string e)
+      in
+      let finalized = finalize a = finalize b && cfg_state a = cfg_state b in
+      (* ICP's per-site target lists, read for every simple function *)
+      let oracle_sites = Oracle.Icp.build_site_profile a prof in
+      let sites_ok =
+        List.for_all
+          (fun (fb : Bfunc.t) ->
+            (not fb.simple)
+            || List.sort compare
+                 (Hashtbl.fold
+                    (fun (n, off) l acc -> if n = fb.fb_name then (off, l) :: acc else acc)
+                    oracle_sites [])
+               = List.sort compare
+                   (Hashtbl.fold (fun off l acc -> (off, l) :: acc) (Bolt_core.Icp.sites b fb) []))
+          (Ctx.all_funcs b)
+      in
+      (* the call graph reorder-functions builds, after ICF folded some *)
+      List.iter
+        (fun ctx ->
+          List.iter2
+            (fun f (fb : Bfunc.t) -> if f.fs_folded then fb.folded_into <- Some "f0")
+            fns (Ctx.all_funcs ctx))
+        [ a; b ];
+      let funcs =
+        List.filter_map
+          (fun (fb : Bfunc.t) ->
+            if fb.folded_into = None then Some (fb.fb_name, max 1 fb.fb_size) else None)
+          (Ctx.all_funcs b)
+      in
+      let oracle_graph = graph_state (Oracle.Callgraph.of_profile ~funcs prof) in
+      sa = sb && attached && finalized && sites_ok
+      && graph_state (Bolt_core.Reorder_funcs.lbr_callgraph b ~funcs) = oracle_graph
+      && graph_state (CG.of_profile ~funcs prof) = oracle_graph)
+
 let suite =
   [
     Alcotest.test_case "fdata-roundtrip" `Quick test_fdata_roundtrip;
@@ -168,4 +421,6 @@ let suite =
     Alcotest.test_case "callgraph-lbr" `Quick test_callgraph_from_profile;
     Alcotest.test_case "callgraph-non-lbr" `Quick test_non_lbr_callgraph;
     QCheck_alcotest.to_alcotest order_is_permutation;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 2019 |]) prop_profile_view;
   ]
