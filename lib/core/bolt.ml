@@ -56,6 +56,28 @@ type report = {
   r_log : string list;
 }
 
+(* The layout rows and dyno-stats of the current CFG state, as the
+   stages layout-eval and dyno-stats named with [suffix], from one
+   layout evaluation: the snapshot's rows give dyno-stats its layout
+   rows.  When the evaluation fails, dyno-stats is skipped too, zero as
+   a whole, rather than real counts beside zero layout rows. *)
+let eval_state env suffix =
+  let ctx = env.Passman.ctx in
+  let layout =
+    Passman.stage env ("layout-eval" ^ suffix) (fun () ->
+        Quarantine.pass ctx ~stage:"layout-eval" ~default:None (fun () ->
+            Some (Layout_bbs.snapshot ctx)))
+  in
+  let dyno =
+    Passman.stage env ("dyno-stats" ^ suffix) (fun () ->
+        Quarantine.pass ctx ~stage:"dyno-stats" ~default:(Dyno_stats.zero ())
+          (fun () ->
+            match layout with
+            | Some rows -> Dyno_stats.collect ctx rows
+            | None -> failwith "no layout evaluation"))
+  in
+  (Option.value ~default:[] layout, dyno)
+
 let optimize ?(opts = Opts.default) ?obs (exe : Bolt_obj.Objfile.t)
     (prof : Bolt_profile.Fdata.t) : Bolt_obj.Objfile.t * report =
   let obs = match obs with Some o -> o | None -> Obs.create ~name:"bolt" () in
@@ -117,21 +139,9 @@ let optimize ?(opts = Opts.default) ?obs (exe : Bolt_obj.Objfile.t)
         Quarantine.pass ctx ~stage:"bad-layout" ~default:[] (fun () ->
             Report.bad_layout ctx ~top:20))
   in
-  let dyno ctx name =
-    Passman.stage env name (fun () ->
-        Quarantine.pass ctx ~stage:"dyno-stats" ~default:(Dyno_stats.zero ())
-          (fun () -> Dyno_stats.collect ctx))
-  in
-  let layout_snap name =
-    Passman.stage env name (fun () ->
-        Quarantine.pass ctx ~stage:"layout-eval" ~default:[] (fun () ->
-            Layout_bbs.snapshot ctx))
-  in
-  let dyno_before = dyno ctx "dyno-stats-before" in
-  let layout_before = layout_snap "layout-eval-before" in
+  let layout_before, dyno_before = eval_state env "-before" in
   Passman.run env Passman.table1;
-  let dyno_after = dyno ctx "dyno-stats-after" in
-  let layout_after = layout_snap "layout-eval-after" in
+  let layout_after, dyno_after = eval_state env "-after" in
   let rw, identity_fallback =
     Passman.stage env "rewrite" (fun () -> Rewrite.run_protected ctx)
   in

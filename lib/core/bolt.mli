@@ -89,6 +89,18 @@ val optimize :
   Bolt_profile.Fdata.t ->
   Bolt_obj.Objfile.t * report
 
+(** [eval_state env suffix] evaluates the context's current CFG state,
+    as [optimize] does before and after Table 1, in the stages
+    [layout-eval] and [dyno-stats] with [suffix] appended to their
+    names: the per-function layout rows (as [r_layout_before]) and the
+    dyno-stats, from one layout evaluation.  If the evaluation fails,
+    both stages are skipped with a diagnostic each: no layout rows and
+    zero dyno-stats. *)
+val eval_state :
+  Passman.env ->
+  string ->
+  (string * int * Bolt_layout.Evaluator.result) list * Dyno_stats.t
+
 (** Render the report in the style of BOLT's console output, including the
     dyno-stats before/after table. *)
 val pp_report : Format.formatter -> report -> unit

@@ -46,24 +46,28 @@ let zero () =
     hot_itlb_pages = 0;
   }
 
-let collect ctx : t =
+(* The statistics of the context's current layout.  [layout] is
+   [Layout_bbs.snapshot] of the same state: its rows give the layout
+   quality totals. *)
+let collect ctx (layout : (string * int * Bolt_layout.Evaluator.result) list) : t =
   let st = zero () in
   List.iter
     (fun fb ->
-      let pos = Hashtbl.create 32 in
-      List.iteri (fun i l -> Hashtbl.replace pos l i) fb.layout;
-      let index l = try Hashtbl.find pos l with Not_found -> max_int in
+      let pos = Layout_bbs.indexer (Array.of_list fb.layout) in
+      let index l = match pos l with -1 -> max_int | i -> i in
       (* block [l] at layout position [i], followed by [next] ("" at the end) *)
       let visit i l next =
         let b = block fb l in
         let n = b.ecount in
-        st.executed_instructions <-
-          st.executed_instructions + (n * List.length b.insns);
-        List.iter
-          (fun (ins : minsn) ->
-            if Bolt_isa.Insn.is_call ins.op then
-              st.executed_calls <- st.executed_calls + n)
-          b.insns;
+        if n <> 0 then begin
+          st.executed_instructions <-
+            st.executed_instructions + (n * List.length b.insns);
+          List.iter
+            (fun (ins : minsn) ->
+              if Bolt_isa.Insn.is_call ins.op then
+                st.executed_calls <- st.executed_calls + n)
+            b.insns
+        end;
         match b.term with
         | T_cond (_, taken, fall) when taken <> fall ->
             let tk = edge_count fb l taken in
@@ -121,18 +125,16 @@ let collect ctx : t =
             visit i l (match rest with next :: _ -> next | [] -> "");
             walk (i + 1) rest
       in
-      walk 0 fb.layout;
-      if has_profile fb && Hashtbl.length fb.blocks > 0 then begin
-        let r = Layout_bbs.eval_fn fb in
-        st.layout_score_x1000 <-
-          st.layout_score_x1000
-          + int_of_float ((r.Bolt_layout.Evaluator.ev_score *. 1000.0) +. 0.5);
-        st.hot_icache_lines <-
-          st.hot_icache_lines + r.Bolt_layout.Evaluator.ev_icache_lines;
-        st.hot_itlb_pages <-
-          st.hot_itlb_pages + r.Bolt_layout.Evaluator.ev_itlb_pages
-      end)
+      walk 0 fb.layout)
     (Context.simple_funcs ctx);
+  List.iter
+    (fun (_, _, (r : Bolt_layout.Evaluator.result)) ->
+      st.layout_score_x1000 <-
+        st.layout_score_x1000
+        + int_of_float ((r.ev_score *. 1000.0) +. 0.5);
+      st.hot_icache_lines <- st.hot_icache_lines + r.ev_icache_lines;
+      st.hot_itlb_pages <- st.hot_itlb_pages + r.ev_itlb_pages)
+    layout;
   st
 
 let rows (t : t) =

@@ -20,32 +20,37 @@ module Cfg = Bolt_layout.Cfg
 module Engine = Bolt_layout.Engine
 module Evaluator = Bolt_layout.Evaluator
 
+(* Position of each label of [labels] (-1 for none). *)
+let indexer (labels : string array) =
+  let idx = Context.Names.create (2 * Array.length labels) in
+  Array.iteri (fun i l -> Context.Names.replace idx l i) labels;
+  fun l -> match Context.Names.find idx l with i -> i | exception Not_found -> -1
+
 (* Project a function's CFG in its current layout order.  The identity
    permutation of the result scores the layout as it stands.  [cold]
    marks blocks whose edges should be dropped from the projection (see
-   [sunk_cold]); their nodes stay, as weight-0 singletons. *)
+   [sunk_blocks]); their nodes stay, as weight-0 singletons.  The label ->
+   index map is the only table built. *)
 let cfg_of_fn ?(cold = fun _ -> false) (fb : Bfunc.t) : Cfg.t =
   let labels = Array.of_list fb.layout in
-  let idx = Hashtbl.create (Array.length labels * 2 + 1) in
-  Array.iteri (fun i l -> Hashtbl.replace idx l i) labels;
+  let index = indexer labels in
+  let blocks = Array.map (block fb) labels in
   let nodes =
     Array.map
-      (fun l ->
-        let b = block fb l in
-        { Cfg.n_label = l; n_size = block_size fb b; n_count = b.ecount })
-      labels
+      (fun b -> { Cfg.n_label = b.bl; n_size = block_size fb b; n_count = b.ecount })
+      blocks
   in
+  let sunk = Array.map cold blocks in
   let edges =
     Hashtbl.fold
       (fun (s, d) (c, _) acc ->
-        match (Hashtbl.find_opt idx s, Hashtbl.find_opt idx d) with
-        | Some si, Some di when (not (cold s)) && not (cold d) ->
-            (si, di, !c) :: acc
-        | _ -> acc)
+        let si = index s and di = index d in
+        if si >= 0 && di >= 0 && (not sunk.(si)) && not sunk.(di) then
+          (si, di, !c) :: acc
+        else acc)
       fb.edge_counts []
   in
-  let entry = Option.value ~default:(-1) (Hashtbl.find_opt idx fb.entry) in
-  Cfg.make ~nodes ~entry edges
+  Cfg.make ~nodes ~entry:(index fb.entry) edges
 
 (* The split rule: [None] when [fb] is not split at all, else the
    predicate naming the blocks split-functions sinks to the cold
@@ -54,8 +59,8 @@ let cfg_of_fn ?(cold = fun _ -> false) (fb : Bfunc.t) : Cfg.t =
    buys against one (a stale profile can carry a hot edge into a block
    that never executed) is destroyed right after.  So it projects the
    CFG with their edges dropped, and every algorithm competes only on
-   adjacencies that survive. *)
-let sunk_cold opts (fb : Bfunc.t) =
+   adjacencies that survive.  [sunk_blocks] asks it of a block. *)
+let sunk_blocks opts (fb : Bfunc.t) =
   let size_ok =
     match opts.Opts.split_functions with
     | Opts.Split_none -> false
@@ -64,10 +69,12 @@ let sunk_cold opts (fb : Bfunc.t) =
   in
   if size_ok && has_profile fb && fb.exec_count > 0 then
     Some
-      (fun l ->
-        let b = block fb l in
-        b.ecount = 0 && l <> fb.entry && (opts.Opts.split_eh || not b.is_lp))
+      (fun b ->
+        b.ecount = 0 && b.bl <> fb.entry && (opts.Opts.split_eh || not b.is_lp))
   else None
+
+let sunk_cold opts fb =
+  Option.map (fun sunk l -> sunk (block fb l)) (sunk_blocks opts fb)
 
 let algo_name = function
   | Opts.Rb_none -> "none"
@@ -89,7 +96,7 @@ let reorder_fn ctx sh (fb : Bfunc.t) =
     && has_profile fb
     && Hashtbl.length fb.Bfunc.blocks > 1
   then begin
-    let cfg = cfg_of_fn ?cold:(sunk_cold ctx.Context.opts fb) fb in
+    let cfg = cfg_of_fn ?cold:(sunk_blocks ctx.Context.opts fb) fb in
     let order = Engine.order (engine_algo algo) cfg in
     fb.layout <- Array.to_list (Array.map (Cfg.label cfg) order);
     Context.sh_incr sh "pass.reorder-bbs.reordered";
@@ -98,19 +105,17 @@ let reorder_fn ctx sh (fb : Bfunc.t) =
 
 (* ---- offline evaluation ---- *)
 
-(* Score one function's current layout: ExtTSP objective plus the
-   estimated hot i-cache-line / i-TLB-page working set. *)
-let eval_fn (fb : Bfunc.t) : Evaluator.result =
-  let cfg = cfg_of_fn fb in
-  Evaluator.evaluate cfg (Cfg.identity cfg)
-
-(* Per-function layout snapshot over the whole context, hottest first —
-   feeds the report's layout section and `bdump --layout-score`. *)
+(* Per-function layout snapshot over the whole context, hottest first:
+   each simple profiled function's ExtTSP objective plus its estimated
+   hot i-cache-line / i-TLB-page working set.  It feeds the report's
+   layout section, dyno-stats' layout rows and `bdump --layout-score`. *)
 let snapshot ctx : (string * int * Evaluator.result) list =
   Context.simple_funcs ctx
   |> List.filter_map (fun fb ->
-         if has_profile fb && Hashtbl.length fb.Bfunc.blocks > 0 then
-           Some (fb.fb_name, fb.exec_count, eval_fn fb)
+         if has_profile fb && Hashtbl.length fb.Bfunc.blocks > 0 then begin
+           let cfg = cfg_of_fn fb in
+           Some (fb.fb_name, fb.exec_count, Evaluator.evaluate cfg (Cfg.identity cfg))
+         end
          else None)
   |> List.sort (fun (n1, e1, _) (n2, e2, _) ->
          if e1 <> e2 then compare e2 e1 else compare n1 n2)

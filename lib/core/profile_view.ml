@@ -16,7 +16,7 @@ open Bfunc
    offset-to-block map the profile's offsets resolve through. *)
 type offsets = { starts : int array; blocks : bb array }
 
-module Int_tbl = Hashtbl.Make (Int)
+module Int_tbl = Bolt_layout.Cfg.Int_tbl
 
 type t = {
   funcs : Bfunc.t array; (* [Context.order] as functions *)
@@ -28,7 +28,8 @@ type t = {
          [Fdata.func_events] sums, clamped to an int *)
   calls : int ref Int_tbl.t;
       (* call weight per (caller, callee), keyed [caller * n + callee]:
-         the sum of the positive counts of the records between them *)
+         the sum of the positive counts of the records between them,
+         saturating at [max_int] *)
   mutable call_order : (int * int ref) list;
       (* [calls]' entries, newest first: the order their first positive
          record came in *)
@@ -82,9 +83,7 @@ let starting_at m off =
   if k >= 0 && m.starts.(k) = off then k else -1
 
 (* Count [c] (non-negative) of a record of function [i]. *)
-let add_events v i c =
-  let t = v.totals.(i) in
-  v.totals.(i) <- (if t > max_int - c then max_int else t + c)
+let add_events v i c = v.totals.(i) <- Bolt_profile.Fdata.sat_add_int v.totals.(i) c
 
 (* A call record [b] from function [caller] into [callee] (-1 when the
    callee is not a function of the binary), with its count [c]. *)
@@ -93,7 +92,7 @@ let add_call v ~caller ~callee (b : Bolt_profile.Fdata.branch) c =
   if callee >= 0 && c > 0 then begin
     let key = (caller * Array.length v.funcs) + callee in
     match Int_tbl.find v.calls key with
-    | w -> w := !w + c
+    | w -> w := Bolt_profile.Fdata.sat_add_int !w c
     | exception Not_found ->
         let w = ref c in
         Int_tbl.add v.calls key w;

@@ -43,35 +43,41 @@ let direct_calls ctx =
 
 (* The LBR call graph of the live functions [funcs] ((name, size) in
    address order): each node holds its function's event total and each
-   edge a call weight, both from the profile view.  Without a view
-   (match-profile never ran) every node reads 0 samples and there are no
-   edges. *)
+   edge a call weight, both read from the profile view by function
+   index.  Without a view (match-profile never ran) every node reads 0
+   samples and there are no edges. *)
 let lbr_callgraph ctx ~funcs =
-  let total, calls =
-    match ctx.Context.profile with
-    | None -> ((fun _ -> 0), [])
-    | Some v ->
-        let name i = v.Profile_view.funcs.(i).Bfunc.fb_name in
-        ( (fun n -> v.Profile_view.totals.(Context.order_rank ctx n)),
-          List.map
-            (fun (caller, callee, w) -> (name caller, name callee, w))
-            (Profile_view.calls v) )
-  in
-  Bolt_hfsort.Callgraph.build
-    ~nodes:(List.map (fun (n, size) -> (n, size, total n)) funcs)
-    ~calls
+  let funcs = Bolt_hfsort.Callgraph.by_name funcs in
+  match ctx.Context.profile with
+  | None ->
+      Bolt_hfsort.Callgraph.make ~funcs
+        ~samples:(Array.make (Array.length funcs) 0) []
+  | Some v ->
+      (* view index -> node id *)
+      let rank = Array.map (fun (n, _) -> Context.order_rank ctx n) funcs in
+      let id = Array.make (Array.length v.Profile_view.funcs) (-1) in
+      Array.iteri (fun k r -> id.(r) <- k) rank;
+      Bolt_hfsort.Callgraph.make ~funcs
+        ~samples:(Array.map (fun r -> v.Profile_view.totals.(r)) rank)
+        (List.filter_map
+           (fun (caller, callee, w) ->
+             if id.(caller) >= 0 && id.(callee) >= 0 then
+               Some (id.(caller), id.(callee), w)
+             else None)
+           (Profile_view.calls v))
 
 (* Returns (hot order, cold order). *)
 let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
   let opts = ctx.Context.opts in
-  let live =
-    List.filter
+  let live_fns =
+    List.filter_map
       (fun n ->
         match Context.func ctx n with
-        | Some f -> f.Bfunc.folded_into = None
-        | None -> false)
+        | Some f when f.Bfunc.folded_into = None -> Some f
+        | _ -> None)
       ctx.Context.order
   in
+  let live = List.map (fun f -> f.Bfunc.fb_name) live_fns in
   let algo =
     match opts.Opts.reorder_functions with
     | Opts.Rf_none -> None
@@ -83,11 +89,7 @@ let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
   | None -> (live, [])
   | Some algo ->
       let funcs =
-        List.map
-          (fun n ->
-            let f = Hashtbl.find ctx.Context.funcs n in
-            (n, max 1 f.Bfunc.fb_size))
-          live
+        List.map (fun f -> (f.Bfunc.fb_name, max 1 f.Bfunc.fb_size)) live_fns
       in
       let g =
         if prof.lbr then lbr_callgraph ctx ~funcs
@@ -98,11 +100,7 @@ let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
       let order = Bolt_hfsort.Order.order algo g ~original:live in
       (* every live function has a node, holding its profile events
          clamped to an int: positive exactly when the events are *)
-      let is_sampled n =
-        match Bolt_hfsort.Callgraph.node g n with
-        | Some nd -> nd.Bolt_hfsort.Callgraph.n_samples > 0
-        | None -> false
-      in
+      let is_sampled n = Bolt_hfsort.Callgraph.samples g n > 0 in
       let hot, cold =
         if opts.Opts.split_all_cold then
           List.partition

@@ -14,9 +14,9 @@
 
    A cluster is simply a chain whose nodes are functions: weight =
    samples, size = bytes, so Chain.weight/size give density directly.
-   Node ids are assigned in function-name order and every greedy loop
-   consumes Cfg's totally-ordered edge array, making all three
-   algorithms deterministic under equal weights. *)
+   The call graph is already a Cfg with node ids in function-name order,
+   and every greedy loop consumes its totally-ordered edge arrays, making
+   all three algorithms deterministic under equal weights. *)
 
 module Cfg = Bolt_layout.Cfg
 module Chain = Bolt_layout.Chain
@@ -26,33 +26,6 @@ type algo = C3 | Hfsort_plus | Pettis_hansen
 let page_budget = 4096
 let merge_density_ratio = 8 (* callee may be at most 8x colder per byte *)
 
-(* The call graph projected onto node ids (name order). *)
-type proj = { cfg : Cfg.t; names : string array; id : (string, int) Hashtbl.t }
-
-let project (g : Callgraph.t) : proj =
-  let names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) g.Callgraph.nodes []
-    |> List.sort compare |> Array.of_list
-  in
-  let id = Hashtbl.create (Array.length names * 2 + 1) in
-  Array.iteri (fun i n -> Hashtbl.replace id n i) names;
-  let nodes =
-    Array.map
-      (fun name ->
-        let n = Hashtbl.find g.Callgraph.nodes name in
-        { Cfg.n_label = name; n_size = n.Callgraph.n_size; n_count = n.n_samples })
-      names
-  in
-  let edges =
-    Hashtbl.fold
-      (fun (a, b) r acc ->
-        match (Hashtbl.find_opt id a, Hashtbl.find_opt id b) with
-        | Some ia, Some ib -> (ia, ib, !r) :: acc
-        | _ -> acc)
-      g.Callgraph.edges []
-  in
-  { cfg = Cfg.make ~nodes edges; names; id }
-
 let density pool c =
   let s = Chain.size pool c in
   if s = 0 then 0.0 else float_of_int (Chain.weight pool c) /. float_of_int s
@@ -61,92 +34,87 @@ let density pool c =
    function names.  Cold functions never join a hot chain (every merge
    guard requires weight > 0 on both sides), so they are left for the
    caller's original-order fallback. *)
-let cluster_order proj pool =
+let cluster_order (g : Callgraph.t) pool =
   Chain.live_chains pool
   |> List.filter (fun c -> Chain.weight pool c > 0)
   |> List.sort (fun a b ->
          let da = density pool a and db = density pool b in
          if da <> db then compare db da else compare a b)
   |> List.concat_map (fun c ->
-         Array.to_list (Chain.blocks pool c)
-         |> List.map (fun i -> proj.names.(i)))
+         Array.to_list (Chain.blocks pool c) |> List.map (Cfg.label g))
 
 (* Hot node ids, samples desc then name asc (id order = name order). *)
-let hot_ids proj =
+let hot_ids (g : Callgraph.t) =
   let ids = ref [] in
-  for i = Array.length proj.names - 1 downto 0 do
-    if Cfg.count proj.cfg i > 0 then ids := i :: !ids
+  for i = Cfg.node_count g - 1 downto 0 do
+    if Cfg.count g i > 0 then ids := i :: !ids
   done;
   List.sort
     (fun a b ->
-      let ca = Cfg.count proj.cfg a and cb = Cfg.count proj.cfg b in
+      let ca = Cfg.count g a and cb = Cfg.count g b in
       if ca <> cb then compare cb ca else compare a b)
     !ids
 
-let c3_merges (g : Callgraph.t) proj pool =
-  let best_caller = Callgraph.hottest_caller g in
+let c3_merges (g : Callgraph.t) pool =
+  let caller = Callgraph.hottest_caller g in
   List.iter
     (fun i ->
-      match Hashtbl.find_opt best_caller proj.names.(i) with
-      | None -> ()
-      | Some (caller, _w) -> (
-          match Hashtbl.find_opt proj.id caller with
-          | None -> ()
-          | Some ci ->
-              let cc = Chain.chain_of pool ci and cf = Chain.chain_of pool i in
-              if cc <> cf && Chain.weight pool cc > 0 then begin
-                let merged_size = Chain.size pool cc + Chain.size pool cf in
-                if
-                  merged_size <= page_budget
-                  && density pool cf *. float_of_int merge_density_ratio
-                     >= density pool cc
-                then Chain.append pool ~into:cc cf
-              end))
-    (hot_ids proj)
+      let ci = caller.(i) in
+      if ci >= 0 then begin
+        let cc = Chain.chain_of pool ci and cf = Chain.chain_of pool i in
+        if cc <> cf && Chain.weight pool cc > 0 then begin
+          let merged_size = Chain.size pool cc + Chain.size pool cf in
+          if
+            merged_size <= page_budget
+            && density pool cf *. float_of_int merge_density_ratio
+               >= density pool cc
+          then Chain.append pool ~into:cc cf
+        end
+      end)
+    (hot_ids g)
 
 let c3 (g : Callgraph.t) =
-  let proj = project g in
-  let pool = Chain.create proj.cfg in
-  c3_merges g proj pool;
-  cluster_order proj pool
+  let pool = Chain.create g in
+  c3_merges g pool;
+  cluster_order g pool
 
 (* hfsort+ style refinement: keep merging cluster pairs with the highest
    inter-cluster call weight, while the merge still fits a small
    multiple of the page budget; the denser cluster leads. *)
 let hfsort_plus (g : Callgraph.t) =
-  let proj = project g in
-  let pool = Chain.create proj.cfg in
-  c3_merges g proj pool;
+  let pool = Chain.create g in
+  c3_merges g pool;
   (* snapshot the c3 clusters: cluster index per node, plus one
      representative node per cluster to find its current chain later *)
   let clusters =
     Chain.live_chains pool |> List.filter (fun c -> Chain.weight pool c > 0)
   in
   let rep = Array.of_list (List.map (Chain.head pool) clusters) in
-  let cl = Array.make (Array.length proj.names) (-1) in
+  let cl = Array.make (Cfg.node_count g) (-1) in
   List.iteri
     (fun i c -> Array.iter (fun b -> cl.(b) <- i) (Chain.blocks pool c))
     clusters;
-  (* inter-cluster weights *)
-  let w = Hashtbl.create 1024 in
-  Array.iter
-    (fun (ia, ib, weight) ->
-      let ca = cl.(ia) and cb = cl.(ib) in
-      if ca >= 0 && cb >= 0 && ca <> cb then begin
-        let key = (min ca cb, max ca cb) in
-        Hashtbl.replace w key
-          (weight + try Hashtbl.find w key with Not_found -> 0)
-      end)
-    proj.cfg.Cfg.edges;
+  (* inter-cluster weights, keyed [a * k + b] for clusters a < b of k *)
+  let k = Array.length rep in
+  let w = Cfg.Int_tbl.create 1024 in
+  for e = 0 to Cfg.edge_count g - 1 do
+    let ca = cl.(g.Cfg.src.(e)) and cb = cl.(g.Cfg.dst.(e)) in
+    if ca >= 0 && cb >= 0 && ca <> cb then begin
+      let key = (min ca cb * k) + max ca cb in
+      Cfg.Int_tbl.replace w key
+        (g.Cfg.count.(e)
+        + Option.value ~default:0 (Cfg.Int_tbl.find_opt w key))
+    end
+  done;
   let candidates =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) w []
+    Cfg.Int_tbl.fold (fun key v acc -> (key, v) :: acc) w []
     |> List.sort (fun (k1, a) (k2, b) ->
-           if a <> b then compare b a else compare k1 k2)
+           if a <> b then Int.compare b a else Int.compare k1 k2)
   in
   List.iter
-    (fun ((ia, ib), _) ->
-      let ra = Chain.chain_of pool rep.(ia)
-      and rb = Chain.chain_of pool rep.(ib) in
+    (fun (key, _) ->
+      let ra = Chain.chain_of pool rep.(key / k)
+      and rb = Chain.chain_of pool rep.(key mod k) in
       if ra <> rb && Chain.size pool ra + Chain.size pool rb <= 4 * page_budget
       then begin
         let hi, lo =
@@ -155,22 +123,20 @@ let hfsort_plus (g : Callgraph.t) =
         Chain.append pool ~into:hi lo
       end)
     candidates;
-  cluster_order proj pool
+  cluster_order g pool
 
 (* Classic Pettis-Hansen function ordering: merge the clusters joined by
    the globally heaviest remaining edge (ties broken by endpoint names
    via the edge array's total order). *)
 let pettis_hansen (g : Callgraph.t) =
-  let proj = project g in
-  let pool = Chain.create proj.cfg in
-  Array.iter
-    (fun (ia, ib, _) ->
-      let ca = Chain.chain_of pool ia and cb = Chain.chain_of pool ib in
-      if
-        ca <> cb && Chain.weight pool ca > 0 && Chain.weight pool cb > 0
-      then Chain.append pool ~into:ca cb)
-    proj.cfg.Cfg.edges;
-  cluster_order proj pool
+  let pool = Chain.create g in
+  for e = 0 to Cfg.edge_count g - 1 do
+    let ca = Chain.chain_of pool g.Cfg.src.(e)
+    and cb = Chain.chain_of pool g.Cfg.dst.(e) in
+    if ca <> cb && Chain.weight pool ca > 0 && Chain.weight pool cb > 0 then
+      Chain.append pool ~into:ca cb
+  done;
+  cluster_order g pool
 
 (* Full ordering: hot functions by the chosen algorithm, then everything
    else in original order. *)

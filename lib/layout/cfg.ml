@@ -1,7 +1,8 @@
 (* The layout engine's view of a control-flow (or call) graph: an array
-   of weighted, sized nodes plus deduplicated weighted edges.  Node ids
-   are indices into [nodes]; the array order is the *original* layout,
-   so the identity permutation scores the input layout.
+   of weighted, sized nodes plus deduplicated weighted edges, all in int
+   arrays.  Node ids are indices into [nodes]; the array order is the
+   *original* layout, so the identity permutation scores the input
+   layout.
 
    The same structure serves all three layers: basic blocks inside a
    function (lib/core, lib/minic) and whole functions in the call graph
@@ -16,17 +17,25 @@ type node = {
 type t = {
   nodes : node array;
   entry : int;  (* index of the entry node, or -1 when order-free *)
-  edges : (int * int * int) array;
-      (* (src, dst, count), deduplicated, sorted by count desc then
-         (src, dst) asc — the deterministic hot-first order every greedy
-         consumer wants *)
-  succ : (int * int) list array;  (* per-node out-edges, same sort *)
+  src : int array;
+  dst : int array;
+  count : int array;
+      (* edge e runs src.(e) -> dst.(e) with weight count.(e); edges are
+         deduplicated and sorted by count desc then (src, dst) asc — the
+         deterministic hot-first order every greedy consumer wants *)
+  out_first : int array;
+  out : int array;
+      (* node i's out-edges, in edge order: out.(k) for k from
+         out_first.(i) to out_first.(i + 1) - 1 *)
 }
 
 let node_count t = Array.length t.nodes
+let edge_count t = Array.length t.src
 let size t i = t.nodes.(i).n_size
 let count t i = t.nodes.(i).n_count
 let label t i = t.nodes.(i).n_label
+
+module Int_tbl = Hashtbl.Make (Int)
 
 (* Build a graph.  Self-edges, non-positive counts and out-of-range
    endpoints are dropped; parallel edges are summed.  The edge sort is
@@ -34,29 +43,57 @@ let label t i = t.nodes.(i).n_label
    are deterministic no matter what order edges arrive in. *)
 let make ~nodes ?(entry = -1) edges =
   let n = Array.length nodes in
-  let tbl = Hashtbl.create (List.length edges * 2 + 1) in
+  (* each distinct (s, d) once, as the key s * n + d with its summed
+     count; [at] finds a key's slot *)
+  let len = List.length edges in
+  let keys = Array.make len 0 and counts = Array.make len 0 in
+  let u = ref 0 and at = Int_tbl.create len in
   List.iter
     (fun (s, d, c) ->
       if s <> d && c > 0 && s >= 0 && s < n && d >= 0 && d < n then
-        match Hashtbl.find_opt tbl (s, d) with
-        | Some r -> r := !r + c
-        | None -> Hashtbl.add tbl (s, d) (ref c))
+        let k = (s * n) + d in
+        match Int_tbl.find_opt at k with
+        | Some j -> counts.(j) <- counts.(j) + c
+        | None ->
+            Int_tbl.add at k !u;
+            keys.(!u) <- k;
+            counts.(!u) <- c;
+            incr u)
     edges;
-  let edges =
-    Hashtbl.fold (fun (s, d) c acc -> (s, d, !c) :: acc) tbl []
-    |> List.sort (fun (s1, d1, a) (s2, d2, b) ->
-           if a <> b then Int.compare b a
-           else if s1 <> s2 then Int.compare s1 s2
-           else Int.compare d1 d2)
-    |> Array.of_list
-  in
-  let succ = Array.make (max n 1) [] in
-  Array.iter (fun (s, d, c) -> succ.(s) <- (d, c) :: succ.(s)) edges;
-  Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
+  (* edge order: count desc, then key asc *)
+  let m = !u in
+  let order = Array.init m Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      if counts.(i) <> counts.(j) then Int.compare counts.(j) counts.(i)
+      else Int.compare keys.(i) keys.(j))
+    order;
+  (* out-edges: edge ids bucketed by source, in edge order *)
+  let src = Array.make m 0 and dst = Array.make m 0 and count = Array.make m 0 in
+  let out_first = Array.make (n + 1) 0 in
+  for e = 0 to m - 1 do
+    let i = order.(e) in
+    src.(e) <- keys.(i) / n;
+    dst.(e) <- keys.(i) mod n;
+    count.(e) <- counts.(i);
+    out_first.(src.(e) + 1) <- out_first.(src.(e) + 1) + 1
+  done;
+  for k = 1 to n do out_first.(k) <- out_first.(k) + out_first.(k - 1) done;
+  let fill = Array.sub out_first 0 n and out = Array.make m 0 in
+  for e = 0 to m - 1 do
+    out.(fill.(src.(e))) <- e;
+    fill.(src.(e)) <- fill.(src.(e)) + 1
+  done;
   let entry = if entry >= 0 && entry < n then entry else -1 in
-  { nodes; entry; edges; succ }
+  { nodes; entry; src; dst; count; out_first; out }
 
-let total_size t = Array.fold_left (fun a n -> a + n.n_size) 0 t.nodes
+(* The weight of edge [s] -> [d], or 0. *)
+let weight t s d =
+  let w = ref 0 in
+  for k = t.out_first.(s) to t.out_first.(s + 1) - 1 do
+    if t.dst.(t.out.(k)) = d then w := t.count.(t.out.(k))
+  done;
+  !w
 
 (* The identity permutation: the layout the graph was built from. *)
 let identity t = Array.init (node_count t) (fun i -> i)

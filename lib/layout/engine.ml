@@ -42,33 +42,30 @@ let final_order (cfg : Cfg.t) pool =
 
 let cache (cfg : Cfg.t) =
   let pool = Chain.create cfg in
-  Array.iter
-    (fun (s, d, _) ->
-      let ca = Chain.chain_of pool s and cb = Chain.chain_of pool d in
-      if ca <> cb && Chain.tail pool ca = s && Chain.head pool cb = d
-         && d <> cfg.Cfg.entry
-      then Chain.append pool ~into:ca cb)
-    cfg.Cfg.edges;
+  for e = 0 to Cfg.edge_count cfg - 1 do
+    let s = cfg.Cfg.src.(e) and d = cfg.Cfg.dst.(e) in
+    let ca = Chain.chain_of pool s and cb = Chain.chain_of pool d in
+    if ca <> cb && Chain.tail pool ca = s && Chain.head pool cb = d
+       && d <> cfg.Cfg.entry
+    then Chain.append pool ~into:ca cb
+  done;
   final_order cfg pool
 
 let cache_plus (cfg : Cfg.t) =
   let pool = Chain.create cfg in
-  let w = Hashtbl.create 64 in
-  Array.iter (fun (s, d, c) -> Hashtbl.replace w (s, d) c) cfg.Cfg.edges;
-  let seam a b = Option.value ~default:0 (Hashtbl.find_opt w (a, b)) in
-  Array.iter
-    (fun (s, d, _) ->
-      let ca = Chain.chain_of pool s and cb = Chain.chain_of pool d in
-      if ca <> cb then begin
-        let seam_ab = seam (Chain.tail pool ca) (Chain.head pool cb) in
-        let seam_ba = seam (Chain.tail pool cb) (Chain.head pool ca) in
-        if seam_ab >= seam_ba && Chain.head pool cb <> cfg.Cfg.entry
-           && seam_ab > 0
-        then Chain.append pool ~into:ca cb
-        else if seam_ba > 0 && Chain.head pool ca <> cfg.Cfg.entry then
-          Chain.append pool ~into:cb ca
-      end)
-    cfg.Cfg.edges;
+  for e = 0 to Cfg.edge_count cfg - 1 do
+    let ca = Chain.chain_of pool cfg.Cfg.src.(e)
+    and cb = Chain.chain_of pool cfg.Cfg.dst.(e) in
+    if ca <> cb then begin
+      let seam_ab = Cfg.weight cfg (Chain.tail pool ca) (Chain.head pool cb) in
+      let seam_ba = Cfg.weight cfg (Chain.tail pool cb) (Chain.head pool ca) in
+      if seam_ab >= seam_ba && Chain.head pool cb <> cfg.Cfg.entry
+         && seam_ab > 0
+      then Chain.append pool ~into:ca cb
+      else if seam_ba > 0 && Chain.head pool ca <> cfg.Cfg.entry then
+        Chain.append pool ~into:cb ca
+    end
+  done;
   final_order cfg pool
 
 (* ---- ext-tsp ---- *)
@@ -81,40 +78,54 @@ let split_threshold = 128
 let split_node_limit = 512
 let epsilon = 1e-9
 
+(* A candidate merge of two chains: the arrangement p[0..cut) · q ·
+   p[cut..), where p is the first chain when [p_first] holds, else the
+   second; [cut] = length p is plain concatenation. *)
+type merge = { gain : float; score : float; p_first : bool; cut : int }
+
 let ext_tsp_merge (cfg : Cfg.t) =
   let n = Cfg.node_count cfg in
   let pool = Chain.create cfg in
   (* arrangement scoring with stamped addresses: only edges with both
      ends inside the arrangement count, which is exactly the chain-local
-     score the merge loop maximises *)
+     score the merge loop maximises.  The blocks are visited in
+     arrangement order, then each block's out-edges in edge order. *)
   let addr = Array.make n 0 in
   let stamp = Array.make n 0 in
-  let clock = ref 0 in
-  let score_arr arr =
+  let clock = ref 0 and a = ref 0 and t = ref 0.0 in
+  let place b =
+    stamp.(b) <- !clock;
+    addr.(b) <- !a;
+    a := !a + Cfg.size cfg b
+  in
+  let add_edges b =
+    let src_end = addr.(b) + Cfg.size cfg b in
+    for k = cfg.Cfg.out_first.(b) to cfg.Cfg.out_first.(b + 1) - 1 do
+      let e = cfg.Cfg.out.(k) in
+      let d = cfg.Cfg.dst.(e) in
+      if stamp.(d) = !clock then
+        t := !t +. Exttsp.score_edge ~src_end ~dst:addr.(d) cfg.Cfg.count.(e)
+    done
+  in
+  let visit p cut q f =
+    for k = 0 to cut - 1 do f p.(k) done;
+    Array.iter f q;
+    for k = cut to Array.length p - 1 do f p.(k) done
+  in
+  let score_arr p cut q =
     incr clock;
-    let a = ref 0 in
-    Array.iter
-      (fun b ->
-        stamp.(b) <- !clock;
-        addr.(b) <- !a;
-        a := !a + Cfg.size cfg b)
-      arr;
-    let t = ref 0.0 in
-    Array.iter
-      (fun b ->
-        let src_end = addr.(b) + Cfg.size cfg b in
-        List.iter
-          (fun (d, c) ->
-            if stamp.(d) = !clock then
-              t := !t +. Exttsp.score_edge ~src_end ~dst:addr.(d) c)
-          cfg.Cfg.succ.(b))
-      arr;
+    a := 0;
+    visit p cut q place;
+    t := 0.0;
+    visit p cut q add_edges;
     !t
   in
   (* self-edges are dropped at Cfg.make, so singletons score 0 *)
   let chain_score = Array.make n 0.0 in
   let entry = cfg.Cfg.entry in
-  (* best arrangement of two live chains; returns (gain, score, arr) *)
+  (* best arrangement of two live chains: X·Y, Y·X, then the splits of
+     X, then those of Y, the first to gain the most (past [epsilon])
+     winning *)
   let best_merge a b =
     let xa = Chain.blocks pool a and xb = Chain.blocks pool b in
     let la = Array.length xa and lb = Array.length xb in
@@ -123,84 +134,82 @@ let ext_tsp_merge (cfg : Cfg.t) =
       entry >= 0 && (Chain.chain_of pool entry = a || Chain.chain_of pool entry = b)
     in
     let best = ref None in
-    let consider arr =
-      if (not has_entry) || arr.(0) = entry then begin
-        let s = score_arr arr in
+    let consider p q p_first cut =
+      if (not has_entry) || p.(0) = entry then begin
+        let s = score_arr p cut q in
         let g = s -. base in
         match !best with
-        | Some (bg, _, _) when g <= bg +. epsilon -> ()
-        | _ -> best := Some (g, s, arr)
+        | Some m when g <= m.gain +. epsilon -> ()
+        | _ -> best := Some { gain = g; score = s; p_first; cut }
       end
     in
-    consider (Array.append xa xb);
-    consider (Array.append xb xa);
+    consider xa xb true la;
+    consider xb xa false lb;
     if n <= split_node_limit then begin
       if la >= 2 && la <= split_threshold then
-        for i = 1 to la - 1 do
-          consider
-            (Array.concat [ Array.sub xa 0 i; xb; Array.sub xa i (la - i) ])
-        done;
+        for i = 1 to la - 1 do consider xa xb true i done;
       if lb >= 2 && lb <= split_threshold then
-        for i = 1 to lb - 1 do
-          consider
-            (Array.concat [ Array.sub xb 0 i; xa; Array.sub xb i (lb - i) ])
-        done
+        for i = 1 to lb - 1 do consider xb xa false i done
     end;
     !best
   in
-  (* candidate pairs: chains connected by at least one edge *)
-  let norm a b = if a < b then (a, b) else (b, a) in
-  let pairs : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun (s, d, _) ->
-      let ca = Chain.chain_of pool s and cb = Chain.chain_of pool d in
-      if ca <> cb then Hashtbl.replace pairs (norm ca cb) ())
-    cfg.Cfg.edges;
-  let gains : (int * int, (float * float * int array) option) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  (* candidate pairs: [adj.(c)] lists the live chains sharing an edge
+     with chain c, ascending; a pair's best merge is cached under
+     [a * n + b] (a < b) until either chain changes *)
+  let adj = Array.make n [] in
+  for e = 0 to Cfg.edge_count cfg - 1 do
+    let s = cfg.Cfg.src.(e) and d = cfg.Cfg.dst.(e) in
+    adj.(s) <- d :: adj.(s);
+    adj.(d) <- s :: adj.(d)
+  done;
+  Array.iteri (fun c l -> adj.(c) <- List.sort_uniq Int.compare l) adj;
+  let gains = Cfg.Int_tbl.create n in
+  let key a b = if a < b then (a * n) + b else (b * n) + a in
   let continue_ = ref true in
-  while !continue_ && Hashtbl.length pairs > 0 do
-    let keys =
-      Hashtbl.fold (fun k () acc -> k :: acc) pairs [] |> List.sort compare
-    in
+  while !continue_ do
+    (* the first pair, in ascending (a, b) order, to gain the most *)
     let best = ref None in
-    List.iter
-      (fun (a, b) ->
-        let g =
-          match Hashtbl.find_opt gains (a, b) with
-          | Some g -> g
-          | None ->
-              let g = best_merge a b in
-              Hashtbl.replace gains (a, b) g;
-              g
-        in
-        match g with
-        | Some (gain, score, arr) -> (
-            match !best with
-            | Some (bg, _, _, _, _) when gain <= bg +. epsilon -> ()
-            | _ -> best := Some (gain, score, arr, a, b))
-        | None -> ())
-      keys;
+    for a = 0 to n - 1 do
+      List.iter
+        (fun b ->
+          if b > a then begin
+            let g =
+              match Cfg.Int_tbl.find_opt gains (key a b) with
+              | Some g -> g
+              | None ->
+                  let g = best_merge a b in
+                  Cfg.Int_tbl.replace gains (key a b) g;
+                  g
+            in
+            match (g, !best) with
+            | None, _ -> ()
+            | Some m, Some (bm, _, _) when m.gain <= bm.gain +. epsilon -> ()
+            | Some m, _ -> best := Some (m, a, b)
+          end)
+        adj.(a)
+    done;
     match !best with
-    | Some (gain, score, arr, a, b) when gain > epsilon ->
-        Chain.replace pool ~keep:a ~drop:b arr;
-        chain_score.(a) <- score;
-        (* rekey b's pairs onto a, and drop stale gains touching a or b *)
-        let touched (x, y) = x = a || y = a || x = b || y = b in
-        let old = Hashtbl.fold (fun k () acc -> k :: acc) pairs [] in
+    | Some (m, a, b) when m.gain > epsilon ->
+        let xa = Chain.blocks pool a and xb = Chain.blocks pool b in
+        let p, q = if m.p_first then (xa, xb) else (xb, xa) in
+        let lp = Array.length p in
+        Chain.replace pool ~keep:a ~drop:b
+          (Array.concat [ Array.sub p 0 m.cut; q; Array.sub p m.cut (lp - m.cut) ]);
+        chain_score.(a) <- m.score;
+        (* b's partners become a's, and every cached merge of a or b
+           is stale *)
+        List.iter (fun c -> Cfg.Int_tbl.remove gains (key a c)) adj.(a);
         List.iter
-          (fun ((x, y) as k) ->
-            if touched k then begin
-              Hashtbl.remove pairs k;
-              let partner = if x = a || x = b then y else x in
-              if partner <> a && partner <> b then
-                Hashtbl.replace pairs (norm a partner) ()
-            end)
-          old;
-        Hashtbl.iter
-          (fun k _ -> if touched k then Hashtbl.remove gains k)
-          (Hashtbl.copy gains)
+          (fun c ->
+            Cfg.Int_tbl.remove gains (key b c);
+            if c <> a then
+              adj.(c) <- List.sort_uniq Int.compare (a :: List.filter (( <> ) b) adj.(c)))
+          adj.(b);
+        adj.(a) <-
+          List.filter
+            (fun c -> c <> a && c <> b)
+            (List.sort_uniq Int.compare (adj.(a) @ adj.(b)));
+        adj.(b) <- []
     | _ -> continue_ := false
   done;
   final_order cfg pool

@@ -2,12 +2,13 @@
    working set without running anything.
 
    The ExtTSP score comes straight from the objective; the i-cache-line
-   and i-TLB-page estimates reuse lib/sim's set-associative cache model
-   statically — configured fully associative and big enough never to
-   evict, every cold miss is one distinct line (page) touched by a
-   block that executed at least once.  That makes `bsim`-free layout
-   comparisons possible: a layout that packs the hot blocks into fewer
-   lines and pages is better before any simulation. *)
+   and i-TLB-page estimates count the distinct lines (pages) touched by
+   blocks that executed at least once — what a cache big enough never to
+   evict would miss on.  Addresses only grow along the order, so one
+   linear pass counts them: a line is new unless it is the last one
+   counted.  That makes `bsim`-free layout comparisons possible: a
+   layout that packs the hot blocks into fewer lines and pages is better
+   before any simulation. *)
 
 type result = {
   ev_score : float;       (* ExtTSP objective of the layout *)
@@ -26,37 +27,30 @@ let add a b =
     ev_itlb_pages = a.ev_itlb_pages + b.ev_itlb_pages;
   }
 
-(* A never-evicting counter of distinct lines: one set, enough ways for
-   every line the layout could touch. *)
-let distinct_line_counter ~line ~total_size =
-  let ways = max 4 ((total_size / line) + 2) in
-  Bolt_sim.Cache.create ~size:(line * ways) ~line ~assoc:ways
-
 let evaluate ?(line = 64) ?(page = 4096) (cfg : Cfg.t) (order : int array) =
-  let total_size = max 1 (Cfg.total_size cfg) in
-  let lines = distinct_line_counter ~line ~total_size in
-  let pages = distinct_line_counter ~line:page ~total_size in
-  let addr = ref 0 in
-  let hot_bytes = ref 0 in
+  let addr = ref 0 and hot_bytes = ref 0 in
+  let lines = ref 0 and last_line = ref (-1) in
+  let pages = ref 0 and last_page = ref (-1) in
+  (* count the units of [unit] bytes that [addr, addr + sz) touches and
+     the previous hot block did not *)
+  let touch unit n last sz =
+    let first = !addr / unit and l = (!addr + sz - 1) / unit in
+    n := !n + l - first + (if first = !last then 0 else 1);
+    last := l
+  in
   Array.iter
     (fun b ->
       let sz = Cfg.size cfg b in
       if Cfg.count cfg b > 0 && sz > 0 then begin
         hot_bytes := !hot_bytes + sz;
-        let first = !addr / line and last = (!addr + sz - 1) / line in
-        for l = first to last do
-          ignore (Bolt_sim.Cache.access lines (l * line))
-        done;
-        let firstp = !addr / page and lastp = (!addr + sz - 1) / page in
-        for p = firstp to lastp do
-          ignore (Bolt_sim.Cache.access pages (p * page))
-        done
+        touch line lines last_line sz;
+        touch page pages last_page sz
       end;
       addr := !addr + sz)
     order;
   {
     ev_score = Exttsp.score cfg order;
     ev_hot_bytes = !hot_bytes;
-    ev_icache_lines = lines.Bolt_sim.Cache.misses;
-    ev_itlb_pages = pages.Bolt_sim.Cache.misses;
+    ev_icache_lines = !lines;
+    ev_itlb_pages = !pages;
   }

@@ -50,11 +50,12 @@ let score (cfg : Cfg.t) (order : int array) =
   Array.iter
     (fun b ->
       let src_end = addr.(b) + Cfg.size cfg b in
-      List.iter
-        (fun (d, c) ->
-          if addr.(d) >= 0 then
-            total := !total +. score_edge ~src_end ~dst:addr.(d) c)
-        cfg.Cfg.succ.(b))
+      for k = cfg.Cfg.out_first.(b) to cfg.Cfg.out_first.(b + 1) - 1 do
+        let e = cfg.Cfg.out.(k) in
+        let d = cfg.Cfg.dst.(e) in
+        if addr.(d) >= 0 then
+          total := !total +. score_edge ~src_end ~dst:addr.(d) cfg.Cfg.count.(e)
+      done)
     order;
   !total
 
@@ -67,6 +68,8 @@ let fallthroughs (cfg : Cfg.t) (order : int array) =
   let next = Array.make (Cfg.node_count cfg) (-1) in
   let last = Array.length order - 1 in
   Array.iteri (fun i b -> if i < last then next.(b) <- order.(i + 1)) order;
-  Array.fold_left
-    (fun acc (s, d, c) -> if next.(s) = d then acc + c else acc)
-    0 cfg.Cfg.edges
+  let ft = ref 0 in
+  for e = 0 to Cfg.edge_count cfg - 1 do
+    if next.(cfg.Cfg.src.(e)) = cfg.Cfg.dst.(e) then ft := !ft + cfg.Cfg.count.(e)
+  done;
+  !ft

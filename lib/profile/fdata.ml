@@ -55,6 +55,10 @@ let clamp_int (c : int64) : int =
   else if c < 0L then 0
   else Int64.to_int c
 
+(* [sat_add] on native ints, for the int-based consumers' sums: call
+   weights saturate at [max_int] like every other count. *)
+let sat_add_int a b = if a > max_int - b then max_int else a + b
+
 (* ---- records ---- *)
 
 type branch = {
@@ -449,7 +453,7 @@ let default_max_warnings = 100
 
 let scan ?(strict = false) ?(max_warnings = default_max_warnings)
     ?(branch = fun (_ : branch) -> ()) ?(range = fun (_ : range) -> ())
-    ?(sample = fun (_ : sample) -> ()) text : t * warning list =
+    ?(sample = fun (_ : sample) -> ()) ?newlines text : t * warning list =
   let lbr = ref true in
   let header = ref None in
   let fp_order : string list ref = ref [] in
@@ -653,6 +657,8 @@ let scan ?(strict = false) ?(max_warnings = default_max_warnings)
      end);
     if nl >= 0 then pos := nl + 1 else running := false
   done;
+  (* every line but the last ended at a newline *)
+  Option.iter (fun r -> r := !lineno - 1) newlines;
   let fingerprints =
     List.rev_map
       (fun f ->

@@ -41,6 +41,10 @@ val sat_scale : int64 -> float -> int64
     machinery (edge weights, call-graph nodes). *)
 val clamp_int : int64 -> int
 
+(** Saturating native-int add over non-negative operands:
+    [min (max_int, a + b)]. *)
+val sat_add_int : int -> int -> int
+
 type branch = {
   br_from_func : string;
   br_from_off : int;
@@ -167,13 +171,16 @@ val parse : ?strict:bool -> ?max_warnings:int -> string -> t * warning list
     record lists (the fleet merger ingesting million-line shards):
     [branch]/[range]/[sample] are invoked per record in file order, and
     the returned profile carries only the small parts — [lbr], [header],
-    [fingerprints], [total_samples] — with empty record lists. *)
+    [fingerprints], [total_samples] — with empty record lists.
+    [newlines], when given, is set to the number of ['\n'] characters
+    in the text, counted on the way. *)
 val scan :
   ?strict:bool ->
   ?max_warnings:int ->
   ?branch:(branch -> unit) ->
   ?range:(range -> unit) ->
   ?sample:(sample -> unit) ->
+  ?newlines:int ref ->
   string ->
   t * warning list
 

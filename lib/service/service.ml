@@ -163,7 +163,7 @@ let count_lines text =
 let ingest t (ev : event) =
   let ig = Sketch.ingest t.sketch ~host:ev.ev_host ev.ev_text in
   t.events_seen <- t.events_seen + 1;
-  t.lines_in <- t.lines_in + count_lines ev.ev_text;
+  t.lines_in <- t.lines_in + ig.Sketch.ig_lines;
   if not ig.Sketch.ig_skipped then t.fresh_hosts <- t.fresh_hosts + 1;
   if ev.ev_time > t.now then t.now <- ev.ev_time;
   Obs.incr t.obs "service.shards";

@@ -183,6 +183,7 @@ type ingested = {
   ig_records : int;
   ig_warnings : int;
   ig_skipped : bool; (* [Merge.torn]: the host's state is unchanged *)
+  ig_lines : int; (* newlines in the shard, counted by the scan *)
 }
 
 (* One function's records as lexed, before it is ranked. *)
@@ -253,8 +254,9 @@ let ingest t ~host (text : string) : ingested =
     p.p_events <- Fdata.sat_add p.p_events count;
     p
   in
+  let newlines = ref 0 in
   let prof, warnings =
-    Fdata.scan
+    Fdata.scan ~newlines
       ~branch:(fun (b : Fdata.branch) ->
         let p = pend b.Fdata.br_from_func b.Fdata.br_count in
         p.p_branches <- b :: p.p_branches)
@@ -335,6 +337,7 @@ let ingest t ~host (text : string) : ingested =
     ig_records = !records;
     ig_warnings = List.length warnings;
     ig_skipped = skipped;
+    ig_lines = !newlines;
   }
 
 (* ---- reading the sketch back out ---- *)

@@ -7,8 +7,10 @@
    stamp, the assembler, the emitter and the CFG builder as they were
    before their linear-time rewrites; for the profile-hfsort suite, the
    name-keyed profile readers of match-profile, ICP and
-   reorder-functions.  Production code is checked against these
-   independent implementations rather than against itself. *)
+   reorder-functions; for the layout suite, the tuple-keyed layout layer
+   and the string-keyed HFSort call graph and orders.  Production code
+   is checked against these independent implementations rather than
+   against itself. *)
 
 (* The original per-byte reader/writer primitives (modulo the reader's
    [limit] field replacing [String.length]). *)
@@ -2465,9 +2467,481 @@ module Icp = struct
     h
 end
 
-module Callgraph = struct
-  open Bolt_hfsort.Callgraph
+(* The layout layer as it was before it moved onto int arrays: the
+   tuple-keyed [Cfg.make] with succ lists, the chain pool over it, the
+   ExtTSP score and fall-through weight, the evaluator counting lines
+   and pages with a never-evicting [Bolt_sim.Cache], the engine whose
+   ext-tsp loop sorts every candidate pair each round and builds every
+   split arrangement, and HFSort over the string-keyed call graph,
+   projected onto ids for every order.  The one change to their
+   semantics: call weights sum saturating at [max_int] in [Callgraph],
+   as they now do in production. *)
 
+module Cfg = struct
+  type node = {
+    n_label : string;  (* block label / function name, for reporting *)
+    n_size : int;      (* bytes (or a byte proxy) occupied by the node *)
+    n_count : int;     (* execution count / samples *)
+  }
+
+  type t = {
+    nodes : node array;
+    entry : int;  (* index of the entry node, or -1 when order-free *)
+    edges : (int * int * int) array;
+        (* (src, dst, count), deduplicated, sorted by count desc then
+           (src, dst) asc — the deterministic hot-first order every greedy
+           consumer wants *)
+    succ : (int * int) list array;  (* per-node out-edges, same sort *)
+  }
+
+  let node_count t = Array.length t.nodes
+  let size t i = t.nodes.(i).n_size
+  let count t i = t.nodes.(i).n_count
+  let label t i = t.nodes.(i).n_label
+
+  (* Build a graph.  Self-edges, non-positive counts and out-of-range
+     endpoints are dropped; parallel edges are summed.  The edge sort is
+     total (count desc, then (src, dst) asc), so downstream greedy loops
+     are deterministic no matter what order edges arrive in. *)
+  let make ~nodes ?(entry = -1) edges =
+    let n = Array.length nodes in
+    let tbl = Hashtbl.create (List.length edges * 2 + 1) in
+    List.iter
+      (fun (s, d, c) ->
+        if s <> d && c > 0 && s >= 0 && s < n && d >= 0 && d < n then
+          match Hashtbl.find_opt tbl (s, d) with
+          | Some r -> r := !r + c
+          | None -> Hashtbl.add tbl (s, d) (ref c))
+      edges;
+    let edges =
+      Hashtbl.fold (fun (s, d) c acc -> (s, d, !c) :: acc) tbl []
+      |> List.sort (fun (s1, d1, a) (s2, d2, b) ->
+             if a <> b then Int.compare b a
+             else if s1 <> s2 then Int.compare s1 s2
+             else Int.compare d1 d2)
+      |> Array.of_list
+    in
+    let succ = Array.make (max n 1) [] in
+    Array.iter (fun (s, d, c) -> succ.(s) <- (d, c) :: succ.(s)) edges;
+    Array.iteri (fun i l -> succ.(i) <- List.rev l) succ;
+    let entry = if entry >= 0 && entry < n then entry else -1 in
+    { nodes; entry; edges; succ }
+
+  let total_size t = Array.fold_left (fun a n -> a + n.n_size) 0 t.nodes
+
+  (* The identity permutation: the layout the graph was built from. *)
+  let identity t = Array.init (node_count t) (fun i -> i)
+end
+
+module Chain = struct
+  type t = {
+    blocks : int array array;  (* chain id -> member nodes; [||] = dead *)
+    node_chain : int array;    (* node id -> chain id *)
+    weight : int array;        (* chain id -> summed node counts *)
+    size : int array;          (* chain id -> summed node sizes *)
+    mutable live : int;
+  }
+
+  let create (cfg : Cfg.t) =
+    let n = Cfg.node_count cfg in
+    {
+      blocks = Array.init n (fun i -> [| i |]);
+      node_chain = Array.init n (fun i -> i);
+      weight = Array.init n (fun i -> Cfg.count cfg i);
+      size = Array.init n (fun i -> Cfg.size cfg i);
+      live = n;
+    }
+
+  let chain_of t node = t.node_chain.(node)
+  let alive t c = Array.length t.blocks.(c) > 0
+  let blocks t c = t.blocks.(c)
+  let weight t c = t.weight.(c)
+  let size t c = t.size.(c)
+  let length t c = Array.length t.blocks.(c)
+  let head t c = t.blocks.(c).(0)
+  let tail t c = let b = t.blocks.(c) in b.(Array.length b - 1)
+
+  (* Live chain ids in ascending order — the deterministic iteration
+     order for final emission. *)
+  let live_chains t =
+    let acc = ref [] in
+    for c = Array.length t.blocks - 1 downto 0 do
+      if alive t c then acc := c :: !acc
+    done;
+    !acc
+
+  (* Replace chains [keep] and [drop] by [merged], which must be a
+     permutation of their combined blocks (the caller decides the
+     arrangement: XY, YX, or a split like X1·Y·X2). *)
+  let replace t ~keep ~drop merged =
+    if keep = drop || not (alive t keep) || not (alive t drop) then
+      invalid_arg "Chain.replace: need two distinct live chains";
+    if Array.length merged <> length t keep + length t drop then
+      invalid_arg "Chain.replace: arrangement loses or duplicates blocks";
+    t.blocks.(keep) <- merged;
+    t.blocks.(drop) <- [||];
+    t.weight.(keep) <- t.weight.(keep) + t.weight.(drop);
+    t.weight.(drop) <- 0;
+    t.size.(keep) <- t.size.(keep) + t.size.(drop);
+    t.size.(drop) <- 0;
+    Array.iter (fun node -> t.node_chain.(node) <- keep) merged;
+    t.live <- t.live - 1
+
+  (* Tail-to-head concatenation, the classic Pettis-Hansen move. *)
+  let append t ~into other =
+    replace t ~keep:into ~drop:other (Array.append t.blocks.(into) t.blocks.(other))
+
+  (* Emit [chains] in the given order as one flat node order. *)
+  let emit t chains =
+    Array.concat (List.map (fun c -> t.blocks.(c)) chains)
+end
+
+module Exttsp = struct
+  let score_edge = Bolt_layout.Exttsp.score_edge
+
+  (* Score a full layout: [order] is a permutation of the graph's nodes
+     (or a subset — edges with an unplaced endpoint count zero). *)
+  let score (cfg : Cfg.t) (order : int array) =
+    let n = Cfg.node_count cfg in
+    let addr = Array.make n (-1) in
+    let a = ref 0 in
+    Array.iter
+      (fun b ->
+        addr.(b) <- !a;
+        a := !a + Cfg.size cfg b)
+      order;
+    let total = ref 0.0 in
+    Array.iter
+      (fun b ->
+        let src_end = addr.(b) + Cfg.size cfg b in
+        List.iter
+          (fun (d, c) ->
+            if addr.(d) >= 0 then
+              total := !total +. score_edge ~src_end ~dst:addr.(d) c)
+          cfg.Cfg.succ.(b))
+      order;
+    !total
+
+  (* The fall-through component alone: summed counts of edges whose
+     destination is laid out immediately after their source.  A function's
+     estimated taken-branch count is its total branch weight minus exactly
+     this, so comparing layouts by [fallthroughs] compares their taken
+     branches with the sign flipped. *)
+  let fallthroughs (cfg : Cfg.t) (order : int array) =
+    let next = Array.make (Cfg.node_count cfg) (-1) in
+    let last = Array.length order - 1 in
+    Array.iteri (fun i b -> if i < last then next.(b) <- order.(i + 1)) order;
+    Array.fold_left
+      (fun acc (s, d, c) -> if next.(s) = d then acc + c else acc)
+      0 cfg.Cfg.edges
+end
+
+module Evaluator = struct
+  (* A never-evicting counter of distinct lines: one set, enough ways for
+     every line the layout could touch. *)
+  let distinct_line_counter ~line ~total_size =
+    let ways = max 4 ((total_size / line) + 2) in
+    Bolt_sim.Cache.create ~size:(line * ways) ~line ~assoc:ways
+
+  let evaluate ?(line = 64) ?(page = 4096) (cfg : Cfg.t) (order : int array) =
+    let total_size = max 1 (Cfg.total_size cfg) in
+    let lines = distinct_line_counter ~line ~total_size in
+    let pages = distinct_line_counter ~line:page ~total_size in
+    let addr = ref 0 in
+    let hot_bytes = ref 0 in
+    Array.iter
+      (fun b ->
+        let sz = Cfg.size cfg b in
+        if Cfg.count cfg b > 0 && sz > 0 then begin
+          hot_bytes := !hot_bytes + sz;
+          let first = !addr / line and last = (!addr + sz - 1) / line in
+          for l = first to last do
+            ignore (Bolt_sim.Cache.access lines (l * line))
+          done;
+          let firstp = !addr / page and lastp = (!addr + sz - 1) / page in
+          for p = firstp to lastp do
+            ignore (Bolt_sim.Cache.access pages (p * page))
+          done
+        end;
+        addr := !addr + sz)
+      order;
+    {
+      Bolt_layout.Evaluator.ev_score = Exttsp.score cfg order;
+      ev_hot_bytes = !hot_bytes;
+      ev_icache_lines = lines.Bolt_sim.Cache.misses;
+      ev_itlb_pages = pages.Bolt_sim.Cache.misses;
+    }
+end
+
+module Engine = struct
+  type algo = Bolt_layout.Engine.algo = Cache | Cache_plus | Ext_tsp
+
+  (* Entry chain first, then weight desc, chain id asc — and any node the
+     merge loops never reached (there are none today, but keep the
+     contract total) would simply still be its own chain. *)
+  let final_order (cfg : Cfg.t) pool =
+    let chains = Chain.live_chains pool in
+    let entry_c, rest =
+      if cfg.Cfg.entry >= 0 then
+        List.partition (fun c -> c = Chain.chain_of pool cfg.Cfg.entry) chains
+      else ([], chains)
+    in
+    let rest =
+      List.sort
+        (fun a b ->
+          let wa = Chain.weight pool a and wb = Chain.weight pool b in
+          if wa <> wb then compare wb wa else compare a b)
+        rest
+    in
+    Chain.emit pool (entry_c @ rest)
+
+  let cache (cfg : Cfg.t) =
+    let pool = Chain.create cfg in
+    Array.iter
+      (fun (s, d, _) ->
+        let ca = Chain.chain_of pool s and cb = Chain.chain_of pool d in
+        if ca <> cb && Chain.tail pool ca = s && Chain.head pool cb = d
+           && d <> cfg.Cfg.entry
+        then Chain.append pool ~into:ca cb)
+      cfg.Cfg.edges;
+    final_order cfg pool
+
+  let cache_plus (cfg : Cfg.t) =
+    let pool = Chain.create cfg in
+    let w = Hashtbl.create 64 in
+    Array.iter (fun (s, d, c) -> Hashtbl.replace w (s, d) c) cfg.Cfg.edges;
+    let seam a b = Option.value ~default:0 (Hashtbl.find_opt w (a, b)) in
+    Array.iter
+      (fun (s, d, _) ->
+        let ca = Chain.chain_of pool s and cb = Chain.chain_of pool d in
+        if ca <> cb then begin
+          let seam_ab = seam (Chain.tail pool ca) (Chain.head pool cb) in
+          let seam_ba = seam (Chain.tail pool cb) (Chain.head pool ca) in
+          if seam_ab >= seam_ba && Chain.head pool cb <> cfg.Cfg.entry
+             && seam_ab > 0
+          then Chain.append pool ~into:ca cb
+          else if seam_ba > 0 && Chain.head pool ca <> cfg.Cfg.entry then
+            Chain.append pool ~into:cb ca
+        end)
+      cfg.Cfg.edges;
+    final_order cfg pool
+
+  (* ---- ext-tsp ---- *)
+
+  (* Split bounds: arrangements with a split point are tried only for
+     chains of at most [split_threshold] blocks, and only while the whole
+     function stays under [split_node_limit] blocks — past that the
+     quadratic split enumeration stops paying for itself. *)
+  let split_threshold = 128
+  let split_node_limit = 512
+  let epsilon = 1e-9
+
+  let ext_tsp_merge (cfg : Cfg.t) =
+    let n = Cfg.node_count cfg in
+    let pool = Chain.create cfg in
+    (* arrangement scoring with stamped addresses: only edges with both
+       ends inside the arrangement count, which is exactly the chain-local
+       score the merge loop maximises *)
+    let addr = Array.make n 0 in
+    let stamp = Array.make n 0 in
+    let clock = ref 0 in
+    let score_arr arr =
+      incr clock;
+      let a = ref 0 in
+      Array.iter
+        (fun b ->
+          stamp.(b) <- !clock;
+          addr.(b) <- !a;
+          a := !a + Cfg.size cfg b)
+        arr;
+      let t = ref 0.0 in
+      Array.iter
+        (fun b ->
+          let src_end = addr.(b) + Cfg.size cfg b in
+          List.iter
+            (fun (d, c) ->
+              if stamp.(d) = !clock then
+                t := !t +. Exttsp.score_edge ~src_end ~dst:addr.(d) c)
+            cfg.Cfg.succ.(b))
+        arr;
+      !t
+    in
+    (* self-edges are dropped at Cfg.make, so singletons score 0 *)
+    let chain_score = Array.make n 0.0 in
+    let entry = cfg.Cfg.entry in
+    (* best arrangement of two live chains; returns (gain, score, arr) *)
+    let best_merge a b =
+      let xa = Chain.blocks pool a and xb = Chain.blocks pool b in
+      let la = Array.length xa and lb = Array.length xb in
+      let base = chain_score.(a) +. chain_score.(b) in
+      let has_entry =
+        entry >= 0 && (Chain.chain_of pool entry = a || Chain.chain_of pool entry = b)
+      in
+      let best = ref None in
+      let consider arr =
+        if (not has_entry) || arr.(0) = entry then begin
+          let s = score_arr arr in
+          let g = s -. base in
+          match !best with
+          | Some (bg, _, _) when g <= bg +. epsilon -> ()
+          | _ -> best := Some (g, s, arr)
+        end
+      in
+      consider (Array.append xa xb);
+      consider (Array.append xb xa);
+      if n <= split_node_limit then begin
+        if la >= 2 && la <= split_threshold then
+          for i = 1 to la - 1 do
+            consider
+              (Array.concat [ Array.sub xa 0 i; xb; Array.sub xa i (la - i) ])
+          done;
+        if lb >= 2 && lb <= split_threshold then
+          for i = 1 to lb - 1 do
+            consider
+              (Array.concat [ Array.sub xb 0 i; xa; Array.sub xb i (lb - i) ])
+          done
+      end;
+      !best
+    in
+    (* candidate pairs: chains connected by at least one edge *)
+    let norm a b = if a < b then (a, b) else (b, a) in
+    let pairs : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+    Array.iter
+      (fun (s, d, _) ->
+        let ca = Chain.chain_of pool s and cb = Chain.chain_of pool d in
+        if ca <> cb then Hashtbl.replace pairs (norm ca cb) ())
+      cfg.Cfg.edges;
+    let gains : (int * int, (float * float * int array) option) Hashtbl.t =
+      Hashtbl.create 64
+    in
+    let continue_ = ref true in
+    while !continue_ && Hashtbl.length pairs > 0 do
+      let keys =
+        Hashtbl.fold (fun k () acc -> k :: acc) pairs [] |> List.sort compare
+      in
+      let best = ref None in
+      List.iter
+        (fun (a, b) ->
+          let g =
+            match Hashtbl.find_opt gains (a, b) with
+            | Some g -> g
+            | None ->
+                let g = best_merge a b in
+                Hashtbl.replace gains (a, b) g;
+                g
+          in
+          match g with
+          | Some (gain, score, arr) -> (
+              match !best with
+              | Some (bg, _, _, _, _) when gain <= bg +. epsilon -> ()
+              | _ -> best := Some (gain, score, arr, a, b))
+          | None -> ())
+        keys;
+      match !best with
+      | Some (gain, score, arr, a, b) when gain > epsilon ->
+          Chain.replace pool ~keep:a ~drop:b arr;
+          chain_score.(a) <- score;
+          (* rekey b's pairs onto a, and drop stale gains touching a or b *)
+          let touched (x, y) = x = a || y = a || x = b || y = b in
+          let old = Hashtbl.fold (fun k () acc -> k :: acc) pairs [] in
+          List.iter
+            (fun ((x, y) as k) ->
+              if touched k then begin
+                Hashtbl.remove pairs k;
+                let partner = if x = a || x = b then y else x in
+                if partner <> a && partner <> b then
+                  Hashtbl.replace pairs (norm a partner) ()
+              end)
+            old;
+          Hashtbl.iter
+            (fun k _ -> if touched k then Hashtbl.remove gains k)
+            (Hashtbl.copy gains)
+      | _ -> continue_ := false
+    done;
+    final_order cfg pool
+
+  let order algo (cfg : Cfg.t) =
+    if Cfg.node_count cfg <= 1 then Cfg.identity cfg
+    else
+      match algo with
+      | Cache -> cache cfg
+      | Cache_plus -> cache_plus cfg
+      | Ext_tsp ->
+          (* Never-regress guard, two keys.  Among {ext-tsp, cache+,
+             original}, keep the best under the objective (ties prefer
+             ext-tsp) — but only candidates that keep at least cache+'s
+             fall-through weight are eligible.  The objective's proximity
+             terms can trade a fall-through for short-jump credit, which
+             raises the score while raising taken branches too; pinning
+             fall-through weight at the cache+ floor means switching the
+             default to ext-tsp can only remove taken branches, never add
+             them, while the score still never drops below cache+ (cache+
+             itself always meets its own floor). *)
+          let cp = cache_plus cfg in
+          let floor = Exttsp.fallthroughs cfg cp in
+          let candidates = [ ext_tsp_merge cfg; cp; Cfg.identity cfg ] in
+          let scored =
+            List.filter_map
+              (fun o ->
+                if Exttsp.fallthroughs cfg o >= floor then
+                  Some (Exttsp.score cfg o, o)
+                else None)
+              candidates
+          in
+          let best =
+            List.fold_left
+              (fun (bs, bo) (s, o) ->
+                if s > bs +. epsilon then (s, o) else (bs, bo))
+              (List.hd scored) (List.tl scored)
+          in
+          snd best
+end
+
+module Callgraph = struct
+  let sat_add a b = if a > max_int - b then max_int else a + b
+
+  type node = { n_name : string; n_size : int; mutable n_samples : int }
+
+  type t = {
+    nodes : (string, node) Hashtbl.t;
+    edges : (string * string, int ref) Hashtbl.t; (* caller, callee -> weight *)
+  }
+
+  let create () = { nodes = Hashtbl.create 256; edges = Hashtbl.create 1024 }
+
+  let add_node g ~name ~size =
+    if not (Hashtbl.mem g.nodes name) then
+      Hashtbl.replace g.nodes name { n_name = name; n_size = size; n_samples = 0 }
+
+  let node g name = Hashtbl.find_opt g.nodes name
+
+  let add_samples g name c =
+    match Hashtbl.find_opt g.nodes name with
+    | Some n -> n.n_samples <- n.n_samples + c
+    | None -> ()
+
+  let add_edge g caller callee w =
+    if w > 0 && Hashtbl.mem g.nodes caller && Hashtbl.mem g.nodes callee then
+      match Hashtbl.find_opt g.edges (caller, callee) with
+      | Some r -> r := sat_add !r w
+      | None -> Hashtbl.add g.edges (caller, callee) (ref w)
+
+  (* The hottest caller of each function; equal weights break towards the
+     lexicographically smaller caller so the result does not depend on
+     hashtable iteration order. *)
+  let hottest_caller g =
+    let best = Hashtbl.create 256 in
+    Hashtbl.iter
+      (fun (caller, callee) w ->
+        if caller <> callee then
+          match Hashtbl.find_opt best callee with
+          | Some (bc, bw) when bw > !w || (bw = !w && bc <= caller) -> ()
+          | _ -> Hashtbl.replace best callee (caller, !w))
+      g.edges;
+    best
+
+  (* The name-keyed LBR reader: calls are branches landing at offset 0
+     of another function. *)
   let of_profile ~(funcs : (string * int) list) (prof : Bolt_profile.Fdata.t) : t =
     let g = create () in
     List.iter (fun (name, size) -> add_node g ~name ~size) funcs;
@@ -2479,4 +2953,202 @@ module Callgraph = struct
           add_edge g b.br_from_func b.br_to_func (Bolt_profile.Fdata.clamp_int b.br_count))
       prof.branches;
     g
+
+  (* §5.3 fallback: no LBR.  [direct_calls] lists the binary's static call
+     sites as (caller, offset-in-caller, callee); each edge gets the IP
+     samples recorded near the call site (same function, any offset —
+     approximated by the caller's sample count scaled per site). *)
+  let of_samples_and_calls ~(funcs : (string * int) list)
+      ~(direct_calls : (string * int * string) list) (prof : Bolt_profile.Fdata.t) : t =
+    let g = create () in
+    List.iter (fun (name, size) -> add_node g ~name ~size) funcs;
+    let events = Bolt_profile.Fdata.func_events prof in
+    Hashtbl.iter (fun name c -> add_samples g name (Bolt_profile.Fdata.clamp_int c)) events;
+    (* samples per (func, off) for call-site weighting *)
+    let site_w = Hashtbl.create 1024 in
+    List.iter
+      (fun (s : Bolt_profile.Fdata.sample) ->
+        Hashtbl.replace site_w (s.sm_func, s.sm_off)
+          (sat_add
+             (Bolt_profile.Fdata.clamp_int s.sm_count)
+             (try Hashtbl.find site_w (s.sm_func, s.sm_off) with Not_found -> 0)))
+      prof.samples;
+    List.iter
+      (fun (caller, off, callee) ->
+        (* weight: samples within a small window after the call site *)
+        let w = ref 0 in
+        for o = off to off + 16 do
+          match Hashtbl.find_opt site_w (caller, o) with
+          | Some c -> w := sat_add !w c
+          | None -> ()
+        done;
+        add_edge g caller callee (max 1 !w))
+      direct_calls;
+    g
+end
+
+module Order = struct
+  type algo = Bolt_hfsort.Order.algo = C3 | Hfsort_plus | Pettis_hansen
+
+  let page_budget = 4096
+  let merge_density_ratio = 8 (* callee may be at most 8x colder per byte *)
+
+  (* The call graph projected onto node ids (name order). *)
+  type proj = { cfg : Cfg.t; names : string array; id : (string, int) Hashtbl.t }
+
+  let project (g : Callgraph.t) : proj =
+    let names =
+      Hashtbl.fold (fun name _ acc -> name :: acc) g.Callgraph.nodes []
+      |> List.sort compare |> Array.of_list
+    in
+    let id = Hashtbl.create (Array.length names * 2 + 1) in
+    Array.iteri (fun i n -> Hashtbl.replace id n i) names;
+    let nodes =
+      Array.map
+        (fun name ->
+          let n = Hashtbl.find g.Callgraph.nodes name in
+          { Cfg.n_label = name; n_size = n.Callgraph.n_size; n_count = n.n_samples })
+        names
+    in
+    let edges =
+      Hashtbl.fold
+        (fun (a, b) r acc ->
+          match (Hashtbl.find_opt id a, Hashtbl.find_opt id b) with
+          | Some ia, Some ib -> (ia, ib, !r) :: acc
+          | _ -> acc)
+        g.Callgraph.edges []
+    in
+    { cfg = Cfg.make ~nodes edges; names; id }
+
+  let density pool c =
+    let s = Chain.size pool c in
+    if s = 0 then 0.0 else float_of_int (Chain.weight pool c) /. float_of_int s
+
+  (* Hot clusters (weight > 0) by density desc, chain id asc, flattened to
+     function names.  Cold functions never join a hot chain (every merge
+     guard requires weight > 0 on both sides), so they are left for the
+     caller's original-order fallback. *)
+  let cluster_order proj pool =
+    Chain.live_chains pool
+    |> List.filter (fun c -> Chain.weight pool c > 0)
+    |> List.sort (fun a b ->
+           let da = density pool a and db = density pool b in
+           if da <> db then compare db da else compare a b)
+    |> List.concat_map (fun c ->
+           Array.to_list (Chain.blocks pool c)
+           |> List.map (fun i -> proj.names.(i)))
+
+  (* Hot node ids, samples desc then name asc (id order = name order). *)
+  let hot_ids proj =
+    let ids = ref [] in
+    for i = Array.length proj.names - 1 downto 0 do
+      if Cfg.count proj.cfg i > 0 then ids := i :: !ids
+    done;
+    List.sort
+      (fun a b ->
+        let ca = Cfg.count proj.cfg a and cb = Cfg.count proj.cfg b in
+        if ca <> cb then compare cb ca else compare a b)
+      !ids
+
+  let c3_merges (g : Callgraph.t) proj pool =
+    let best_caller = Callgraph.hottest_caller g in
+    List.iter
+      (fun i ->
+        match Hashtbl.find_opt best_caller proj.names.(i) with
+        | None -> ()
+        | Some (caller, _w) -> (
+            match Hashtbl.find_opt proj.id caller with
+            | None -> ()
+            | Some ci ->
+                let cc = Chain.chain_of pool ci and cf = Chain.chain_of pool i in
+                if cc <> cf && Chain.weight pool cc > 0 then begin
+                  let merged_size = Chain.size pool cc + Chain.size pool cf in
+                  if
+                    merged_size <= page_budget
+                    && density pool cf *. float_of_int merge_density_ratio
+                       >= density pool cc
+                  then Chain.append pool ~into:cc cf
+                end))
+      (hot_ids proj)
+
+  let c3 (g : Callgraph.t) =
+    let proj = project g in
+    let pool = Chain.create proj.cfg in
+    c3_merges g proj pool;
+    cluster_order proj pool
+
+  (* hfsort+ style refinement: keep merging cluster pairs with the highest
+     inter-cluster call weight, while the merge still fits a small
+     multiple of the page budget; the denser cluster leads. *)
+  let hfsort_plus (g : Callgraph.t) =
+    let proj = project g in
+    let pool = Chain.create proj.cfg in
+    c3_merges g proj pool;
+    (* snapshot the c3 clusters: cluster index per node, plus one
+       representative node per cluster to find its current chain later *)
+    let clusters =
+      Chain.live_chains pool |> List.filter (fun c -> Chain.weight pool c > 0)
+    in
+    let rep = Array.of_list (List.map (Chain.head pool) clusters) in
+    let cl = Array.make (Array.length proj.names) (-1) in
+    List.iteri
+      (fun i c -> Array.iter (fun b -> cl.(b) <- i) (Chain.blocks pool c))
+      clusters;
+    (* inter-cluster weights *)
+    let w = Hashtbl.create 1024 in
+    Array.iter
+      (fun (ia, ib, weight) ->
+        let ca = cl.(ia) and cb = cl.(ib) in
+        if ca >= 0 && cb >= 0 && ca <> cb then begin
+          let key = (min ca cb, max ca cb) in
+          Hashtbl.replace w key
+            (weight + try Hashtbl.find w key with Not_found -> 0)
+        end)
+      proj.cfg.Cfg.edges;
+    let candidates =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) w []
+      |> List.sort (fun (k1, a) (k2, b) ->
+             if a <> b then compare b a else compare k1 k2)
+    in
+    List.iter
+      (fun ((ia, ib), _) ->
+        let ra = Chain.chain_of pool rep.(ia)
+        and rb = Chain.chain_of pool rep.(ib) in
+        if ra <> rb && Chain.size pool ra + Chain.size pool rb <= 4 * page_budget
+        then begin
+          let hi, lo =
+            if density pool ra >= density pool rb then (ra, rb) else (rb, ra)
+          in
+          Chain.append pool ~into:hi lo
+        end)
+      candidates;
+    cluster_order proj pool
+
+  (* Classic Pettis-Hansen function ordering: merge the clusters joined by
+     the globally heaviest remaining edge (ties broken by endpoint names
+     via the edge array's total order). *)
+  let pettis_hansen (g : Callgraph.t) =
+    let proj = project g in
+    let pool = Chain.create proj.cfg in
+    Array.iter
+      (fun (ia, ib, _) ->
+        let ca = Chain.chain_of pool ia and cb = Chain.chain_of pool ib in
+        if
+          ca <> cb && Chain.weight pool ca > 0 && Chain.weight pool cb > 0
+        then Chain.append pool ~into:ca cb)
+      proj.cfg.Cfg.edges;
+    cluster_order proj pool
+
+  (* Full ordering: hot functions by the chosen algorithm, then everything
+     else in original order. *)
+  let order algo (g : Callgraph.t) ~(original : string list) : string list =
+    let hot =
+      match algo with
+      | C3 -> c3 g
+      | Hfsort_plus -> hfsort_plus g
+      | Pettis_hansen -> pettis_hansen g
+    in
+    let placed = Hashtbl.create 256 in
+    List.iter (fun f -> Hashtbl.replace placed f ()) hot;
+    hot @ List.filter (fun f -> not (Hashtbl.mem placed f)) original
 end

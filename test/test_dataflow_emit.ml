@@ -126,7 +126,7 @@ let test_rewritten_binary_decodes () =
 let test_dyno_stats_zero_on_empty_profile () =
   let exe = compile [ ("m", {| fn main() { out 1; return 0; } |}) ] in
   let ctx = build_ctx exe in
-  let st = Bolt_core.Dyno_stats.collect ctx in
+  let st = Bolt_core.Dyno_stats.collect ctx (Bolt_core.Layout_bbs.snapshot ctx) in
   Alcotest.(check int) "no weighted insns" 0 st.Bolt_core.Dyno_stats.executed_instructions
 
 let test_report_bad_layout_detects () =

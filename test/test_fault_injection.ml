@@ -436,6 +436,46 @@ let strict_turns_demotion_fatal () =
       | () -> Alcotest.fail "strict did not raise"
       | exception Bolt_core.Diag.Strict_error _ -> ())
 
+(* dyno-stats takes its layout rows from layout-eval's evaluation of the
+   same state.  When that evaluation fails, dyno-stats is skipped too:
+   every row zero, with its own diagnostic, never real instruction and
+   branch counts beside zero layout rows. *)
+let layout_eval_failure_skips_dyno () =
+  let b = Lazy.force base_rel in
+  let module B = Bolt_core in
+  let ctx = B.Context.create ~opts:B.Opts.default b.exe in
+  let env = B.Passman.make_env ctx b.prof in
+  B.Passman.run env B.Passman.pre_passes;
+  let rows, dyno = B.Bolt.eval_state env "-before" in
+  Alcotest.(check bool) "layout rows" true (rows <> []);
+  Alcotest.(check bool)
+    "executed instructions" true
+    (dyno.B.Dyno_stats.executed_instructions > 0);
+  (* a profiled function whose layout names a block it does not have
+     fails the layout evaluation *)
+  (match List.filter B.Bfunc.has_profile (B.Context.simple_funcs ctx) with
+  | [] -> Alcotest.fail "no profiled function in base workload"
+  | fb :: _ -> fb.B.Bfunc.layout <- fb.B.Bfunc.layout @ [ "no-such-block" ]);
+  let rows, dyno = B.Bolt.eval_state env "-after" in
+  Alcotest.(check int) "no layout rows" 0 (List.length rows);
+  Alcotest.(check (list (pair string int)))
+    "dyno-stats zero as a whole"
+    (B.Dyno_stats.rows (B.Dyno_stats.zero ()))
+    (B.Dyno_stats.rows dyno);
+  let errors stage =
+    List.filter
+      (fun (r : B.Diag.record) -> r.d_severity = B.Diag.Error && r.d_stage = stage)
+      (B.Diag.records ctx.B.Context.diag)
+  in
+  Alcotest.(check int) "layout-eval error" 1 (List.length (errors "layout-eval"));
+  match errors "dyno-stats" with
+  | [ r ] ->
+      Alcotest.(check bool)
+        ("dyno-stats skipped for the layout: " ^ r.d_msg)
+        true
+        (Test_monitor.contains r.d_msg "no layout evaluation")
+  | l -> Alcotest.failf "%d dyno-stats errors" (List.length l)
+
 let clean_input_unaffected () =
   (* the hardening must not change what BOLT does to a healthy input:
      no quarantines, no fallback, behaviour preserved *)
@@ -495,4 +535,6 @@ let suite =
         quarantine_limit_enforced;
       Alcotest.test_case "strict-demotion-fatal" `Slow strict_turns_demotion_fatal;
       Alcotest.test_case "clean-input-unaffected" `Slow clean_input_unaffected;
+      Alcotest.test_case "layout-eval-failure-skips-dyno" `Slow
+        layout_eval_failure_skips_dyno;
     ]

@@ -239,6 +239,170 @@ let test_evaluator () =
   let r2 = L.Evaluator.evaluate spread (Cfg.identity spread) in
   Alcotest.(check int) "spread hot pages" 2 r2.L.Evaluator.ev_itlb_pages
 
+(* ---- the int-array layer against the reference implementations ---- *)
+
+(* A random graph: mostly up to 64 nodes, some up to 600 (so chains
+   cross [split_threshold] and graphs [split_node_limit]); an entry node
+   or none; random, path, self, out-of-range and repeated (parallel)
+   edges with zero, negative and mostly equal counts; zero-size and
+   zero-count nodes.  [g_perm] is a shuffle of the nodes, [g_keep] picks
+   the subset order. *)
+type graph_spec = {
+  g_nodes : (int * int) array; (* size, count *)
+  g_entry : int;
+  g_edges : (int * int * int) list;
+  g_perm : int list;
+  g_keep : bool list;
+}
+
+let gen_graph =
+  let open QCheck.Gen in
+  let* n = frequency [ (1, return 0); (28, int_range 1 64); (2, int_range 65 600) ] in
+  let weight =
+    frequency
+      [ (1, return 0); (1, int_range (-3) (-1)); (6, oneofl [ 1; 2; 5; 10; 100 ]);
+        (2, int_range 1 10_000) ]
+  in
+  let node =
+    pair
+      (frequency [ (1, return 0); (6, int_range 1 64); (2, int_range 65 700) ])
+      (frequency [ (2, return 0); (5, oneofl [ 1; 10; 100 ]); (2, int_range 1 5_000) ])
+  in
+  let any = if n = 0 then return 0 else int_bound (n - 1) in
+  let edge =
+    frequency
+      [
+        (4, triple any any weight);
+        (3, map2 (fun i w -> (i, i + 1, w)) any weight);
+        (1, map2 (fun i w -> (i, i, w)) any weight);
+        (1, triple (oneofl [ -1; 0; n; n + 3 ]) any weight);
+        (1, triple any (oneofl [ -1; n; n + 3 ]) weight);
+      ]
+  in
+  let* g_nodes = array_repeat n node in
+  let* g_entry = if n = 0 then return (-1) else frequency [ (3, any); (1, return (-1)) ] in
+  (* past 64 nodes, a mostly unbroken path i -> i+1 grows chains long
+     enough to cross [split_threshold] *)
+  let* edges =
+    if n <= 64 then list_repeat (3 * n) edge
+    else
+      let* path =
+        list_repeat (n - 1)
+          (pair (frequency [ (30, return true); (1, return false) ]) (int_range 1 3))
+      in
+      let+ extra = list_repeat (n / 3) edge in
+      List.concat (List.mapi (fun i (on, w) -> if on then [ (i, i + 1, w) ] else []) path) @ extra
+  in
+  let* again = if edges = [] then return [] else list_size (int_bound 8) (oneofl edges) in
+  let* recount = list_repeat (List.length again) weight in
+  let* g_perm = shuffle_l (List.init n Fun.id) in
+  let+ g_keep = list_repeat n bool in
+  {
+    g_nodes; g_entry;
+    g_edges = edges @ List.map2 (fun (s, d, _) w -> (s, d, w)) again recount;
+    g_perm; g_keep;
+  }
+
+let print_graph g =
+  Fmt.str "entry %d@.nodes %a@.edges %a" g.g_entry
+    Fmt.(array ~sep:sp (pair ~sep:(any ":") int int)) g.g_nodes
+    Fmt.(list ~sep:sp (fun ppf (s, d, c) -> pf ppf "%d>%d:%d" s d c)) g.g_edges
+
+let prop_layout_oracle =
+  QCheck.Test.make ~name:"layout layer == tuple-keyed oracle (random graphs)" ~count:1000
+    (QCheck.make ~print:print_graph gen_graph)
+    (fun g ->
+      let node (size, count) = { Cfg.n_label = ""; n_size = size; n_count = count } in
+      let cfg = Cfg.make ~nodes:(Array.map node g.g_nodes) ~entry:g.g_entry g.g_edges in
+      let ocfg =
+        Oracle.Cfg.make
+          ~nodes:
+            (Array.map
+               (fun (size, count) -> { Oracle.Cfg.n_label = ""; n_size = size; n_count = count })
+               g.g_nodes)
+          ~entry:g.g_entry g.g_edges
+      in
+      let edges_ok =
+        Array.to_list ocfg.Oracle.Cfg.edges
+        = List.init (Cfg.edge_count cfg) (fun e ->
+              (cfg.Cfg.src.(e), cfg.Cfg.dst.(e), cfg.Cfg.count.(e)))
+        && Array.for_all Fun.id
+             (Array.init (Cfg.node_count cfg) (fun i ->
+                  ocfg.Oracle.Cfg.succ.(i)
+                  = List.init (cfg.Cfg.out_first.(i + 1) - cfg.Cfg.out_first.(i)) (fun k ->
+                        let e = cfg.Cfg.out.(cfg.Cfg.out_first.(i) + k) in
+                        (cfg.Cfg.dst.(e), cfg.Cfg.count.(e)))))
+        && cfg.Cfg.entry = ocfg.Oracle.Cfg.entry
+      in
+      let algos = [ Engine.Cache; Engine.Cache_plus; Engine.Ext_tsp ] in
+      let orders = List.map (fun a -> Engine.order a cfg) algos in
+      let merged = Engine.ext_tsp_merge cfg in
+      let orders_ok =
+        orders = List.map (fun a -> Oracle.Engine.order a ocfg) algos
+        && merged = Oracle.Engine.ext_tsp_merge ocfg
+      in
+      let perm = Array.of_list g.g_perm in
+      let subset =
+        List.combine g.g_perm g.g_keep
+        |> List.filter_map (fun (b, keep) -> if keep then Some b else None)
+        |> Array.of_list
+      in
+      let bits = Int64.bits_of_float in
+      let same_eval ?line ?page o =
+        let a = L.Evaluator.evaluate ?line ?page cfg o
+        and b = Oracle.Evaluator.evaluate ?line ?page ocfg o in
+        bits a.L.Evaluator.ev_score = bits b.L.Evaluator.ev_score
+        && { a with ev_score = 0.0 } = { b with ev_score = 0.0 }
+      in
+      let scores_ok =
+        List.for_all
+          (fun o ->
+            bits (L.Exttsp.score cfg o) = bits (Oracle.Exttsp.score ocfg o)
+            && L.Exttsp.fallthroughs cfg o = Oracle.Exttsp.fallthroughs ocfg o
+            && same_eval o
+            && same_eval ~line:16 ~page:256 o)
+          (Cfg.identity cfg :: perm :: subset :: merged :: orders)
+      in
+      edges_ok && orders_ok && scores_ok)
+
+(* A random call graph: names whose order differs from their position,
+   sizes (some over the page budget), many equal and zero sample counts,
+   and calls with self, unknown, repeated, zero and near-[max_int]
+   weights. *)
+let gen_callgraph =
+  let open QCheck.Gen in
+  let* k = int_range 0 40 in
+  let* ids = shuffle_l (List.init k Fun.id) in
+  let names = List.map (fun i -> Printf.sprintf "f%d" (i * 7)) ids in
+  let* sizes = list_repeat k (frequency [ (1, return 1); (6, int_range 1 900); (1, int_range 1000 5000) ]) in
+  let* samples =
+    list_repeat k (frequency [ (2, return 0); (4, oneofl [ 1; 5; 50 ]); (2, int_range 1 10_000) ])
+  in
+  let name = if k = 0 then return "gone" else frequency [ (12, oneofl names); (1, return "gone") ] in
+  let weight =
+    frequency
+      [ (1, return 0); (6, oneofl [ 1; 3; 10 ]); (2, int_range 1 10_000);
+        (1, map (fun d -> max_int - d) (int_range 0 2)) ]
+  in
+  let+ calls = list_size (int_range 0 (3 * k)) (triple name name weight) in
+  (List.combine names sizes, List.combine names samples, calls)
+
+let prop_order_oracle =
+  QCheck.Test.make ~name:"function orders == string-keyed oracle (random call graphs)"
+    ~count:1000
+    (QCheck.make gen_callgraph)
+    (fun (funcs, samples, calls) ->
+      let g = Bolt_hfsort.Callgraph.of_calls ~funcs ~samples:(fun n -> List.assoc n samples) calls in
+      let og = Oracle.Callgraph.create () in
+      List.iter (fun (name, size) -> Oracle.Callgraph.add_node og ~name ~size) funcs;
+      List.iter (fun (name, c) -> Oracle.Callgraph.add_samples og name c) samples;
+      List.iter (fun (a, b, w) -> Oracle.Callgraph.add_edge og a b w) calls;
+      let original = List.map fst funcs in
+      List.for_all
+        (fun algo ->
+          Bolt_hfsort.Order.order algo g ~original = Oracle.Order.order algo og ~original)
+        Bolt_hfsort.Order.[ C3; Hfsort_plus; Pettis_hansen ])
+
 (* ---- end-to-end: score monotonicity on example-shaped workloads ---- *)
 
 let quickstart_source =
@@ -411,6 +575,10 @@ let suite =
     Alcotest.test_case "chain-pool" `Quick test_chain_pool;
     QCheck_alcotest.to_alcotest engine_properties;
     Alcotest.test_case "evaluator" `Quick test_evaluator;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 1809 |]) prop_layout_oracle;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 2017 |]) prop_order_oracle;
     Alcotest.test_case "monotone-quickstart" `Quick test_monotone_quickstart;
     Alcotest.test_case "monotone-datacenter" `Slow test_monotone_datacenter;
     Alcotest.test_case "beats-cache-plus-e2e" `Slow test_beats_cache_plus_e2e;

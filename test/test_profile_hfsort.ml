@@ -65,11 +65,10 @@ module CG = Bolt_hfsort.Callgraph
 module O = Bolt_hfsort.Order
 
 let mk_graph edges sizes samples =
-  let g = CG.create () in
-  List.iter (fun (n, sz) -> CG.add_node g ~name:n ~size:sz) sizes;
-  List.iter (fun (n, c) -> CG.add_samples g n c) samples;
-  List.iter (fun (a, b, w) -> CG.add_edge g a b w) edges;
-  g
+  CG.of_calls ~funcs:sizes
+    ~samples:(fun n ->
+      List.fold_left (fun a (m, c) -> if m = n then a + c else a) 0 samples)
+    edges
 
 let test_c3_clusters_hot_pair () =
   (* a hot caller/callee pair must be adjacent, hot code before cold *)
@@ -118,9 +117,9 @@ let test_callgraph_from_profile () =
     CG.of_profile ~funcs:[ ("a", 10); ("b", 10); ("c", 10) ] sample_profile
   in
   (* a->b is a call (to_off = 0); b->b intra is not a call edge *)
-  Alcotest.(check bool) "a->b edge" true (Hashtbl.mem g.CG.edges ("a", "b"));
-  Alcotest.(check bool) "no b->b call edge" false (Hashtbl.mem g.CG.edges ("b", "b"));
-  Alcotest.(check bool) "c->a edge" true (Hashtbl.mem g.CG.edges ("c", "a"))
+  Alcotest.(check bool) "a->b edge" true (CG.weight g "a" "b" > 0);
+  Alcotest.(check bool) "no b->b call edge" false (CG.weight g "b" "b" > 0);
+  Alcotest.(check bool) "c->a edge" true (CG.weight g "c" "a" > 0)
 
 let test_non_lbr_callgraph () =
   let prof = { sample_profile with F.lbr = false; branches = [] } in
@@ -131,10 +130,9 @@ let test_non_lbr_callgraph () =
       prof
   in
   (* the call at c+6 picks up the IP samples at c+8 *)
-  Alcotest.(check bool) "weighted by nearby samples" true
-    (match Hashtbl.find_opt g.CG.edges ("c", "a") with Some w -> !w >= 5 | None -> false);
+  Alcotest.(check bool) "weighted by nearby samples" true (CG.weight g "c" "a" >= 5);
   Alcotest.(check bool) "unsampled call still gets weight 1" true
-    (match Hashtbl.find_opt g.CG.edges ("a", "b") with Some w -> !w = 1 | None -> false)
+    (CG.weight g "a" "b" = 1)
 
 let order_is_permutation =
   QCheck.Test.make ~name:"orderings are permutations of the input" ~count:50
@@ -144,13 +142,14 @@ let order_is_permutation =
          list_size (int_range 0 40) (triple node node (int_range 1 100))))
     (fun edges ->
       let names = List.init 16 (fun i -> Printf.sprintf "n%d" i) in
-      let g = CG.create () in
-      List.iter (fun n -> CG.add_node g ~name:n ~size:32) names;
-      List.iter (fun n -> CG.add_samples g n 1) names;
-      List.iter
-        (fun (a, b, w) ->
-          CG.add_edge g (Printf.sprintf "n%d" a) (Printf.sprintf "n%d" b) w)
-        edges;
+      let g =
+        CG.of_calls
+          ~funcs:(List.map (fun n -> (n, 32)) names)
+          ~samples:(fun _ -> 1)
+          (List.map
+             (fun (a, b, w) -> (Printf.sprintf "n%d" a, Printf.sprintf "n%d" b, w))
+             edges)
+      in
       List.for_all
         (fun algo ->
           let o = O.order algo g ~original:names in
@@ -329,6 +328,36 @@ let context_of fns =
   Ctx.set_order ctx (List.mapi (fun i _ -> Printf.sprintf "f%d" i) fns);
   ctx
 
+(* Call weights saturate at [max_int] like every other count: two
+   [Int64.max_int] calls a -> b weigh [max_int], not -2, in the graph
+   read from the records, in the one read from the profile view, and in
+   the non-LBR graph weighted by samples near the call sites. *)
+let test_call_weights_saturate () =
+  let call =
+    { F.br_from_func = "f0"; br_from_off = 0; br_to_func = "f1"; br_to_off = 0;
+      br_count = Int64.max_int; br_mispreds = 0L }
+  in
+  let prof = { F.empty with F.lbr = true; branches = [ call; call ] } in
+  let funcs = [ ("f0", 8); ("f1", 8) ] in
+  let g = CG.of_profile ~funcs prof in
+  Alcotest.(check int) "records: weight" max_int (CG.weight g "f0" "f1");
+  Alcotest.(check int) "records: caller samples" max_int (CG.samples g "f0");
+  let fn =
+    { fs_simple = true; fs_first = 0; fs_blocks = [ (8, Bfunc.T_stop) ]; fs_synth = false;
+      fs_slack = 0; fs_folded = false }
+  in
+  let ctx = context_of [ fn; fn ] in
+  ignore (Bolt_core.Match_profile.attach ctx prof);
+  let g = Bolt_core.Reorder_funcs.lbr_callgraph ctx ~funcs in
+  Alcotest.(check int) "view: weight" max_int (CG.weight g "f0" "f1");
+  Alcotest.(check int) "view: caller samples" max_int (CG.samples g "f0");
+  let sample off = { F.sm_func = "f0"; sm_off = off; sm_count = Int64.max_int } in
+  let prof = { F.empty with F.lbr = false; samples = [ sample 8; sample 8; sample 9 ] } in
+  let g =
+    CG.of_samples_and_calls ~funcs ~direct_calls:[ ("f0", 2, "f1"); ("f0", 6, "f1") ] prof
+  in
+  Alcotest.(check int) "non-LBR: weight" max_int (CG.weight g "f0" "f1")
+
 (* Everything attach and finalize leave on the functions: entry counts,
    edge counts with their insertion order, block counts, profile
    accuracy; then the diagnostics in order. *)
@@ -344,9 +373,22 @@ let cfg_state ctx =
     Bolt_core.Diag.records ctx.Ctx.diag,
     Bolt_core.Diag.total ctx.Ctx.diag )
 
+(* A call graph's nodes (name, size, samples) and edges ((caller,
+   callee), weight), each sorted; the name-keyed oracle's alike. *)
 let graph_state (g : CG.t) =
-  ( Hashtbl.fold (fun k n acc -> (k, n.CG.n_size, n.CG.n_samples) :: acc) g.CG.nodes [],
-    Hashtbl.fold (fun k w acc -> (k, !w) :: acc) g.CG.edges [] )
+  let module Cfg = Bolt_layout.Cfg in
+  ( List.sort compare
+      (List.init (Cfg.node_count g) (fun i -> (Cfg.label g i, Cfg.size g i, Cfg.count g i))),
+    List.sort compare
+      (List.init (Cfg.edge_count g) (fun e ->
+           ((Cfg.label g g.Cfg.src.(e), Cfg.label g g.Cfg.dst.(e)), g.Cfg.count.(e)))) )
+
+let oracle_graph_state (g : Oracle.Callgraph.t) =
+  ( List.sort compare
+      (Hashtbl.fold
+         (fun k n acc -> (k, n.Oracle.Callgraph.n_size, n.Oracle.Callgraph.n_samples) :: acc)
+         g.Oracle.Callgraph.nodes []),
+    List.sort compare (Hashtbl.fold (fun k w acc -> (k, !w) :: acc) g.Oracle.Callgraph.edges []) )
 
 let prop_profile_view =
   let gen =
@@ -405,7 +447,7 @@ let prop_profile_view =
             if fb.folded_into = None then Some (fb.fb_name, max 1 fb.fb_size) else None)
           (Ctx.all_funcs b)
       in
-      let oracle_graph = graph_state (Oracle.Callgraph.of_profile ~funcs prof) in
+      let oracle_graph = oracle_graph_state (Oracle.Callgraph.of_profile ~funcs prof) in
       sa = sb && attached && finalized && sites_ok
       && graph_state (Bolt_core.Reorder_funcs.lbr_callgraph b ~funcs) = oracle_graph
       && graph_state (CG.of_profile ~funcs prof) = oracle_graph)
@@ -420,6 +462,7 @@ let suite =
     Alcotest.test_case "orders-complete" `Quick test_orders_complete;
     Alcotest.test_case "callgraph-lbr" `Quick test_callgraph_from_profile;
     Alcotest.test_case "callgraph-non-lbr" `Quick test_non_lbr_callgraph;
+    Alcotest.test_case "call weights saturate" `Quick test_call_weights_saturate;
     QCheck_alcotest.to_alcotest order_is_permutation;
     QCheck_alcotest.to_alcotest ~speed_level:`Quick
       ~rand:(Random.State.make [| 2019 |]) prop_profile_view;

@@ -388,6 +388,33 @@ let test_sketch_torn_shard () =
   Alcotest.(check (option string)) "torn shard: no trigger" None
     second.S.sr_trigger
 
+(* The manifest's line count comes from the scan that ingests each
+   shard: it must equal the newlines [count_lines] finds, whatever the
+   shard looks like. *)
+let test_lines_from_scan () =
+  let shards =
+    [
+      ("web01", "mode lbr\nH host web01\nB f00 0 f00 8 5 0");
+      ("web02", "mode lbr\r\nH host web02\r\nB f01 0 f01 8 7 0\r\n");
+      ("web03", "");
+      ("web04", torn_shard);
+      ("web05", "mode lbr\nB f02 0 f02 8 3 0\nnot a record\nB f02 x\n\n\nB f03 0 f03 4 1 0\n");
+    ]
+  in
+  let svc = S.create ~config:(svc_config S.default_trigger) ~start_time:0 () in
+  ignore
+    (S.step svc
+       (List.mapi
+          (fun i (host, text) -> { S.ev_time = 1_000 + i; ev_host = host; ev_text = text })
+          shards));
+  let counted = List.fold_left (fun a (_, text) -> a + S.count_lines text) 0 shards in
+  Alcotest.(check int) "newlines on the tape" 16 counted;
+  match S.manifest_section svc with
+  | _, Json.Obj fields ->
+      Alcotest.(check (option int)) "manifest lines" (Some counted)
+        (match List.assoc_opt "lines" fields with Some (Json.Int n) -> Some n | _ -> None)
+  | _ -> Alcotest.fail "service section is not an object"
+
 (* ------------------------------------------------------------------ *)
 (* Tape and spool parsing                                             *)
 
@@ -650,6 +677,8 @@ let suite =
       test_sketch_budget;
     Alcotest.test_case "sketch: torn shard leaves the host unchanged" `Quick
       test_sketch_torn_shard;
+    Alcotest.test_case "manifest lines: counted by the scan" `Quick
+      test_lines_from_scan;
     Alcotest.test_case "sketch: a new revision drops the old fingerprints"
       `Quick test_sketch_fingerprints_follow_revision;
     Alcotest.test_case "sketch: live memory within 5x budget" `Quick
