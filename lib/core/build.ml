@@ -121,7 +121,8 @@ let redecode ctx (fb : Bfunc.t) =
    once to slice blocks.  Blocks are visited in offset order, so the
    line table, the FDE's ops and the instruction stream are each walked
    by one forward cursor; block-entry frame states are the FDE's ops
-   applied in one forward sweep.  Each block label is minted once. *)
+   applied in one forward sweep.  Block [b] is the [b]-th leader in
+   offset order, so the entry is block 0. *)
 
 let build_function ctx (fb : Bfunc.t) =
   let opts = ctx.Context.opts in
@@ -195,27 +196,6 @@ let build_function ctx (fb : Bfunc.t) =
         else Types.cfi_state_at fde_ops leader
       in
       let lsda = Objfile.Index.lsda ctx.Context.meta fb.fb_addr in
-      (* landing-pad ranges with their pad labels; the first range in
-         table order that covers an offset wins *)
-      let pads =
-        match lsda with
-        | Some l ->
-            Array.of_list
-              (List.map
-                 (fun (e : Types.lsda_entry) ->
-                   (e.lsda_start, e.lsda_start + e.lsda_len, lbl e.lsda_pad))
-                 l.lsda_entries)
-        | None -> [||]
-      in
-      let lp_at off =
-        let rec go k =
-          if k = Array.length pads then None
-          else
-            let s, e, l = pads.(k) in
-            if off >= s && off < e then Some l else go (k + 1)
-        in
-        go 0
-      in
       (* symbolize a call target; raises Exit when impossible *)
       let call_target addr =
         match entry_at ctx addr with Some name -> name | None -> raise Exit
@@ -279,18 +259,41 @@ let build_function ctx (fb : Bfunc.t) =
              List.iter (fun (e : Types.lsda_entry) -> add_leader e.lsda_pad) l.lsda_entries;
              fb.has_eh <- true
          | None -> ());
-         (* leaders in offset order, each labelled once *)
+         (* leaders in offset order: block [b] starts at [lead.(b)] *)
          let lead = Codec.marked leader in
          let nb = Array.length lead in
-         let labels = Array.map lbl lead in
-         (* the label of a leader offset *)
-         let label_of off =
+         (* the block id of a leader offset *)
+         let id_of off =
            let lo = ref 0 and hi = ref (nb - 1) in
            while !lo < !hi do
              let mid = (!lo + !hi) / 2 in
              if lead.(mid) < off then lo := mid + 1 else hi := mid
            done;
-           labels.(!lo)
+           !lo
+         in
+         (* landing-pad ranges with their pad ids (-1 for a pad outside
+            the function); the first range in table order that covers an
+            offset wins *)
+         let pads =
+           match lsda with
+           | Some l ->
+               Array.of_list
+                 (List.map
+                    (fun (e : Types.lsda_entry) ->
+                      ( e.lsda_start,
+                        e.lsda_start + e.lsda_len,
+                        if in_func e.lsda_pad then id_of e.lsda_pad else -1 ))
+                    l.lsda_entries)
+           | None -> [||]
+         in
+         let lp_at off =
+           let rec go k =
+             if k = Array.length pads then None
+             else
+               let s, e, p = pads.(k) in
+               if off >= s && off < e then Some p else go (k + 1)
+           in
+           go 0
          in
          let keep i op acc =
            let r_off = offs.(i) in
@@ -309,6 +312,7 @@ let build_function ctx (fb : Bfunc.t) =
          in
          (* pass 2: slice blocks; [j] walks the instructions *)
          let j = ref 0 in
+         let blocks = ref [] in
          for b = 0 to nb - 1 do
            let leader = lead.(b) in
            let stop = if b + 1 < nb then lead.(b + 1) else fb.fb_size in
@@ -329,7 +333,7 @@ let build_function ctx (fb : Bfunc.t) =
              | Insn.Nop _ -> if not opts.Opts.strip_nops then acc := keep i r_insn !acc
              | Insn.Jmp (Insn.Imm rel, _) ->
                  let t = next_off + rel in
-                 if in_func t then term := Some (T_jump (label_of t))
+                 if in_func t then term := Some (T_jump (id_of t))
                  else begin
                    (* direct tail call *)
                    let fn = call_target (fb.fb_addr + t) in
@@ -339,13 +343,13 @@ let build_function ctx (fb : Bfunc.t) =
              | Insn.Jcc (c, Insn.Imm rel, _) ->
                  let t = next_off + rel in
                  let fall =
-                   if in_func next_off then label_of next_off
+                   if in_func next_off then id_of next_off
                    else begin
                      mark_non_simple fb "conditional branch at function end";
                      raise Exit
                    end
                  in
-                 if in_func t then term := Some (T_cond (c, label_of t, fall))
+                 if in_func t then term := Some (T_cond (c, id_of t, fall))
                  else term := Some (T_condtail (c, call_target (fb.fb_addr + t), fall))
              | Insn.Jmp_ind _ ->
                  acc := keep i r_insn !acc;
@@ -386,37 +390,32 @@ let build_function ctx (fb : Bfunc.t) =
                    mark_non_simple fb "control falls off the function end";
                    raise Exit
                  end
-                 else T_jump labels.(b + 1)
+                 else T_jump (b + 1)
            in
-           Hashtbl.replace fb.blocks labels.(b)
-             {
-               bl = labels.(b);
-               b_off = leader;
-               insns = List.rev !acc;
-               term;
-               ecount = 0;
-               cfi_entry = entry_state leader;
-               is_lp = false;
-             }
+           blocks :=
+             new_block ~off:leader ~cfi_entry:(entry_state leader) (lbl leader)
+               (List.rev !acc) term
+             :: !blocks
          done;
-         (* jump tables, now that labels exist *)
+         fb.blocks <- Array.of_list (List.rev !blocks);
+         (* jump tables, now that ids exist *)
          fb.jts <-
            Array.of_list
              (List.rev_map
                 (fun (addr, pic, entries) ->
-                  { jt_addr = addr; jt_pic = pic; jt_targets = Array.map label_of entries })
+                  {
+                    jt_addr = addr;
+                    jt_pic = pic;
+                    jt_targets = Array.map id_of entries;
+                    jt_offsets = entries;
+                  })
                 !jts);
-         Array.iter
-           (fun (_, _, pad) ->
-             match block_opt fb pad with Some b -> b.is_lp <- true | None -> ())
-           pads;
-         fb.layout <- Array.to_list labels;
-         fb.entry <- labels.(0)
+         Array.iter (fun (_, _, p) -> if p >= 0 then fb.blocks.(p).is_lp <- true) pads;
+         fb.layout <- Array.init nb Fun.id
        with Exit ->
          if fb.why_not_simple = "" then
            mark_non_simple fb "unresolvable code reference";
-         Hashtbl.reset fb.blocks;
-         fb.layout <- []);
+         clear_cfg fb);
       (* Non-simple fallback: keep bytes identical, but symbolize the
          references that must survive relocation. *)
       if not fb.simple then symbolize_raw ctx fb d)
@@ -491,6 +490,5 @@ let build_fn ctx sh (fb : Bfunc.t) =
       "CFG construction failed (%s); function kept verbatim"
       (Printexc.to_string exn);
     if fb.simple then mark_non_simple fb "CFG construction failed";
-    Hashtbl.reset fb.blocks;
-    fb.layout <- [];
+    clear_cfg fb;
     redecode ctx fb

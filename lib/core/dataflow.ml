@@ -43,11 +43,9 @@ let block_references r (b : bb) =
     b.insns
 
 let blocks_referencing (fb : Bfunc.t) r =
-  Hashtbl.fold
-    (fun l b acc -> if block_references r b then l :: acc else acc)
-    fb.blocks []
+  List.filter (fun l -> block_references r fb.blocks.(l)) (Array.to_list fb.layout)
 
 (* [blocks_referencing fb r <> []], without scanning past the first
    referencing block: frame-opts asks it for every saved register. *)
 let references_reg (fb : Bfunc.t) r =
-  Hashtbl.fold (fun _ b acc -> acc || block_references r b) fb.blocks false
+  Array.exists (fun l -> block_references r fb.blocks.(l)) fb.layout

@@ -53,11 +53,11 @@ let collect ctx (layout : (string * int * Bolt_layout.Evaluator.result) list) : 
   let st = zero () in
   List.iter
     (fun fb ->
-      let pos = Layout_bbs.indexer (Array.of_list fb.layout) in
-      let index l = match pos l with -1 -> max_int | i -> i in
-      (* block [l] at layout position [i], followed by [next] ("" at the end) *)
-      let visit i l next =
-        let b = block fb l in
+      let pos = positions fb in
+      let index l = match pos.(l) with -1 -> max_int | i -> i in
+      (* block [b] at layout position [i], followed by block [next] (-1
+         at the end) *)
+      let visit i b next =
         let n = b.ecount in
         if n <> 0 then begin
           st.executed_instructions <-
@@ -70,8 +70,8 @@ let collect ctx (layout : (string * int * Bolt_layout.Evaluator.result) list) : 
         end;
         match b.term with
         | T_cond (_, taken, fall) when taken <> fall ->
-            let tk = edge_count fb l taken in
-            let fl = edge_count fb l fall in
+            let tk = edge_count b taken in
+            let fl = edge_count b fall in
             let executed = max n (tk + fl) in
             (* emission picks the branch polarity from the layout: the
                emitted Jcc is TAKEN with the weight of whichever edge is
@@ -109,7 +109,7 @@ let collect ctx (layout : (string * int * Bolt_layout.Evaluator.result) list) : 
               st.executed_instructions <- st.executed_instructions + n
             end
         | T_condtail (_, _, fall) ->
-            let tk = max 0 (n - edge_count fb l fall) in
+            let tk = max 0 (n - edge_count b fall) in
             st.total_branches <- st.total_branches + n;
             st.taken_branches <- st.taken_branches + tk;
             st.taken_conditional <- st.taken_conditional + tk;
@@ -119,13 +119,10 @@ let collect ctx (layout : (string * int * Bolt_layout.Evaluator.result) list) : 
             st.taken_branches <- st.taken_branches + n
         | T_cond _ | T_stop -> ()
       in
-      let rec walk i = function
-        | [] -> ()
-        | l :: rest ->
-            visit i l (match rest with next :: _ -> next | [] -> "");
-            walk (i + 1) rest
-      in
-      walk 0 fb.layout)
+      let last = Array.length fb.layout - 1 in
+      Array.iteri
+        (fun i l -> visit i fb.blocks.(l) (if i < last then fb.layout.(i + 1) else -1))
+        fb.layout)
     (Context.simple_funcs ctx);
   List.iter
     (fun (_, _, (r : Bolt_layout.Evaluator.result)) ->

@@ -32,10 +32,11 @@ type fragment = {
   fr_has_fde : bool;
 }
 
-(* Lower one fragment (a list of blocks in final order) to assembler
-   items: the body is the first [n] items of the returned array. *)
-let body_of_fragment (fb : Bfunc.t) ~(in_fragment : string -> bool)
-    ~(first_state : Bolt_obj.Types.cfi_state option) (blocks : string list) :
+(* Lower one fragment (the ids of its blocks in final order) to
+   assembler items: the body is the first [n] items of the returned
+   array.  Its blocks are the hot ones, or with [cold] the cold ones. *)
+let body_of_fragment (fb : Bfunc.t) ~cold
+    ~(first_state : Bolt_obj.Types.cfi_state option) (blocks : int list) :
     aitem array * int =
   let items = ref (Array.make 256 (A_align 0)) and n = ref 0 in
   let push it =
@@ -48,7 +49,10 @@ let body_of_fragment (fb : Bfunc.t) ~(in_fragment : string -> bool)
     Array.unsafe_set !items !n it;
     incr n
   in
-  let ref_of l = if in_fragment l then Insn.Sym (l, 0) else Insn.Sym (xref fb.fb_name l, 0) in
+  let ref_of l =
+    let b = fb.blocks.(l) in
+    if b.cold = cold then Insn.Sym (b.bl, 0) else Insn.Sym (xref fb.fb_name b.bl, 0)
+  in
   (* the frame state the unwinder replays here; [known] is false only
      before the first block of a fragment with no [first_state] *)
   let cur = ref (Option.value first_state ~default:Bolt_obj.Types.initial_cfi_state) in
@@ -58,8 +62,8 @@ let body_of_fragment (fb : Bfunc.t) ~(in_fragment : string -> bool)
   let rec emit_blocks = function
     | [] -> ()
     | l :: rest ->
-        let b = block fb l in
-        push (A_label l);
+        let b = fb.blocks.(l) in
+        push (A_label b.bl);
         (* regenerate frame info at the boundary *)
         let differs =
           if !known then not (Bolt_obj.Types.cfi_state_equal !cur b.cfi_entry)
@@ -76,18 +80,21 @@ let body_of_fragment (fb : Bfunc.t) ~(in_fragment : string -> bool)
                 last_loc := i.loc
             | _ -> ());
             (match i.lp with
-            | Some pad ->
+            | Some pad when valid fb pad ->
                 (* landing-pad annotations keep their block symbol; the
                    rewriter resolves pads across fragments *)
-                push (A_insn_lp (i.op, pad))
-            | None -> push (A_insn i.op));
+                push (A_insn_lp (i.op, fb.blocks.(pad).bl))
+            | _ ->
+                (* a pad outside the function resolves nowhere: the
+                   rewriter would drop its range anyway *)
+                push (A_insn i.op));
             match i.cfi_after with
             | [] -> ()
             | ops ->
                 cur := List.fold_left Bolt_obj.Types.cfi_apply !cur ops;
                 List.iter (fun op -> push (A_cfi op)) ops)
           b.insns;
-        let is_next t = match rest with n :: _ -> String.equal n t | [] -> false in
+        let is_next t = match rest with n :: _ -> n = t | [] -> false in
         (match b.term with
         | T_jump t -> if not (is_next t) then push (A_insn (Insn.Jmp (ref_of t, Insn.W8)))
         | T_cond (c, taken, fall) ->
@@ -111,11 +118,8 @@ let body_of_fragment (fb : Bfunc.t) ~(in_fragment : string -> bool)
 let emit_simple (fb : Bfunc.t) : fragment list =
   let hot = hot_layout fb in
   let cold = cold_layout fb in
-  let in_hot = Hashtbl.create 16 and in_cold = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace in_hot l ()) hot;
-  List.iter (fun l -> Hashtbl.replace in_cold l ()) cold;
-  let mk name blocks ~in_fragment ~first_state =
-    let items, n = body_of_fragment fb ~in_fragment ~first_state blocks in
+  let mk name blocks ~cold ~first_state =
+    let items, n = body_of_fragment fb ~cold ~first_state blocks in
     let out = assemble_items ~base:0 ~name items n in
     {
       fr_name = name;
@@ -127,27 +131,18 @@ let emit_simple (fb : Bfunc.t) : fragment list =
     }
   in
   let hot_frag =
-    mk fb.fb_name hot
-      ~in_fragment:(Hashtbl.mem in_hot)
-      ~first_state:(Some Bolt_obj.Types.initial_cfi_state)
+    mk fb.fb_name hot ~cold:false ~first_state:(Some Bolt_obj.Types.initial_cfi_state)
   in
   if cold = [] then [ hot_frag ]
   else
-    let cold_frag =
-      mk (fb.fb_name ^ ".cold") cold ~in_fragment:(Hashtbl.mem in_cold) ~first_state:None
-    in
+    let cold_frag = mk (fb.fb_name ^ ".cold") cold ~cold:true ~first_state:None in
     [ hot_frag; cold_frag ]
 
 (* Emit a non-simple function byte-identically (modulo symbolized
-   references, which the rewriter re-resolves). *)
+   references, which the rewriter re-resolves).  Its linear code carries
+   no landing pads: the function keeps its input exception table. *)
 let emit_raw (fb : Bfunc.t) : fragment =
-  let items =
-    Array.of_list
-      (List.map
-         (fun (i : minsn) ->
-           match i.lp with Some pad -> A_insn_lp (i.op, pad) | None -> A_insn i.op)
-         fb.raw_insns)
-  in
+  let items = Array.of_list (List.map (fun (i : minsn) -> A_insn i.op) fb.raw_insns) in
   let out = assemble_items ~base:0 ~name:fb.fb_name items (Array.length items) in
   {
     fr_name = fb.fb_name;

@@ -24,24 +24,24 @@ type plan = {
 }
 
 let prologue_plan (fb : Bfunc.t) : plan option =
-  match block_opt fb fb.entry with
-  | None -> None
-  | Some b ->
-      let locals = ref 0 in
-      let saves = ref [] in
-      let established = ref false in
-      List.iter
-        (fun (i : minsn) ->
-          List.iter
-            (fun op ->
-              match op with
-              | Cfi_establish -> established := true
-              | Cfi_def_locals n -> locals := n
-              | Cfi_save (r, slot) -> saves := (r, slot) :: !saves
-              | _ -> ())
-            i.cfi_after)
-        b.insns;
-      if !established then Some { locals = !locals; saves = List.rev !saves } else None
+  if Array.length fb.blocks = 0 then None
+  else
+    let b = fb.blocks.(0) in
+    let locals = ref 0 in
+    let saves = ref [] in
+    let established = ref false in
+    List.iter
+      (fun (i : minsn) ->
+        List.iter
+          (fun op ->
+            match op with
+            | Cfi_establish -> established := true
+            | Cfi_def_locals n -> locals := n
+            | Cfi_save (r, slot) -> saves := (r, slot) :: !saves
+            | _ -> ())
+          i.cfi_after)
+      b.insns;
+    if !established then Some { locals = !locals; saves = List.rev !saves } else None
 
 (* Remove the push of [r] from the entry block and every pop of [r] in
    return blocks; fix the CFI annotations, including the slot shift of
@@ -58,8 +58,7 @@ let remove_save (fb : Bfunc.t) (r : Reg.t) (plan : plan) =
         | op -> Some op)
       ops
   in
-  Hashtbl.iter
-    (fun _ b ->
+  iter_layout fb (fun _ b ->
       b.insns <-
         List.filter_map
           (fun (i : minsn) ->
@@ -86,7 +85,6 @@ let remove_save (fb : Bfunc.t) (r : Reg.t) (plan : plan) =
                 else Some (r', slot))
               st.cfa_saved;
         })
-    fb.blocks
 
 (* The frame-opts pass's visitor: drop each dead callee-saved save. *)
 let frame_opts_fn _ctx sh (fb : Bfunc.t) =
@@ -124,8 +122,8 @@ let shrink_wrapping_fn _ctx sh (fb : Bfunc.t) =
           (fun (r, _) ->
             if not (Reg.equal r Reg.fp) then
               match Dataflow.blocks_referencing fb r with
-              | [ bl ] when bl <> fb.entry -> (
-                  let b = block fb bl in
+              | [ bl ] when bl <> 0 -> (
+                  let b = fb.blocks.(bl) in
                   if
                     b.ecount = 0
                     && (not b.is_lp)

@@ -16,20 +16,20 @@
 
 open Bfunc
 
-(* The two renamings [normalize] and [shape] share: a block label's layout
-   index, and a jump-table base address's table index. *)
+(* The two renamings [normalize] and [shape] share: a block id's layout
+   index (-1 for none, or for a pad outside the function), and a
+   jump-table base address's table index. *)
 let indexes (fb : Bfunc.t) =
-  let index = Hashtbl.create 32 in
-  List.iteri (fun i l -> Hashtbl.replace index l i) fb.layout;
+  let pos = positions fb in
   let jt_index = Hashtbl.create 4 in
   Array.iteri (fun k (jt : jt) -> Hashtbl.replace jt_index jt.jt_addr k) fb.jts;
-  (Hashtbl.find_opt index, Hashtbl.find_opt jt_index)
+  ((fun l -> if valid fb l then pos.(l) else -1), Hashtbl.find_opt jt_index)
 
 (* A structural key for a function, with intra-function labels replaced by
    layout indices and call targets resolved through [canon]. *)
 let normalize canon (fb : Bfunc.t) : string =
   let layout_index, jt_index = indexes fb in
-  let blk l = match layout_index l with Some i -> string_of_int i | None -> "?" in
+  let blk l = match layout_index l with -1 -> "?" | i -> string_of_int i in
   let buf = Buffer.create 256 in
   let value v =
     match v with
@@ -41,9 +41,7 @@ let normalize canon (fb : Bfunc.t) : string =
         | None -> Printf.sprintf "#%d" n)
     | Bolt_isa.Insn.Sym (s, a) -> Printf.sprintf "@%s+%d" (canon s) a
   in
-  List.iter
-    (fun l ->
-      let b = block fb l in
+  iter_layout fb (fun l b ->
       Buffer.add_string buf (Printf.sprintf "[%s lp:%b " (blk l) b.is_lp);
       List.iter
         (fun (i : minsn) ->
@@ -70,8 +68,7 @@ let normalize canon (fb : Bfunc.t) : string =
                (String.concat "," (Array.to_list (Array.map blk jt.jt_targets))))
       | T_indirect None -> Buffer.add_string buf "I?"
       | T_stop -> Buffer.add_string buf "S");
-      Buffer.add_char buf ']')
-    fb.layout;
+      Buffer.add_char buf ']');
   Buffer.contents buf
 
 (* A structural hash of everything [normalize] prints except symbol
@@ -84,13 +81,10 @@ let normalize canon (fb : Bfunc.t) : string =
    a key comparison. *)
 let shape (fb : Bfunc.t) : int =
   let mix = Bolt_obj.Fingerprint.mix in
-  let layout_index, jt_index = indexes fb in
-  let blk l = match layout_index l with Some i -> i | None -> -1 in
+  let blk, jt_index = indexes fb in
   let h = ref Bolt_obj.Fingerprint.hash_empty in
   let add x = h := mix !h x in
-  List.iter
-    (fun l ->
-      let b = block fb l in
+  iter_layout fb (fun _ b ->
       add (if b.is_lp then 1 else 2);
       List.iter
         (fun (i : minsn) ->
@@ -136,8 +130,7 @@ let shape (fb : Bfunc.t) : int =
           add (Array.length jt.jt_targets);
           Array.iter (fun l -> add (blk l)) jt.jt_targets
       | T_indirect None -> add 12
-      | T_stop -> add 13)
-    fb.layout;
+      | T_stop -> add 13);
   !h
 
 type result = {
@@ -218,15 +211,13 @@ let run ctx =
               i.op <- Bolt_isa.Insn.Lea (r, Bolt_isa.Insn.Sym (canon s, a))
           | _ -> ()
         in
-        Hashtbl.iter (fun _ b -> List.iter fix b.insns) fb.blocks;
-        List.iter fix fb.raw_insns;
-        Hashtbl.iter
-          (fun l b ->
+        iter_layout fb (fun _ b ->
+            List.iter fix b.insns;
             match b.term with
             | T_condtail (c, fn, fall) when canon fn <> fn ->
-                (block fb l).term <- T_condtail (c, canon fn, fall)
-            | _ -> ())
-          fb.blocks);
+                b.term <- T_condtail (c, canon fn, fall)
+            | _ -> ());
+        List.iter fix fb.raw_insns);
   let candidates = List.length candidates in
   Context.logf ctx "icf: %d functions folded, %d bytes saved (%d candidates, %d rounds)"
     !folded_total !bytes_saved candidates !rounds;

@@ -45,8 +45,7 @@ let run ctx =
       let sites = lazy (sites ctx fb) in
       (* collect candidate (block, insn) sites first: we mutate the CFG *)
       let candidates = ref [] in
-      Hashtbl.iter
-        (fun l b ->
+      iter_layout fb (fun l b ->
           List.iter
             (fun (i : minsn) ->
               match i.op with
@@ -77,98 +76,75 @@ let run ctx =
                       | _ -> ())
                   | None -> ())
               | _ -> ())
-            b.insns)
-        fb.blocks;
+            b.insns);
       List.iter
         (fun (l, off, target, c_top, c_tot) ->
-          match block_opt fb l with
+          let b = fb.blocks.(l) in
+          (* split the block around the indirect call *)
+          let rec split pre = function
+            | [] -> None
+            | ({ op = Insn.Call_ind r; _ } as i) :: post when i.m_off = off ->
+                Some (List.rev pre, i, r, post)
+            | i :: post -> split (i :: pre) post
+          in
+          match split [] b.insns with
           | None -> ()
-          | Some b -> (
-              (* split the block around the indirect call *)
-              let rec split pre = function
-                | [] -> None
-                | ({ op = Insn.Call_ind r; _ } as i) :: post when i.m_off = off ->
-                    Some (List.rev pre, i, r, post)
-                | i :: post -> split (i :: pre) post
+          | Some (pre, icall, reg, post) ->
+              let n = Array.length fb.blocks in
+              let direct = n and indirect = n + 1 and cont = n + 2 in
+              let scale x = if b.ecount = 0 || c_tot = 0 then 0 else b.ecount * x / c_tot in
+              let cfi_entry = b.cfi_entry in
+              let direct_b =
+                new_block ~ecount:(scale c_top) ~cfi_entry
+                  (fresh_label fb "Licp_direct")
+                  [ { op = Insn.Call (Insn.Sym (target, 0));
+                      lp = icall.lp;
+                      loc = icall.loc;
+                      cfi_after = [];
+                      m_off = -1;
+                    } ]
+                  (T_jump cont)
               in
-              match split [] b.insns with
-              | None -> ()
-              | Some (pre, icall, reg, post) ->
-                  let direct_l = fresh_label fb "Licp_direct" in
-                  let indirect_l = fresh_label fb "Licp_ind" in
-                  let cont_l = fresh_label fb "Licp_cont" in
-                  let scale x = if b.ecount = 0 || c_tot = 0 then 0 else b.ecount * x / c_tot in
-                  add_block fb
-                    {
-                      bl = direct_l;
-                      b_off = -1;
-                      insns =
-                        [ { op = Insn.Call (Insn.Sym (target, 0));
-                            lp = icall.lp;
-                            loc = icall.loc;
-                            cfi_after = [];
-                            m_off = -1;
-                          } ];
-                      term = T_jump cont_l;
-                      ecount = scale c_top;
-                      cfi_entry = b.cfi_entry;
-                      is_lp = false;
-                    };
-                  add_block fb
-                    {
-                      bl = indirect_l;
-                      b_off = -1;
-                      insns = [ { icall with cfi_after = [] } ];
-                      term = T_jump cont_l;
-                      ecount = scale (c_tot - c_top);
-                      cfi_entry = b.cfi_entry;
-                      is_lp = false;
-                    };
-                  add_block fb
-                    {
-                      bl = cont_l;
-                      b_off = -1;
-                      insns = (match icall.cfi_after with
-                               | [] -> post
-                               | ops -> (
-                                   match post with
-                                   | p0 :: rest -> { p0 with cfi_after = ops @ p0.cfi_after } :: rest
-                                   | [] -> post));
-                      term = b.term;
-                      ecount = b.ecount;
-                      cfi_entry = b.cfi_entry;
-                      is_lp = false;
-                    };
-                  (* move b's outgoing edge counts to the continuation *)
-                  let moved = ref [] in
-                  Hashtbl.iter
-                    (fun (s, d) (c, m) -> if s = l then moved := (d, !c, !m) :: !moved)
-                    fb.edge_counts;
-                  List.iter
-                    (fun (d, c, m) ->
-                      Hashtbl.remove fb.edge_counts (l, d);
-                      add_edge_count fb cont_l d c m)
-                    !moved;
-                  b.insns <-
-                    pre
-                    @ [ { op = Insn.Alu_ri (Insn.Cmp, reg, Insn.Sym (target, 0));
-                          lp = None;
-                          loc = icall.loc;
-                          cfi_after = [];
-                          m_off = -1;
-                        } ];
-                  b.term <- T_cond (Cond.Eq, direct_l, indirect_l);
-                  add_edge_count fb l direct_l (scale c_top) 0;
-                  add_edge_count fb l indirect_l (scale (c_tot - c_top)) 0;
-                  add_edge_count fb direct_l cont_l (scale c_top) 0;
-                  add_edge_count fb indirect_l cont_l (scale (c_tot - c_top)) 0;
-                  fb.layout <-
-                    List.concat_map
-                      (fun l' ->
-                        if l' = l then [ l; direct_l; indirect_l; cont_l ] else [ l' ])
-                      fb.layout;
-                  incr promoted;
-                  Context.touch ctx fb.fb_name))
+              let indirect_b =
+                new_block ~ecount:(scale (c_tot - c_top)) ~cfi_entry
+                  (fresh_label fb "Licp_ind")
+                  [ { icall with cfi_after = [] } ]
+                  (T_jump cont)
+              in
+              let cont_b =
+                new_block ~ecount:b.ecount ~cfi_entry (fresh_label fb "Licp_cont")
+                  (match icall.cfi_after with
+                   | [] -> post
+                   | ops -> (
+                       match post with
+                       | p0 :: rest -> { p0 with cfi_after = ops @ p0.cfi_after } :: rest
+                       | [] -> post))
+                  b.term
+              in
+              fb.blocks <- Array.append fb.blocks [| direct_b; indirect_b; cont_b |];
+              (* b's outgoing edge counts move to the continuation *)
+              cont_b.out <- b.out;
+              b.out <- [];
+              b.insns <-
+                pre
+                @ [ { op = Insn.Alu_ri (Insn.Cmp, reg, Insn.Sym (target, 0));
+                      lp = None;
+                      loc = icall.loc;
+                      cfi_after = [];
+                      m_off = -1;
+                    } ];
+              b.term <- T_cond (Cond.Eq, direct, indirect);
+              add_edge_count b direct (scale c_top) 0;
+              add_edge_count b indirect (scale (c_tot - c_top)) 0;
+              add_edge_count direct_b cont (scale c_top) 0;
+              add_edge_count indirect_b cont (scale (c_tot - c_top)) 0;
+              fb.layout <-
+                Array.of_list
+                  (List.concat_map
+                     (fun l' -> if l' = l then [ l; direct; indirect; cont ] else [ l' ])
+                     (Array.to_list fb.layout));
+              incr promoted;
+              Context.touch ctx fb.fb_name)
         !candidates);
   Context.logf ctx "icp: %d indirect calls promoted" !promoted;
   !promoted

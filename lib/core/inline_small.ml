@@ -14,8 +14,8 @@ let eligible_body (fb : Bfunc.t) ~size_limit =
   if not fb.simple then None
   else
     match fb.layout with
-    | [ l ] -> (
-        let b = block fb l in
+    | [| l |] -> (
+        let b = fb.blocks.(l) in
         match b.term with
         | T_stop -> (
             match List.rev b.insns with
@@ -66,8 +66,7 @@ let run ctx =
   in
   Quarantine.iter_simple ctx ~stage:"inline-small"
     (fun fb ->
-      Hashtbl.iter
-        (fun _ b ->
+      iter_layout fb (fun _ b ->
           if b.ecount > 0 then
             b.insns <-
               List.concat_map
@@ -82,7 +81,6 @@ let run ctx =
                         (fun (bi : minsn) -> { bi with m_off = -1; loc = bi.loc })
                         (Hashtbl.find bodies (resolve callee))
                   | _ -> [ i ])
-                b.insns)
-        fb.blocks);
+                b.insns));
   Context.logf ctx "inline-small: %d call sites inlined" !inlined;
   !inlined

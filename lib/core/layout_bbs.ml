@@ -20,46 +20,42 @@ module Cfg = Bolt_layout.Cfg
 module Engine = Bolt_layout.Engine
 module Evaluator = Bolt_layout.Evaluator
 
-(* Position of each label of [labels] (-1 for none). *)
-let indexer (labels : string array) =
-  let idx = Context.Names.create (2 * Array.length labels) in
-  Array.iteri (fun i l -> Context.Names.replace idx l i) labels;
-  fun l -> match Context.Names.find idx l with i -> i | exception Not_found -> -1
-
-(* Project a function's CFG in its current layout order.  The identity
-   permutation of the result scores the layout as it stands.  [cold]
-   marks blocks whose edges should be dropped from the projection (see
-   [sunk_blocks]); their nodes stay, as weight-0 singletons.  The label ->
-   index map is the only table built. *)
+(* Project a function's CFG in its current layout order: node [i] is
+   the block at layout position [i], so the identity permutation of the
+   result scores the layout as it stands.  [cold] marks blocks (by id)
+   whose edges should be dropped from the projection (see
+   [sunk_blocks]); their nodes stay, as weight-0 singletons.  Edges
+   touching a block the layout does not hold are dropped too. *)
 let cfg_of_fn ?(cold = fun _ -> false) (fb : Bfunc.t) : Cfg.t =
-  let labels = Array.of_list fb.layout in
-  let index = indexer labels in
-  let blocks = Array.map (block fb) labels in
+  let pos = positions fb in
   let nodes =
     Array.map
-      (fun b -> { Cfg.n_label = b.bl; n_size = block_size fb b; n_count = b.ecount })
-      blocks
+      (fun l ->
+        let b = fb.blocks.(l) in
+        { Cfg.n_label = b.bl; n_size = block_size b; n_count = b.ecount })
+      fb.layout
   in
-  let sunk = Array.map cold blocks in
+  let keep l = pos.(l) >= 0 && not (cold l) in
   let edges =
-    Hashtbl.fold
-      (fun (s, d) (c, _) acc ->
-        let si = index s and di = index d in
-        if si >= 0 && di >= 0 && (not sunk.(si)) && not sunk.(di) then
-          (si, di, !c) :: acc
+    Array.fold_left
+      (fun acc l ->
+        if keep l then
+          List.fold_left
+            (fun acc e -> if keep e.dst then (pos.(l), pos.(e.dst), e.count) :: acc else acc)
+            acc fb.blocks.(l).out
         else acc)
-      fb.edge_counts []
+      [] fb.layout
   in
-  Cfg.make ~nodes ~entry:(index fb.entry) edges
+  Cfg.make ~nodes ~entry:(if Array.length fb.layout > 0 then pos.(0) else -1) edges
 
 (* The split rule: [None] when [fb] is not split at all, else the
-   predicate naming the blocks split-functions sinks to the cold
+   predicate naming the blocks (by id) split-functions sinks to the cold
    fragment.  reorder-bbs asks the same question first: such blocks
    make worthless fall-through partners, since any adjacency the engine
    buys against one (a stale profile can carry a hot edge into a block
    that never executed) is destroyed right after.  So it projects the
    CFG with their edges dropped, and every algorithm competes only on
-   adjacencies that survive.  [sunk_blocks] asks it of a block. *)
+   adjacencies that survive. *)
 let sunk_blocks opts (fb : Bfunc.t) =
   let size_ok =
     match opts.Opts.split_functions with
@@ -69,12 +65,10 @@ let sunk_blocks opts (fb : Bfunc.t) =
   in
   if size_ok && has_profile fb && fb.exec_count > 0 then
     Some
-      (fun b ->
-        b.ecount = 0 && b.bl <> fb.entry && (opts.Opts.split_eh || not b.is_lp))
+      (fun l ->
+        let b = fb.blocks.(l) in
+        b.ecount = 0 && l <> 0 && (opts.Opts.split_eh || not b.is_lp))
   else None
-
-let sunk_cold opts fb =
-  Option.map (fun sunk l -> sunk (block fb l)) (sunk_blocks opts fb)
 
 let algo_name = function
   | Opts.Rb_none -> "none"
@@ -91,14 +85,10 @@ let engine_algo = function
    No-op under Rb_none (the registry also disables the pass then). *)
 let reorder_fn ctx sh (fb : Bfunc.t) =
   let algo = ctx.Context.opts.Opts.reorder_blocks in
-  if
-    algo <> Opts.Rb_none
-    && has_profile fb
-    && Hashtbl.length fb.Bfunc.blocks > 1
-  then begin
+  if algo <> Opts.Rb_none && has_profile fb && Array.length fb.layout > 1 then begin
     let cfg = cfg_of_fn ?cold:(sunk_blocks ctx.Context.opts fb) fb in
     let order = Engine.order (engine_algo algo) cfg in
-    fb.layout <- Array.to_list (Array.map (Cfg.label cfg) order);
+    fb.layout <- Array.map (fun i -> fb.layout.(i)) order;
     Context.sh_incr sh "pass.reorder-bbs.reordered";
     Context.sh_touch sh fb
   end
@@ -112,7 +102,7 @@ let reorder_fn ctx sh (fb : Bfunc.t) =
 let snapshot ctx : (string * int * Evaluator.result) list =
   Context.simple_funcs ctx
   |> List.filter_map (fun fb ->
-         if has_profile fb && Hashtbl.length fb.Bfunc.blocks > 0 then begin
+         if has_profile fb && Array.length fb.layout > 0 then begin
            let cfg = cfg_of_fn fb in
            Some (fb.fb_name, fb.exec_count, Evaluator.evaluate cfg (Cfg.identity cfg))
          end
@@ -126,18 +116,16 @@ let snapshot_totals rows =
 (* Hot/cold splitting: cold blocks go to the function's cold fragment,
    which the rewriter emits in the cold code area. *)
 let split_fn ctx sh (fb : Bfunc.t) =
-  match sunk_cold ctx.Context.opts fb with
+  match sunk_blocks ctx.Context.opts fb with
   | None -> ()
   | Some cold ->
-      List.iter
-        (fun l ->
+      iter_layout fb (fun l b ->
           if cold l then begin
-            Hashtbl.replace fb.cold_set l ();
+            b.cold <- true;
             Context.sh_incr sh "pass.split-functions.blocks_split";
             Context.sh_touch sh fb
-          end)
-        fb.layout;
+          end);
       (* a cold block that can fall into a hot one needs a jump; the
          emitter handles that, but keep cold blocks grouped at the end
          of the layout for deterministic output *)
-      fb.layout <- hot_layout fb @ cold_layout fb
+      fb.layout <- Array.of_list (hot_layout fb @ cold_layout fb)

@@ -105,12 +105,10 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
             unmatched count
           end
           else begin
-            let m = Profile_view.offsets v fi in
-            let s = Profile_view.containing m b.br_from_off in
-            let d = Profile_view.starting_at m b.br_to_off in
+            let s = containing fb b.br_from_off in
+            let d = starting_at fb b.br_to_off in
             if s >= 0 && d >= 0 then begin
-              add_edge_count fb m.blocks.(s).bl m.blocks.(d).bl count
-                (c64 b.br_mispreds);
+              add_edge_count fb.blocks.(s) d count (c64 b.br_mispreds);
               st.matched_branches <- st.matched_branches + 1;
               st.matched_count <- st.matched_count + count
             end
@@ -144,18 +142,15 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
           if not (in_bounds fb r.rg_end) then stale fb "range end" r.rg_end;
           (* covered: the block containing rg_start through the one
              containing rg_end (just the first, for an inverted range) *)
-          let m = Profile_view.offsets v i in
-          let first = Profile_view.containing m r.rg_start in
-          let last = max first (Profile_view.containing m r.rg_end) in
+          let first = containing fb r.rg_start in
+          let last = max first (containing fb r.rg_end) in
           for k = max first 0 to last do
-            let a = m.blocks.(k) in
+            let a = fb.blocks.(k) in
             (* sequential flow between adjacent covered blocks *)
             (if k < last then
-               let next = m.blocks.(k + 1).bl in
                match a.term with
-               | T_cond (_, _, fall) when fall = next ->
-                   add_edge_count fb a.bl next count 0
-               | T_jump t when t = next -> add_edge_count fb a.bl next count 0
+               | T_cond (_, _, fall) when fall = k + 1 -> add_edge_count a fall count 0
+               | T_jump t when t = k + 1 -> add_edge_count a t count 0
                | _ -> ());
             a.ecount <- a.ecount + count
           done
@@ -175,79 +170,74 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
           if not fb.simple then fb.exec_count <- fb.exec_count + count
           else if not (in_bounds fb s.sm_off) then stale fb "sample" s.sm_off
           else
-            let m = Profile_view.offsets v i in
-            let k = Profile_view.containing m s.sm_off in
-            if k >= 0 then m.blocks.(k).ecount <- m.blocks.(k).ecount + count)
+            let k = containing fb s.sm_off in
+            if k >= 0 then fb.blocks.(k).ecount <- fb.blocks.(k).ecount + count)
     prof.samples;
   st.unknown_funcs <- Hashtbl.length unknown;
   st
 
+(* [c * w / total] for [0 < w <= total], kept within [0, c] when the
+   product would overflow. *)
+let share c w total =
+  if c <= 0 then 0
+  else if c <= max_int / w then c * w / total
+  else
+    let x = float_of_int c *. (float_of_int w /. float_of_int total) in
+    if x >= float_of_int c then c else int_of_float x
+
 (* Derive block execution counts from edges where ranges left gaps, then
-   repair the flow equations. *)
+   repair the flow equations.  Each derivation walks the layout; at this
+   point it holds every block. *)
 let finalize ctx ~(lbr : bool) ~(trust_fallthrough : bool) =
+  let sat = Bolt_profile.Fdata.sat_add_int in
   Context.iter_funcs ctx (fun fb ->
       if fb.simple then begin
-        let inflow = Hashtbl.create 32 and outflow = Hashtbl.create 32 in
-        let bump h k v =
-          Hashtbl.replace h k (v + try Hashtbl.find h k with Not_found -> 0)
-        in
-        Hashtbl.iter
-          (fun (s, d) (c, _) ->
-            bump outflow s !c;
-            bump inflow d !c)
-          fb.edge_counts;
-        Hashtbl.iter
-          (fun l b ->
-            let cand =
-              max b.ecount
-                (max
-                   (try Hashtbl.find inflow l with Not_found -> 0)
-                   (try Hashtbl.find outflow l with Not_found -> 0))
-            in
-            let cand = if l = fb.entry then max cand fb.exec_count else cand in
-            b.ecount <- cand)
-          fb.blocks;
-        if fb.exec_count = 0 then fb.exec_count <- (block fb fb.entry).ecount;
+        let n = Array.length fb.blocks in
+        let inflow = Array.make n 0 and outflow = Array.make n 0 in
+        iter_layout fb (fun l b ->
+            List.iter
+              (fun e ->
+                outflow.(l) <- outflow.(l) + e.count;
+                inflow.(e.dst) <- inflow.(e.dst) + e.count)
+              b.out);
+        iter_layout fb (fun l b ->
+            let cand = max b.ecount (max inflow.(l) outflow.(l)) in
+            b.ecount <- (if l = 0 then max cand fb.exec_count else cand));
+        if fb.exec_count = 0 && n > 0 then fb.exec_count <- fb.blocks.(0).ecount;
         (* non-LBR inference: split each block's count across its successors
-           proportionally to the successors' own sample counts *)
+           proportionally to the successors' own sample counts; the
+           weights and their total saturate, so counts near [max_int]
+           cannot wrap the total to 0 *)
         if not lbr then
-          Hashtbl.iter
-            (fun l b ->
-              let succs = successors fb b in
-              match succs with
+          iter_layout fb (fun _ b ->
+              match successors fb b with
               | [] -> ()
-              | [ s ] -> set_edge_count fb l s b.ecount
-              | _ ->
+              | [ s ] -> set_edge_count b s b.ecount
+              | succs ->
                   let weights =
-                    List.map (fun s -> (s, (block fb s).ecount + 1)) succs
+                    List.map (fun s -> (s, sat (max 0 fb.blocks.(s).ecount) 1)) succs
                   in
-                  let total = List.fold_left (fun a (_, w) -> a + w) 0 weights in
+                  let total = List.fold_left (fun a (_, w) -> sat a w) 0 weights in
                   List.iter
-                    (fun (s, w) -> set_edge_count fb l s (b.ecount * w / total))
-                    weights)
-            fb.blocks;
+                    (fun (s, w) -> set_edge_count b s (share b.ecount w total))
+                    weights);
         (* §5.2 repair: put surplus flow on the fall-through edge *)
         if lbr && trust_fallthrough then
-          Hashtbl.iter
-            (fun l b ->
+          iter_layout fb (fun _ b ->
               match b.term with
               | T_cond (_, taken, fall) when taken <> fall ->
-                  let t = edge_count fb l taken in
-                  let f = edge_count fb l fall in
-                  if b.ecount > t + f then
-                    set_edge_count fb l fall (f + (b.ecount - t - f))
+                  let t = edge_count b taken in
+                  let f = edge_count b fall in
+                  if b.ecount > t + f then set_edge_count b fall (f + (b.ecount - t - f))
               | T_jump t ->
-                  if b.ecount > edge_count fb l t then set_edge_count fb l t b.ecount
-              | _ -> ())
-            fb.blocks;
+                  if b.ecount > edge_count b t then set_edge_count b t b.ecount
+              | _ -> ());
         (* profile accuracy: how much of the block flow the edges explain *)
-        let total = Hashtbl.fold (fun _ b acc -> acc + b.ecount) fb.blocks 0 in
-        let explained =
-          Hashtbl.fold
-            (fun l b acc ->
-              let out = List.fold_left (fun a s -> a + edge_count fb l s) 0 (successors fb b) in
-              acc + min b.ecount out)
-            fb.blocks 0
-        in
-        fb.profile_acc <- (if total = 0 then 1.0 else float_of_int explained /. float_of_int total)
+        let total = ref 0 and explained = ref 0 in
+        iter_layout fb (fun _ b ->
+            let out = List.fold_left (fun a s -> a + edge_count b s) 0 (successors fb b) in
+            total := !total + b.ecount;
+            explained := !explained + min b.ecount out);
+        fb.profile_acc <-
+          (if !total = 0 then 1.0 else float_of_int !explained /. float_of_int !total)
       end)

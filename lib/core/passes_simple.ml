@@ -15,8 +15,7 @@ open Bfunc
 
 (* Pass 1: strip the legacy-AMD repz prefix from returns (2 bytes -> 1). *)
 let strip_rep_ret_fn _ctx sh (fb : Bfunc.t) =
-  Hashtbl.iter
-    (fun _ b ->
+  iter_layout fb (fun _ b ->
       List.iter
         (fun (i : minsn) ->
           if i.op = Insn.Repz_ret then begin
@@ -25,12 +24,10 @@ let strip_rep_ret_fn _ctx sh (fb : Bfunc.t) =
             Context.sh_touch sh fb
           end)
         b.insns)
-    fb.blocks
 
 (* Passes 4/10: peephole simplifications. *)
 let peepholes_fn _ctx sh (fb : Bfunc.t) =
-  Hashtbl.iter
-    (fun _ b ->
+  iter_layout fb (fun _ b ->
       let keep =
         List.filter
           (fun (i : minsn) ->
@@ -53,71 +50,64 @@ let peepholes_fn _ctx sh (fb : Bfunc.t) =
           | _ -> ())
         keep;
       b.insns <- keep)
-    fb.blocks
 
-(* Pass 11: eliminate unreachable basic blocks. *)
+(* Pass 11: eliminate unreachable basic blocks: mark what block 0
+   reaches through terminators, jump tables and landing pads, and keep
+   only those in the layout.  The block table keeps the dead blocks, and
+   their edges: [has_profile] does not change. *)
 let uce_fn _ctx sh (fb : Bfunc.t) =
-  let reach = Hashtbl.create 32 in
+  let reach = Bytes.make (Array.length fb.blocks) '\000' in
   let rec go l =
-    if not (Hashtbl.mem reach l) then begin
-      Hashtbl.replace reach l ();
-      match block_opt fb l with
-      | Some b -> List.iter go (successors_eh fb b)
-      | None -> ()
+    if valid fb l && Bytes.get reach l = '\000' then begin
+      Bytes.set reach l '\001';
+      let b = fb.blocks.(l) in
+      List.iter go (successors fb b);
+      List.iter (fun (i : minsn) -> Option.iter go i.lp) b.insns
     end
   in
-  go fb.entry;
-  let dead = ref [] in
-  Hashtbl.iter (fun l _ -> if not (Hashtbl.mem reach l) then dead := l :: !dead) fb.blocks;
-  List.iter
-    (fun l ->
-      Hashtbl.remove fb.blocks l;
-      Context.sh_incr sh "pass.uce.blocks_removed";
-      Context.sh_touch sh fb)
-    !dead;
-  fb.layout <- List.filter (Hashtbl.mem reach) fb.layout
+  if Array.length fb.blocks > 0 then go 0;
+  let live = List.filter (fun l -> Bytes.get reach l <> '\000') (Array.to_list fb.layout) in
+  let removed = Array.length fb.layout - List.length live in
+  if removed > 0 then begin
+    Context.sh_incr sh ~by:removed "pass.uce.blocks_removed";
+    Context.sh_touch sh fb;
+    fb.layout <- Array.of_list live
+  end
 
 (* Pass 14: simplify conditional tail calls — a conditional branch to a
    block that only forwards (an empty block jumping elsewhere, or a lone
    direct tail call) is retargeted, removing a jump from the hot path. *)
 let sctc_fn _ctx sh (fb : Bfunc.t) =
-  Hashtbl.iter
-    (fun l b ->
+  iter_layout fb (fun l b ->
       match b.term with
       | T_cond (c, taken, fall) when taken <> fall -> (
-          match block_opt fb taken with
-          | Some tb when tb.insns = [] && not tb.is_lp -> (
-              match tb.term with
-              | T_jump t2 when t2 <> taken ->
-                  let cnt = edge_count fb l taken in
-                  b.term <- T_cond (c, t2, fall);
-                  add_edge_count fb l t2 cnt 0;
-                  Context.sh_incr sh "pass.sctc.simplified";
-                  Context.sh_touch sh fb
-              | _ -> ())
-          | Some tb when not tb.is_lp -> (
-              (* a lone direct tail call: jcc straight to the callee *)
-              match (tb.insns, tb.term) with
-              | [ { op = Insn.Jmp (Insn.Sym (fn, 0), _); _ } ], T_stop ->
-                  b.term <- T_condtail (c, fn, fall);
-                  Context.sh_incr sh "pass.sctc.simplified";
-                  Context.sh_touch sh fb
-              | _ -> ())
-          | _ -> ())
+          let tb = fb.blocks.(taken) in
+          if tb.is_lp then ()
+          else
+            match (tb.insns, tb.term) with
+            | [], T_jump t2 when t2 <> taken ->
+                let cnt = edge_count b taken in
+                b.term <- T_cond (c, t2, fall);
+                add_edge_count b t2 cnt 0;
+                Context.sh_incr sh "pass.sctc.simplified";
+                Context.sh_touch sh fb
+            | [ { op = Insn.Jmp (Insn.Sym (fn, 0), _); _ } ], T_stop ->
+                (* a lone direct tail call: jcc straight to the callee *)
+                b.term <- T_condtail (c, fn, fall);
+                Context.sh_incr sh "pass.sctc.simplified";
+                Context.sh_touch sh fb
+            | _ -> ())
       | T_jump t -> (
-          match block_opt fb t with
-          | Some tb when tb.insns = [] && (not tb.is_lp) && t <> l -> (
-              match tb.term with
-              | T_jump t2 when t2 <> t ->
-                  let cnt = edge_count fb l t in
-                  b.term <- T_jump t2;
-                  add_edge_count fb l t2 cnt 0;
-                  Context.sh_incr sh "pass.sctc.simplified";
-                  Context.sh_touch sh fb
-              | _ -> ())
+          let tb = fb.blocks.(t) in
+          match tb.term with
+          | T_jump t2 when tb.insns = [] && (not tb.is_lp) && t <> l && t2 <> t ->
+              let cnt = edge_count b t in
+              b.term <- T_jump t2;
+              add_edge_count b t2 cnt 0;
+              Context.sh_incr sh "pass.sctc.simplified";
+              Context.sh_touch sh fb
           | _ -> ())
       | _ -> ())
-    fb.blocks
 
 (* Pass 6: loads from statically-known read-only cells become immediate
    moves, unless the new encoding would be larger (the paper's policy).
@@ -135,8 +125,7 @@ let simplify_ro_loads_fn ctx =
         fb.Bfunc.jts)
     (Context.simple_funcs ctx);
   fun sh (fb : Bfunc.t) ->
-    Hashtbl.iter
-      (fun _ b ->
+    iter_layout fb (fun _ b ->
         List.iter
           (fun (i : minsn) ->
             match i.op with
@@ -157,12 +146,10 @@ let simplify_ro_loads_fn ctx =
                 | None -> ())
             | _ -> ())
           b.insns)
-      fb.blocks
 
 (* Pass 8: remove PLT indirection from calls whose stub target is known. *)
 let plt_fn ctx sh (fb : Bfunc.t) =
-  Hashtbl.iter
-    (fun _ b ->
+  iter_layout fb (fun _ b ->
       List.iter
         (fun (i : minsn) ->
           match i.op with
@@ -175,4 +162,3 @@ let plt_fn ctx sh (fb : Bfunc.t) =
               | None -> ())
           | _ -> ())
         b.insns)
-    fb.blocks

@@ -10,18 +10,10 @@
    proportional to the functions and the distinct calls, never a copy of
    the records. *)
 
-open Bfunc
-
-(* One function's blocks with an original offset, sorted by start: the
-   offset-to-block map the profile's offsets resolve through. *)
-type offsets = { starts : int array; blocks : bb array }
-
 module Int_tbl = Bolt_layout.Cfg.Int_tbl
 
 type t = {
   funcs : Bfunc.t array; (* [Context.order] as functions *)
-  offsets : offsets array;
-      (* per function; [no_offsets] until a record needs the map *)
   totals : int array;
       (* per function: the counts of its records (branches from it, its
          ranges, its samples), summed saturating at [max_int] — what
@@ -37,50 +29,15 @@ type t = {
       (* per caller: its call records, newest first *)
 }
 
-let no_offsets = { starts = [||]; blocks = [||] }
-
 let create (funcs : Bfunc.t array) =
   let n = Array.length funcs in
   {
     funcs;
-    offsets = Array.make n no_offsets;
     totals = Array.make n 0;
     calls = Int_tbl.create 1024;
     call_order = [];
     sites = Array.make n [];
   }
-
-(* [i]'s offset map, built the first time a record needs it. *)
-let offsets v i =
-  let m = v.offsets.(i) in
-  if m != no_offsets then m
-  else begin
-    let blocks =
-      Hashtbl.fold
-        (fun _ b acc -> if b.b_off >= 0 then b :: acc else acc)
-        v.funcs.(i).blocks []
-      |> Array.of_list
-    in
-    Array.sort (fun a b -> Int.compare a.b_off b.b_off) blocks;
-    let m = { starts = Array.map (fun b -> b.b_off) blocks; blocks } in
-    v.offsets.(i) <- m;
-    m
-  end
-
-(* The index of the block containing [off] (the greatest start at or
-   below it), or -1 when every block starts past it. *)
-let containing m off =
-  let lo = ref 0 and hi = ref (Array.length m.starts) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if m.starts.(mid) <= off then lo := mid + 1 else hi := mid
-  done;
-  !lo - 1
-
-(* The index of the block starting exactly at [off], or -1. *)
-let starting_at m off =
-  let k = containing m off in
-  if k >= 0 && m.starts.(k) = off then k else -1
 
 (* Count [c] (non-negative) of a record of function [i]. *)
 let add_events v i c = v.totals.(i) <- Bolt_profile.Fdata.sat_add_int v.totals.(i) c

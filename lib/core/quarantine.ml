@@ -35,11 +35,7 @@ let fatal = function
    to the join, where verdicts fold in stable order. *)
 let demote_quiet ctx ~stage (fb : Bfunc.t) =
   Bfunc.mark_non_simple fb (Printf.sprintf "quarantined in %s" stage);
-  Hashtbl.reset fb.blocks;
-  fb.layout <- [];
-  fb.entry <- "";
-  Hashtbl.reset fb.edge_counts;
-  Hashtbl.reset fb.cold_set;
+  Bfunc.clear_cfg fb;
   Build.redecode ctx fb
 
 (* Run-level half of a demotion: diagnostics, the trace event, and the

@@ -15,8 +15,7 @@ let direct_calls ctx =
   Context.iter_funcs ctx (fun fb ->
       let record off callee = calls := (fb.Bfunc.fb_name, off, callee) :: !calls in
       if fb.Bfunc.simple then
-        Hashtbl.iter
-          (fun _ b ->
+        Bfunc.iter_layout fb (fun _ b ->
             List.iter
               (fun (i : Bfunc.minsn) ->
                 match i.Bfunc.op with
@@ -27,7 +26,6 @@ let direct_calls ctx =
                       | None -> s)
                 | _ -> ())
               b.Bfunc.insns)
-          fb.Bfunc.blocks
       else
         List.iter
           (fun (i : Bfunc.minsn) ->

@@ -20,11 +20,11 @@ let bad_layout ctx ~(top : int) : finding list =
   List.iter
     (fun fb ->
       if has_profile fb && fb.exec_count > 0 then begin
-        let arr = Array.of_list fb.layout in
+        let arr = fb.layout in
         for i = 1 to Array.length arr - 2 do
-          let prev = block fb arr.(i - 1) in
-          let b = block fb arr.(i) in
-          let next = block fb arr.(i + 1) in
+          let prev = fb.blocks.(arr.(i - 1)) in
+          let b = fb.blocks.(arr.(i)) in
+          let next = fb.blocks.(arr.(i + 1)) in
           if b.ecount = 0 && prev.ecount > 0 && next.ecount > 0 && not b.is_lp then
             findings :=
               {

@@ -402,14 +402,6 @@ let run ctx : result =
             (jt.jt_addr - ro.sec_addr + (8 * k))
             (Int64.of_int v)
         in
-        (* a block label minted at CFG build time encodes its original
-           offset; quarantined functions move as a verbatim unit, so that
-           offset is still the block's position in the placed bytes *)
-        let lbl_off l =
-          if String.length l > 4 && String.sub l 0 4 = ".LBB" then
-            int_of_string_opt (String.sub l 4 (String.length l - 4))
-          else None
-        in
         List.iter
           (fun fb ->
             if Hashtbl.mem reverted fb.fb_name then ()
@@ -418,7 +410,7 @@ let run ctx : result =
                 (fun (jt : jt) ->
                   Array.iteri
                     (fun k l ->
-                      match Hashtbl.find_opt block_addr (fb.fb_name, l) with
+                      match Hashtbl.find_opt block_addr (fb.fb_name, fb.blocks.(l).bl) with
                       | Some a -> patch_cell jt k a
                       | None -> ())
                     jt.jt_targets)
@@ -430,17 +422,7 @@ let run ctx : result =
               | Some base when base <> fb.fb_addr ->
                   Array.iter
                     (fun (jt : jt) ->
-                      Array.iteri
-                        (fun k l ->
-                          match lbl_off l with
-                          | Some off -> patch_cell jt k (base + off)
-                          | None ->
-                              Diag.warnf ctx.Context.diag ~stage:"rewrite"
-                                ~func:fb.fb_name
-                                "jump table %#x cell %d has no offset label; \
-                                 left stale"
-                                jt.jt_addr k)
-                        jt.jt_targets)
+                      Array.iteri (fun k off -> patch_cell jt k (base + off)) jt.jt_offsets)
                     fb.jts
               | _ -> ())
           live;

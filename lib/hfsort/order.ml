@@ -94,7 +94,8 @@ let hfsort_plus (g : Callgraph.t) =
   List.iteri
     (fun i c -> Array.iter (fun b -> cl.(b) <- i) (Chain.blocks pool c))
     clusters;
-  (* inter-cluster weights, keyed [a * k + b] for clusters a < b of k *)
+  (* inter-cluster weights, keyed [a * k + b] for clusters a < b of k;
+     summed saturating, like the call weights they add up *)
   let k = Array.length rep in
   let w = Cfg.Int_tbl.create 1024 in
   for e = 0 to Cfg.edge_count g - 1 do
@@ -102,8 +103,8 @@ let hfsort_plus (g : Callgraph.t) =
     if ca >= 0 && cb >= 0 && ca <> cb then begin
       let key = (min ca cb * k) + max ca cb in
       Cfg.Int_tbl.replace w key
-        (g.Cfg.count.(e)
-        + Option.value ~default:0 (Cfg.Int_tbl.find_opt w key))
+        (Bolt_profile.Fdata.sat_add_int g.Cfg.count.(e)
+           (Option.value ~default:0 (Cfg.Int_tbl.find_opt w key)))
     end
   done;
   let candidates =

@@ -45,6 +45,11 @@ let live_chains t =
   done;
   !acc
 
+(* [a + b] for non-negative counts, saturating at [max_int]: the sum
+   [Bolt_profile.Fdata.sat_add_int] computes, restated here because
+   bolt_layout depends on no other library. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+
 (* Replace chains [keep] and [drop] by [merged], which must be a
    permutation of their combined blocks (the caller decides the
    arrangement: XY, YX, or a split like X1·Y·X2). *)
@@ -55,7 +60,7 @@ let replace t ~keep ~drop merged =
     invalid_arg "Chain.replace: arrangement loses or duplicates blocks";
   t.blocks.(keep) <- merged;
   t.blocks.(drop) <- [||];
-  t.weight.(keep) <- t.weight.(keep) + t.weight.(drop);
+  t.weight.(keep) <- sat_add t.weight.(keep) t.weight.(drop);
   t.weight.(drop) <- 0;
   t.size.(keep) <- t.size.(keep) + t.size.(drop);
   t.size.(drop) <- 0;

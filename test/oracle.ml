@@ -362,13 +362,13 @@ let icf ctx =
             i.op <- Bolt_isa.Insn.Lea (r, Bolt_isa.Insn.Sym (canon s, a))
         | _ -> ()
       in
-      Hashtbl.iter (fun _ b -> List.iter fix b.insns) fb.blocks;
+      Array.iter (fun b -> List.iter fix b.insns) fb.blocks;
       List.iter fix fb.raw_insns;
-      Hashtbl.iter
-        (fun l b ->
+      Array.iter
+        (fun b ->
           match b.term with
           | T_condtail (c, fn, fall) when canon fn <> fn ->
-              (block fb l).term <- T_condtail (c, canon fn, fall)
+              b.term <- T_condtail (c, canon fn, fall)
           | _ -> ())
         fb.blocks);
   Context.logf ctx "icf: %d functions folded, %d bytes saved" !folded_total !bytes_saved;
@@ -1184,10 +1184,11 @@ module Asm = struct
 end
 
 (* [Bolt_core.Emit.body_of_fragment] and [emit_simple] as they were
-   before fragment bodies were built in arrays, kept verbatim: items
-   are consed onto a list, every block is looked up by its label, and
-   the fragment is assembled by the [Asm] oracle above.  The fragment
-   type is the production one, so results compare directly. *)
+   before fragment bodies were built in arrays, kept verbatim but for
+   naming blocks by id as [Bfunc] does: items are consed onto a list,
+   fragment membership is a table per fragment, and the fragment is
+   assembled by the [Asm] oracle above.  The fragment type is the
+   production one, so results compare directly. *)
 module Emit = struct
   open Bolt_isa
   open Bolt_asm.Asm
@@ -1225,18 +1226,22 @@ module Emit = struct
         | Bolt_obj.Types.Cfi_set_state s -> s)
       st ops
 
-  (* Lower one fragment (a list of blocks in final order) to aitem list. *)
-  let body_of_fragment (fb : Bfunc.t) ~(in_fragment : string -> bool)
-      ~(first_state : Bolt_obj.Types.cfi_state option) (blocks : string list) : aitem list =
+  (* Lower one fragment (a list of block ids in final order) to aitem
+     list. *)
+  let body_of_fragment (fb : Bfunc.t) ~(in_fragment : int -> bool)
+      ~(first_state : Bolt_obj.Types.cfi_state option) (blocks : int list) : aitem list =
     let items = ref [] in
     let push it = items := it :: !items in
-    let ref_of l = if in_fragment l then Insn.Sym (l, 0) else Insn.Sym (xref fb.fb_name l, 0) in
+    let name l = fb.blocks.(l).bl in
+    let ref_of l =
+      if in_fragment l then Insn.Sym (name l, 0) else Insn.Sym (xref fb.fb_name (name l), 0)
+    in
     let cur_state = ref (match first_state with Some s -> Some s | None -> None) in
     let rec emit_blocks = function
       | [] -> ()
       | l :: rest ->
-          let b = block fb l in
-          push (A_label l);
+          let b = fb.blocks.(l) in
+          push (A_label b.bl);
           (* regenerate frame info at the boundary *)
           (match !cur_state with
           | Some st when not (Bolt_obj.Types.cfi_state_equal st b.cfi_entry) ->
@@ -1250,11 +1255,11 @@ module Emit = struct
             (fun (i : minsn) ->
               (match i.loc with Some (f, ln) -> push (A_loc (f, ln)) | None -> ());
               (match i.lp with
-              | Some pad ->
+              | Some pad when pad >= 0 && pad < Array.length fb.blocks ->
                   (* landing-pad annotations keep their block symbol; the
                      rewriter resolves pads across fragments *)
-                  push (A_insn_lp (i.op, pad))
-              | None -> push (A_insn i.op));
+                  push (A_insn_lp (i.op, name pad))
+              | _ -> push (A_insn i.op));
               (match !cur_state with
               | Some st -> cur_state := Some (cfi_state_after st i.cfi_after)
               | None -> ());
@@ -1316,10 +1321,10 @@ module Emit = struct
 end
 
 (* [Bolt_core.Build.build_function] as it was before decoding into
-   arrays, kept verbatim with the helpers it needs: leaders, next
-   leaders, instruction offsets and CFI ops live in int-keyed
-   [Hashtbl]s, and every block replays the FDE's ops from the start to
-   find its entry state. *)
+   arrays, kept verbatim with the helpers it needs but for naming blocks
+   by id (the sorted leaders' ranks): leaders, next leaders, instruction
+   offsets and CFI ops live in int-keyed [Hashtbl]s, and every block
+   replays the FDE's ops from the start to find its entry state. *)
 module Build = struct
   open Bolt_isa
   open Bolt_obj
@@ -1530,7 +1535,14 @@ module Build = struct
                List.iter (fun (e : Types.lsda_entry) -> add_leader e.lsda_pad) l.lsda_entries;
                fb.has_eh <- true
            | None -> ());
-           (* landing pads for instructions *)
+           let leader_list = Hashtbl.fold (fun o () acc -> o :: acc) leaders [] in
+           let leader_list = List.sort compare leader_list in
+           (* block ids: leaders numbered in offset order *)
+           let ids = Hashtbl.create 32 in
+           List.iteri (fun k o -> Hashtbl.replace ids o k) leader_list;
+           let id o = Hashtbl.find ids o in
+           (* landing pads for instructions; -1 for a pad outside the
+              function *)
            let lp_at off =
              match lsda with
              | None -> None
@@ -1539,10 +1551,10 @@ module Build = struct
                    (fun (e : Types.lsda_entry) ->
                      off >= e.lsda_start && off < e.lsda_start + e.lsda_len)
                    l.lsda_entries
-                 |> Option.map (fun e -> lbl e.Types.lsda_pad)
+                 |> Option.map (fun e ->
+                        Option.value ~default:(-1) (Hashtbl.find_opt ids e.Types.lsda_pad))
            in
-           let leader_list = Hashtbl.fold (fun o () acc -> o :: acc) leaders [] in
-           let leader_list = List.sort compare leader_list in
+           let built = ref [] in
            let next_leader = Hashtbl.create 32 in
            let rec link = function
              | a :: (b :: _ as rest) ->
@@ -1602,7 +1614,7 @@ module Build = struct
                  | Insn.Nop _ -> if not opts.Opts.strip_nops then keep ()
                  | Insn.Jmp (Insn.Imm rel, _) ->
                      let t = next_off + rel in
-                     if in_func t then mark_term (T_jump (lbl t))
+                     if in_func t then mark_term (T_jump (id t))
                      else begin
                        (* direct tail call *)
                        let fn = call_target (fb.fb_addr + t) in
@@ -1612,13 +1624,13 @@ module Build = struct
                  | Insn.Jcc (c, Insn.Imm rel, _) ->
                      let t = next_off + rel in
                      let fall =
-                       if in_func next_off then lbl next_off
+                       if in_func next_off then id next_off
                        else begin
                          mark_non_simple fb "conditional branch at function end";
                          raise Exit
                        end
                      in
-                     if in_func t then mark_term (T_cond (c, lbl t, fall))
+                     if in_func t then mark_term (T_cond (c, id t, fall))
                      else mark_term (T_condtail (c, call_target (fb.fb_addr + t), fall))
                  | Insn.Jmp_ind _ ->
                      keep ();
@@ -1656,12 +1668,12 @@ module Build = struct
                        mark_non_simple fb "control falls off the function end";
                        raise Exit
                      end
-                     else T_jump (lbl stop)
+                     else T_jump (id stop)
                in
                let entry_state =
                  Types.cfi_state_at (cfi_ops_upto leader) leader
                in
-               Hashtbl.replace fb.blocks (lbl leader)
+               built :=
                  {
                    bl = lbl leader;
                    b_off = leader;
@@ -1670,31 +1682,35 @@ module Build = struct
                    ecount = 0;
                    cfi_entry = entry_state;
                    is_lp = false;
-                 })
+                   out = [];
+                   cold = false;
+                 }
+                 :: !built)
              leader_list;
-           (* jump tables, now that labels exist *)
+           fb.blocks <- Array.of_list (List.rev !built);
+           (* jump tables, now that ids exist *)
            fb.jts <-
              Array.of_list
                (List.rev_map
                   (fun (addr, pic, entries) ->
-                    { jt_addr = addr; jt_pic = pic; jt_targets = Array.map lbl entries })
+                    { jt_addr = addr; jt_pic = pic; jt_targets = Array.map id entries;
+                      jt_offsets = entries })
                   !jts);
            (match lsda with
            | Some l ->
                List.iter
                  (fun (e : Types.lsda_entry) ->
-                   match block_opt fb (lbl e.lsda_pad) with
-                   | Some b -> b.is_lp <- true
+                   match Hashtbl.find_opt ids e.lsda_pad with
+                   | Some k -> fb.blocks.(k).is_lp <- true
                    | None -> ())
                  l.lsda_entries
            | None -> ());
-           fb.layout <- List.map lbl leader_list;
-           fb.entry <- lbl 0
+           fb.layout <- Array.of_list (List.map id leader_list)
          with Exit ->
            if fb.why_not_simple = "" then
              mark_non_simple fb "unresolvable code reference";
-           Hashtbl.reset fb.blocks;
-           fb.layout <- []);
+           fb.blocks <- [||];
+           fb.layout <- [||]);
         (* Non-simple fallback: keep bytes identical, but symbolize the
            references that must survive relocation. *)
         if not fb.simple then symbolize_raw ctx fb raw_list)
@@ -2236,8 +2252,9 @@ module Machine = struct
 end
 
 (* The three readers of the profile as they were before the profile
-   view, kept verbatim: [Match_profile.attach] looks each record's
-   functions up by name and builds offset maps on a label table;
+   view, kept verbatim but for naming blocks by id: [Match_profile.attach]
+   looks each record's functions up by name and builds offset maps in
+   tables;
    [Icp.build_site_profile] reads every call record again into a table
    keyed by (caller, offset); [Callgraph.of_profile] reads them a third
    time, with each function's events from [Fdata.func_events]. *)
@@ -2245,15 +2262,15 @@ module Match_profile = struct
   open Bolt_core
   open Bfunc
 
-  (* offset -> block lookup per function *)
+  (* offset -> block id lookup per function *)
   let offset_maps (fb : Bfunc.t) =
     let starts = Hashtbl.create 32 in
     let spans = ref [] in
-    Hashtbl.iter
-      (fun _ b ->
+    Array.iteri
+      (fun l b ->
         if b.b_off >= 0 then begin
-          Hashtbl.replace starts b.b_off b.bl;
-          spans := (b.b_off, b.bl) :: !spans
+          Hashtbl.replace starts b.b_off l;
+          spans := (b.b_off, l) :: !spans
         end)
       fb.blocks;
     let arr = Array.of_list (List.sort compare !spans) in
@@ -2348,7 +2365,7 @@ module Match_profile = struct
                 let dst = Hashtbl.find_opt starts b.br_to_off in
                 match (src, dst) with
                 | Some s, Some d ->
-                    add_edge_count fb s d (c64 b.br_count) (c64 b.br_mispreds);
+                    add_edge_count fb.blocks.(s) d (c64 b.br_count) (c64 b.br_mispreds);
                     st.matched_branches <- st.matched_branches + 1;
                     st.matched_count <- st.matched_count + c64 b.br_count
                 | _ -> drop ()
@@ -2405,11 +2422,11 @@ module Match_profile = struct
             let rec pairs = function
               | (_, a) :: ((_, b) :: _ as rest) ->
                   (* sequential flow between adjacent covered blocks *)
-                  let ba = block fb a in
+                  let ba = fb.blocks.(a) in
                   (match ba.term with
                   | T_cond (_, _, fall) when fall = b ->
-                      add_edge_count fb a b (c64 r.rg_count) 0
-                  | T_jump t when t = b -> add_edge_count fb a b (c64 r.rg_count) 0
+                      add_edge_count ba b (c64 r.rg_count) 0
+                  | T_jump t when t = b -> add_edge_count ba b (c64 r.rg_count) 0
                   | _ -> ());
                   pairs rest
               | _ -> ()
@@ -2417,7 +2434,7 @@ module Match_profile = struct
             pairs covered;
             List.iter
               (fun (_, l) ->
-                let b = block fb l in
+                let b = fb.blocks.(l) in
                 b.ecount <- b.ecount + c64 r.rg_count)
               covered
         | Some _ -> ()
@@ -2434,7 +2451,7 @@ module Match_profile = struct
               let _, containing, _ = map_of fb in
               match containing s.sm_off with
               | Some l ->
-                  let b = block fb l in
+                  let b = fb.blocks.(l) in
                   b.ecount <- b.ecount + c64 s.sm_count
               | None -> ())
           | Some fb -> fb.exec_count <- fb.exec_count + c64 s.sm_count
@@ -2473,9 +2490,10 @@ end
    and pages with a never-evicting [Bolt_sim.Cache], the engine whose
    ext-tsp loop sorts every candidate pair each round and builds every
    split arrangement, and HFSort over the string-keyed call graph,
-   projected onto ids for every order.  The one change to their
-   semantics: call weights sum saturating at [max_int] in [Callgraph],
-   as they now do in production. *)
+   projected onto ids for every order.  The changes to their semantics:
+   call weights sum saturating at [max_int] in [Callgraph], and so do
+   cluster weights in [Chain.replace] and inter-cluster weights in
+   [Order.hfsort_plus], as they now do in production. *)
 
 module Cfg = struct
   type node = {
@@ -2580,7 +2598,7 @@ module Chain = struct
       invalid_arg "Chain.replace: arrangement loses or duplicates blocks";
     t.blocks.(keep) <- merged;
     t.blocks.(drop) <- [||];
-    t.weight.(keep) <- t.weight.(keep) + t.weight.(drop);
+    t.weight.(keep) <- Bolt_profile.Fdata.sat_add_int t.weight.(keep) t.weight.(drop);
     t.weight.(drop) <- 0;
     t.size.(keep) <- t.size.(keep) + t.size.(drop);
     t.size.(drop) <- 0;
@@ -3102,7 +3120,8 @@ module Order = struct
         if ca >= 0 && cb >= 0 && ca <> cb then begin
           let key = (min ca cb, max ca cb) in
           Hashtbl.replace w key
-            (weight + try Hashtbl.find w key with Not_found -> 0)
+            (Bolt_profile.Fdata.sat_add_int weight
+               (try Hashtbl.find w key with Not_found -> 0))
         end)
       proj.cfg.Cfg.edges;
     let candidates =

@@ -62,7 +62,7 @@ let test_cfg_reconstruction () =
     (Printf.sprintf "build: %d functions, %d simple" funcs simple);
   let fb = Option.get (Bolt_core.Context.func ctx "classify") in
   Alcotest.(check bool) "simple" true fb.Bolt_core.Bfunc.simple;
-  Alcotest.(check bool) "several blocks" true (Hashtbl.length fb.Bolt_core.Bfunc.blocks > 5);
+  Alcotest.(check bool) "several blocks" true (Array.length fb.Bolt_core.Bfunc.blocks > 5);
   Alcotest.(check int) "one jump table" 1 (Array.length fb.Bolt_core.Bfunc.jts)
 
 let test_pic_jump_table_discovery () =
@@ -146,15 +146,15 @@ let test_strip_rep_ret () =
   let repz () =
     List.fold_left
       (fun n (fb : Bolt_core.Bfunc.t) ->
-        Hashtbl.fold
-          (fun _ (b : Bolt_core.Bfunc.bb) n ->
+        Array.fold_left
+          (fun n (b : Bolt_core.Bfunc.bb) ->
             n
             + List.length
                 (List.filter
                    (fun (i : Bolt_core.Bfunc.minsn) ->
                      i.Bolt_core.Bfunc.op = Bolt_isa.Insn.Repz_ret)
                    b.Bolt_core.Bfunc.insns))
-          fb.Bolt_core.Bfunc.blocks n)
+          n fb.Bolt_core.Bfunc.blocks)
       0
       (Bolt_core.Context.simple_funcs ctx)
   in
@@ -431,7 +431,7 @@ let test_frame_opts_removes_dead_save () =
 (* One cold rule for two passes: on split runs of a profiled datacenter
    build and of a program with small functions, split-functions sinks
    exactly the blocks that reorder-bbs projected out as
-   [Layout_bbs.sunk_cold] just before it ran, so a change to the rule
+   [Layout_bbs.sunk_blocks] just before it ran, so a change to the rule
    moves both uses together.  Returns each simple function's size and
    cold blocks. *)
 let split_follows_sunk_cold exe prof =
@@ -448,9 +448,13 @@ let split_follows_sunk_cold exe prof =
     List.map
       (fun (fb : Bolt_core.Bfunc.t) ->
         ( fb.fb_name,
-          match Bolt_core.Layout_bbs.sunk_cold ctx.Bolt_core.Context.opts fb with
+          match Bolt_core.Layout_bbs.sunk_blocks ctx.Bolt_core.Context.opts fb with
           | None -> []
-          | Some cold -> List.sort compare (List.filter cold fb.layout) ))
+          | Some cold ->
+              List.sort compare
+                (List.filter_map
+                   (fun l -> if cold l then Some fb.blocks.(l).bl else None)
+                   (Array.to_list fb.layout)) ))
       (Bolt_core.Context.simple_funcs ctx)
   in
   Bolt_core.Passman.run env
@@ -461,10 +465,12 @@ let split_follows_sunk_cold exe prof =
         let fb = Option.get (Bolt_core.Context.func ctx name) in
         ( name,
           List.sort compare
-            (Hashtbl.fold (fun l () acc -> l :: acc) fb.Bolt_core.Bfunc.cold_set []) ))
+            (List.map
+               (fun l -> fb.Bolt_core.Bfunc.blocks.(l).bl)
+               (Bolt_core.Bfunc.cold_layout fb)) ))
       sunk
   in
-  Alcotest.(check (list (pair string (list string)))) "cold_set = sunk_cold" sunk split;
+  Alcotest.(check (list (pair string (list string)))) "cold blocks = sunk_blocks" sunk split;
   List.map
     (fun (name, cold) -> ((Option.get (Bolt_core.Context.func ctx name)).fb_size, cold))
     split

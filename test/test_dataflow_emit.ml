@@ -185,8 +185,7 @@ let test_sctc_straightens_jump_chains () =
   logged "pass.sctc.simplified" "sctc: %d branches simplified";
   logged "pass.uce.blocks_removed" "uce: %d unreachable blocks removed";
   let fb = Option.get (Bolt_core.Context.func ctx "main") in
-  Alcotest.(check bool) "entry survives" true
-    (Hashtbl.mem fb.Bolt_core.Bfunc.blocks fb.Bolt_core.Bfunc.entry)
+  Alcotest.(check bool) "entry survives" true (Array.mem 0 fb.Bolt_core.Bfunc.layout)
 
 (* ---- CFG construction and emission against the oracles ---- *)
 
@@ -196,18 +195,21 @@ module Types = Bolt_obj.Types
 
 let catch f = match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
 
+(* A context for visitors that take one but read nothing from it. *)
+let dummy_ctx = lazy (Test_profile_hfsort.context_of [])
+
 (* Random CFGs for the emitter: up to seven blocks in a shuffled layout
    with a random cold set, so fragments split and terminators flip
    polarity or gain jumps; blocks of up to a dozen instructions (nops
    of 15 bytes among them, so branches widen), carrying landing pads
-   inside and outside the function, source lines and CFI ops; and
+   inside and outside the function (an out-of-range id), source lines
+   and CFI ops; and
    entry frame states whose saved-register lists differ only in order. *)
 let gen_cfg =
   let open QCheck.Gen in
   let r3 = Bolt_isa.Reg.r3 and r4 = Bolt_isa.Reg.r4 in
   let* nb = int_range 1 7 in
-  let labels = Array.init nb (fun k -> Printf.sprintf ".LBB%d" (10 * k)) in
-  let lab = map (fun k -> labels.(k)) (int_bound (nb - 1)) in
+  let lab = int_bound (nb - 1) in
   let state =
     let+ est = bool
     and+ locals = oneofl [ 0; 16 ]
@@ -234,7 +236,7 @@ let gen_cfg =
             Load_abs (r4, Sym ("glob", 0)); Call (Sym ("callee", 0)); Lea (r3, Sym ("fnptr", 0));
             Call_ind r3; Throw;
           ]
-    and+ lp = opt ~ratio:0.3 (frequency [ (6, lab); (1, return ".Lelsewhere") ])
+    and+ lp = opt ~ratio:0.3 (frequency [ (6, lab); (1, return (-1)) ])
     and+ loc =
       (* shared values, as a build's consecutive instructions share them *)
       oneofl [ None; None; Some ("a.mc", 1); Some ("a.mc", 2); Some ("b.mc", 1) ]
@@ -252,17 +254,18 @@ let gen_cfg =
       ]
   in
   let* blocks = list_repeat nb (triple (list_size (int_range 0 12) insn) term state) in
-  let* layout = shuffle_l (Array.to_list labels) in
+  let* layout = shuffle_l (List.init nb Fun.id) in
   let+ cold = list_repeat nb (frequency [ (3, return false); (1, return true) ]) in
   let fb = Bfunc.create ~name:"f" ~addr:0x1000 ~size:(10 * nb) in
-  List.iteri
-    (fun k (insns, term, cfi_entry) ->
-      Bfunc.add_block fb
-        { bl = labels.(k); b_off = 10 * k; insns; term; ecount = 0; cfi_entry; is_lp = false })
-    blocks;
-  List.iteri (fun k c -> if c then Hashtbl.replace fb.cold_set labels.(k) ()) cold;
-  fb.layout <- layout;
-  fb.entry <- labels.(0);
+  fb.blocks <-
+    Array.of_list
+      (List.mapi
+         (fun k ((insns, term, cfi_entry), cold) ->
+           { (Bfunc.new_block ~off:(10 * k) ~cfi_entry (Printf.sprintf ".LBB%d" (10 * k)) insns
+                term)
+             with cold })
+         (List.combine blocks cold));
+  fb.layout <- Array.of_list layout;
   fb
 
 let prop_emit =
@@ -270,9 +273,186 @@ let prop_emit =
     (QCheck.make
        ~print:(fun fb ->
          Fmt.str "%acold: %s@." Bfunc.pp fb
-           (String.concat " " (Bfunc.cold_layout fb)))
+           (String.concat " " (List.map (Bfunc.name fb) (Bfunc.cold_layout fb))))
        gen_cfg)
     (fun fb -> catch (fun () -> Emit.emit_simple fb) = catch (fun () -> Oracle.Emit.emit_simple fb))
+
+(* ---- the block-id invariants ---- *)
+
+(* [fb] with random profiled out-edges (self-edges, zero counts and
+   edges into block 0 among them) and a layout that keeps a random
+   subsequence of the blocks, as after UCE. *)
+let with_edges_and_live gen =
+  let open QCheck.Gen in
+  let* fb = gen in
+  let n = Array.length fb.Bfunc.blocks in
+  let* edges =
+    list_size (int_range 0 (3 * n))
+      (triple (int_bound (n - 1)) (int_bound (n - 1))
+         (frequency [ (1, return 0); (6, int_range 1 100) ]))
+  and* keep =
+    list_repeat (Array.length fb.layout) (frequency [ (4, return true); (1, return false) ])
+  in
+  List.iter (fun (s, d, c) -> Bfunc.add_edge_count fb.blocks.(s) d c 0) edges;
+  fb.layout <-
+    Array.of_list (List.filteri (fun i _ -> List.nth keep i) (Array.to_list fb.layout));
+  let+ cold = list_repeat n bool and+ entered = int_bound 3 in
+  if fb.exec_count = 0 then fb.exec_count <- entered;
+  (fb, Array.of_list cold)
+
+(* Functions of the profile-hfsort generator, with a random profile
+   attached and finalized. *)
+let gen_profiled =
+  let open QCheck.Gen in
+  let* fns = list_size (int_range 1 3) Test_profile_hfsort.gen_fn in
+  let+ prof = Test_profile_hfsort.gen_profile (List.length fns) in
+  let ctx = Test_profile_hfsort.context_of fns in
+  ignore (Bolt_core.Match_profile.attach ctx prof);
+  (try Bolt_core.Match_profile.finalize ctx ~lbr:prof.Bolt_profile.Fdata.lbr ~trust_fallthrough:true
+   with _ -> ());
+  Bolt_core.Context.simple_funcs ctx
+
+(* The reference projection: a label -> layout position table over the
+   blocks' names, and every block's edges looked up through it. *)
+let label_projection ?(cold = fun _ -> false) (fb : Bfunc.t) =
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i l -> Hashtbl.replace index fb.blocks.(l).Bfunc.bl i) fb.layout;
+  let find (b : Bfunc.bb) = Option.value ~default:(-1) (Hashtbl.find_opt index b.bl) in
+  let nodes =
+    Array.map
+      (fun l ->
+        let b = fb.blocks.(l) in
+        { Bolt_layout.Cfg.n_label = b.bl; n_size = Bfunc.block_size b; n_count = b.ecount })
+      fb.layout
+  in
+  let sunk = Array.map cold fb.layout in
+  let edges =
+    Array.fold_left
+      (fun acc (b : Bfunc.bb) ->
+        List.fold_left
+          (fun acc (e : Bfunc.edge) ->
+            let si = find b and di = find fb.blocks.(e.dst) in
+            if si >= 0 && di >= 0 && (not sunk.(si)) && not sunk.(di) then (si, di, e.count) :: acc
+            else acc)
+          acc b.out)
+      [] fb.blocks
+  in
+  let entry = if Array.length fb.blocks > 0 then find fb.blocks.(0) else -1 in
+  Bolt_layout.Cfg.make ~nodes ~entry edges
+
+(* Without a predicate, with a random one, and with the split rule's. *)
+let projections_agree ((fb : Bfunc.t), cold) =
+  let module L = Bolt_core.Layout_bbs in
+  let split_all = { Bolt_core.Opts.default with split_functions = Bolt_core.Opts.Split_all } in
+  L.cfg_of_fn fb = label_projection fb
+  && L.cfg_of_fn ~cold:(Array.get cold) fb = label_projection ~cold:(Array.get cold) fb
+  &&
+  match L.sunk_blocks split_all fb with
+  | None -> true
+  | Some sunk -> L.cfg_of_fn ~cold:sunk fb = label_projection ~cold:sunk fb
+
+let prop_projection =
+  let gen =
+    QCheck.Gen.(
+      pair (with_edges_and_live gen_cfg)
+        (gen_profiled >>= fun fbs ->
+         flatten_l (List.map (fun fb -> with_edges_and_live (return fb)) fbs)))
+  in
+  QCheck.Test.make ~name:"cfg_of_fn == label-keyed projection (random CFGs)" ~count:500
+    (QCheck.make ~print:(fun ((fb, _), _) -> Fmt.str "%a" Bfunc.pp fb) gen)
+    (fun (a, bs) -> projections_agree a && List.for_all projections_agree bs)
+
+(* The blocks block 0 reaches through terminators, jump tables and
+   landing pads: a fixpoint over the whole table. *)
+let reachable (fb : Bfunc.t) =
+  let n = Array.length fb.blocks in
+  let r = Array.make n false in
+  if n > 0 then r.(0) <- true;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun i (b : Bfunc.bb) ->
+        if r.(i) then
+          List.iter
+            (fun t ->
+              if t >= 0 && t < n && not r.(t) then begin
+                r.(t) <- true;
+                changed := true
+              end)
+            ((match b.term with
+             | Bfunc.T_jump t -> [ t ]
+             | T_cond (_, a, c) -> [ a; c ]
+             | T_condtail (_, _, f) -> [ f ]
+             | T_indirect (Some k) -> Array.to_list fb.jts.(k).jt_targets
+             | T_indirect None | T_stop -> [])
+            @ List.filter_map (fun (i : Bfunc.minsn) -> i.lp) b.insns))
+      fb.blocks
+  done;
+  r
+
+(* gen_cfg with a jump table behind its indirect jumps. *)
+let gen_cfg_jt =
+  let open QCheck.Gen in
+  let* fb = gen_cfg in
+  let n = Array.length fb.Bfunc.blocks in
+  let+ targets = list_size (int_range 1 4) (int_bound (n - 1)) in
+  fb.jts <-
+    [| { Bfunc.jt_addr = 0x2000; jt_pic = false; jt_targets = Array.of_list targets;
+         jt_offsets = Array.of_list (List.map (fun t -> 10 * t) targets) } |];
+  Array.iter
+    (fun (b : Bfunc.bb) -> if b.term = Bfunc.T_indirect None then b.term <- T_indirect (Some 0))
+    fb.blocks;
+  fb
+
+let prop_uce =
+  QCheck.Test.make ~name:"uce keeps exactly the reachable blocks (random CFGs)" ~count:500
+    (QCheck.make
+       ~print:(fun (fb, _) -> Fmt.str "%a" Bfunc.pp fb)
+       QCheck.Gen.(
+         let* fb = gen_cfg_jt in
+         let n = Array.length fb.Bfunc.blocks in
+         let+ edges =
+           list_size (int_range 0 3)
+             (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_range 0 5))
+         in
+         List.iter (fun (s, d, c) -> Bfunc.add_edge_count fb.blocks.(s) d c 0) edges;
+         (fb, Array.copy fb.layout)))
+    (fun (fb, before) ->
+      let had = Bfunc.has_profile fb in
+      let r = reachable fb in
+      Bolt_core.Passes_simple.uce_fn (Lazy.force dummy_ctx) (Bolt_core.Context.new_shard ()) fb;
+      fb.layout = Array.of_list (List.filter (fun l -> r.(l)) (Array.to_list before))
+      && List.sort_uniq compare (Array.to_list fb.layout)
+         = List.filter (fun l -> r.(l)) (List.init (Array.length r) Fun.id)
+      && Bfunc.has_profile fb = had)
+
+(* sctc on a forwarder chain A -> B -> C -> D, where B and C are empty
+   jumps: blocks are visited in layout order, so A is retargeted past B
+   to C while C still forwards, then B past C to D. *)
+let test_sctc_forwarder_chain () =
+  let cfi_entry = Types.initial_cfi_state in
+  let fb = Bfunc.create ~name:"chain" ~addr:0x1000 ~size:40 in
+  let body = [ Bfunc.mk (Bolt_isa.Insn.Mov_rr (Bolt_isa.Reg.r3, Bolt_isa.Reg.r4)) ] in
+  fb.blocks <-
+    [|
+      Bfunc.new_block ~off:0 ~cfi_entry ".LBB0" body (Bfunc.T_jump 1);
+      Bfunc.new_block ~off:10 ~cfi_entry ".LBB10" [] (Bfunc.T_jump 2);
+      Bfunc.new_block ~off:20 ~cfi_entry ".LBB20" [] (Bfunc.T_jump 3);
+      Bfunc.new_block ~off:30 ~cfi_entry ".LBB30" body Bfunc.T_stop;
+    |];
+  fb.layout <- [| 0; 1; 2; 3 |];
+  Array.iteri (fun i (b : Bfunc.bb) -> if i < 3 then Bfunc.add_edge_count b (i + 1) 5 0) fb.blocks;
+  let sh = Bolt_core.Context.new_shard () in
+  Bolt_core.Passes_simple.sctc_fn (Lazy.force dummy_ctx) sh fb;
+  Alcotest.(check int) "simplified" 2
+    (Bolt_obs.Metrics.counter sh.Bolt_core.Context.sh_stats "pass.sctc.simplified");
+  Alcotest.(check (list string)) "terminators"
+    [ "jump .LBB20"; "jump .LBB30"; "jump .LBB30"; "stop" ]
+    (Array.to_list
+       (Array.map (fun (b : Bfunc.bb) -> Fmt.str "%a" (Bfunc.pp_term fb) b.term) fb.blocks));
+  Alcotest.(check (list (pair int int))) "A's edges" [ (2, 5); (1, 5) ]
+    (List.map (fun (e : Bfunc.edge) -> (e.dst, e.count)) fb.blocks.(0).out)
 
 (* Every function of a real binary: its CFG built from fresh state by
    [Build.build_function] and by [Oracle.Build.build_function] (labels,
@@ -311,14 +491,7 @@ let check_against_oracles what exe prof =
         cold := !cold + List.length frags - 1
       end
       else
-        let body =
-          List.map
-            (fun (i : Bfunc.minsn) ->
-              match i.lp with
-              | Some pad -> Bolt_asm.Asm.A_insn_lp (i.op, pad)
-              | None -> Bolt_asm.Asm.A_insn i.op)
-            fb.raw_insns
-        in
+        let body = List.map (fun (i : Bfunc.minsn) -> Bolt_asm.Asm.A_insn i.op) fb.raw_insns in
         let af =
           { Bolt_asm.Asm.af_name = fb.fb_name; af_global = true; af_align = 1;
             af_emit_fde = false; af_body = body }
@@ -360,7 +533,12 @@ let suite =
     Alcotest.test_case "dyno-empty" `Quick test_dyno_stats_zero_on_empty_profile;
     Alcotest.test_case "report-bad-layout" `Quick test_report_bad_layout_detects;
     Alcotest.test_case "sctc-safe" `Quick test_sctc_straightens_jump_chains;
+    Alcotest.test_case "sctc-forwarder-chain" `Quick test_sctc_forwarder_chain;
     Alcotest.test_case "oracles-built" `Quick test_oracles_built;
     QCheck_alcotest.to_alcotest ~speed_level:`Quick
       ~rand:(Random.State.make [| 2019 |]) prop_emit;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 2019 |]) prop_projection;
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 2019 |]) prop_uce;
   ]

@@ -452,10 +452,12 @@ let layout_eval_failure_skips_dyno () =
     "executed instructions" true
     (dyno.B.Dyno_stats.executed_instructions > 0);
   (* a profiled function whose layout names a block it does not have
-     fails the layout evaluation *)
+     (an id past its block table) fails the layout evaluation *)
   (match List.filter B.Bfunc.has_profile (B.Context.simple_funcs ctx) with
   | [] -> Alcotest.fail "no profiled function in base workload"
-  | fb :: _ -> fb.B.Bfunc.layout <- fb.B.Bfunc.layout @ [ "no-such-block" ]);
+  | fb :: _ ->
+      fb.B.Bfunc.layout <-
+        Array.append fb.B.Bfunc.layout [| Array.length fb.B.Bfunc.blocks |]);
   let rows, dyno = B.Bolt.eval_state env "-after" in
   Alcotest.(check int) "no layout rows" 0 (List.length rows);
   Alcotest.(check (list (pair string int)))
@@ -475,6 +477,63 @@ let layout_eval_failure_skips_dyno () =
         true
         (Test_monitor.contains r.d_msg "no layout evaluation")
   | l -> Alcotest.failf "%d dyno-stats errors" (List.length l)
+
+(* An exception-table entry whose pad lies past its function's end (a
+   malformed LSDA).  CFG construction gives the calls it covers the pad id
+   -1, an id outside the block table: the function stays simple, and the
+   rewrite drops that range and keeps the other. *)
+let lsda_pad_outside () =
+  let src =
+    {| fn risky(x) { if (x % 97 == 13) { throw x; } return x * 2; }
+       fn main() {
+         var i = 0;
+         var s = 0;
+         while (i < 2000) {
+           try { s = s + risky(i); } catch (e) { s = s - e; }
+           try { s = s + risky(i + 1); } catch (e) { s = s + e; }
+           i = i + 1;
+         }
+         out s;
+         return 0;
+       } |}
+  in
+  let exe = Test_bolt_core.compile [ ("m", src) ] in
+  let prof = Test_bolt_core.profile_of exe ~input:[||] in
+  let size =
+    (Option.get (Objfile.find_symbol exe "main")).Types.sym_size
+  in
+  let bad =
+    {
+      exe with
+      Objfile.lsdas =
+        List.map
+          (fun (l : Types.lsda) ->
+            if l.lsda_func <> "main" then l
+            else
+              match l.lsda_entries with
+              | e :: rest ->
+                  { l with lsda_entries = { e with Types.lsda_pad = size + 64 } :: rest }
+              | [] -> Alcotest.fail "main has no exception table entries")
+          exe.Objfile.lsdas;
+    }
+  in
+  let ctx = Test_bolt_core.build_ctx bad in
+  let fb = Option.get (Bolt_core.Context.func ctx "main") in
+  Alcotest.(check bool) "main stays simple" true fb.Bolt_core.Bfunc.simple;
+  Alcotest.(check bool) "a call covered by pad -1" true
+    (Array.exists
+       (fun (b : Bolt_core.Bfunc.bb) ->
+         List.exists (fun (i : Bolt_core.Bfunc.minsn) -> i.lp = Some (-1)) b.insns)
+       fb.blocks);
+  let entries exe =
+    let out, report = Bolt_core.Bolt.optimize exe prof in
+    Alcotest.(check int) "no quarantine" 0 (List.length report.Bolt_core.Bolt.r_quarantined);
+    List.concat_map
+      (fun (l : Types.lsda) -> if l.lsda_func = "main" then l.lsda_entries else [])
+      out.Objfile.lsdas
+  in
+  Alcotest.(check int) "good input: two ranges" 2 (List.length (entries exe));
+  Alcotest.(check int) "the outside pad's range dropped" 1 (List.length (entries bad))
 
 let clean_input_unaffected () =
   (* the hardening must not change what BOLT does to a healthy input:
@@ -535,6 +594,7 @@ let suite =
         quarantine_limit_enforced;
       Alcotest.test_case "strict-demotion-fatal" `Slow strict_turns_demotion_fatal;
       Alcotest.test_case "clean-input-unaffected" `Slow clean_input_unaffected;
+      Alcotest.test_case "lsda-pad-outside" `Slow lsda_pad_outside;
       Alcotest.test_case "layout-eval-failure-skips-dyno" `Slow
         layout_eval_failure_skips_dyno;
     ]

@@ -452,7 +452,7 @@ let check_monotone name ctx =
   let checked = ref 0 in
   List.iter
     (fun fb ->
-      if Bolt_core.Bfunc.has_profile fb && Hashtbl.length fb.Bolt_core.Bfunc.blocks > 1
+      if Bolt_core.Bfunc.has_profile fb && Array.length fb.Bolt_core.Bfunc.layout > 1
       then begin
         incr checked;
         let cfg = Layout_bbs.cfg_of_fn fb in

@@ -189,11 +189,9 @@ let gen_fn =
   let* nb = int_range 1 6 in
   let* sizes = list_repeat nb (int_range 1 12) in
   let* first = frequency [ (4, return 0); (1, return 1) ] in
-  let offs = starts first sizes in
-  let label k = lbl (List.nth offs k) in
-  let any = map label (int_bound (nb - 1)) in
+  let any = int_bound (nb - 1) in
   let term k =
-    let next = if k + 1 < nb then label (k + 1) else label k in
+    let next = if k + 1 < nb then k + 1 else k in
     frequency
       [
         (4, map (fun t -> Bfunc.T_cond (Bolt_isa.Cond.Eq, t, next)) any);
@@ -311,18 +309,16 @@ let context_of fns =
       let fb = Bfunc.create ~name ~addr ~size:(fn_size f) in
       if not f.fs_simple then Bfunc.mark_non_simple fb "generated";
       let offs = starts f.fs_first (List.map fst f.fs_blocks) in
-      List.iter2
-        (fun off (_, term) ->
-          Bfunc.add_block fb
-            { Bfunc.bl = lbl off; b_off = off; insns = []; term; ecount = 0;
-              cfi_entry = Types.initial_cfi_state; is_lp = false })
-        offs f.fs_blocks;
-      if f.fs_synth then
-        Bfunc.add_block fb
-          { Bfunc.bl = ".Lsynth"; b_off = -1; insns = []; term = Bfunc.T_stop;
-            ecount = 0; cfi_entry = Types.initial_cfi_state; is_lp = false };
-      fb.layout <- List.map lbl offs;
-      fb.entry <- lbl f.fs_first;
+      let cfi_entry = Types.initial_cfi_state in
+      let built =
+        List.map2 (fun off (_, term) -> Bfunc.new_block ~off ~cfi_entry (lbl off) [] term)
+          offs f.fs_blocks
+      in
+      let synth =
+        if f.fs_synth then [ Bfunc.new_block ~cfi_entry ".Lsynth" [] Bfunc.T_stop ] else []
+      in
+      fb.blocks <- Array.of_list (built @ synth);
+      fb.layout <- Array.init (List.length built) Fun.id;
       Hashtbl.replace ctx.Ctx.funcs name fb)
     (List.combine fns addrs);
   Ctx.set_order ctx (List.mapi (fun i _ -> Printf.sprintf "f%d" i) fns);
@@ -358,8 +354,75 @@ let test_call_weights_saturate () =
   in
   Alcotest.(check int) "non-LBR: weight" max_int (CG.weight g "f0" "f1")
 
+(* finalize's non-LBR split of a count near [max_int]: every function
+   finalizes, nothing raises, and each share stays within [0, the
+   block's count].  Each block of f0..f2 holds one sample of [max_int];
+   block 0 branches to blocks 2 and 1, whose weights (count + 1) would
+   each wrap to [min_int] and their total to 0 in plain arithmetic. *)
+let test_sample_split_saturates () =
+  let fn =
+    { fs_simple = true; fs_first = 0;
+      fs_blocks =
+        [ (8, Bfunc.T_cond (Bolt_isa.Cond.Eq, 2, 1)); (8, Bfunc.T_jump 2); (8, Bfunc.T_stop) ];
+      fs_synth = false; fs_slack = 0; fs_folded = false }
+  in
+  let fns = [ fn; fn; fn ] in
+  let ctx = context_of fns in
+  let big = Int64.of_int max_int in
+  Alcotest.(check int64) "count" 4611686018427387903L big;
+  let samples =
+    List.concat_map
+      (fun i ->
+        List.map
+          (fun off -> { F.sm_func = Printf.sprintf "f%d" i; sm_off = off; sm_count = big })
+          [ 0; 8; 16 ])
+      [ 0; 1; 2 ]
+  in
+  let prof = { F.empty with F.lbr = false; samples } in
+  ignore (Bolt_core.Match_profile.attach ctx prof);
+  Bolt_core.Match_profile.finalize ctx ~lbr:false ~trust_fallthrough:true;
+  List.iter
+    (fun (fb : Bfunc.t) ->
+      let b0 = fb.blocks.(0) and b1 = fb.blocks.(1) in
+      Alcotest.(check int) (fb.fb_name ^ ": entry count") max_int fb.exec_count;
+      List.iter
+        (fun d ->
+          let e = Bfunc.edge_count b0 d in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: share 0 -> %d within [0, %d]" fb.fb_name d b0.ecount)
+            true
+            (e >= 0 && e <= b0.ecount))
+        [ 1; 2 ];
+      Alcotest.(check int) (fb.fb_name ^ ": 1 -> 2") b1.ecount (Bfunc.edge_count b1 2))
+    (Ctx.all_funcs ctx)
+
+(* hfsort+ merges the heaviest cluster pair first.  Two [Int64.max_int]
+   calls a -> b and one b -> a saturate the pair's weight at [max_int]
+   (a plain sum wraps it to -2, and the pair merged last, after a -> c
+   of count 1), and the merged cluster's sample weight saturates too
+   (a plain sum wraps it negative, so b would lead the merge).  Each
+   function is 3,000 bytes, so C3 merges nothing first. *)
+let test_hfsort_plus_saturates () =
+  let call from_ to_ count =
+    { F.br_from_func = from_; br_from_off = 0; br_to_func = to_; br_to_off = 0;
+      br_count = count; br_mispreds = 0L }
+  in
+  let max = Int64.max_int in
+  let prof =
+    { F.empty with
+      F.lbr = true;
+      branches = [ call "a" "b" max; call "a" "b" max; call "b" "a" max; call "a" "c" 1L ];
+      samples = [ { F.sm_func = "c"; sm_off = 0; sm_count = 10L } ] }
+  in
+  let funcs = [ ("a", 3000); ("b", 3000); ("c", 3000) ] in
+  let original = List.map fst funcs in
+  let order = O.order O.Hfsort_plus (CG.of_profile ~funcs prof) ~original in
+  Alcotest.(check (list string)) "a and b merge first" [ "a"; "b"; "c" ] order;
+  Alcotest.(check (list string)) "oracle agrees" order
+    (Oracle.Order.order O.Hfsort_plus (Oracle.Callgraph.of_profile ~funcs prof) ~original)
+
 (* Everything attach and finalize leave on the functions: entry counts,
-   edge counts with their insertion order, block counts, profile
+   each block's out-edges in their order, block counts, profile
    accuracy; then the diagnostics in order. *)
 let cfg_state ctx =
   ( List.map
@@ -367,8 +430,12 @@ let cfg_state ctx =
         ( fb.fb_name,
           fb.exec_count,
           fb.profile_acc,
-          Hashtbl.fold (fun k (c, m) acc -> (k, !c, !m) :: acc) fb.edge_counts [],
-          List.sort compare (Hashtbl.fold (fun l b acc -> (l, b.Bfunc.ecount) :: acc) fb.blocks []) ))
+          Array.map
+            (fun (b : Bfunc.bb) ->
+              ( b.bl,
+                b.ecount,
+                List.map (fun (e : Bfunc.edge) -> (e.dst, e.count, e.mispreds)) b.out ))
+            fb.blocks ))
       (Ctx.all_funcs ctx),
     Bolt_core.Diag.records ctx.Ctx.diag,
     Bolt_core.Diag.total ctx.Ctx.diag )
@@ -412,8 +479,9 @@ let prop_profile_view =
       let sa = Oracle.Match_profile.attach a prof in
       let sb = Bolt_core.Match_profile.attach b prof in
       let attached = cfg_state a = cfg_state b in
-      (* finalize can raise (its non-LBR split divides by a sum that
-         wraps near [max_int]); it must do so on both *)
+      (* finalize must end alike on both, raising or not; its non-LBR
+         split saturates, so counts near [max_int] cannot make it divide
+         by zero *)
       let finalize ctx =
         match Bolt_core.Match_profile.finalize ctx ~lbr:prof.Fdata.lbr ~trust_fallthrough with
         | () -> None
@@ -463,6 +531,8 @@ let suite =
     Alcotest.test_case "callgraph-lbr" `Quick test_callgraph_from_profile;
     Alcotest.test_case "callgraph-non-lbr" `Quick test_non_lbr_callgraph;
     Alcotest.test_case "call weights saturate" `Quick test_call_weights_saturate;
+    Alcotest.test_case "sample split saturates" `Quick test_sample_split_saturates;
+    Alcotest.test_case "hfsort+ sums saturate" `Quick test_hfsort_plus_saturates;
     QCheck_alcotest.to_alcotest order_is_permutation;
     QCheck_alcotest.to_alcotest ~speed_level:`Quick
       ~rand:(Random.State.make [| 2019 |]) prop_profile_view;
