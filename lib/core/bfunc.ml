@@ -74,6 +74,7 @@ type jt = {
 }
 
 type t = {
+  mutable fb_id : int; (* index in [Context.funcs]; -1 until discovery *)
   fb_name : string;
   fb_addr : int;
   fb_size : int;
@@ -92,10 +93,14 @@ type t = {
       (* the body contains an indirect jump whose table could not be
          recovered: the cells (absolute or PIC) still aim at the original
          body, so the function must not be moved *)
+  mutable touched : bool;
+      (* modified by the pass running now; set by whoever owns the
+         function (its visitor), counted and cleared by [Passman.stage] *)
 }
 
 let create ~name ~addr ~size =
   {
+    fb_id = -1;
     fb_name = name;
     fb_addr = addr;
     fb_size = size;
@@ -111,6 +116,7 @@ let create ~name ~addr ~size =
     raw_insns = [];
     next_label = 0;
     table_unrecovered = false;
+    touched = false;
   }
 
 let fresh_label f prefix =
@@ -188,8 +194,8 @@ let find_edge (b : bb) dst = List.find_opt (fun e -> e.dst = dst) b.out
 let add_edge_count (b : bb) dst count mispreds =
   match find_edge b dst with
   | Some e ->
-      e.count <- e.count + count;
-      e.mispreds <- e.mispreds + mispreds
+      e.count <- Bolt_profile.Fdata.sat_add_int e.count count;
+      e.mispreds <- Bolt_profile.Fdata.sat_add_int e.mispreds mispreds
   | None -> b.out <- { dst; count; mispreds } :: b.out
 
 let set_edge_count (b : bb) dst count =

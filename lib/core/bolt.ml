@@ -154,7 +154,7 @@ let optimize ?(opts = Opts.default) ?obs (exe : Bolt_obj.Objfile.t)
   let stale_records = stat "profile.stale_records" in
   ( rw.Rewrite.out,
     {
-      r_funcs = List.length ctx.Context.order;
+      r_funcs = Array.length ctx.Context.funcs;
       r_simple = List.length (Context.simple_funcs ctx);
       r_icf_folded = stat "pass.icf.folded";
       r_icf_bytes = stat "pass.icf.bytes_saved";

@@ -425,7 +425,7 @@ let build_function ctx (fb : Bfunc.t) =
 let discover ctx =
   let exe = ctx.Context.exe in
   let seen = Hashtbl.create 256 in
-  let order = ref [] in
+  let found = ref [] in
   let text = ctx.Context.text in
   let text_end = text.sec_addr + text.sec_size in
   let add name addr size =
@@ -448,9 +448,8 @@ let discover ctx =
         else size
       in
       if size > 0 && not (Hashtbl.mem seen addr) then begin
-        Hashtbl.replace seen addr name;
-        Hashtbl.replace ctx.Context.funcs name (Bfunc.create ~name ~addr ~size);
-        order := (addr, name) :: !order
+        Hashtbl.replace seen addr ();
+        found := Bfunc.create ~name ~addr ~size :: !found
       end
     end
   in
@@ -477,7 +476,10 @@ let discover ctx =
            else Printf.sprintf "__unknown_%x" f.fde_addr)
           f.fde_addr f.fde_size)
     exe.fdes;
-  Context.set_order ctx (List.sort compare !order |> List.map snd)
+  (* ids in address order; no two functions share a start *)
+  Context.set_funcs ctx
+    (Array.of_list
+       (List.sort (fun (a : Bfunc.t) b -> compare a.fb_addr b.fb_addr) !found))
 
 (* The build-cfg pass's visitor: build one function's CFG, parking
    any failure diagnostic on the worker's shard.  CFG construction must

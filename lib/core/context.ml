@@ -5,22 +5,26 @@ open Bolt_obj
 
 module Names = Hashtbl.Make (String)
 
+(* A PLT stub: the GOT slot its indirect jump reads, and the function
+   that slot points at when it resolves to one. *)
+type stub = { slot : int; target : string option }
+
 type t = {
   exe : Objfile.t;
   meta : Objfile.Index.t; (* [exe]'s FDEs, line tables and LSDAs by start *)
   opts : Opts.t;
-  funcs : (string, Bfunc.t) Hashtbl.t;
-  mutable order : string list; (* functions by original address *)
-  mutable rank : int Names.t;
-      (* name -> index in [order]; both set by [set_order] *)
+  mutable funcs : Bfunc.t array;
+      (* the discovered functions in address order: a function's index is
+         its id ([Bfunc.fb_id]); both set by [set_funcs] *)
+  mutable ids : int Names.t; (* function name -> id *)
   text : Types.section;
   plt : Types.section option;
   rodata : Types.section option;
   got : Types.section option;
   relocations_mode : bool;
   syms : Symtab.t; (* [exe]'s functions by address *)
-  plt_target : (string, string) Hashtbl.t; (* stub symbol -> target function *)
-  mutable func_layout : (string list * string list) option; (* hot, cold order *)
+  stubs : (string, stub) Hashtbl.t; (* PLT stub symbol -> its slot and target *)
+  mutable func_layout : (int list * int list) option; (* hot, cold order by id *)
   mutable profile : Profile_view.t option;
       (* the profile as match-profile resolved it; [None] before it runs *)
   mutable log : string list; (* pass log, newest first *)
@@ -29,19 +33,11 @@ type t = {
   stats : Bolt_obs.Metrics.t;
       (* always-on run statistics the final report is built from; the
          (possibly disabled) [obs] registry mirrors it for manifests *)
-  touched : (string, unit) Hashtbl.t; (* functions modified by the current pass *)
-  m : Mutex.t; (* guards [log] and [touched] under parallel passes *)
+  m : Mutex.t; (* guards [log] under parallel passes *)
 }
 
 let logf ctx fmt =
   Fmt.kstr (fun s -> Mutex.protect ctx.m (fun () -> ctx.log <- s :: ctx.log)) fmt
-
-(* Mark [name] as modified by the pass currently running; the per-pass
-   span reads (and resets) the set to report functions-touched counts.
-   Safe to call from worker domains, but parallel passes should prefer
-   [sh_touch] on their shard — uncontended, merged at join. *)
-let touch ctx name =
-  Mutex.protect ctx.m (fun () -> Hashtbl.replace ctx.touched name ())
 
 exception Bolt_error of string
 
@@ -78,50 +74,53 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
     | Some b -> b
     | None -> exe.relocs <> []
   in
-  (* resolve PLT stubs through their GOT slots *)
-  let plt_target = Hashtbl.create 16 in
   let ctx =
     {
       exe;
       meta = Objfile.Index.create exe;
       opts;
-      funcs = Hashtbl.create 256;
-      order = [];
-      rank = Names.create 1;
+      funcs = [||];
+      ids = Names.create 1;
       text;
       plt;
       rodata;
       got;
       relocations_mode;
       syms = Symtab.create exe.symbols;
-      plt_target;
+      stubs = Hashtbl.create 16;
       func_layout = None;
       profile = None;
       log = [];
       diag = Diag.create ();
       obs;
       stats = Bolt_obs.Metrics.create ();
-      touched = Hashtbl.create 64;
       m = Mutex.create ();
     }
   in
+  (* the one scan of the PLT: each stub's GOT slot, resolved to the
+     function it points at *)
   (match plt with
   | Some p ->
       List.iter
         (fun (s : Types.symbol) ->
           if s.sym_section = ".plt" && s.sym_kind = Types.Func then
             match Bolt_isa.Codec.decode p.sec_data (s.sym_value - p.sec_addr) with
-            | Bolt_isa.Insn.Jmp_mem (Bolt_isa.Insn.Imm slot), _ -> (
-                match section_value ctx ctx.got slot with
-                | Some target -> (
-                    match Symtab.at ctx.syms target with
-                    | Some f -> Hashtbl.replace plt_target s.sym_name f.Types.sym_name
-                    | None ->
-                        Diag.warnf ctx.diag ~stage:"plt-scan" ~func:s.sym_name
-                          "GOT slot %#x does not point at a function entry" slot)
-                | None ->
-                    Diag.warnf ctx.diag ~stage:"plt-scan" ~func:s.sym_name
-                      "GOT slot %#x out of range" slot)
+            | Bolt_isa.Insn.Jmp_mem (Bolt_isa.Insn.Imm slot), _ ->
+                let target =
+                  match section_value ctx ctx.got slot with
+                  | Some target -> (
+                      match Symtab.at ctx.syms target with
+                      | Some f -> Some f.Types.sym_name
+                      | None ->
+                          Diag.warnf ctx.diag ~stage:"plt-scan" ~func:s.sym_name
+                            "GOT slot %#x does not point at a function entry" slot;
+                          None)
+                  | None ->
+                      Diag.warnf ctx.diag ~stage:"plt-scan" ~func:s.sym_name
+                        "GOT slot %#x out of range" slot;
+                      None
+                in
+                Hashtbl.replace ctx.stubs s.sym_name { slot; target }
             | _ ->
                 Diag.warnf ctx.diag ~stage:"plt-scan" ~func:s.sym_name
                   "PLT stub is not a GOT-indirect jump; left unresolved"
@@ -133,43 +132,46 @@ let create ~(opts : Opts.t) ?obs (exe : Objfile.t) : t =
   | None -> ());
   ctx
 
-let func ctx name = Hashtbl.find_opt ctx.funcs name
+(* The function a PLT stub jumps to, when its GOT slot resolved. *)
+let plt_target ctx stub =
+  match Hashtbl.find_opt ctx.stubs stub with
+  | Some { target; _ } -> target
+  | None -> None
 
-let iter_funcs ctx g =
-  List.iter (fun name -> g (Hashtbl.find ctx.funcs name)) ctx.order
+(* Install the discovered functions, in address order: each one's index
+   becomes its id, and its name maps to it. *)
+let set_funcs ctx (funcs : Bfunc.t array) =
+  let ids = Names.create (2 * Array.length funcs + 1) in
+  Array.iteri
+    (fun i (f : Bfunc.t) ->
+      f.fb_id <- i;
+      Names.replace ids f.fb_name i)
+    funcs;
+  ctx.funcs <- funcs;
+  ctx.ids <- ids
 
-let all_funcs ctx = List.map (fun name -> Hashtbl.find ctx.funcs name) ctx.order
+(* The id of the function named [name]; -1 for a name that is not one. *)
+let id ctx name = Option.value ~default:(-1) (Names.find_opt ctx.ids name)
+
+let func ctx name = Option.map (Array.get ctx.funcs) (Names.find_opt ctx.ids name)
+let iter_funcs ctx g = Array.iter g ctx.funcs
+let all_funcs ctx = Array.to_list ctx.funcs
 
 let simple_funcs ctx =
-  List.filter_map
-    (fun name ->
-      let f = Hashtbl.find ctx.funcs name in
-      if f.Bfunc.simple && f.Bfunc.folded_into = None then Some f else None)
-    ctx.order
-
-(* Fix the function order, and the rank table [order_rank] reads. *)
-let set_order ctx names =
-  let tbl = Names.create 256 in
-  List.iteri (fun i n -> Names.replace tbl n i) names;
-  ctx.order <- names;
-  ctx.rank <- tbl
-
-(* Rank of a function name in the original address order; [max_int] for
-   names outside it.  Used to fold per-domain results deterministically. *)
-let order_rank ctx n =
-  match Names.find ctx.rank n with i -> i | exception Not_found -> max_int
+  List.filter
+    (fun (f : Bfunc.t) -> f.simple && f.folded_into = None)
+    (all_funcs ctx)
 
 (* ---- per-domain shards ----
 
    A parallel pass hands each worker domain a private shard; workers
-   record metrics, touched functions, diagnostics and quarantine verdicts
-   there without synchronization.  At pool join the shards are folded
-   back into the context in stable function order, so the visible result
-   is independent of how items were scheduled across domains. *)
+   record metrics, diagnostics and quarantine verdicts there without
+   synchronization.  At pool join the shards are folded back into the
+   context in stable function order, so the visible result is
+   independent of how items were scheduled across domains. *)
 
 type shard = {
   sh_stats : Bolt_obs.Metrics.t; (* merged into the pass registry at join *)
-  sh_touched : (string, unit) Hashtbl.t;
   mutable sh_verdicts : (Bfunc.t * string) list; (* demoted function, reason *)
   mutable sh_diags : (Diag.severity * string * string option * string) list;
       (* severity, stage, func, message *)
@@ -179,24 +181,23 @@ type shard = {
 let new_shard () =
   {
     sh_stats = Bolt_obs.Metrics.create ();
-    sh_touched = Hashtbl.create 64;
     sh_verdicts = [];
     sh_diags = [];
     sh_times = [];
   }
 
-let sh_touch sh (fb : Bfunc.t) = Hashtbl.replace sh.sh_touched fb.Bfunc.fb_name ()
 let sh_incr sh ?by name = Bolt_obs.Metrics.incr sh.sh_stats ?by name
 
 let sh_diag sh severity ~stage ?func fmt =
   Fmt.kstr (fun msg -> sh.sh_diags <- (severity, stage, func, msg) :: sh.sh_diags) fmt
 
-(* Replay shard diagnostics into [ctx.diag], sorted by function rank
-   (then stage/severity/message) so the record order matches what a
-   sequential run in address order would have produced. *)
+(* Replay shard diagnostics into [ctx.diag], sorted by function id
+   (then stage/message; a record naming no function last) so the record
+   order matches what a sequential run in address order would have
+   produced. *)
 let apply_shard_diags ctx shards =
   if List.exists (fun sh -> sh.sh_diags <> []) shards then
-    let rank = order_rank ctx in
+    let rank n = match id ctx n with -1 -> max_int | i -> i in
     shards
     |> List.concat_map (fun sh -> List.rev sh.sh_diags)
     |> List.map (fun ((_sev, stage, func, msg) as d) ->

@@ -96,7 +96,7 @@ let frame_opts_fn _ctx sh (fb : Bfunc.t) =
           if (not (Reg.equal r Reg.fp)) && not (Dataflow.references_reg fb r) then begin
             remove_save fb r plan;
             Context.sh_incr sh "pass.frame-opts.saves_removed";
-            Context.sh_touch sh fb
+            fb.touched <- true
           end)
         plan.saves
 
@@ -166,7 +166,7 @@ let shrink_wrapping_fn _ctx sh (fb : Bfunc.t) =
                         in
                         b.insns <- push :: insert_pop [] b.insns;
                         Context.sh_incr sh "pass.shrink-wrapping.moved";
-                        Context.sh_touch sh fb
+                        fb.touched <- true
                     | _ -> ()
                   end)
               | _ -> ())

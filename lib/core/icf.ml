@@ -149,14 +149,7 @@ let run ctx =
   in
   (* bodies do not change between rounds, so shapes are computed once;
      candidates stay in address order *)
-  let shaped =
-    List.filter_map
-      (fun n ->
-        match Context.func ctx n with
-        | Some fb when fb.Bfunc.folded_into = None && fb.simple -> Some (fb, shape fb)
-        | _ -> None)
-      ctx.Context.order
-  in
+  let shaped = List.map (fun fb -> (fb, shape fb)) (Context.simple_funcs ctx) in
   let bucket = Hashtbl.create 256 in
   List.iter
     (fun (_, h) ->
@@ -173,18 +166,16 @@ let run ctx =
         if fb.Bfunc.folded_into = None then begin
           let key = normalize canon fb in
           match Hashtbl.find_opt seen key with
-          | Some survivor when survivor <> fb.fb_name ->
-              fb.folded_into <- Some survivor;
-              Hashtbl.replace canon_map fb.fb_name survivor;
-              (match Context.func ctx survivor with
-              | Some sf -> sf.exec_count <- sf.exec_count + fb.exec_count
-              | None -> ());
+          | Some (sf : Bfunc.t) when sf != fb ->
+              fb.folded_into <- Some sf.fb_name;
+              Hashtbl.replace canon_map fb.fb_name sf.fb_name;
+              sf.exec_count <- sf.exec_count + fb.exec_count;
               incr folded_now;
               bytes_saved := !bytes_saved + fb.fb_size;
-              Context.touch ctx fb.fb_name;
-              Context.touch ctx survivor
+              fb.touched <- true;
+              sf.touched <- true
           | Some _ -> ()
-          | None -> Hashtbl.add seen key fb.fb_name
+          | None -> Hashtbl.add seen key fb
         end)
       candidates;
     !folded_now

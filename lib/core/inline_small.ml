@@ -47,8 +47,9 @@ let eligible_body (fb : Bfunc.t) ~size_limit =
 (* Largest body, in bytes, worth inlining. *)
 let size_limit = 32
 
-let run ctx =
-  let inlined = ref 0 in
+(* The pass: its prelude collects the eligible bodies from every
+   function; the visitor splices them over [fb]'s profiled call sites. *)
+let inline_fn ctx =
   let bodies = Hashtbl.create 32 in
   Context.iter_funcs ctx (fun fb ->
       if fb.folded_into = None then
@@ -59,28 +60,21 @@ let run ctx =
      left for BOLT is mostly cross-module calls behind PLT stubs — the
      "cross-module nature" opportunity the paper credits BOLT's inliner
      with.  Resolve stubs to their final targets here. *)
-  let resolve callee =
-    match Hashtbl.find_opt ctx.Context.plt_target callee with
-    | Some t -> t
-    | None -> callee
-  in
-  Quarantine.iter_simple ctx ~stage:"inline-small"
-    (fun fb ->
-      iter_layout fb (fun _ b ->
-          if b.ecount > 0 then
-            b.insns <-
-              List.concat_map
-                (fun (i : minsn) ->
-                  match i.op with
-                  | Insn.Call (Insn.Sym (callee, 0))
-                    when resolve callee <> fb.fb_name
-                         && Hashtbl.mem bodies (resolve callee) ->
-                      incr inlined;
-                      Context.touch ctx fb.fb_name;
-                      List.map
-                        (fun (bi : minsn) -> { bi with m_off = -1; loc = bi.loc })
-                        (Hashtbl.find bodies (resolve callee))
-                  | _ -> [ i ])
-                b.insns));
-  Context.logf ctx "inline-small: %d call sites inlined" !inlined;
-  !inlined
+  let resolve callee = Option.value ~default:callee (Context.plt_target ctx callee) in
+  fun sh (fb : Bfunc.t) ->
+    iter_layout fb (fun _ b ->
+        if b.ecount > 0 then
+          b.insns <-
+            List.concat_map
+              (fun (i : minsn) ->
+                match i.op with
+                | Insn.Call (Insn.Sym (callee, 0))
+                  when resolve callee <> fb.fb_name
+                       && Hashtbl.mem bodies (resolve callee) ->
+                    Context.sh_incr sh "pass.inline-small.inlined";
+                    fb.touched <- true;
+                    List.map
+                      (fun (bi : minsn) -> { bi with m_off = -1; loc = bi.loc })
+                      (Hashtbl.find bodies (resolve callee))
+                | _ -> [ i ])
+              b.insns)

@@ -90,7 +90,7 @@ let reorder_fn ctx sh (fb : Bfunc.t) =
     let order = Engine.order (engine_algo algo) cfg in
     fb.layout <- Array.map (fun i -> fb.layout.(i)) order;
     Context.sh_incr sh "pass.reorder-bbs.reordered";
-    Context.sh_touch sh fb
+    fb.touched <- true
   end
 
 (* ---- offline evaluation ---- *)
@@ -123,7 +123,7 @@ let split_fn ctx sh (fb : Bfunc.t) =
           if cold l then begin
             b.cold <- true;
             Context.sh_incr sh "pass.split-functions.blocks_split";
-            Context.sh_touch sh fb
+            fb.touched <- true
           end);
       (* a cold block that can fall into a hot one needs a jump; the
          emitter handles that, but keep cold blocks grouped at the end

@@ -26,19 +26,14 @@ type stats = {
   mutable unknown_funcs : int;
 }
 
-(* A record's function, as an index into [Context.order]; -1 for a name
-   that is not a function of the binary. *)
-let index ctx name =
-  match Context.Names.find ctx.Context.rank name with
-  | i -> i
-  | exception Not_found -> -1
-
 (* One pass over the records: attach them to the CFGs, and build the
    context's profile view from the same lookups. *)
 let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
   (* profile counts are saturating int64; CFG machinery runs on native
-     ints, so clamp at the boundary *)
+     ints, so clamp at the boundary, and sum saturating *)
   let c64 = Bolt_profile.Fdata.clamp_int in
+  let sat = Bolt_profile.Fdata.sat_add_int in
+  let funcs = ctx.Context.funcs in
   let st =
     {
       matched_branches = 0;
@@ -80,12 +75,12 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
     st.unmatched_count <- st.unmatched_count + count
   in
   let in_bounds fb off = off >= 0 && off < fb.fb_size in
-  let v = Profile_view.create (Array.of_list (Context.all_funcs ctx)) in
+  let v = Profile_view.create (Array.length funcs) in
   ctx.Context.profile <- Some v;
   (* 1. taken-branch records -> edges; call records -> entry counts *)
   List.iter
     (fun (b : Bolt_profile.Fdata.branch) ->
-      let fi = index ctx b.br_from_func in
+      let fi = Context.id ctx b.br_from_func in
       let count = c64 b.br_count in
       if fi >= 0 then Profile_view.add_events v fi count;
       if String.equal b.br_from_func b.br_to_func then begin
@@ -94,7 +89,7 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
           unmatched count
         end
         else
-          let fb = v.funcs.(fi) in
+          let fb = funcs.(fi) in
           if not fb.simple then ()
           else if not (in_bounds fb b.br_from_off) then begin
             stale fb "branch source" b.br_from_off;
@@ -117,10 +112,10 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
       end
       else if b.br_to_off = 0 then begin
         (* a call (or tail transfer) into the target's entry *)
-        let ti = index ctx b.br_to_func in
+        let ti = Context.id ctx b.br_to_func in
         if ti >= 0 then begin
-          let fb = v.funcs.(ti) in
-          fb.exec_count <- fb.exec_count + count
+          let fb = funcs.(ti) in
+          fb.exec_count <- sat fb.exec_count count
         end
         else note_unknown b.br_to_func;
         if fi >= 0 then Profile_view.add_call v ~caller:fi ~callee:ti b count
@@ -129,12 +124,12 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
   (* 2. fall-through ranges: block counts + non-taken edge counts *)
   List.iter
     (fun (r : Bolt_profile.Fdata.range) ->
-      let i = index ctx r.rg_func in
+      let i = Context.id ctx r.rg_func in
       if i < 0 then note_unknown r.rg_func
       else begin
         let count = c64 r.rg_count in
         Profile_view.add_events v i count;
-        let fb = v.funcs.(i) in
+        let fb = funcs.(i) in
         if not fb.simple then ()
         else if not (in_bounds fb r.rg_start) then stale fb "range start" r.rg_start
         else begin
@@ -152,7 +147,7 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
                | T_cond (_, _, fall) when fall = k + 1 -> add_edge_count a fall count 0
                | T_jump t when t = k + 1 -> add_edge_count a t count 0
                | _ -> ());
-            a.ecount <- a.ecount + count
+            a.ecount <- sat a.ecount count
           done
         end
       end)
@@ -160,18 +155,18 @@ let attach ctx (prof : Bolt_profile.Fdata.t) : stats =
   (* 3. non-LBR: block counts from IP samples *)
   List.iter
     (fun (s : Bolt_profile.Fdata.sample) ->
-      let i = index ctx s.sm_func in
+      let i = Context.id ctx s.sm_func in
       let count = c64 s.sm_count in
       if i >= 0 then Profile_view.add_events v i count;
       if not prof.lbr then
         if i < 0 then note_unknown s.sm_func
         else
-          let fb = v.funcs.(i) in
-          if not fb.simple then fb.exec_count <- fb.exec_count + count
+          let fb = funcs.(i) in
+          if not fb.simple then fb.exec_count <- sat fb.exec_count count
           else if not (in_bounds fb s.sm_off) then stale fb "sample" s.sm_off
           else
             let k = containing fb s.sm_off in
-            if k >= 0 then fb.blocks.(k).ecount <- fb.blocks.(k).ecount + count)
+            if k >= 0 then fb.blocks.(k).ecount <- sat fb.blocks.(k).ecount count)
     prof.samples;
   st.unknown_funcs <- Hashtbl.length unknown;
   st
@@ -197,8 +192,8 @@ let finalize ctx ~(lbr : bool) ~(trust_fallthrough : bool) =
         iter_layout fb (fun l b ->
             List.iter
               (fun e ->
-                outflow.(l) <- outflow.(l) + e.count;
-                inflow.(e.dst) <- inflow.(e.dst) + e.count)
+                outflow.(l) <- sat outflow.(l) e.count;
+                inflow.(e.dst) <- sat inflow.(e.dst) e.count)
               b.out);
         iter_layout fb (fun l b ->
             let cand = max b.ecount (max inflow.(l) outflow.(l)) in

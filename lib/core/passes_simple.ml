@@ -4,7 +4,8 @@
 
    Each pass is a [*_fn] visitor
    ([Context.t -> Context.shard -> Bfunc.t -> unit]) that transforms one
-   function and records counts/touches on the worker's shard.  Its
+   function, records counts on the worker's shard and sets the
+   function's [touched] flag.  Its
    [Passman] descriptor is the only way to run it: the pass manager fans
    the visitor out over domains and logs the counts.  The contract is
    that a visitor mutates nothing but its own [Bfunc.t] and shard
@@ -21,7 +22,7 @@ let strip_rep_ret_fn _ctx sh (fb : Bfunc.t) =
           if i.op = Insn.Repz_ret then begin
             i.op <- Insn.Ret;
             Context.sh_incr sh "pass.strip-rep-ret.stripped";
-            Context.sh_touch sh fb
+            fb.touched <- true
           end)
         b.insns)
 
@@ -34,7 +35,7 @@ let peepholes_fn _ctx sh (fb : Bfunc.t) =
             match i.op with
             | Insn.Mov_rr (d, s) when Reg.equal d s ->
                 Context.sh_incr sh "pass.peepholes.removed";
-                Context.sh_touch sh fb;
+                fb.touched <- true;
                 false
             | _ -> true)
           b.insns
@@ -46,7 +47,7 @@ let peepholes_fn _ctx sh (fb : Bfunc.t) =
               (* cmp r, 0 (6 bytes) -> test r, r (2 bytes) *)
               i.op <- Insn.Alu_rr (Insn.Test, r, r);
               Context.sh_incr sh "pass.peepholes.shortened";
-              Context.sh_touch sh fb
+              fb.touched <- true
           | _ -> ())
         keep;
       b.insns <- keep)
@@ -70,7 +71,7 @@ let uce_fn _ctx sh (fb : Bfunc.t) =
   let removed = Array.length fb.layout - List.length live in
   if removed > 0 then begin
     Context.sh_incr sh ~by:removed "pass.uce.blocks_removed";
-    Context.sh_touch sh fb;
+    fb.touched <- true;
     fb.layout <- Array.of_list live
   end
 
@@ -90,12 +91,12 @@ let sctc_fn _ctx sh (fb : Bfunc.t) =
                 b.term <- T_cond (c, t2, fall);
                 add_edge_count b t2 cnt 0;
                 Context.sh_incr sh "pass.sctc.simplified";
-                Context.sh_touch sh fb
+                fb.touched <- true
             | [ { op = Insn.Jmp (Insn.Sym (fn, 0), _); _ } ], T_stop ->
                 (* a lone direct tail call: jcc straight to the callee *)
                 b.term <- T_condtail (c, fn, fall);
                 Context.sh_incr sh "pass.sctc.simplified";
-                Context.sh_touch sh fb
+                fb.touched <- true
             | _ -> ())
       | T_jump t -> (
           let tb = fb.blocks.(t) in
@@ -105,7 +106,7 @@ let sctc_fn _ctx sh (fb : Bfunc.t) =
               b.term <- T_jump t2;
               add_edge_count b t2 cnt 0;
               Context.sh_incr sh "pass.sctc.simplified";
-              Context.sh_touch sh fb
+              fb.touched <- true
           | _ -> ())
       | _ -> ())
 
@@ -138,7 +139,7 @@ let simplify_ro_loads_fn ctx =
                       (* same 6-byte encoding: a pure win *)
                       i.op <- Insn.Mov_ri (r, Insn.Imm v, Insn.I32);
                       Context.sh_incr sh "pass.simplify-ro-loads.converted";
-                      Context.sh_touch sh fb
+                      fb.touched <- true
                     end
                     else
                       (* movabs would be 10 > 6 bytes *)
@@ -154,11 +155,11 @@ let plt_fn ctx sh (fb : Bfunc.t) =
         (fun (i : minsn) ->
           match i.op with
           | Insn.Call (Insn.Sym (s, 0)) -> (
-              match Hashtbl.find_opt ctx.Context.plt_target s with
+              match Context.plt_target ctx s with
               | Some target ->
                   i.op <- Insn.Call (Insn.Sym (target, 0));
                   Context.sh_incr sh "pass.plt.deindirected";
-                  Context.sh_touch sh fb
+                  fb.touched <- true
               | None -> ())
           | _ -> ())
         b.insns)

@@ -58,15 +58,23 @@ let make_env ?pool ctx prof =
   { ctx; prof; pool }
 
 (* Run one pipeline stage inside a trace span.  The span records wall
-   time, the number of functions the stage modified (via
-   [Context.touch] / shard touches), and — through [Obs.span] —
+   time, the number of functions the stage modified (the [touched] flags
+   it set, cleared here for the next stage), and — through [Obs.span] —
    whichever registry counters moved while it ran. *)
 let stage env name f =
   let ctx = env.ctx in
-  Hashtbl.reset ctx.Context.touched;
   Obs.span ctx.Context.obs name (fun () ->
       let r = f () in
-      let n = Hashtbl.length ctx.Context.touched in
+      let n =
+        Array.fold_left
+          (fun n (fb : Bfunc.t) ->
+            if fb.touched then begin
+              fb.touched <- false;
+              n + 1
+            end
+            else n)
+          0 ctx.Context.funcs
+      in
       Obs.set_attr ctx.Context.obs "funcs_modified" (Json.Int n);
       if n > 0 then
         Obs.incr ctx.Context.obs ~by:n ("pass." ^ name ^ ".funcs_modified");
@@ -102,11 +110,7 @@ let run_per_function env ~stage:sname ~funcs ~visit_of : Metrics.t =
   Quarantine.fold_shards ctx ~stage:sname shard_list;
   let pstats = Metrics.create () in
   List.iter
-    (fun (sh : Context.shard) ->
-      Metrics.merge ~into:pstats sh.Context.sh_stats;
-      Hashtbl.iter
-        (fun k () -> Hashtbl.replace ctx.Context.touched k ())
-        sh.Context.sh_touched)
+    (fun (sh : Context.shard) -> Metrics.merge ~into:pstats sh.Context.sh_stats)
     shard_list;
   if timing then begin
     (match
@@ -185,7 +189,7 @@ let build_cfg =
       Build.discover env.ctx;
       Build.build_fn env.ctx)
     ~post:(fun env p ->
-      let funcs = List.length env.ctx.Context.order in
+      let funcs = Array.length env.ctx.Context.funcs in
       let simple = List.length (Context.simple_funcs env.ctx) in
       Metrics.incr p ~by:funcs "build.funcs";
       Metrics.incr p ~by:simple "build.simple_funcs";
@@ -239,6 +243,11 @@ let icf_body env m =
 
 let log_count env p fmt key = Context.logf env.ctx fmt (Metrics.counter p key)
 
+(* [log_count] for a counter the registry keeps even at 0. *)
+let log_count0 env p fmt key =
+  Metrics.incr p ~by:0 key;
+  log_count env p fmt key
+
 (* Table 1, in the paper's order.  fixup-branches (pass 12) happens
    structurally at emission; reorder-functions runs even under Rf_none
    because it also computes the identity function layout. *)
@@ -251,14 +260,11 @@ let table1 =
         log_count env p "strip-rep-ret: %d returns stripped"
           "pass.strip-rep-ret.stripped");
     wp "icf" (fun o -> o.Opts.icf) icf_body;
-    wp "icp"
+    pf "icp"
       (fun o -> o.Opts.icp)
-      (fun env m ->
-        let promoted =
-          Quarantine.pass env.ctx ~stage:"icp" ~default:0 (fun () ->
-              Icp.run env.ctx)
-        in
-        Metrics.incr m ~by:promoted "pass.icp.promoted");
+      (fun env -> Icp.promote_fn env.ctx)
+      ~post:(fun env p ->
+        log_count0 env p "icp: %d indirect calls promoted" "pass.icp.promoted");
     pf "peepholes"
       (fun o -> o.Opts.peepholes)
       (fun env -> Passes_simple.peepholes_fn env.ctx)
@@ -266,10 +272,12 @@ let table1 =
         Context.logf env.ctx "peepholes: %d removed, %d shortened"
           (Metrics.counter p "pass.peepholes.removed")
           (Metrics.counter p "pass.peepholes.shortened"));
-    wp "inline-small"
+    pf "inline-small"
       (fun o -> o.Opts.inline_small)
-      (fun env m ->
-        Metrics.incr m ~by:(Inline_small.run env.ctx) "pass.inline-small.inlined");
+      (fun env -> Inline_small.inline_fn env.ctx)
+      ~post:(fun env p ->
+        log_count0 env p "inline-small: %d call sites inlined"
+          "pass.inline-small.inlined");
     pf "simplify-ro-loads"
       (fun o -> o.Opts.simplify_ro_loads)
       (fun env -> Passes_simple.simplify_ro_loads_fn env.ctx)

@@ -14,8 +14,7 @@
 
    This module holds the barriers only.  [Passman]'s executor runs
    every per-function pass through [protect_sharded] and
-   [fold_shards]; whole-program passes use [pass], or [iter_simple] when
-   they walk the functions themselves. *)
+   [fold_shards]; whole-program passes use [pass]. *)
 
 (* Exceptions that must never be swallowed by a barrier: deliberate
    aborts, resource exhaustion, and user interrupts. *)
@@ -61,23 +60,9 @@ let demote ctx ~stage (fb : Bfunc.t) msg =
   demote_quiet ctx ~stage fb;
   record ctx ~stage fb msg
 
-(* Run [f fb] under the barrier: any non-fatal exception quarantines [fb]
-   instead of propagating. *)
-let protect ctx ~stage (fb : Bfunc.t) f =
-  try f fb
-  with exn when not (fatal exn) ->
-    demote ctx ~stage fb (Printexc.to_string exn)
-
-(* The standard shape of a per-function pass: iterate the simple
-   functions, each under its own barrier.  The function list is
-   re-evaluated up front, so a demotion mid-pass does not disturb the
-   iteration. *)
-let iter_simple ctx ~stage f =
-  List.iter (fun fb -> protect ctx ~stage fb f) (Context.simple_funcs ctx)
-
-(* The barrier for worker domains: the function is demoted in place (a
-   worker owns its function), but the verdict is parked on the shard and
-   replayed by [fold_shards] at the join. *)
+(* The barrier for worker domains: any non-fatal exception from [f fb]
+   demotes [fb] in place (a worker owns its function), and the verdict
+   is parked on the shard and replayed by [fold_shards] at the join. *)
 let protect_sharded ctx (sh : Context.shard) ~stage (fb : Bfunc.t) f =
   try f fb
   with exn when not (fatal exn) ->
@@ -86,18 +71,18 @@ let protect_sharded ctx (sh : Context.shard) ~stage (fb : Bfunc.t) f =
 
 (* Fold per-domain shards back into the run, deterministically: replay
    diagnostics, then quarantine verdicts, each sorted by the function's
-   original address order — the order a sequential run would have hit
-   them in.  [record] re-raises Strict_error / Quarantine_limit here, so
-   a fatal verdict surfaces with the same exception (and obolt exit
-   code) at any -j, pinned to the lowest-ranked failing function. *)
+   original address order (by id) — the order a sequential run would
+   have hit them in.  [record] re-raises Strict_error / Quarantine_limit
+   here, so a fatal verdict surfaces with the same exception (and obolt
+   exit code) at any -j, pinned to the failing function with the lowest
+   id. *)
 let fold_shards ctx ~stage (shards : Context.shard list) =
   Context.apply_shard_diags ctx shards;
   if List.exists (fun sh -> sh.Context.sh_verdicts <> []) shards then
-    let rank = Context.order_rank ctx in
     shards
     |> List.concat_map (fun sh -> List.rev sh.Context.sh_verdicts)
     |> List.sort (fun ((a : Bfunc.t), _) ((b : Bfunc.t), _) ->
-           compare (rank a.Bfunc.fb_name) (rank b.Bfunc.fb_name))
+           compare a.Bfunc.fb_id b.Bfunc.fb_id)
     |> List.iter (fun (fb, msg) -> record ctx ~stage fb msg)
 
 (* Pass-level barrier for whole-program passes (ICF, function reordering)

@@ -21,9 +21,7 @@ let direct_calls ctx =
                 match i.Bfunc.op with
                 | Bolt_isa.Insn.Call (Bolt_isa.Insn.Sym (s, 0)) when i.Bfunc.m_off >= 0 ->
                     record i.Bfunc.m_off
-                      (match Hashtbl.find_opt ctx.Context.plt_target s with
-                      | Some t -> t
-                      | None -> s)
+                      (Option.value ~default:s (Context.plt_target ctx s))
                 | _ -> ())
               b.Bfunc.insns)
       else
@@ -32,50 +30,42 @@ let direct_calls ctx =
             match i.Bfunc.op with
             | Bolt_isa.Insn.Call (Bolt_isa.Insn.Sym (s, 0)) ->
                 record i.Bfunc.m_off
-                  (match Hashtbl.find_opt ctx.Context.plt_target s with
-                  | Some t -> t
-                  | None -> s)
+                  (Option.value ~default:s (Context.plt_target ctx s))
             | _ -> ())
           fb.Bfunc.raw_insns);
   !calls
 
-(* The LBR call graph of the live functions [funcs] ((name, size) in
-   address order): each node holds its function's event total and each
-   edge a call weight, both read from the profile view by function
-   index.  Without a view (match-profile never ran) every node reads 0
-   samples and there are no edges. *)
-let lbr_callgraph ctx ~funcs =
-  let funcs = Bolt_hfsort.Callgraph.by_name funcs in
+(* The LBR call graph of the live functions [funcs] (in address order):
+   each node holds its function's event total and each edge a call
+   weight, both read from the profile view by function id.  Without a
+   view (match-profile never ran) every node reads 0 samples and there
+   are no edges. *)
+let lbr_callgraph ctx ~(funcs : Bfunc.t list) =
+  let nodes = Bolt_hfsort.Callgraph.by_name (fun (f : Bfunc.t) -> f.fb_name) funcs in
+  let funcs = Array.map (fun (f : Bfunc.t) -> (f.fb_name, max 1 f.fb_size)) nodes in
   match ctx.Context.profile with
   | None ->
       Bolt_hfsort.Callgraph.make ~funcs
         ~samples:(Array.make (Array.length funcs) 0) []
   | Some v ->
-      (* view index -> node id *)
-      let rank = Array.map (fun (n, _) -> Context.order_rank ctx n) funcs in
-      let id = Array.make (Array.length v.Profile_view.funcs) (-1) in
-      Array.iteri (fun k r -> id.(r) <- k) rank;
+      (* function id -> node id *)
+      let node = Array.make (Array.length v.Profile_view.totals) (-1) in
+      Array.iteri (fun k (f : Bfunc.t) -> node.(f.fb_id) <- k) nodes;
       Bolt_hfsort.Callgraph.make ~funcs
-        ~samples:(Array.map (fun r -> v.Profile_view.totals.(r)) rank)
+        ~samples:(Array.map (fun (f : Bfunc.t) -> v.Profile_view.totals.(f.fb_id)) nodes)
         (List.filter_map
            (fun (caller, callee, w) ->
-             if id.(caller) >= 0 && id.(callee) >= 0 then
-               Some (id.(caller), id.(callee), w)
+             if node.(caller) >= 0 && node.(callee) >= 0 then
+               Some (node.(caller), node.(callee), w)
              else None)
            (Profile_view.calls v))
 
-(* Returns (hot order, cold order). *)
-let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
+(* Returns (hot order, cold order), as function ids. *)
+let run ctx (prof : Bolt_profile.Fdata.t) : int list * int list =
   let opts = ctx.Context.opts in
-  let live_fns =
-    List.filter_map
-      (fun n ->
-        match Context.func ctx n with
-        | Some f when f.Bfunc.folded_into = None -> Some f
-        | _ -> None)
-      ctx.Context.order
+  let live =
+    List.filter (fun (f : Bfunc.t) -> f.folded_into = None) (Context.all_funcs ctx)
   in
-  let live = List.map (fun f -> f.Bfunc.fb_name) live_fns in
   let algo =
     match opts.Opts.reorder_functions with
     | Opts.Rf_none -> None
@@ -84,33 +74,31 @@ let run ctx (prof : Bolt_profile.Fdata.t) : string list * string list =
     | Opts.Rf_pettis_hansen -> Some Bolt_hfsort.Order.Pettis_hansen
   in
   match algo with
-  | None -> (live, [])
+  | None -> (List.map (fun (f : Bfunc.t) -> f.fb_id) live, [])
   | Some algo ->
-      let funcs =
-        List.map (fun f -> (f.Bfunc.fb_name, max 1 f.Bfunc.fb_size)) live_fns
-      in
       let g =
-        if prof.lbr then lbr_callgraph ctx ~funcs
+        if prof.lbr then lbr_callgraph ctx ~funcs:live
         else
-          Bolt_hfsort.Callgraph.of_samples_and_calls ~funcs
+          Bolt_hfsort.Callgraph.of_samples_and_calls
+            ~funcs:(List.map (fun (f : Bfunc.t) -> (f.fb_name, max 1 f.fb_size)) live)
             ~direct_calls:(direct_calls ctx) prof
       in
-      let order = Bolt_hfsort.Order.order algo g ~original:live in
+      let order =
+        Bolt_hfsort.Order.order algo g
+          ~original:(List.map (fun (f : Bfunc.t) -> f.fb_name) live)
+        |> List.map (fun n -> ctx.Context.funcs.(Context.id ctx n))
+      in
       (* every live function has a node, holding its profile events
          clamped to an int: positive exactly when the events are *)
-      let is_sampled n = Bolt_hfsort.Callgraph.samples g n > 0 in
       let hot, cold =
         if opts.Opts.split_all_cold then
           List.partition
-            (fun n ->
-              is_sampled n
-              ||
-              match Context.func ctx n with
-              | Some f -> f.Bfunc.exec_count > 0
-              | None -> false)
+            (fun (f : Bfunc.t) ->
+              Bolt_hfsort.Callgraph.samples g f.fb_name > 0 || f.exec_count > 0)
             order
         else (order, [])
       in
       Context.logf ctx "reorder-functions: %d hot, %d cold" (List.length hot)
         (List.length cold);
-      (hot, cold)
+      let ids = List.map (fun (f : Bfunc.t) -> f.fb_id) in
+      (ids hot, ids cold)

@@ -42,28 +42,6 @@ let align_functions = 16
    quarantines the function and re-runs the rewrite. *)
 exception Frag_error of string * string
 
-(* original PLT stub contents: stub symbol -> GOT slot address *)
-let plt_slots ctx =
-  let slots = Hashtbl.create 16 in
-  (match ctx.Context.plt with
-  | Some p ->
-      List.iter
-        (fun (s : symbol) ->
-          if s.sym_section = ".plt" && s.sym_kind = Func then
-            match Bolt_isa.Codec.decode p.sec_data (s.sym_value - p.sec_addr) with
-            | Bolt_isa.Insn.Jmp_mem (Bolt_isa.Insn.Imm slot), _ ->
-                Hashtbl.replace slots s.sym_name slot
-            | _ ->
-                Diag.warnf ctx.Context.diag ~stage:"rewrite" ~func:s.sym_name
-                  "PLT stub is not a GOT-indirect jump; stub not re-emitted"
-            | exception exn ->
-                Diag.warnf ctx.Context.diag ~stage:"rewrite" ~func:s.sym_name
-                  "undecodable PLT stub (%s); stub not re-emitted"
-                  (Printexc.to_string exn))
-        ctx.Context.exe.symbols
-  | None -> ());
-  slots
-
 (* The function a symbol name stands for: its own, or for an alias
    discovery never registered, the one the index names at its start. *)
 let owner ctx name =
@@ -74,56 +52,49 @@ let owner ctx name =
           Option.bind (Symtab.at ctx.Context.syms s.sym_value) (fun o ->
               Context.func ctx o.sym_name))
 
-(* Where a symbol's code lives now: its owner, followed through ICF
-   folds to the survivor. *)
+(* Where a function's code lives now: followed through ICF folds to the
+   survivor. *)
+let rec survivor ctx (f : Bfunc.t) =
+  match Option.bind f.folded_into (Context.func ctx) with
+  | Some s -> survivor ctx s
+  | None -> f
+
+(* The name a symbol's code lives under now. *)
 let canon_name ctx name =
-  let rec go n =
-    match Context.func ctx n with
-    | Some { folded_into = Some s; _ } -> go s
-    | _ -> n
-  in
-  match owner ctx name with Some f -> go f.fb_name | None -> name
+  match owner ctx name with Some f -> (survivor ctx f).fb_name | None -> name
 
 let run ctx : result =
   let exe = ctx.Context.exe in
   let opts = ctx.Context.opts in
-  let live =
-    List.filter_map
-      (fun n ->
-        let f = Hashtbl.find ctx.Context.funcs n in
-        if f.folded_into = None then Some f else None)
-      ctx.Context.order
-  in
+  let funcs = ctx.Context.funcs in
+  let n_funcs = Array.length funcs in
+  let live = List.filter (fun f -> f.folded_into = None) (Array.to_list funcs) in
 
-  (* ---- function order ---- *)
-  let prof_order = ctx.Context.func_layout in
-  let hot_names, cold_names =
-    match prof_order with
+  (* ---- function order, by id ---- *)
+  let hot_ids, cold_ids =
+    match ctx.Context.func_layout with
     | Some (h, c) -> (h, c)
-    | None -> (List.map (fun f -> f.fb_name) live, [])
+    | None -> (List.map (fun f -> f.fb_id) live, [])
   in
 
   (* ---- emit fragments ----
 
      Re-encoding is per-function and by far the largest fraction of the
      rewrite, so it fans out over the domain pool: each worker fills its
-     item's slot in [frags_arr] (per-item state only) and parks
-     diagnostics/quarantine verdicts on its per-domain shard, which fold
-     back in address order at the join — bytes and diagnostics are
-     identical at any -j.  [min_chunk] keeps small binaries inline: a
-     per-function encode is microseconds, a domain spawn a millisecond. *)
+     function's slots in [frags_of] and [reverted] (per-item state only,
+     by id) and parks diagnostics/quarantine verdicts on its per-domain
+     shard, which fold back in address order at the join — bytes and
+     diagnostics are identical at any -j.  [min_chunk] keeps small
+     binaries inline: a per-function encode is microseconds, a domain
+     spawn a millisecond. *)
   let relmode = ctx.Context.relocations_mode in
-  let frags_of = Hashtbl.create 256 in
-  let reverted = Hashtbl.create 16 in
+  let frags_of = Array.make n_funcs ([] : Emit.fragment list) in
+  let reverted = Array.make n_funcs false in
   let live_arr = Array.of_list live in
-  let n_live = Array.length live_arr in
-  let frags_arr = Array.make n_live ([] : Emit.fragment list) in
-  let reverted_arr = Array.make n_live false in
   let pool = Pool.create ~jobs:opts.Opts.jobs () in
-  let emit_domains = Pool.domains_for ~min_chunk:32 pool n_live in
+  let emit_domains = Pool.domains_for ~min_chunk:32 pool (Array.length live_arr) in
   let shards = Array.init emit_domains (fun _ -> Context.new_shard ()) in
-  let worker dom i =
-    let fb = live_arr.(i) in
+  let worker dom fb =
     let sh = shards.(dom) in
     (* Verbatim emission of a non-simple function.  A function whose
        bytes would not even decode cannot be re-emitted at all: in-place
@@ -138,7 +109,7 @@ let run ctx : result =
         else begin
           Context.sh_diag sh Diag.Warning ~stage:"rewrite" ~func:fb.fb_name
             "undecodable function left in place";
-          reverted_arr.(i) <- true;
+          reverted.(fb.fb_id) <- true;
           []
         end
       else if fb.table_unrecovered && relmode then
@@ -151,7 +122,7 @@ let run ctx : result =
              (fb.fb_name, "unrecoverable jump table: function cannot be relocated"))
       else [ Emit.emit_raw fb ]
     in
-    frags_arr.(i) <-
+    frags_of.(fb.fb_id) <-
       (if fb.simple then
          try Emit.emit_simple fb
          with exn when not (Quarantine.fatal exn) ->
@@ -164,19 +135,12 @@ let run ctx : result =
            emit_verbatim ()
        else emit_verbatim ())
   in
-  ignore
-    (Pool.run ~min_chunk:32 pool ~worker (Array.init n_live (fun i -> i)));
+  ignore (Pool.run ~min_chunk:32 pool ~worker live_arr);
   Quarantine.fold_shards ctx ~stage:"emit" (Array.to_list shards);
-  Array.iteri
-    (fun i fb ->
-      if reverted_arr.(i) then Hashtbl.replace reverted fb.fb_name ();
-      Hashtbl.replace frags_of fb.fb_name frags_arr.(i))
-    live_arr;
 
   (* ---- placement ---- *)
   let placements = ref [] in
   let place frag addr = placements := { p_frag = frag; p_addr = addr } :: !placements in
-  let slots = plt_slots ctx in
   let hot_end = ref 0 and cold_bytes = ref 0 in
   if relmode then begin
     let cursor = ref Layout.text_base in
@@ -185,30 +149,30 @@ let run ctx : result =
       place frag !cursor;
       cursor := !cursor + frag.fr_out.Bolt_asm.Asm.fo_size
     in
-    let member names =
-      let set = Hashtbl.create 256 in
-      List.iter (fun n -> Hashtbl.replace set n ()) names;
-      Hashtbl.mem set
+    let member ids =
+      let set = Array.make n_funcs false in
+      List.iter (fun i -> set.(i) <- true) ids;
+      Array.get set
     in
-    let is_hot = member hot_names in
-    let ordered = hot_names @ List.filter (fun n -> not (is_hot n)) cold_names in
+    let is_hot = member hot_ids in
+    let ordered = hot_ids @ List.filter (fun i -> not (is_hot i)) cold_ids in
     let is_ordered = member ordered in
     let rest =
       List.filter_map
-        (fun fb -> if is_ordered fb.fb_name then None else Some fb.fb_name)
+        (fun fb -> if is_ordered fb.fb_id then None else Some fb.fb_id)
         live
     in
     (* hot fragments first, in order *)
     List.iter
-      (fun n ->
-        match Hashtbl.find_opt frags_of n with
-        | Some (hot :: _) -> place_hot hot align_functions
-        | _ -> ())
+      (fun i ->
+        match frags_of.(i) with
+        | hot :: _ -> place_hot hot align_functions
+        | [] -> ())
       (ordered @ rest);
-    (* then PLT stubs *)
+    (* then PLT stubs, in the stub table's order *)
     let stub_frags =
       Hashtbl.fold
-        (fun stub slot acc ->
+        (fun stub { Context.slot; _ } acc ->
           let insn = Bolt_isa.Insn.Jmp_mem (Bolt_isa.Insn.Imm slot) in
           let af =
             {
@@ -229,15 +193,15 @@ let run ctx : result =
             fr_has_fde = false;
           }
           :: acc)
-        slots []
+        ctx.Context.stubs []
     in
     List.iter (fun f -> place_hot f 16) stub_frags;
     hot_end := !cursor;
     (* finally, the cold area *)
     List.iter
-      (fun n ->
-        match Hashtbl.find_opt frags_of n with
-        | Some (_ :: cold :: _) ->
+      (fun i ->
+        match frags_of.(i) with
+        | _ :: cold :: _ ->
             place_hot cold 4;
             cold_bytes := !cold_bytes + cold.Emit.fr_out.Bolt_asm.Asm.fo_size
         | _ -> ())
@@ -248,8 +212,8 @@ let run ctx : result =
     let cold_cursor = ref Layout.bolt_text_base in
     List.iter
       (fun fb ->
-        match Hashtbl.find_opt frags_of fb.fb_name with
-        | Some (hot :: rest) ->
+        match frags_of.(fb.fb_id) with
+        | hot :: rest ->
             let hot_size = hot.Emit.fr_out.Bolt_asm.Asm.fo_size in
             if hot_size <= fb.fb_size then begin
               place hot fb.fb_addr;
@@ -263,8 +227,8 @@ let run ctx : result =
             end
             else
               (* does not fit even after splitting: leave untouched *)
-              Hashtbl.replace reverted fb.fb_name ()
-        | _ -> ())
+              reverted.(fb.fb_id) <- true
+        | [] -> ())
       live;
     hot_end := Layout.text_base + ctx.Context.text.sec_size
   end;
@@ -282,11 +246,8 @@ let run ctx : result =
         p.p_frag.Emit.fr_labels)
     placements;
   (* reverted / untouched functions keep original addresses *)
-  Hashtbl.iter
-    (fun n () ->
-      match Context.func ctx n with
-      | Some fb -> Hashtbl.replace frag_addr n fb.fb_addr
-      | None -> ())
+  Array.iteri
+    (fun i r -> if r then Hashtbl.replace frag_addr funcs.(i).fb_name funcs.(i).fb_addr)
     reverted;
   let resolve_sym s =
     (* block cross-reference? *)
@@ -404,7 +365,7 @@ let run ctx : result =
         in
         List.iter
           (fun fb ->
-            if Hashtbl.mem reverted fb.fb_name then ()
+            if reverted.(fb.fb_id) then ()
             else if fb.simple then
               Array.iter
                 (fun (jt : jt) ->
@@ -458,14 +419,13 @@ let run ctx : result =
         else
           match owner ctx s.sym_name with
           | Some fb -> (
-              let target = canon_name ctx s.sym_name in
-              match Hashtbl.find_opt frag_addr target with
+              let target = survivor ctx fb in
+              match Hashtbl.find_opt frag_addr target.fb_name with
               | Some a ->
                   let size =
-                    match Hashtbl.find_opt frags_of target with
-                    | Some (hot :: _) when not (Hashtbl.mem reverted target) ->
-                        if relmode then hot.Emit.fr_out.Bolt_asm.Asm.fo_size
-                        else fb.fb_size
+                    match frags_of.(target.fb_id) with
+                    | hot :: _ when relmode && not reverted.(target.fb_id) ->
+                        hot.Emit.fr_out.Bolt_asm.Asm.fo_size
                     | _ -> fb.fb_size
                   in
                   Some { s with sym_value = a; sym_size = size }
@@ -500,7 +460,7 @@ let run ctx : result =
       let out = frag.Emit.fr_out in
       let fb = Context.func ctx frag.Emit.fr_func in
       match fb with
-      | Some fb when fb.simple && not (Hashtbl.mem reverted fb.fb_name) ->
+      | Some fb when fb.simple && not reverted.(fb.fb_id) ->
           if frag.Emit.fr_has_fde then
             fdes :=
               {
@@ -549,16 +509,22 @@ let run ctx : result =
           end
       | None -> ())
     placements;
-  (* reverted functions keep their original records *)
+  (* reverted functions keep their original records.  They follow the
+     iteration order of a name-keyed table filled as they were reverted
+     (at emission, those left with no fragment, then at placement, each
+     in address order): a hash order, which the output bytes carry *)
+  let by_name = Hashtbl.create 16 in
+  let emitted, placed =
+    List.partition (fun fb -> frags_of.(fb.fb_id) = [])
+      (List.filter (fun fb -> reverted.(fb.fb_id)) live)
+  in
+  List.iter (fun fb -> Hashtbl.replace by_name fb.fb_name fb) (emitted @ placed);
   Hashtbl.iter
-    (fun n () ->
-      match Context.func ctx n with
-      | Some fb ->
-          (match Objfile.Index.fde meta fb.fb_addr with Some f -> fdes := f :: !fdes | None -> ());
-          (match Objfile.Index.lsda meta fb.fb_addr with Some l -> lsdas := l :: !lsdas | None -> ());
-          (match Objfile.Index.dbg meta fb.fb_addr with Some d -> dbgs := d :: !dbgs | None -> ())
-      | None -> ())
-    reverted;
+    (fun _ fb ->
+      (match Objfile.Index.fde meta fb.fb_addr with Some f -> fdes := f :: !fdes | None -> ());
+      (match Objfile.Index.lsda meta fb.fb_addr with Some l -> lsdas := l :: !lsdas | None -> ());
+      match Objfile.Index.dbg meta fb.fb_addr with Some d -> dbgs := d :: !dbgs | None -> ())
+    by_name;
 
   let other_sections =
     List.filter_map

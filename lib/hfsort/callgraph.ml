@@ -18,14 +18,14 @@ module Fdata = Bolt_profile.Fdata
 
 type t = Cfg.t
 
-(* [funcs] ((name, size)) sorted by name, a name's first entry kept: the
-   node order. *)
-let by_name funcs =
+(* [funcs] sorted by their [name], a name's first entry kept: the node
+   order. *)
+let by_name name funcs =
   let fs = Array.of_list funcs in
-  Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) fs;
+  Array.stable_sort (fun a b -> String.compare (name a) (name b)) fs;
   let keep = ref [] in
   for i = Array.length fs - 1 downto 0 do
-    if i = 0 || not (String.equal (fst fs.(i - 1)) (fst fs.(i))) then
+    if i = 0 || not (String.equal (name fs.(i - 1)) (name fs.(i))) then
       keep := fs.(i) :: !keep
   done;
   Array.of_list !keep
@@ -73,7 +73,7 @@ let hottest_caller (g : t) =
    callee, weight) by name, and the positive weights of the calls
    between two nodes, summed per pair, become an edge. *)
 let of_calls ~funcs ~samples calls =
-  let funcs = by_name funcs in
+  let funcs = by_name fst funcs in
   let n = Array.length funcs in
   let id = Hashtbl.create (n * 2 + 1) in
   Array.iteri (fun i (name, _) -> Hashtbl.replace id name i) funcs;

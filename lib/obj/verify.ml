@@ -104,7 +104,24 @@ let run (t : Objfile.t) : issue list =
      corrupt live code while the input binary still runs fine, so
      incoherence is fatal, not a degradation. *)
   let max_align_pad = 15 in
-  if t.Objfile.kind = Objfile.Executable then
+  if t.Objfile.kind = Objfile.Executable then begin
+    (* one name, one function: discovery keys functions by name and the
+       rewriter resolves every call by name, so two function symbols
+       that share a name at different addresses would send both names'
+       calls to one body *)
+    let func_at = Hashtbl.create 64 in
+    List.iter
+      (fun (s : symbol) ->
+        if s.sym_kind = Func then
+          match Hashtbl.find_opt func_at s.sym_name with
+          | Some a when a <> s.sym_value ->
+              push
+                (issue Fatal
+                   "symbol table incoherent: function %s at both %#x and %#x"
+                   s.sym_name a s.sym_value)
+          | Some _ -> ()
+          | None -> Hashtbl.add func_at s.sym_name s.sym_value)
+      t.symbols;
     List.iter
       (fun (sec : section) ->
         if sec.sec_kind = Text && sec.sec_size > 0 then begin
@@ -169,7 +186,8 @@ let run (t : Objfile.t) : issue list =
                    !prev)
           end
         end)
-      t.sections;
+      t.sections
+  end;
   (* relocation consistency (executables): the linker has already applied
      every surviving relocation, so the encoded field must equal the value
      recomputed from the symbol table.  A mismatch means the metadata lies

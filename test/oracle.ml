@@ -330,16 +330,17 @@ let icf ctx =
               fb.folded_into <- Some survivor;
               Hashtbl.replace canon_map fb.fb_name survivor;
               (match Context.func ctx survivor with
-              | Some sf -> sf.exec_count <- sf.exec_count + fb.exec_count
+              | Some sf ->
+                  sf.exec_count <- sf.exec_count + fb.exec_count;
+                  sf.touched <- true
               | None -> ());
               incr folded_now;
               bytes_saved := !bytes_saved + fb.fb_size;
-              Context.touch ctx fb.fb_name;
-              Context.touch ctx survivor
+              fb.touched <- true
           | Some _ -> ()
           | None -> Hashtbl.add seen key fb.fb_name
         end)
-      (List.filter_map (fun n -> Context.func ctx n) ctx.Context.order);
+      (Context.all_funcs ctx);
     !folded_now
   in
   let rounds = ref 0 in
@@ -2252,9 +2253,9 @@ module Machine = struct
 end
 
 (* The three readers of the profile as they were before the profile
-   view, kept verbatim but for naming blocks by id: [Match_profile.attach]
-   looks each record's functions up by name and builds offset maps in
-   tables;
+   view, kept verbatim but for naming blocks by id and summing counts
+   saturating at [max_int]: [Match_profile.attach] looks each record's
+   functions up by name and builds offset maps in tables;
    [Icp.build_site_profile] reads every call record again into a table
    keyed by (caller, offset); [Callgraph.of_profile] reads them a third
    time, with each function's events from [Fdata.func_events]. *)
@@ -2293,8 +2294,9 @@ module Match_profile = struct
 
   let attach ctx (prof : Bolt_profile.Fdata.t) : Match_profile.stats =
     (* profile counts are saturating int64; CFG machinery runs on native
-       ints, so clamp at the boundary *)
+       ints, so clamp at the boundary, and sum saturating *)
     let c64 = Bolt_profile.Fdata.clamp_int in
+    let sat = Bolt_profile.Fdata.sat_add_int in
     let st =
       {
         Match_profile.matched_branches = 0;
@@ -2379,7 +2381,7 @@ module Match_profile = struct
         else if b.br_to_off = 0 then begin
           (* a call (or tail transfer) into the target's entry *)
           match Context.func ctx b.br_to_func with
-          | Some fb -> fb.exec_count <- fb.exec_count + c64 b.br_count
+          | Some fb -> fb.exec_count <- sat fb.exec_count (c64 b.br_count)
           | None -> note_unknown b.br_to_func
         end)
       prof.branches;
@@ -2435,7 +2437,7 @@ module Match_profile = struct
             List.iter
               (fun (_, l) ->
                 let b = fb.blocks.(l) in
-                b.ecount <- b.ecount + c64 r.rg_count)
+                b.ecount <- sat b.ecount (c64 r.rg_count))
               covered
         | Some _ -> ()
         | None -> note_unknown r.rg_func)
@@ -2452,9 +2454,9 @@ module Match_profile = struct
               match containing s.sm_off with
               | Some l ->
                   let b = fb.blocks.(l) in
-                  b.ecount <- b.ecount + c64 s.sm_count
+                  b.ecount <- sat b.ecount (c64 s.sm_count)
               | None -> ())
-          | Some fb -> fb.exec_count <- fb.exec_count + c64 s.sm_count
+          | Some fb -> fb.exec_count <- sat fb.exec_count (c64 s.sm_count)
           | None -> note_unknown s.sm_func)
         prof.samples;
     st.unknown_funcs <- Hashtbl.length unknown;

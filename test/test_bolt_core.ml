@@ -56,7 +56,7 @@ let switch_src =
 let test_cfg_reconstruction () =
   let exe = compile [ ("m", switch_src) ] in
   let ctx = build_ctx exe in
-  let funcs = List.length ctx.Bolt_core.Context.order in
+  let funcs = Array.length ctx.Bolt_core.Context.funcs in
   let simple = List.length (Bolt_core.Context.simple_funcs ctx) in
   check_logged ctx ~key:"build.funcs" funcs
     (Printf.sprintf "build: %d functions, %d simple" funcs simple);
@@ -223,12 +223,14 @@ let test_reorder_functions_permutation () =
       let r = Bolt_core.Icf.run ctx in
       Alcotest.(check int) "twins folded" 1 r.Bolt_core.Icf.folded;
       let live =
-        List.filter
-          (fun n ->
-            (Option.get (Bolt_core.Context.func ctx n)).Bolt_core.Bfunc.folded_into = None)
-          ctx.Bolt_core.Context.order
+        List.filter_map
+          (fun (fb : Bolt_core.Bfunc.t) ->
+            if fb.folded_into = None then Some fb.fb_name else None)
+          (Bolt_core.Context.all_funcs ctx)
       in
+      let name i = ctx.Bolt_core.Context.funcs.(i).Bolt_core.Bfunc.fb_name in
       let hot, cold = Bolt_core.Reorder_funcs.run ctx prof in
+      let hot = List.map name hot and cold = List.map name cold in
       Alcotest.(check (list string)) "permutation of live" (List.sort compare live)
         (List.sort compare (hot @ cold));
       Alcotest.(check bool) "cold area iff split-all-cold" split_all_cold

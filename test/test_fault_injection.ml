@@ -33,50 +33,7 @@ let mk_rng seed =
 
 (* ---- base workload, built once ---- *)
 
-let small_params seed =
-  {
-    Gen.default with
-    Gen.seed;
-    funcs = 28;
-    modules = 2;
-    layers = 3;
-    iterations = 150;
-    switch_per_mille = 300;
-    indirect_per_mille = 150;
-    eh_per_mille = 120;
-    dup_plain_families = 1;
-    dup_switch_families = 1;
-    asm_dispatchers = 1;
-    leaf_helpers = 4;
-    top_funcs = 3;
-  }
-
-type base = {
-  exe : Objfile.t;
-  input : int array;
-  prof : Fdata.t;
-}
-
-let build_base ~emit_relocs seed =
-  let w = Gen.gen (small_params seed) in
-  let cc = { Bolt_minic.Driver.default_options with emit_relocs } in
-  let r =
-    Bolt_minic.Driver.compile ~options:cc ~externals:w.Gen.externals
-      ~extra_objs:w.Gen.extra_objs w.Gen.sources
-  in
-  let sampling =
-    { Machine.event = Machine.Ev_cycles; period = 251; lbr = true; precise = true }
-  in
-  let o = Machine.run ~sampling r.exe ~input:w.Gen.input in
-  let prof =
-    match o.Machine.profile with
-    | Some raw -> Bolt_profile.Perf2bolt.convert r.exe raw
-    | None -> Fdata.empty
-  in
-  { exe = r.exe; input = w.Gen.input; prof }
-
-let base_rel = lazy (build_base ~emit_relocs:true 3)
-let base_inplace = lazy (build_base ~emit_relocs:false 4)
+open Fault_base
 
 (* ---- outcome classification ---- *)
 
@@ -535,6 +492,55 @@ let lsda_pad_outside () =
   Alcotest.(check int) "good input: two ranges" 2 (List.length (entries exe));
   Alcotest.(check int) "the outside pad's range dropped" 1 (List.length (entries bad))
 
+(* Two function symbols that share a name: [dbl] renamed [inc], with its
+   relocations, line table and exception table.  The first [inc]'s frame
+   descriptor is dropped and the second keeps the name [dbl], so no
+   frame-info check trips.  Built at -O0: at -O2 minicc inlines both
+   callees.  The input still runs as before, but every call resolves by
+   name, so a rewrite would send both calls to one body: the verifier
+   must reject it, in either relocation mode. *)
+let duplicate_func_name emit_relocs () =
+  let src =
+    {| fn inc(x) { return x + 1; }
+       fn dbl(x) { return x * 2; }
+       fn main() {
+         var i = 0;
+         var s = 0;
+         while (i < 300) { s = s + inc(i) + dbl(i); i = i + 1; }
+         out s;
+         return 0;
+       } |}
+  in
+  let options = { Bolt_minic.Driver.default_options with opt_level = 0; emit_relocs } in
+  let exe = Test_bolt_core.compile ~options [ ("m", src) ] in
+  let first_inc = (Option.get (Objfile.find_symbol exe "inc")).Types.sym_value in
+  let rename n = if n = "dbl" then "inc" else n in
+  let bad =
+    {
+      exe with
+      Objfile.symbols =
+        List.map
+          (fun (s : Types.symbol) -> { s with sym_name = rename s.sym_name })
+          exe.Objfile.symbols;
+      relocs =
+        List.map (fun (r : Types.reloc) -> { r with rel_sym = rename r.rel_sym }) exe.relocs;
+      dbgs = List.map (fun (d : Types.dbg) -> { d with dbg_func = rename d.dbg_func }) exe.dbgs;
+      lsdas =
+        List.map (fun (l : Types.lsda) -> { l with lsda_func = rename l.lsda_func }) exe.lsdas;
+      fdes = List.filter (fun (f : Types.fde) -> f.fde_addr <> first_inc) exe.fdes;
+    }
+  in
+  Alcotest.check behaviour_t "the renamed input runs as before"
+    (classify exe ~input:[||]) (classify bad ~input:[||]);
+  let prof = Test_bolt_core.profile_of bad ~input:[||] in
+  match try_bolt bad prof with
+  | Rejected m ->
+      Alcotest.(check bool) ("rejected for the shared name: " ^ m) true
+        (Test_monitor.contains m "function inc at both")
+  | Rewritten (out, _) ->
+      Alcotest.failf "a shared function name was rewritten; it now %a" behaviour_pp
+        (classify out ~input:[||])
+
 let clean_input_unaffected () =
   (* the hardening must not change what BOLT does to a healthy input:
      no quarantines, no fallback, behaviour preserved *)
@@ -595,6 +601,9 @@ let suite =
       Alcotest.test_case "strict-demotion-fatal" `Slow strict_turns_demotion_fatal;
       Alcotest.test_case "clean-input-unaffected" `Slow clean_input_unaffected;
       Alcotest.test_case "lsda-pad-outside" `Slow lsda_pad_outside;
+      Alcotest.test_case "duplicate-func-name-relocs" `Slow (duplicate_func_name true);
+      Alcotest.test_case "duplicate-func-name-in-place" `Slow
+        (duplicate_func_name false);
       Alcotest.test_case "layout-eval-failure-skips-dyno" `Slow
         layout_eval_failure_skips_dyno;
     ]

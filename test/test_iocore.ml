@@ -377,6 +377,40 @@ let mega_golden_digests () =
        (Bolt_obs.Json.to_string
           (Bolt_obs.Json.Obj (Bolt_core.Bolt.manifest_sections report))))
 
+(* The obs metrics registry [Bolt.optimize] leaves on the same input
+   with a live [Obs], at -j 1 and -j 4: every counter and gauge, each
+   pass's funcs_modified among them. *)
+let mega_metrics_digest () =
+  let m = Gen.gen_mega ~seed:5 ~funcs:400 ~fdata_lines:6000 () in
+  let exe = Objfile.of_string m.Gen.mg_belf in
+  let prof, _ = Fdata.parse m.Gen.mg_fdata in
+  List.iter
+    (fun jobs ->
+      let obs = Bolt_obs.Obs.create ~name:"bolt" () in
+      let opts = { Bolt_core.Opts.default with Bolt_core.Opts.jobs } in
+      ignore (Bolt_core.Bolt.optimize ~opts ~obs exe prof);
+      Alcotest.(check string)
+        (Printf.sprintf "obs metrics j=%d" jobs)
+        (digest_of "obolt_mega_metrics")
+        (md5 (Bolt_obs.Json.to_string (Bolt_obs.Metrics.to_json obs.Bolt_obs.Obs.metrics))))
+    [ 1; 4 ]
+
+(* [Bolt.optimize -j 1] on a non-LTO relocations-mode build, whose
+   cross-module calls go through PLT stubs: the rewrite re-emits each
+   stub in .text.  The input is the fault-injection base. *)
+let plt_golden_digest () =
+  let b = Lazy.force Fault_base.base_rel in
+  let stubs =
+    List.filter
+      (fun (s : Bolt_obj.Types.symbol) -> s.sym_section = ".plt")
+      b.Fault_base.exe.Objfile.symbols
+  in
+  Alcotest.(check int) "PLT stubs" 13 (List.length stubs);
+  let opts = { Bolt_core.Opts.default with Bolt_core.Opts.jobs = 1 } in
+  let out, _ = Bolt_core.Bolt.optimize ~opts b.Fault_base.exe b.Fault_base.prof in
+  Alcotest.(check string) "obolt plt j=1" (digest_of "obolt_plt_j1")
+    (md5 (Objfile.to_string out))
+
 (* ------------------------------------------------------------------ *)
 (* Mega-workload smoke: the bench's generator, at unit-test scale     *)
 
@@ -517,6 +551,8 @@ let suite =
     Alcotest.test_case "fdata fixtures old-vs-new" `Quick fdata_fixture_parity;
     Alcotest.test_case "golden digests (pre-refactor bytes)" `Slow golden_digests;
     Alcotest.test_case "golden digests at mega shape" `Quick mega_golden_digests;
+    Alcotest.test_case "obs metrics at mega shape (-j1, -j4)" `Quick mega_metrics_digest;
+    Alcotest.test_case "golden digests with PLT stubs" `Quick plt_golden_digest;
     Alcotest.test_case "mega workload parity" `Quick mega_parity;
     Alcotest.test_case "sat_scale boundary" `Quick sat_scale_boundary;
   ]

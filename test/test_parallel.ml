@@ -54,14 +54,22 @@ fn main() {
 }
 |}
 
+(* The output bytes, the report, and the obs metrics registry (every
+   counter and gauge, each pass's funcs_modified among them) of a run
+   with a live [Obs]. *)
 let bolt_at ~jobs build prof =
-  let b, r = P.bolt ~jobs build prof in
-  (Bolt_obj.Objfile.to_string b.P.exe, r)
+  let obs = Bolt_obs.Obs.create ~name:"bolt" () in
+  let b, r = P.bolt ~obs ~jobs build prof in
+  ( Bolt_obj.Objfile.to_string b.P.exe,
+    r,
+    Bolt_obs.Json.to_string (Metrics.to_json obs.Bolt_obs.Obs.metrics) )
 
+(* Returns the -j1 report. *)
 let check_deterministic name build prof =
-  let out1, r1 = bolt_at ~jobs:1 build prof in
-  let out4, r4 = bolt_at ~jobs:4 build prof in
+  let out1, r1, m1 = bolt_at ~jobs:1 build prof in
+  let out4, r4, m4 = bolt_at ~jobs:4 build prof in
   Alcotest.(check bool) (name ^ ": byte-identical output") true (out1 = out4);
+  Alcotest.(check string) (name ^ ": identical obs metrics") m1 m4;
   Alcotest.(check bool)
     (name ^ ": identical dyno-stats (before)")
     true
@@ -73,7 +81,8 @@ let check_deterministic name build prof =
   Alcotest.(check bool)
     (name ^ ": same quarantine verdicts")
     true
-    (r1.Bolt_core.Bolt.r_quarantined = r4.Bolt_core.Bolt.r_quarantined)
+    (r1.Bolt_core.Bolt.r_quarantined = r4.Bolt_core.Bolt.r_quarantined);
+  r1
 
 let gen_build ?input params =
   let w = Bolt_workloads.Gen.gen params in
@@ -93,7 +102,7 @@ let gen_build ?input params =
 let test_det_quickstart () =
   let build = P.compile [ ("quickstart", quickstart_source) ] in
   let prof, _ = P.profile build ~input:[||] in
-  check_deterministic "quickstart" build prof
+  ignore (check_deterministic "quickstart" build prof)
 
 let test_det_datacenter () =
   let build, prof =
@@ -105,7 +114,12 @@ let test_det_datacenter () =
         iterations = 2_000;
       }
   in
-  check_deterministic "datacenter" build prof
+  (* ICP and inline-small run on worker domains too: this input gives
+     both work *)
+  let r = check_deterministic "datacenter" build prof in
+  Alcotest.(check bool) "datacenter: ICP promotes" true (r.Bolt_core.Bolt.r_icp_promoted > 0);
+  Alcotest.(check bool) "datacenter: inline-small inlines" true
+    (r.Bolt_core.Bolt.r_inlined > 0)
 
 let test_det_compiler () =
   let build, prof =
@@ -117,7 +131,7 @@ let test_det_compiler () =
         modules = 7;
       }
   in
-  check_deterministic "compiler" build prof
+  ignore (check_deterministic "compiler" build prof)
 
 let test_det_multifeed () =
   let build, prof =
@@ -129,7 +143,7 @@ let test_det_multifeed () =
         iterations = 1_500;
       }
   in
-  check_deterministic "multifeed" build prof
+  ignore (check_deterministic "multifeed" build prof)
 
 (* ---- the registry ---- *)
 

@@ -303,25 +303,28 @@ let context_of fns =
       Bolt_obj.Objfile.sections = [ text ]; symbols }
   in
   let ctx = Ctx.create ~opts:Bolt_core.Opts.default exe in
-  List.iteri
-    (fun i (f, addr) ->
-      let name = Printf.sprintf "f%d" i in
-      let fb = Bfunc.create ~name ~addr ~size:(fn_size f) in
-      if not f.fs_simple then Bfunc.mark_non_simple fb "generated";
-      let offs = starts f.fs_first (List.map fst f.fs_blocks) in
-      let cfi_entry = Types.initial_cfi_state in
-      let built =
-        List.map2 (fun off (_, term) -> Bfunc.new_block ~off ~cfi_entry (lbl off) [] term)
-          offs f.fs_blocks
-      in
-      let synth =
-        if f.fs_synth then [ Bfunc.new_block ~cfi_entry ".Lsynth" [] Bfunc.T_stop ] else []
-      in
-      fb.blocks <- Array.of_list (built @ synth);
-      fb.layout <- Array.init (List.length built) Fun.id;
-      Hashtbl.replace ctx.Ctx.funcs name fb)
-    (List.combine fns addrs);
-  Ctx.set_order ctx (List.mapi (fun i _ -> Printf.sprintf "f%d" i) fns);
+  Ctx.set_funcs ctx
+    (Array.of_list
+       (List.mapi
+          (fun i (f, addr) ->
+            let name = Printf.sprintf "f%d" i in
+            let fb = Bfunc.create ~name ~addr ~size:(fn_size f) in
+            if not f.fs_simple then Bfunc.mark_non_simple fb "generated";
+            let offs = starts f.fs_first (List.map fst f.fs_blocks) in
+            let cfi_entry = Types.initial_cfi_state in
+            let built =
+              List.map2
+                (fun off (_, term) -> Bfunc.new_block ~off ~cfi_entry (lbl off) [] term)
+                offs f.fs_blocks
+            in
+            let synth =
+              if f.fs_synth then [ Bfunc.new_block ~cfi_entry ".Lsynth" [] Bfunc.T_stop ]
+              else []
+            in
+            fb.blocks <- Array.of_list (built @ synth);
+            fb.layout <- Array.init (List.length built) Fun.id;
+            fb)
+          (List.combine fns addrs)));
   ctx
 
 (* Call weights saturate at [max_int] like every other count: two
@@ -344,7 +347,7 @@ let test_call_weights_saturate () =
   in
   let ctx = context_of [ fn; fn ] in
   ignore (Bolt_core.Match_profile.attach ctx prof);
-  let g = Bolt_core.Reorder_funcs.lbr_callgraph ctx ~funcs in
+  let g = Bolt_core.Reorder_funcs.lbr_callgraph ctx ~funcs:(Ctx.all_funcs ctx) in
   Alcotest.(check int) "view: weight" max_int (CG.weight g "f0" "f1");
   Alcotest.(check int) "view: caller samples" max_int (CG.samples g "f0");
   let sample off = { F.sm_func = "f0"; sm_off = off; sm_count = Int64.max_int } in
@@ -395,6 +398,52 @@ let test_sample_split_saturates () =
         [ 1; 2 ];
       Alcotest.(check int) (fb.fb_name ^ ": 1 -> 2") b1.ecount (Bfunc.edge_count b1 2))
     (Ctx.all_funcs ctx)
+
+(* attach and finalize sum every count saturating at [max_int].  Two
+   [Int64.max_int] non-LBR samples on f0's entry block leave it, and the
+   entry count, at [max_int] (plain sums wrap the block to -2, which
+   finalize reads as 0, entry count 0).  With LBR, two such records on
+   one edge, two ranges over one block and two calls saturate alike, and
+   so does finalize's inflow into a block two such edges enter. *)
+let test_attach_sums_saturate () =
+  let big = Int64.max_int in
+  let fn blocks =
+    { fs_simple = true; fs_first = 0; fs_blocks = blocks; fs_synth = false; fs_slack = 0;
+      fs_folded = false }
+  in
+  let ctx = context_of [ fn [ (8, Bfunc.T_jump 1); (8, Bfunc.T_stop) ] ] in
+  let sample = { F.sm_func = "f0"; sm_off = 0; sm_count = big } in
+  ignore (Bolt_core.Match_profile.attach ctx { F.empty with F.lbr = false; samples = [ sample; sample ] });
+  Bolt_core.Match_profile.finalize ctx ~lbr:false ~trust_fallthrough:true;
+  let f0 = ctx.Ctx.funcs.(0) in
+  Alcotest.(check int) "non-LBR: entry block count" max_int f0.blocks.(0).ecount;
+  Alcotest.(check int) "non-LBR: entry count" max_int f0.exec_count;
+  let diamond =
+    fn [ (8, Bfunc.T_cond (Bolt_isa.Cond.Eq, 2, 1)); (8, Bfunc.T_jump 2); (8, Bfunc.T_stop) ]
+  in
+  let ctx = context_of [ diamond; diamond ] in
+  let br from_off to_func to_off =
+    { F.br_from_func = "f0"; br_from_off = from_off; br_to_func = to_func; br_to_off = to_off;
+      br_count = big; br_mispreds = big }
+  in
+  let range = { F.rg_func = "f0"; rg_start = 0; rg_end = 7; rg_count = big } in
+  let prof =
+    { F.empty with
+      F.lbr = true;
+      branches = [ br 0 "f0" 16; br 0 "f0" 16; br 8 "f0" 16; br 0 "f1" 0; br 0 "f1" 0 ];
+      ranges = [ range; range ] }
+  in
+  ignore (Bolt_core.Match_profile.attach ctx prof);
+  let f0 = ctx.Ctx.funcs.(0) and f1 = ctx.Ctx.funcs.(1) in
+  (match Bfunc.find_edge f0.blocks.(0) 2 with
+  | Some e ->
+      Alcotest.(check int) "LBR: edge count" max_int e.count;
+      Alcotest.(check int) "LBR: edge mispredictions" max_int e.mispreds
+  | None -> Alcotest.fail "no edge 0 -> 2");
+  Alcotest.(check int) "LBR: ranged block count" max_int f0.blocks.(0).ecount;
+  Alcotest.(check int) "LBR: callee entry count" max_int f1.exec_count;
+  Bolt_core.Match_profile.finalize ctx ~lbr:true ~trust_fallthrough:true;
+  Alcotest.(check int) "LBR: block entered by two edges" max_int f0.blocks.(2).ecount
 
 (* hfsort+ merges the heaviest cluster pair first.  Two [Int64.max_int]
    calls a -> b and one b -> a saturate the pair's weight at [max_int]
@@ -509,15 +558,11 @@ let prop_profile_view =
             (fun f (fb : Bfunc.t) -> if f.fs_folded then fb.folded_into <- Some "f0")
             fns (Ctx.all_funcs ctx))
         [ a; b ];
-      let funcs =
-        List.filter_map
-          (fun (fb : Bfunc.t) ->
-            if fb.folded_into = None then Some (fb.fb_name, max 1 fb.fb_size) else None)
-          (Ctx.all_funcs b)
-      in
+      let live = List.filter (fun (fb : Bfunc.t) -> fb.folded_into = None) (Ctx.all_funcs b) in
+      let funcs = List.map (fun (fb : Bfunc.t) -> (fb.fb_name, max 1 fb.fb_size)) live in
       let oracle_graph = oracle_graph_state (Oracle.Callgraph.of_profile ~funcs prof) in
       sa = sb && attached && finalized && sites_ok
-      && graph_state (Bolt_core.Reorder_funcs.lbr_callgraph b ~funcs) = oracle_graph
+      && graph_state (Bolt_core.Reorder_funcs.lbr_callgraph b ~funcs:live) = oracle_graph
       && graph_state (CG.of_profile ~funcs prof) = oracle_graph)
 
 let suite =
@@ -532,6 +577,7 @@ let suite =
     Alcotest.test_case "callgraph-non-lbr" `Quick test_non_lbr_callgraph;
     Alcotest.test_case "call weights saturate" `Quick test_call_weights_saturate;
     Alcotest.test_case "sample split saturates" `Quick test_sample_split_saturates;
+    Alcotest.test_case "attach sums saturate" `Quick test_attach_sums_saturate;
     Alcotest.test_case "hfsort+ sums saturate" `Quick test_hfsort_plus_saturates;
     QCheck_alcotest.to_alcotest order_is_permutation;
     QCheck_alcotest.to_alcotest ~speed_level:`Quick
